@@ -117,15 +117,9 @@ def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
     space = HiddenVariableSpace(np.full(n_lambda, 1.0 / n_lambda),
                                 np.arange(n_lambda) * (math.pi / n_lambda))
-    clipped = False
 
     def fn(angle: float, lam: np.ndarray) -> np.ndarray:
-        nonlocal clipped
-        raw_p0 = c0 + c1 * np.cos(2.0 * (angle - lam))
-        p0 = np.clip(raw_p0, 0.0, 1.0)
-        if np.any(raw_p0 != p0):
-            clipped = True
-            model.meta["projection_active"] = True
+        p0 = np.clip(c0 + c1 * np.cos(2.0 * (angle - lam)), 0.0, 1.0)
         w_plus = np.cos(angle - lam) ** 2
         w_minus = np.sin(angle - lam) ** 2
         if sharpness != 1.0:
@@ -140,8 +134,11 @@ def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     model = SLHVModel(space,
                       ResponseFunction.from_function(1, fn),
                       ResponseFunction.from_function(2, fn))
+    # c0 + c1*cos spans [c0 - |c1|, c0 + |c1|] over the angles, so the
+    # clip into [0, 1] binds at some angle exactly when that range leaves it.
     model.meta.update(family="modulated-p0", c0=c0, c1=c1, sharpness=sharpness,
-                      n_lambda=n_lambda, projection_active=clipped)
+                      n_lambda=n_lambda,
+                      projection_active=c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0)
     return model
 
 

@@ -1,7 +1,11 @@
 """Exact CHSH-type quantities for discrete SLHV models.
 
 Everything here is a finite weighted sum over the hidden-variable
-points; no sampling.  The central objects:
+points; no sampling.  A quad evaluates each (party, angle) response
+table once; a setting pair's 3x3 joint-outcome table is
+``t1^T . diag(w) . t2``, whose ``signed_sum`` is E and whose
+``coincidence_sum`` is the coincidence probability (the estimator
+applies both to count tables).  The central objects:
 
 * ``u = x(y - y') + x'(y + y')``, the CHSH combination of the four
   single-party averages at one hidden point.  On the box
@@ -32,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +47,9 @@ from .model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    _solution1_report,
+    _solution2_report,
     canonical_angle,
-    validate_solution1,
-    validate_solution2,
 )
 
 __all__ = [
@@ -56,6 +61,8 @@ __all__ = [
     "chsh_combination",
     "VertexRow",
     "enumerate_vertices",
+    "signed_sum",
+    "coincidence_sum",
     "correlation",
     "coincidence_probability",
     "pointwise_bound_check",
@@ -191,19 +198,55 @@ def enumerate_vertices(alpha, beta) -> list[VertexRow]:
     return rows
 
 
+def signed_sum(table):
+    """Sum of r*q*table[r, q] over a 3x3 joint table: E of a probability
+    table, the exact signed coincidence count of an integer count table."""
+    return table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
+
+
+def coincidence_sum(table):
+    """Mass of the four both-detected cells of a 3x3 joint table."""
+    return table[0, 0] + table[0, 1] + table[1, 0] + table[1, 1]
+
+
+def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The 3x3 joint-outcome table t1^T . diag(w) . t2 of one setting pair."""
+    return (t1 * w[:, None]).T @ t2
+
+
+class _QuadTables:
+    """A model at a quad, the response table of each (party, angle) evaluated once."""
+
+    def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
+        self.w = model.space.weights
+        self.quad = quad
+        self.tables: dict[tuple[int, float], np.ndarray] = {}
+        for party, angles in ((1, quad.party1_angles()), (2, quad.party2_angles())):
+            for angle in angles:
+                if (party, angle) not in self.tables:
+                    self.tables[party, angle] = model.triples(party, angle, validate=validate)
+
+    def p0(self, party: int, angle: float) -> np.ndarray:
+        return self.tables[party, angle][:, 2]
+
+    def pairs(self):
+        """(label, a, b, sign, t1, t2, joint table) per setting pair, in CHSH order."""
+        for label, a, b, sign in self.quad.pairs():
+            t1, t2 = self.tables[1, a], self.tables[2, b]
+            yield label, a, b, sign, t1, t2, _joint(self.w, t1, t2)
+
+
 def correlation(model: SLHVModel, a: float, b: float, validate: bool = True) -> float:
     """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
-    e1 = model.local_averages(1, a, validate=validate)
-    e2 = model.local_averages(2, b, validate=validate)
-    return float(np.sum(model.space.weights * e1 * e2))
+    return float(signed_sum(_joint(model.space.weights, model.triples(1, a, validate),
+                                   model.triples(2, b, validate))))
 
 
 def coincidence_probability(model: SLHVModel, a: float, b: float,
                             validate: bool = True) -> float:
     """Probability that both photons are detected: weighted sum of alpha*beta."""
-    al = model.detection_probs(1, a, validate=validate)
-    be = model.detection_probs(2, b, validate=validate)
-    return float(np.sum(model.space.weights * al * be))
+    return float(coincidence_sum(_joint(model.space.weights, model.triples(1, a, validate),
+                                        model.triples(2, b, validate))))
 
 
 @dataclass(frozen=True)
@@ -222,39 +265,32 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad,
     four per-party bounds collapse to a single alpha and beta per
     point); refuses otherwise.
     """
-    rep = validate_solution1(model, quad.party1_angles(), quad.party2_angles())
+    q = _QuadTables(model, quad)
+    rep = _solution1_report(q.p0, quad.party1_angles(), quad.party2_angles())
     if not rep.passed:
         raise AssumptionError(
             "pointwise bound requires angle-independent non-detection; "
             f"validator failed with max deviation {rep.max_deviation:.3e}")
-    x = model.local_averages(1, quad.a)
-    xp = model.local_averages(1, quad.a_prime)
-    y = model.local_averages(2, quad.b)
-    yp = model.local_averages(2, quad.b_prime)
-    alpha = model.detection_probs(1, quad.a)
-    beta = model.detection_probs(2, quad.b)
-    u = x * (y - yp) + xp * (y + yp)
-    slack = np.abs(u) - 2.0 * alpha * beta
+    return _pointwise(q, tol)
+
+
+def _pointwise(q: _QuadTables, tol: float) -> PointwiseBoundReport:
+    t, quad = q.tables, q.quad
+    x, xp = (t[1, a][:, 0] - t[1, a][:, 1] for a in quad.party1_angles())
+    y, yp = (t[2, b][:, 0] - t[2, b][:, 1] for b in quad.party2_angles())
+    alpha = t[1, quad.a][:, 0] + t[1, quad.a][:, 1]
+    beta = t[2, quad.b][:, 0] + t[2, quad.b][:, 1]
+    slack = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(slack))
     return PointwiseBoundReport(passed=bool(slack[k] <= tol),
                                 max_slack=float(slack[k]), worst_lambda=k, tol=tol)
 
 
-class ChshValues(tuple):
+class ChshValues(NamedTuple):
     """(u, m): the CHSH combination and its coincidence bound 2*sum(P)."""
 
-    __slots__ = ()
-
-    def __new__(cls, u: float, m: float):
-        return super().__new__(cls, (u, m))
-
-    @property
-    def u(self) -> float:
-        return self[0]
-
-    @property
-    def m(self) -> float:
-        return self[1]
+    u: float
+    m: float
 
 
 def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
@@ -265,33 +301,25 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     and raise TheoremViolationError on numerical breach (a bug tripwire,
     not a reachable state).
     """
-    u = sum(sign * correlation(model, x, y) for _, x, y, sign in quad.pairs())
-    m = 2.0 * coincidence_probability(model, quad.a, quad.b)
+    q = _QuadTables(model, quad)
+    joints = [(sign, joint) for _, _, _, sign, _, _, joint in q.pairs()]
+    u = sum(sign * float(signed_sum(joint)) for sign, joint in joints)
+    m = 2.0 * float(coincidence_sum(joints[0][1]))
     if abs(u) > 2.0 + BOUND_TOL:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds 2 for an SLHV model")
-    if validate_solution1(model, quad.party1_angles(), quad.party2_angles()).passed \
-            and abs(u) > m + BOUND_TOL:
+    if abs(u) > m + BOUND_TOL and _solution1_report(
+            q.p0, quad.party1_angles(), quad.party2_angles()).passed:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds M = {m!r} despite angle-independent "
             "non-detection")
     return ChshValues(float(u), float(m))
 
 
-def _marginal_nondetect(model: SLHVModel, party: int, angle: float,
-                        validate: bool = True) -> float:
-    """Experimental non-detection probability implied by the model."""
-    p0 = model.nondetect_probs(party, angle, validate=validate)
-    return float(np.sum(model.space.weights * p0))
-
-
-def _effective_pair_value(model: SLHVModel, a: float, b: float,
-                          mode: EffectiveCorrelationMode,
-                          validate: bool = True) -> float:
+def _effective_pair_value(w: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+                          joint: np.ndarray, mode: EffectiveCorrelationMode,
+                          a: float, b: float) -> float:
     """One coincidence-normalized correlation, no assumption checking."""
-    w = model.space.weights
-    t1 = model.triples(1, a, validate=validate)
-    t2 = model.triples(2, b, validate=validate)
     if mode is EffectiveCorrelationMode.SOLUTION3:
         al = t1[:, 0] + t1[:, 1]
         be = t2[:, 0] + t2[:, 1]
@@ -303,9 +331,9 @@ def _effective_pair_value(model: SLHVModel, a: float, b: float,
         eff1 = (t1[:, 0] - t1[:, 1]) / al
         eff2 = (t2[:, 0] - t2[:, 1]) / be
         return float(np.sum(w * eff1 * eff2))
-    e = float(np.sum(w * (t1[:, 0] - t1[:, 1]) * (t2[:, 0] - t2[:, 1])))
+    e = float(signed_sum(joint))
     if mode is EffectiveCorrelationMode.SOLUTION1:
-        coin = float(np.sum(w * (t1[:, 0] + t1[:, 1]) * (t2[:, 0] + t2[:, 1])))
+        coin = float(coincidence_sum(joint))
         if coin <= 0.0:
             raise DegenerateModelError(
                 f"zero coincidence probability at pair ({a:.6g}, {b:.6g})")
@@ -321,19 +349,18 @@ def _effective_pair_value(model: SLHVModel, a: float, b: float,
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _mode_report(model: SLHVModel, quad: SettingsQuad,
-                 mode: EffectiveCorrelationMode) -> AssumptionReport:
-    a1, a2 = quad.party1_angles(), quad.party2_angles()
+def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
+    a1, a2 = q.quad.party1_angles(), q.quad.party2_angles()
     if mode is EffectiveCorrelationMode.SOLUTION1:
-        return validate_solution1(model, a1, a2)
+        return _solution1_report(q.p0, a1, a2)
     if mode is EffectiveCorrelationMode.SOLUTION2:
-        return validate_solution2(model, a1, a2)
+        return _solution2_report(q.p0, q.w, a1, a2)
     # SOLUTION3 only needs nondegeneracy: every hidden point detectable.
     worst = 0.0
     where = None
     for party, angs in ((1, a1), (2, a2)):
         for ang in angs:
-            p0 = model.nondetect_probs(party, ang)
+            p0 = q.p0(party, ang)
             k = int(np.argmax(p0))
             if p0[k] > worst:
                 worst = float(p0[k])
@@ -355,13 +382,15 @@ def effective_correlation(model: SLHVModel, a: float, b: float,
     same expression can be evaluated on models that violate it (the
     adversarial-search workflow); degenerate denominators always raise.
     """
+    w = model.space.weights
+    t1, t2 = model.triples(1, a), model.triples(2, b)
     if check_assumptions and mode is EffectiveCorrelationMode.SOLUTION2:
-        rep = validate_solution2(model, [a], [b])
+        rep = _solution2_report(lambda party, _: (t1, t2)[party - 1][:, 2], w, [a], [b])
         if not rep.passed:
             raise AssumptionError(
                 "validate_solution2 failed for mode solution2 "
                 f"(max deviation {rep.max_deviation:.3e})")
-    return _effective_pair_value(model, a, b, mode)
+    return _effective_pair_value(w, t1, t2, _joint(w, t1, t2), mode, a, b)
 
 
 def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
@@ -372,8 +401,9 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
     Lean path used in hot loops (property suites, adversarial search);
     no assumption checking, degenerate pairs raise.
     """
-    return sum(sign * _effective_pair_value(model, x, y, mode, validate=validate)
-               for _, x, y, sign in quad.pairs())
+    q = _QuadTables(model, quad, validate)
+    return sum(sign * _effective_pair_value(q.w, t1, t2, joint, mode, a, b)
+               for _, a, b, sign, t1, t2, joint in q.pairs())
 
 
 @dataclass(frozen=True)
@@ -435,6 +465,12 @@ class InequalityReport:
             "theorem_breach": self.theorem_breach,
             "p00_factorized": self.p00_factorized,
         }
+        worst = self.assumption_report.worst
+        if worst is not None:
+            party, lam, angles = worst
+            d["assumptions"]["worst"] = {
+                "party": party, "lambda_index": lam,
+                "angles_degrees": [math.degrees(a) for a in angles]}
         if self.assumption_report.implied_p0 is not None:
             d["assumptions"]["implied_p0"] = {
                 str(party): {f"{math.degrees(a):.6g}": v for a, v in vals.items()}
@@ -460,33 +496,33 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     the bound as not guaranteed instead of refusing, so assumption-
     violating models (the adversarial workflow) still get their values.
     """
+    q = _QuadTables(model, quad)
     e: dict[str, float] = {}
     e_eff: dict[str, float] = {}
     coin: dict[str, float] = {}
     u = 0.0
     u_eff = 0.0
     degenerate = None
-    for label, x, y, sign in quad.pairs():
-        e[label] = correlation(model, x, y)
-        coin[label] = coincidence_probability(model, x, y)
+    for label, x, y, sign, t1, t2, joint in q.pairs():
+        e[label] = float(signed_sum(joint))
+        coin[label] = float(coincidence_sum(joint))
         u += sign * e[label]
         try:
-            e_eff[label] = _effective_pair_value(model, x, y, mode)
+            e_eff[label] = _effective_pair_value(q.w, t1, t2, joint, mode, x, y)
+            u_eff += sign * e_eff[label]
         except DegenerateModelError as exc:
             degenerate = exc
             e_eff[label] = math.nan
-        if not math.isnan(e_eff[label]):
-            u_eff += sign * e_eff[label]
     if degenerate is not None:
         u_eff = math.nan
     m = 2.0 * coin["ab"]
 
-    assumption = _mode_report(model, quad, mode)
+    assumption = _mode_report(q, mode)
     bound_guaranteed = assumption.passed and degenerate is None
 
     pointwise = None
     if mode is EffectiveCorrelationMode.SOLUTION1 and assumption.passed:
-        pointwise = pointwise_bound_check(model, quad, tol=tol)
+        pointwise = _pointwise(q, tol)
 
     verdicts = {
         "abs_u_le_2": abs(u) <= 2.0 + tol,
@@ -496,9 +532,9 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     }
     theorem_breach = bound_guaranteed and not verdicts["abs_u_eff_le_2"]
 
-    x1 = model.local_averages(1, quad.a)
+    t1 = q.tables[1, quad.a]
     extremes = {
-        "max_abs_local_average_a": float(np.max(np.abs(x1))),
+        "max_abs_local_average_a": float(np.max(np.abs(t1[:, 0] - t1[:, 1]))),
         "min_coincidence_probability": min(coin.values()),
         "max_coincidence_probability": max(coin.values()),
     }

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .adversary import SearchConfig, get_family, search
 from .bounds import (
+    PAIR_LABELS,
     EffectiveCorrelationMode,
     SettingsQuad,
     effective_chsh,
@@ -85,6 +86,15 @@ def _write_manifest(args, out_path: Path, outputs: list[str]) -> None:
     manifest_path.write_text(_json_dump(doc), encoding="utf-8")
 
 
+def _emit(args, text: str) -> None:
+    """Print a command's output; with --out, also write it and its manifest."""
+    sys.stdout.write(text)
+    if args.out:
+        out = Path(args.out)
+        out.write_text(text, encoding="utf-8")
+        _write_manifest(args, out, [out.name])
+
+
 def _qm_params_from_args(args) -> QMModelParams:
     eta2 = args.eta2 if args.eta2 is not None else args.eta
     f2 = args.f2 if args.f2 is not None else args.f
@@ -109,12 +119,7 @@ def cmd_verify_bounds(args) -> int:
     doc = report.to_json_dict(verbosity=args.verbose)
     if not report.bound_guaranteed:
         doc["note"] = "assumptions violated; bound not guaranteed"
-    text = _json_dump(doc)
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        _write_manifest(args, out, [out.name])
+    _emit(args, _json_dump(doc))
     return EXIT_THEOREM_BREACH if report.theorem_breach else EXIT_OK
 
 
@@ -140,7 +145,7 @@ def cmd_simulate(args) -> int:
 
 def _analysis_csv(report: dict) -> str:
     lines = ["label,E_eff,stderr,coincidences"]
-    for label in ("ab", "ab'", "a'b", "a'b'"):
+    for label in PAIR_LABELS:
         e = report["per_pair"][label]
         lines.append(f"{label},{e['E_eff']!r},{e['stderr']!r},{e['coincidences']}")
     lines.append(f"U_eff,{report['U_eff']!r},{report['stderr']!r},")
@@ -155,11 +160,7 @@ def cmd_analyze(args) -> int:
     recs = read_counts_csv(args.counts, emitted_totals=totals)
     report = analysis_report(recs)
     text = _analysis_csv(report) if args.format == "csv" else _json_dump(report)
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        _write_manifest(args, out, [out.name])
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -189,7 +190,7 @@ def cmd_qm_predict(args) -> int:
     }
     if args.format == "csv":
         lines = ["label,E,E_eff"]
-        for label in ("ab", "ab'", "a'b", "a'b'"):
+        for label in PAIR_LABELS:
             e = per_pair[label]
             lines.append(f"{label},{e['E']!r},{e['E_eff']!r}")
         lines.append(f"U,{doc['U']!r},")
@@ -197,11 +198,7 @@ def cmd_qm_predict(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = _json_dump(doc)
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        _write_manifest(args, out, [out.name])
+    _emit(args, text)
     return EXIT_OK
 
 
@@ -222,12 +219,7 @@ def cmd_adversary_search(args) -> int:
         restarts=args.restarts, max_evals=args.max_evals, seed=args.seed,
         n_lambda=args.n_lambda, freeze=freeze)
     result = search(config, workers=args.workers)
-    text = _json_dump(result.to_json_dict())
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        _write_manifest(args, out, [out.name])
+    _emit(args, _json_dump(result.to_json_dict()))
     return EXIT_OK
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PAIR_LABELS, PAIR_SIGNS
-from .model import NoDataError, ValidationError
+from .bounds import PAIR_LABELS, PAIR_SIGNS, coincidence_sum, signed_sum
+from .model import _OUTCOME_INDEX, NoDataError, ValidationError
 from .qm import QMModelParams
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "read_counts_csv",
     "analysis_report",
 ]
-
-_OUTCOME_INDEX = {1: 0, -1: 1, 0: 2}
-
 
 @dataclass(frozen=True)
 class CountsRecord:
@@ -88,12 +85,7 @@ class CountsRecord:
 
 def coincidence_count(rec: CountsRecord) -> int:
     """Trials in which both photons were detected."""
-    return int(rec.table[:2, :2].sum())
-
-
-def _signed_coincidence_sum(rec: CountsRecord) -> int:
-    t = rec.table
-    return int(t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1])
+    return int(coincidence_sum(rec.table))
 
 
 def e_eff_from_counts(rec: CountsRecord) -> float:
@@ -101,7 +93,7 @@ def e_eff_from_counts(rec: CountsRecord) -> float:
     n_c = coincidence_count(rec)
     if n_c == 0:
         raise NoDataError(f"no coincidences recorded for pair {rec.label!r}")
-    return _signed_coincidence_sum(rec) / n_c
+    return int(signed_sum(rec.table)) / n_c
 
 
 def e_eff_stderr(rec: CountsRecord) -> float:
@@ -109,7 +101,7 @@ def e_eff_stderr(rec: CountsRecord) -> float:
     n_c = coincidence_count(rec)
     if n_c == 0:
         raise NoDataError(f"no coincidences recorded for pair {rec.label!r}")
-    e = _signed_coincidence_sum(rec) / n_c
+    e = int(signed_sum(rec.table)) / n_c
     return math.sqrt(max(1.0 - e * e, 0.0) / n_c)
 
 
@@ -181,8 +173,8 @@ def epsilon_decomposition(recs) -> EpsilonReport:
         if n_c == 0:
             raise NoDataError(f"no coincidences recorded for pair {rec.label!r}")
         sp = n_c / rec.emitted_total
-        e[rec.label] = _signed_coincidence_sum(rec) / rec.emitted_total
-        e_eff[rec.label] = _signed_coincidence_sum(rec) / n_c
+        e[rec.label] = int(signed_sum(rec.table)) / rec.emitted_total
+        e_eff[rec.label] = int(signed_sum(rec.table)) / n_c
         eps[rec.label] = e[rec.label] * (1.0 - sp) / sp
         frac[rec.label] = sp
         u += sign * e[rec.label]
@@ -212,10 +204,12 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     ``emitted_total`` set to the table sum.  Coincidence-only files get
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
     values, in which case the unobserved remainder is lumped into the
-    (0, 0) cell and ``nondetect_split_known`` is False.
+    (0, 0) cell and ``nondetect_split_known`` is False.  A repeated
+    (pair_label, r, q) row is rejected.
     """
     tables: dict[str, np.ndarray] = {}
     saw_nondetect: dict[str, bool] = {}
+    seen: set[tuple[str, int, int]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"pair_label", "r", "q", "count"}
@@ -236,8 +230,11 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
                     f"outcomes must be in (+1, -1, 0), got {(r, q)}")
             if c < 0:
                 raise ValidationError(f"negative count in row {row!r}")
+            if (label, r, q) in seen:
+                raise ValidationError(f"repeated counts row for {(label, r, q)}")
+            seen.add((label, r, q))
             t = tables.setdefault(label, np.zeros((3, 3), dtype=np.int64))
-            t[_OUTCOME_INDEX[r], _OUTCOME_INDEX[q]] += c
+            t[_OUTCOME_INDEX[r], _OUTCOME_INDEX[q]] = c
             if r == 0 or q == 0:
                 saw_nondetect[label] = True
     if not tables:

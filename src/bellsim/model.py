@@ -59,6 +59,8 @@ __all__ = [
 # Single-photon outcomes in canonical column order: detected +1, detected -1,
 # not detected.  Every (n, 3) table in this package uses this order.
 OUTCOME_VALUES = (1, -1, 0)
+# Column index of each outcome value, for count tables read or written by value.
+_OUTCOME_INDEX = {v: i for i, v in enumerate(OUTCOME_VALUES)}
 
 # Pure-arithmetic tolerance (probability normalization, factorization).
 NORMALIZATION_TOL = 1e-12
@@ -314,11 +316,6 @@ class SLHVModel:
         t = self.triples(party, angle, validate=validate)
         return t[:, 0] + t[:, 1]
 
-    def local_averages(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
-        """p_plus - p_minus per hidden point."""
-        t = self.triples(party, angle, validate=validate)
-        return t[:, 0] - t[:, 1]
-
     def nondetect_probs(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
         t = self.triples(party, angle, validate=validate)
         return t[:, 2]
@@ -412,11 +409,18 @@ def validate_solution1(model: SLHVModel, angles1: Sequence[float],
     coincidence rate is setting-independent and the detection-robust
     CHSH bound is provable.
     """
+    return _solution1_report(model.nondetect_probs, angles1, angles2, tol)
+
+
+def _solution1_report(p0_of: Callable[[int, float], np.ndarray],
+                      angles1: Sequence[float], angles2: Sequence[float] | None,
+                      tol: float = VALIDATOR_TOL) -> AssumptionReport:
+    """validate_solution1 over the non-detection arrays ``p0_of(party, angle)``."""
     a1, a2 = _angle_lists(angles1, angles2)
     worst_dev = 0.0
     worst = None
     for party, angs in ((1, a1), (2, a2)):
-        p0 = np.stack([model.nondetect_probs(party, a) for a in angs])
+        p0 = np.stack([p0_of(party, a) for a in angs])
         for i in range(len(angs)):
             for j in range(i + 1, len(angs)):
                 dev = np.abs(p0[i] - p0[j])
@@ -439,20 +443,28 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
     carries the implied experimental non-detection probability per
     (party, angle); it is reported, never asserted against external data.
     """
+    return _solution2_report(model.nondetect_probs, model.space.weights,
+                             angles1, angles2, tol)
+
+
+def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.ndarray,
+                      angles1: Sequence[float], angles2: Sequence[float] | None,
+                      tol: float = VALIDATOR_TOL) -> AssumptionReport:
+    """validate_solution2 over the non-detection arrays ``p0_of(party, angle)``."""
     a1, a2 = _angle_lists(angles1, angles2)
     worst_dev = 0.0
     worst = None
     implied: dict[int, dict[float, float]] = {1: {}, 2: {}}
     for party, angs in ((1, a1), (2, a2)):
         for a in angs:
-            p0 = model.nondetect_probs(party, a)
+            p0 = p0_of(party, a)
             spread = float(p0.max() - p0.min())
             if spread > worst_dev:
                 worst_dev = spread
                 worst = (party, int(np.argmax(p0)), (a, a))
             # Weighted mean is the implied experimental value; equals the
             # common constant when the check passes.
-            implied[party][a] = float(np.sum(model.space.weights * p0))
+            implied[party][a] = float(np.sum(weights * p0))
     passed = worst_dev <= tol
     return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=tol,
                             worst=None if passed else worst,

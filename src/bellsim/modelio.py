@@ -46,7 +46,7 @@ from .model import (
     canonical_angle,
 )
 
-__all__ = ["load_model", "model_from_dict", "tabulated_model_to_dict", "save_model"]
+__all__ = ["load_model", "model_from_dict", "save_model"]
 
 
 def _tabulated_from_dict(doc: dict) -> SLHVModel:
@@ -120,23 +120,6 @@ def load_model(path) -> SLHVModel:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {p} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
-
-
-def tabulated_model_to_dict(model: SLHVModel, angles1_deg, angles2_deg) -> dict:
-    """Tabulate a model at the given angles (degrees) into the file schema."""
-    responses: dict[str, dict] = {}
-    for party, angles in ((1, angles1_deg), (2, angles2_deg)):
-        tab = {}
-        for deg in angles:
-            t = model.triples(party, math.radians(float(deg)))
-            tab[f"{float(deg):.10g}"] = [[float(v) for v in row] for row in t]
-        responses[str(party)] = tab
-    return {
-        "schema_version": 1,
-        "type": "tabulated",
-        "lambda_weights": [float(w) for w in model.space.weights],
-        "responses": responses,
-    }
 
 
 def save_model(doc: dict, path) -> None:

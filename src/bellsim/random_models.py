@@ -31,7 +31,6 @@ __all__ = [
     "random_angle_independent_model",
     "random_lambda_independent_model",
     "random_nondegenerate_model",
-    "random_model",
 ]
 
 
@@ -146,13 +145,3 @@ def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32,
 
     return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
 
-
-def random_model(rng: np.random.Generator, kind: str = "nondegenerate",
-                 n_lambda: int = 32) -> SLHVModel:
-    if kind == "angle-independent":
-        return random_angle_independent_model(rng, n_lambda)
-    if kind == "lambda-independent":
-        return random_lambda_independent_model(rng, n_lambda)
-    if kind == "nondegenerate":
-        return random_nondegenerate_model(rng, n_lambda)
-    raise ValueError(f"unknown kind {kind!r}")

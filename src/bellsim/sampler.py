@@ -26,15 +26,16 @@ sum in block order.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import PAIR_LABELS, SettingsQuad
+from .bounds import PAIR_LABELS, SettingsQuad, _QuadTables
 from .estimator import CountsRecord
-from .model import OUTCOME_VALUES, SLHVModel, ValidationError
+from .model import _OUTCOME_INDEX, OUTCOME_VALUES, SLHVModel, ValidationError
 from .qm import QMModelParams
 
 __all__ = [
@@ -51,10 +52,6 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 16
 
-# Column index of each outcome value in count tables, matching the
-# (p_plus, p_minus, p_zero) column order of response tables.
-_OUTCOME_INDEX = {1: 0, -1: 1, 0: 2}
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -65,11 +62,15 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        if int(self.trials_per_pair) < 1:
+        for name in ("trials_per_pair", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer()):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.trials_per_pair < 1:
             raise ValidationError(
                 f"trials_per_pair must be >= 1, got {self.trials_per_pair!r}")
-        object.__setattr__(self, "trials_per_pair", int(self.trials_per_pair))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,6 @@ class ExperimentResult:
     records: tuple[CountsRecord, ...]
     plan: ExperimentPlan
     source_summary: dict
-
-    @property
-    def emitted_per_pair(self) -> int:
-        return self.plan.trials_per_pair
 
 
 def substream(seed: int, pair_index: int, block_index: int) -> np.random.Generator:
@@ -183,23 +180,17 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    pair_prep = []
-    for pair_index, (label, a, b, _sign) in enumerate(plan.quad.pairs()):
-        if isinstance(source, SLHVModel):
-            t1 = source.triples(1, a)
-            t2 = source.triples(2, b)
-            cdf = _lambda_cdf(source)
-            pair_prep.append((label, a, b, ("slhv", t1, t2, cdf)))
-        else:
-            pair_prep.append((label, a, b, ("qm",)))
+    pairs = plan.quad.pairs()
+    if isinstance(source, SLHVModel):
+        tables = _QuadTables(source, plan.quad).tables
+        cdf = _lambda_cdf(source)
 
     def block_counts(pair_index: int, block_index: int) -> np.ndarray:
-        label, a, b, prep = pair_prep[pair_index]
+        _label, a, b, _sign = pairs[pair_index]
         size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
         rng = substream(plan.seed, pair_index, block_index)
-        if prep[0] == "slhv":
-            _, t1, t2, cdf = prep
-            return _slhv_block(source, t1, t2, cdf, rng, size)
+        if isinstance(source, SLHVModel):
+            return _slhv_block(source, tables[1, a], tables[2, b], cdf, rng, size)
         return _qm_block(source, a, b, rng, size)
 
     tasks = [(i, j) for i in range(4) for j in range(n_blocks)]
@@ -210,7 +201,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         results = [block_counts(i, j) for i, j in tasks]
 
     records = []
-    for pair_index, (label, a, b, _prep) in enumerate(pair_prep):
+    for pair_index, (label, a, b, _sign) in enumerate(pairs):
         table = np.zeros((3, 3), dtype=np.int64)
         for j in range(n_blocks):
             table += results[pair_index * n_blocks + j]

@@ -51,11 +51,14 @@ class TestFamilies:
     def test_modulated_projection_flag(self):
         fam = get_family("modulated-p0")
         m = fam.instantiate([0.9, 0.5, 1.0], n_lambda=60)
+        assert m.meta["projection_active"]  # set at build time
         m.triples(1, 0.3)  # c0 + c1 can exceed 1: triggers clipping
         assert m.meta["projection_active"]
         m2 = fam.instantiate([0.3, 0.1, 1.0], n_lambda=60)
+        assert not m2.meta["projection_active"]
         m2.triples(1, 0.3)
         assert not m2.meta["projection_active"]
+        assert fam.instantiate([0.2, -0.3, 1.0], n_lambda=60).meta["projection_active"]
 
 
 class TestObjective:

@@ -336,6 +336,11 @@ class TestEffectiveChsh:
         # Not a theorem breach: the bound was never guaranteed here.
         assert not rep.theorem_breach
         assert rep.verdicts["abs_u_le_2"]
+        worst = rep.to_json_dict()["assumptions"]["worst"]
+        party, lam, angles = rep.assumption_report.worst
+        assert worst == {"party": party, "lambda_index": lam,
+                         "angles_degrees": [math.degrees(a) for a in angles]}
+        assert party in (1, 2) and 0 <= lam < 720
 
     def test_json_serialization(self):
         rng = np.random.default_rng(149)

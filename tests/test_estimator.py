@@ -242,6 +242,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="header"):
             read_counts_csv(path)
 
+    def test_repeated_row_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("pair_label,r,q,count\nab,+1,+1,40\nab,-1,+1,5\nab,+1,+1,3\n")
+        with pytest.raises(ValidationError, match="repeated"):
+            read_counts_csv(path)
+
     def test_bad_outcome_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("pair_label,r,q,count\nab,+2,+1,40\n")

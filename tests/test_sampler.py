@@ -37,6 +37,15 @@ class TestPlan:
         with pytest.raises(ValidationError):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=0, seed=1)
 
+    def test_rejects_non_integral_trials_and_seed(self):
+        with pytest.raises(ValidationError, match="trials_per_pair"):
+            ExperimentPlan(quad=optimal_quad(), trials_per_pair=1.9, seed=1)
+        with pytest.raises(ValidationError, match="seed"):
+            ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=2.7)
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=1e3, seed=np.int64(4))
+        assert (plan.trials_per_pair, plan.seed) == (1000, 4)
+        assert type(plan.trials_per_pair) is int and type(plan.seed) is int
+
 
 class TestDeterminism:
     def test_same_seed_same_counts(self):
