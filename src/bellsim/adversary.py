@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .bounds import (
     EffectiveCorrelationMode,
     SettingsQuad,
-    effective_chsh_value,
+    _mode_report,
+    _QuadTables,
+    _u_eff,
 )
 from .model import (
     DegenerateModelError,
@@ -45,8 +46,8 @@ from .model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
-    validate_solution1,
-    validate_solution2,
+    _solution1_report,
+    _solution2_report,
 )
 
 __all__ = [
@@ -253,20 +254,20 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
               n_lambda: int = 720, check_soundness: bool = False) -> float:
     """|U_eff| of the instantiated model, exactly; 0 for degenerate points.
 
-    With ``check_soundness`` every evaluation also re-checks that an
-    angle-independent-non-detection model cannot exceed 2: a live test
-    of the bound against an active adversary.
+    With ``check_soundness`` a value above 2 must fail the mode's own
+    assumption validator (the one ``effective_chsh`` uses for
+    ``bound_guaranteed``), read from the same tables: a live test of the
+    bound against an active adversary.
     """
-    model = family.instantiate(params, n_lambda=n_lambda)
+    q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
     try:
-        value = abs(effective_chsh_value(model, quad, mode, validate=False))
+        value = abs(_u_eff(q, mode))
     except DegenerateModelError:
         return 0.0
-    if check_soundness and value > 2.0 + SOUNDNESS_TOL:
-        if validate_solution1(model, quad.party1_angles(), quad.party2_angles()).passed:
-            raise TheoremViolationError(
-                f"|U_eff| = {value!r} > 2 for a model with angle-independent "
-                f"non-detection (family {family.name!r}, params {list(params)})")
+    if check_soundness and value > 2.0 + SOUNDNESS_TOL and _mode_report(q, mode).passed:
+        raise TheoremViolationError(
+            f"|U_eff| = {value!r} > 2 for a model satisfying the {mode.value} "
+            f"assumption (family {family.name!r}, params {list(params)})")
     return value
 
 
@@ -282,9 +283,11 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     Deterministic given the seed: restart k draws its start point from
     SeedSequence(entropy=seed, spawn_key=(k,)), the simplex descent is
     deterministic, and the reduction takes the best value with ties
-    broken by the lowest restart index, so the worker count never
-    affects the result.
+    broken by the lowest restart index.  Restarts run serially in index
+    order; ``workers`` is accepted for replay and no longer changes execution.
     """
+    from scipy import optimize  # only the search needs scipy; keep it off import
+
     fam = config.family
     names = fam.param_names
     lower = np.asarray(fam.lower, dtype=float)
@@ -323,36 +326,28 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
                      "fatol": 1e-10, "adaptive": False})
         x_best = np.clip(res.x, lower[free_idx], upper[free_idx])
         full_best = _expand(free_idx, frozen_full, x_best)
-        value = objective(fam, full_best, config.quad, config.mode,
-                          n_lambda=config.n_lambda)
         return RestartSummary(restart_index=k, start=tuple(x0.tolist()),
                               best_params=tuple(full_best.tolist()),
-                              best_value=float(value), evaluations=evals,
+                              best_value=float(-res.fun), evaluations=evals,
                               converged=bool(res.success),
                               trajectory=tuple(trajectory))
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_restart, range(config.restarts)))
-    else:
-        summaries = [run_restart(k) for k in range(config.restarts)]
-
+    summaries = [run_restart(k) for k in range(config.restarts)]
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))
     best_full = np.asarray(best.best_params)
 
-    # Re-derive everything at the reported optimum from scratch so the
-    # stored parameters alone reproduce the result.
-    model = fam.instantiate(best_full, n_lambda=config.n_lambda)
+    # Re-derive everything at the reported optimum from validated tables
+    # so the stored parameters alone reproduce the result.
+    q = _QuadTables(fam.instantiate(best_full, n_lambda=config.n_lambda), config.quad)
     try:
-        signed = effective_chsh_value(model, config.quad, config.mode)
+        signed = _u_eff(q, config.mode)
         degenerate = False
     except DegenerateModelError:
         signed = 0.0
         degenerate = True
     a1, a2 = config.quad.party1_angles(), config.quad.party2_angles()
-    sol1 = validate_solution1(model, a1, a2).passed
-    sol2 = validate_solution2(model, a1, a2).passed
+    sol1 = _solution1_report(q.p0, a1, a2).passed
+    sol2 = _solution2_report(q.p0, q.w, a1, a2).passed
 
     return SearchResult(
         best_parameters=fam.params_dict(best_full),

@@ -401,7 +401,11 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
     Lean path used in hot loops (property suites, adversarial search);
     no assumption checking, degenerate pairs raise.
     """
-    q = _QuadTables(model, quad, validate)
+    return _u_eff(_QuadTables(model, quad, validate), mode)
+
+
+def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> float:
+    """Signed U_eff of tables already evaluated; degenerate pairs raise."""
     return sum(sign * _effective_pair_value(q.w, t1, t2, joint, mode, a, b)
                for _, a, b, sign, t1, t2, joint in q.pairs())
 
@@ -431,9 +435,6 @@ class InequalityReport:
     theorem_breach: bool
     pointwise: PointwiseBoundReport | None = None
     per_lambda_extremes: dict[str, float] | None = None
-    # Joint non-detection factorizes structurally for models; flagged so
-    # data-side reports can state the opposite.
-    p00_factorized: bool = True
 
     def to_json_dict(self, verbosity: int = 0) -> dict:
         def num(x):
@@ -463,7 +464,6 @@ class InequalityReport:
             "bound_guaranteed": self.bound_guaranteed,
             "verdicts": dict(self.verdicts),
             "theorem_breach": self.theorem_breach,
-            "p00_factorized": self.p00_factorized,
         }
         worst = self.assumption_report.worst
         if worst is not None:

@@ -325,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-lambda", type=int, default=720)
     p.add_argument("--freeze", action="append", default=None,
                    metavar="NAME=VALUE")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for manifest replay; restarts run serially "
+                        "and this has no effect")
     common(p)
     p.set_defaults(func=cmd_adversary_search)
 

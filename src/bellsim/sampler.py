@@ -100,8 +100,8 @@ def _categorical_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(u < c0, 0, np.where(u < c1, 1, 2))
 
 
-def _slhv_block(model: SLHVModel, t1: np.ndarray, t2: np.ndarray,
-                cdf: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+def _slhv_block(t1: np.ndarray, t2: np.ndarray, cdf: np.ndarray,
+                rng: np.random.Generator, n: int) -> np.ndarray:
     """3x3 outcome counts for n trials; t1/t2 are the per-point triples."""
     lam = np.searchsorted(cdf, rng.random(n), side="right")
     np.clip(lam, 0, cdf.size - 1, out=lam)
@@ -141,24 +141,23 @@ def _qm_block(params: QMModelParams, a: float, b: float,
     return counts.reshape(3, 3)
 
 
+def _single_trial(counts: np.ndarray) -> tuple[int, int]:
+    """The (r, q) outcome of a one-trial 3x3 count table."""
+    r, q = divmod(int(np.argmax(counts)), 3)
+    return OUTCOME_VALUES[r], OUTCOME_VALUES[q]
+
+
 def sample_slhv_trial(model: SLHVModel, a: float, b: float,
                       rng: np.random.Generator) -> tuple[int, int]:
-    """One trial from an SLHV model: draw lambda, then each party's outcome."""
-    cdf = _lambda_cdf(model)
-    lam = min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.size - 1)
-    t1 = model.triples(1, a)[lam]
-    t2 = model.triples(2, b)[lam]
-    r = OUTCOME_VALUES[int(_categorical_rows(t1[None, :], np.array([rng.random()]))[0])]
-    q = OUTCOME_VALUES[int(_categorical_rows(t2[None, :], np.array([rng.random()]))[0])]
-    return r, q
+    """One trial from an SLHV model, same draws as the block path."""
+    return _single_trial(_slhv_block(model.triples(1, a), model.triples(2, b),
+                                     _lambda_cdf(model), rng, 1))
 
 
 def sample_qm_trial(params: QMModelParams, a: float, b: float,
                     rng: np.random.Generator) -> tuple[int, int]:
     """One trial from the QM source, same branch logic as the block path."""
-    counts = _qm_block(params, a, b, rng, 1)
-    idx = int(np.argwhere(counts.reshape(-1) == 1)[0, 0])
-    return OUTCOME_VALUES[idx // 3], OUTCOME_VALUES[idx % 3]
+    return _single_trial(_qm_block(params, a, b, rng, 1))
 
 
 def _source_summary(source) -> dict:
@@ -190,7 +189,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
         rng = substream(plan.seed, pair_index, block_index)
         if isinstance(source, SLHVModel):
-            return _slhv_block(source, tables[1, a], tables[2, b], cdf, rng, size)
+            return _slhv_block(tables[1, a], tables[2, b], cdf, rng, size)
         return _qm_block(source, a, b, rng, size)
 
     tasks = [(i, j) for i in range(4) for j in range(n_blocks)]

@@ -1,12 +1,17 @@
 """Adversarial search: family validity, bound soundness, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellsim.adversary import (
     FAMILIES,
+    ParametricFamily,
     SearchConfig,
     get_family,
     objective,
@@ -17,9 +22,35 @@ from bellsim.bounds import (
     effective_chsh_value,
     optimal_quad,
 )
-from bellsim.model import ValidationError, validate_solution1
+from bellsim.model import (
+    HiddenVariableSpace,
+    ResponseFunction,
+    SLHVModel,
+    ValidationError,
+    validate_solution1,
+)
 
 QUAD = optimal_quad()
+
+
+def _two_point_builder(params, n_lambda):
+    """Sign-of-cos 2(angle - lambda) responders at two equally weighted
+    hidden points, detecting with probability 1 at the first and params[0]
+    at the second, at every angle: angle-independent non-detection that
+    varies across lambda."""
+    eta = np.array([1.0, params[0]])
+
+    def fn(angle, lam):
+        c = np.cos(2.0 * (angle - lam))
+        return np.column_stack([eta * (c >= 0.0), eta * (c < 0.0), 1.0 - eta])
+
+    return SLHVModel(HiddenVariableSpace([0.5, 0.5], [0.0, math.pi / 2]),
+                     ResponseFunction.from_function(1, fn),
+                     ResponseFunction.from_function(2, fn))
+
+
+TWO_POINT = ParametricFamily(name="two-point", param_names=("eta",), lower=(0.0,),
+                             upper=(1.0,), builder=_two_point_builder)
 
 
 class TestFamilies:
@@ -84,6 +115,29 @@ class TestObjective:
         fam = get_family("threshold-detection")
         assert objective(fam, [0.999, 0.999], QUAD) == 0.0
 
+    def test_soundness_checked_by_the_mode_validator(self):
+        # Solution1's validator passes for this model, solution2's does not,
+        # so its solution2 value may exceed 2 without breaching a theorem.
+        mode = EffectiveCorrelationMode
+        v = objective(TWO_POINT, [0.05], QUAD, mode=mode.SOLUTION2, check_soundness=True)
+        assert v == pytest.approx(3.6371882086, abs=1e-9)
+        for m in (mode.SOLUTION1, mode.SOLUTION3):
+            assert objective(TWO_POINT, [0.05], QUAD, mode=m,
+                             check_soundness=True) <= 2.0 + 1e-9
+
+    def test_one_table_evaluation_per_point(self, monkeypatch):
+        calls = []
+        triples = SLHVModel.triples
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return triples(self, *args, **kwargs)
+
+        monkeypatch.setattr(SLHVModel, "triples", counted)
+        fam = get_family("threshold-detection")
+        assert objective(fam, [0.8, 0.8], QUAD, check_soundness=True) > 2.0
+        assert len(calls) == 4
+
     def test_reproducible_from_parameters(self):
         fam = get_family("threshold-detection")
         params = [0.77, 0.81]
@@ -123,6 +177,8 @@ class TestSearch:
         m = fam.instantiate(params, n_lambda=360)
         again = abs(effective_chsh_value(m, QUAD, EffectiveCorrelationMode.SOLUTION1))
         assert again == pytest.approx(res.best_u_eff, abs=1e-12)
+        for rs in res.restarts:
+            assert rs.best_value == objective(fam, rs.best_params, QUAD, n_lambda=360)
 
     def test_trajectories_monotone(self):
         res = search(self.small_config())
@@ -157,3 +213,16 @@ class TestSearch:
         json.dumps(doc)
         assert doc["config"]["family"] == "threshold-detection"
         assert len(doc["restarts"]) == 2
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, bellsim; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

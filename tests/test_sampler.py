@@ -7,6 +7,7 @@ import pytest
 
 from bellsim.bounds import optimal_quad
 from bellsim.model import (
+    OUTCOME_VALUES,
     HiddenVariableSpace,
     ResponseFunction,
     SLHVModel,
@@ -119,6 +120,19 @@ class TestScalarTrials:
         for _ in range(50):
             r, q = sample_qm_trial(p, 0.0, math.pi / 8, rng)
             assert r in (1, -1) and q in (1, -1)
+
+    def test_scalar_trial_matches_one_trial_run(self):
+        quad = optimal_quad()
+        sources = ((random_nondegenerate_model(np.random.default_rng(5), 16),
+                    sample_slhv_trial),
+                   (QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9), sample_qm_trial))
+        for source, sample in sources:
+            for seed in range(200):
+                r, q = sample(source, quad.a, quad.b, substream(seed, 0, 0))
+                table = run_experiment(source, ExperimentPlan(quad, 1, seed)).records[0].table
+                expected = np.zeros((3, 3), dtype=np.int64)
+                expected[OUTCOME_VALUES.index(r), OUTCOME_VALUES.index(q)] = 1
+                assert (table == expected).all(), (seed, r, q)
 
 
 class TestStatistics:
