@@ -218,6 +218,8 @@ class SearchResult:
     restarts: tuple[RestartSummary, ...]
     budget_exhausted: bool
     degenerate_best: bool
+    # The optimum model's meta flag: the family's clip into [0, 1] binds there.
+    projection_active_at_optimum: bool
     config_summary: dict
 
     def to_json_dict(self) -> dict:
@@ -233,6 +235,7 @@ class SearchResult:
             "evaluation_count": self.evaluation_count,
             "budget_exhausted": self.budget_exhausted,
             "degenerate_best": self.degenerate_best,
+            "projection_active_at_optimum": self.projection_active_at_optimum,
             "restarts": [
                 {
                     "restart": r.restart_index,
@@ -338,7 +341,8 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
 
     # Re-derive everything at the reported optimum from validated tables
     # so the stored parameters alone reproduce the result.
-    q = _QuadTables(fam.instantiate(best_full, n_lambda=config.n_lambda), config.quad)
+    best_model = fam.instantiate(best_full, n_lambda=config.n_lambda)
+    q = _QuadTables(best_model, config.quad)
     try:
         signed = _u_eff(q, config.mode)
         degenerate = False
@@ -359,6 +363,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
         restarts=tuple(summaries),
         budget_exhausted=any(not s.converged for s in summaries),
         degenerate_best=degenerate,
+        projection_active_at_optimum=best_model.meta["projection_active"],
         config_summary={
             "family": fam.name,
             "quad_degrees": list(config.quad.to_degrees()),

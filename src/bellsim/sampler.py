@@ -17,10 +17,18 @@ order is fixed:
   (or the joint outcome cell when both photons were detected), then one
   resolving party 2's outcome when only photon 2 was detected.
 
-Only ``Generator.random`` is used, keeping the mapping from bit stream
-to outcomes entirely in this module.  Block results are integer count
-tables, so the reduction over blocks is exact in any order; we still
-sum in block order.
+Each of these is one ``Generator.random(n)`` call with an integer size,
+in the order above; that draw order and those per-array calls are part
+of the contract.  Only ``Generator.random`` is used, keeping the mapping
+from bit stream to outcomes entirely in this module.
+
+A block is tallied straight from its uniform arrays.  The QM kernel
+counts each 3x3 cell from boolean masks over them, with no per-trial
+index arrays; the SLHV kernel compares each trial's outcome uniforms
+with the cumulative outcome edges ``(p+, p+ + p-)`` at its hidden
+point, computed once per (party, angle).  Block results are integer
+count tables, so the reduction over blocks is exact in any order; we
+still sum in block order.
 """
 
 from __future__ import annotations
@@ -93,20 +101,27 @@ def _lambda_cdf(model: SLHVModel) -> np.ndarray:
     return cdf
 
 
-def _categorical_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome column index per trial from per-trial (3,) probability rows."""
-    c0 = tables[:, 0]
-    c1 = c0 + tables[:, 1]
-    return np.where(u < c0, 0, np.where(u < c1, 1, 2))
+def _outcome_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative edges ``(p+, p+ + p-)`` of an (n, 3) response table."""
+    c0 = np.ascontiguousarray(table[:, 0])
+    return c0, c0 + table[:, 1]
 
 
-def _slhv_block(t1: np.ndarray, t2: np.ndarray, cdf: np.ndarray,
-                rng: np.random.Generator, n: int) -> np.ndarray:
-    """3x3 outcome counts for n trials; t1/t2 are the per-point triples."""
+def _categorical(edges: tuple[np.ndarray, np.ndarray], lam: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Outcome column index per trial from the edges at each trial's lambda."""
+    # A where chain, not a sum of comparisons: with a tolerated p- just
+    # below 0 the upper edge sits under the lower one and the forms differ.
+    return np.where(u < edges[0][lam], 0, np.where(u < edges[1][lam], 1, 2))
+
+
+def _slhv_block(e1: tuple[np.ndarray, np.ndarray], e2: tuple[np.ndarray, np.ndarray],
+                cdf: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """3x3 outcome counts for n trials; e1/e2 are each party's outcome edges."""
     lam = np.searchsorted(cdf, rng.random(n), side="right")
     np.clip(lam, 0, cdf.size - 1, out=lam)
-    r_idx = _categorical_rows(t1[lam], rng.random(n))
-    q_idx = _categorical_rows(t2[lam], rng.random(n))
+    r_idx = _categorical(e1, lam, rng.random(n))
+    q_idx = _categorical(e2, lam, rng.random(n))
     counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
     return counts.reshape(3, 3)
 
@@ -121,24 +136,24 @@ def _qm_block(params: QMModelParams, a: float, b: float,
     fc = params.F * np.cos(2.0 * (a - b))
     p_same = 0.25 * (1.0 + fc)   # (+,+) and (-,-) given both detected
     p_diff = 0.25 * (1.0 - fc)
-    # Joint cells in order (+,+), (+,-), (-,+), (-,-).
+    # Joint cells in order (+,+), (+,-), (-,+), (-,-); a both-detected
+    # trial lands in the cell of the first edge above u1.
     edges = np.cumsum([p_same, p_diff, p_diff])
 
-    r_idx = np.full(n, 2, dtype=np.intp)
-    q_idx = np.full(n, 2, dtype=np.intp)
-
     both = d1 & d2
-    cell = np.searchsorted(edges, u1[both], side="right")
-    r_idx[both] = cell // 2
-    q_idx[both] = cell % 2
+    n_both = np.count_nonzero(both)
+    ge0, ge1, ge2 = (np.count_nonzero(both & (u1 >= e)) for e in edges)
+    only1 = d1 ^ both
+    n1 = np.count_nonzero(only1)
+    n1_minus = np.count_nonzero(only1 & (u1 >= 0.5))
+    only2 = d2 ^ both
+    n2 = np.count_nonzero(only2)
+    n2_minus = np.count_nonzero(only2 & (u2 >= 0.5))
 
-    only1 = d1 & ~d2
-    r_idx[only1] = (u1[only1] >= 0.5).astype(np.intp)
-    only2 = d2 & ~d1
-    q_idx[only2] = (u2[only2] >= 0.5).astype(np.intp)
-
-    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
-    return counts.reshape(3, 3)
+    return np.array([[n_both - ge0, ge0 - ge1, n1 - n1_minus],
+                     [ge1 - ge2, ge2, n1_minus],
+                     [n2 - n2_minus, n2_minus, n - n_both - n1 - n2]],
+                    dtype=np.int64)
 
 
 def _single_trial(counts: np.ndarray) -> tuple[int, int]:
@@ -150,7 +165,8 @@ def _single_trial(counts: np.ndarray) -> tuple[int, int]:
 def sample_slhv_trial(model: SLHVModel, a: float, b: float,
                       rng: np.random.Generator) -> tuple[int, int]:
     """One trial from an SLHV model, same draws as the block path."""
-    return _single_trial(_slhv_block(model.triples(1, a), model.triples(2, b),
+    return _single_trial(_slhv_block(_outcome_edges(model.triples(1, a)),
+                                     _outcome_edges(model.triples(2, b)),
                                      _lambda_cdf(model), rng, 1))
 
 
@@ -173,15 +189,18 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
                    workers: int = 1) -> ExperimentResult:
     """Tally 3x3 outcome counts for each of the four setting pairs.
 
-    The result is bit-identical for any ``workers`` value; see the
+    The result is bit-identical for any ``workers`` value >= 1; see the
     module docstring for the substream derivation.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     pairs = plan.quad.pairs()
     if isinstance(source, SLHVModel):
-        tables = _QuadTables(source, plan.quad).tables
+        edges = {key: _outcome_edges(table)
+                 for key, table in _QuadTables(source, plan.quad).tables.items()}
         cdf = _lambda_cdf(source)
 
     def block_counts(pair_index: int, block_index: int) -> np.ndarray:
@@ -189,12 +208,12 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
         rng = substream(plan.seed, pair_index, block_index)
         if isinstance(source, SLHVModel):
-            return _slhv_block(tables[1, a], tables[2, b], cdf, rng, size)
+            return _slhv_block(edges[1, a], edges[2, b], cdf, rng, size)
         return _qm_block(source, a, b, rng, size)
 
     tasks = [(i, j) for i in range(4) for j in range(n_blocks)]
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(lambda ij: block_counts(*ij), tasks))
     else:
         results = [block_counts(i, j) for i, j in tasks]

@@ -201,6 +201,18 @@ class TestSearch:
         assert res.best_u_eff <= 2.0 + 1e-9
         assert res.best_parameters["c1"] == 0.0
 
+    def test_projection_active_at_optimum(self):
+        # c0 + |c1| > 1: the non-detection probability is clipped at some angle.
+        config = SearchConfig(family=get_family("modulated-p0"), quad=QUAD,
+                              restarts=2, max_evals=60, seed=3, n_lambda=90,
+                              freeze={"c0": 0.9, "c1": 0.3})
+        res = search(config)
+        assert res.projection_active_at_optimum is True
+        assert res.to_json_dict()["projection_active_at_optimum"] is True
+        res = search(self.small_config(restarts=2, max_evals=60))
+        assert res.projection_active_at_optimum is False
+        assert res.to_json_dict()["projection_active_at_optimum"] is False
+
     def test_freeze_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
             SearchConfig(family=get_family("modulated-p0"), quad=QUAD,

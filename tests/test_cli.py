@@ -191,6 +191,18 @@ class TestSweep:
                     "--F", "0.9", "--out", str(tmp_path / "s.csv")]) == 1
 
 
+class TestWorkersFlag:
+    def test_workers_below_one_rejected(self, tmp_path, capsys):
+        simulate = ["simulate", "--eta", "0.75", "--f", "0.9", "--F", "0.95",
+                    "--trials", "10", "--out", str(tmp_path / "x.csv")]
+        sweep = ["sweep", "--eta-values", "1", "--f12-values", "1", "--F", "0.9",
+                 "--min-coincidences", "10", "--out", str(tmp_path / "s.csv")]
+        assert run(simulate + ["--workers", "0"]) == 1
+        assert run(sweep + ["--workers", "-1"]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 class TestAdversarySearchCli:
     def test_search_and_freeze(self, tmp_path, capsys):
         out = tmp_path / "adv.json"

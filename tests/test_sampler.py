@@ -16,8 +16,16 @@ from bellsim.model import (
 from bellsim.qm import QMModelParams
 from bellsim import qm
 from bellsim.random_models import random_nondegenerate_model
+from bellsim.random_models import (
+    random_angle_independent_model,
+    random_lambda_independent_model,
+)
 from bellsim.sampler import (
     ExperimentPlan,
+    _lambda_cdf,
+    _outcome_edges,
+    _qm_block,
+    _slhv_block,
     run_experiment,
     sample_qm_trial,
     sample_slhv_trial,
@@ -46,6 +54,13 @@ class TestPlan:
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=1e3, seed=np.int64(4))
         assert (plan.trials_per_pair, plan.seed) == (1000, 4)
         assert type(plan.trials_per_pair) is int and type(plan.seed) is int
+
+    def test_rejects_workers_below_one(self):
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
+        params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+        for workers in (0, -1):
+            with pytest.raises(ValidationError, match="workers"):
+                run_experiment(params, plan, workers=workers)
 
 
 class TestDeterminism:
@@ -219,3 +234,115 @@ class TestStatistics:
                             if abs(rec.table[i, j] - n * pr) > 4 * max(sigma, 1e-9):
                                 failures += 1
         assert failures / checks <= 0.001, (failures, checks)
+
+
+# Reference kernels: the block bodies as they were before blocks were
+# tallied straight from the uniforms, kept verbatim as the bit-for-bit
+# specification of the draw-to-outcome mapping.
+
+def _categorical_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome column index per trial from per-trial (3,) probability rows."""
+    c0 = tables[:, 0]
+    c1 = c0 + tables[:, 1]
+    return np.where(u < c0, 0, np.where(u < c1, 1, 2))
+
+
+def _reference_slhv_block(t1: np.ndarray, t2: np.ndarray, cdf: np.ndarray,
+                          rng: np.random.Generator, n: int) -> np.ndarray:
+    """3x3 outcome counts for n trials; t1/t2 are the per-point triples."""
+    lam = np.searchsorted(cdf, rng.random(n), side="right")
+    np.clip(lam, 0, cdf.size - 1, out=lam)
+    r_idx = _categorical_rows(t1[lam], rng.random(n))
+    q_idx = _categorical_rows(t2[lam], rng.random(n))
+    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
+    return counts.reshape(3, 3)
+
+
+def _reference_qm_block(params: QMModelParams, a: float, b: float,
+                        rng: np.random.Generator, n: int) -> np.ndarray:
+    d1 = rng.random(n) < params.eta1 * params.f1
+    d2 = rng.random(n) < params.eta2 * params.f2
+    u1 = rng.random(n)
+    u2 = rng.random(n)
+
+    fc = params.F * np.cos(2.0 * (a - b))
+    p_same = 0.25 * (1.0 + fc)   # (+,+) and (-,-) given both detected
+    p_diff = 0.25 * (1.0 - fc)
+    # Joint cells in order (+,+), (+,-), (-,+), (-,-).
+    edges = np.cumsum([p_same, p_diff, p_diff])
+
+    r_idx = np.full(n, 2, dtype=np.intp)
+    q_idx = np.full(n, 2, dtype=np.intp)
+
+    both = d1 & d2
+    cell = np.searchsorted(edges, u1[both], side="right")
+    r_idx[both] = cell // 2
+    q_idx[both] = cell % 2
+
+    only1 = d1 & ~d2
+    r_idx[only1] = (u1[only1] >= 0.5).astype(np.intp)
+    only2 = d2 & ~d1
+    q_idx[only2] = (u2[only2] >= 0.5).astype(np.intp)
+
+    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
+    return counts.reshape(3, 3)
+
+
+class TestFrozenReference:
+    """The block kernels give the reference kernels' tables, bit for bit."""
+
+    SIZES = (1, 2, 17, 40_000, 65_536)
+
+    @staticmethod
+    def assert_same(got, want, case):
+        assert got.dtype == np.int64 and got.shape == (3, 3), case
+        assert want.dtype == np.int64, case
+        assert (got == want).all(), (case, got, want)
+
+    def test_qm_block_matches_reference(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = self.SIZES[seed % len(self.SIZES)]
+            if seed % 6 == 0:
+                eta1 = eta2 = f1 = f2 = 1.0
+            else:
+                eta1, eta2, f1, f2 = rng.uniform(0.01, 1.0, size=4)
+            F = (0.0, 1.0, rng.random())[seed % 3]
+            a = rng.random() * math.pi
+            # b == a with F = 1 ties the middle edges (p_diff = 0); a
+            # right-angle separation ties the first edge to 0.
+            b = (a, a + math.pi / 4, a + math.pi / 2, rng.random() * math.pi)[seed % 4]
+            params = QMModelParams(eta1, eta2, f1, f2, F)
+            case = (seed, n, params, a, b)
+            self.assert_same(_qm_block(params, a, b, substream(seed, seed % 4, seed % 3), n),
+                             _reference_qm_block(params, a, b,
+                                                 substream(seed, seed % 4, seed % 3), n),
+                             case)
+
+    def test_slhv_block_matches_reference(self):
+        builders = (random_nondegenerate_model, random_angle_independent_model,
+                    random_lambda_independent_model)
+        models = [builders[k % 3](np.random.default_rng(1000 + k), int(n_lambda))
+                  for k, n_lambda in enumerate(np.linspace(1, 64, 12).astype(int))]
+        # A zero p- column (tied edges), and a p- just below 0 that the
+        # validator tolerates, which puts the upper edge under the lower one.
+        models.append(constant_model((0.6, 0.0, 0.4), (0.25, 0.0, 0.75)))
+        t_neg = np.array([[0.5, -5e-13, 0.5 + 5e-13], [0.3, 0.2, 0.5]])
+        models.append(SLHVModel(HiddenVariableSpace([0.5, 0.5]),
+                                ResponseFunction.from_function(1, lambda a, lam: t_neg),
+                                ResponseFunction.from_function(2, lambda a, lam: t_neg)))
+        cases = 0
+        for m_index, model in enumerate(models):
+            cdf = _lambda_cdf(model)
+            for k in range(18):
+                seed = 100 * m_index + k
+                rng = np.random.default_rng(seed)
+                n = self.SIZES[k % len(self.SIZES)]
+                a, b = rng.random(2) * math.pi
+                t1, t2 = model.triples(1, a), model.triples(2, b)
+                got = _slhv_block(_outcome_edges(t1), _outcome_edges(t2), cdf,
+                                  substream(seed, k % 4, 0), n)
+                want = _reference_slhv_block(t1, t2, cdf, substream(seed, k % 4, 0), n)
+                self.assert_same(got, want, (m_index, seed, n))
+                cases += 1
+        assert cases >= 250
