@@ -81,6 +81,11 @@ class ParametricFamily:
             raise ValidationError(
                 f"family {self.name!r} takes {len(self.param_names)} parameters "
                 f"{self.param_names}, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(
+                f"family {self.name!r} parameters must be finite, got {p.tolist()}")
+        if int(n_lambda) < 1:
+            raise ValidationError(f"n_lambda must be >= 1, got {n_lambda!r}")
         if np.any(p < np.asarray(self.lower) - 1e-12) or \
                 np.any(p > np.asarray(self.upper) + 1e-12):
             raise ValidationError(
@@ -189,6 +194,8 @@ class SearchConfig:
             raise ValidationError("restarts must be >= 1")
         if self.max_evals < 10:
             raise ValidationError("max_evals must be >= 10")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         unknown = set(self.freeze) - set(self.family.param_names)
         if unknown:
             raise ValidationError(

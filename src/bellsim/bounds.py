@@ -49,6 +49,7 @@ from .model import (
     ValidationError,
     _solution1_report,
     _solution2_report,
+    _solution3_report,
     canonical_angle,
 )
 
@@ -56,6 +57,7 @@ __all__ = [
     "BOUND_TOL",
     "PAIR_LABELS",
     "PAIR_SIGNS",
+    "chsh_sum",
     "SettingsQuad",
     "EffectiveCorrelationMode",
     "chsh_combination",
@@ -84,6 +86,12 @@ PAIR_LABELS = ("ab", "ab'", "a'b", "a'b'")
 PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 
+def chsh_sum(values) -> float:
+    """v(ab) - v(ab') + v(a'b) + v(a'b') of per-pair values in PAIR_LABELS
+    order, summed left to right: U, U_eff and eps_total for every source."""
+    return sum(sign * v for sign, v in zip(PAIR_SIGNS, values))
+
+
 @dataclass(frozen=True)
 class SettingsQuad:
     """The four analyzer angles (a, a', b, b') of a CHSH run, radians."""
@@ -107,12 +115,10 @@ class SettingsQuad:
 
     def pairs(self) -> tuple[tuple[str, float, float, float], ...]:
         """(label, angle1, angle2, sign) for the four setting pairs, in order."""
-        return (
-            ("ab", self.a, self.b, 1.0),
-            ("ab'", self.a, self.b_prime, -1.0),
-            ("a'b", self.a_prime, self.b, 1.0),
-            ("a'b'", self.a_prime, self.b_prime, 1.0),
-        )
+        return tuple(zip(PAIR_LABELS,
+                         (self.a, self.a, self.a_prime, self.a_prime),
+                         (self.b, self.b_prime, self.b, self.b_prime),
+                         PAIR_SIGNS))
 
     def party1_angles(self) -> tuple[float, float]:
         return (self.a, self.a_prime)
@@ -230,10 +236,10 @@ class _QuadTables:
         return self.tables[party, angle][:, 2]
 
     def pairs(self):
-        """(label, a, b, sign, t1, t2, joint table) per setting pair, in CHSH order."""
-        for label, a, b, sign in self.quad.pairs():
+        """(label, a, b, t1, t2, joint table) per setting pair, in CHSH order."""
+        for label, a, b, _sign in self.quad.pairs():
             t1, t2 = self.tables[1, a], self.tables[2, b]
-            yield label, a, b, sign, t1, t2, _joint(self.w, t1, t2)
+            yield label, a, b, t1, t2, _joint(self.w, t1, t2)
 
 
 def correlation(model: SLHVModel, a: float, b: float, validate: bool = True) -> float:
@@ -257,8 +263,7 @@ class PointwiseBoundReport:
     tol: float
 
 
-def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad,
-                          tol: float = BOUND_TOL) -> PointwiseBoundReport:
+def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoundReport:
     """Verify |u| <= 2*alpha*beta at every hidden point.
 
     Only meaningful when non-detection is angle-independent (then the
@@ -271,10 +276,10 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad,
         raise AssumptionError(
             "pointwise bound requires angle-independent non-detection; "
             f"validator failed with max deviation {rep.max_deviation:.3e}")
-    return _pointwise(q, tol)
+    return _pointwise(q)
 
 
-def _pointwise(q: _QuadTables, tol: float) -> PointwiseBoundReport:
+def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
     t, quad = q.tables, q.quad
     x, xp = (t[1, a][:, 0] - t[1, a][:, 1] for a in quad.party1_angles())
     y, yp = (t[2, b][:, 0] - t[2, b][:, 1] for b in quad.party2_angles())
@@ -282,8 +287,8 @@ def _pointwise(q: _QuadTables, tol: float) -> PointwiseBoundReport:
     beta = t[2, quad.b][:, 0] + t[2, quad.b][:, 1]
     slack = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(slack))
-    return PointwiseBoundReport(passed=bool(slack[k] <= tol),
-                                max_slack=float(slack[k]), worst_lambda=k, tol=tol)
+    return PointwiseBoundReport(passed=bool(slack[k] <= BOUND_TOL),
+                                max_slack=float(slack[k]), worst_lambda=k, tol=BOUND_TOL)
 
 
 class ChshValues(NamedTuple):
@@ -302,9 +307,9 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     not a reachable state).
     """
     q = _QuadTables(model, quad)
-    joints = [(sign, joint) for _, _, _, sign, _, _, joint in q.pairs()]
-    u = sum(sign * float(signed_sum(joint)) for sign, joint in joints)
-    m = 2.0 * float(coincidence_sum(joints[0][1]))
+    joints = [joint for *_, joint in q.pairs()]
+    u = chsh_sum(float(signed_sum(joint)) for joint in joints)
+    m = 2.0 * float(coincidence_sum(joints[0]))
     if abs(u) > 2.0 + BOUND_TOL:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds 2 for an SLHV model")
@@ -355,19 +360,7 @@ def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionRe
         return _solution1_report(q.p0, a1, a2)
     if mode is EffectiveCorrelationMode.SOLUTION2:
         return _solution2_report(q.p0, q.w, a1, a2)
-    # SOLUTION3 only needs nondegeneracy: every hidden point detectable.
-    worst = 0.0
-    where = None
-    for party, angs in ((1, a1), (2, a2)):
-        for ang in angs:
-            p0 = q.p0(party, ang)
-            k = int(np.argmax(p0))
-            if p0[k] > worst:
-                worst = float(p0[k])
-                where = (party, k, (ang, ang))
-    passed = worst < 1.0
-    return AssumptionReport(passed=passed, max_deviation=worst, tol=1.0,
-                            worst=None if passed else where)
+    return _solution3_report(q.p0, a1, a2)
 
 
 def effective_correlation(model: SLHVModel, a: float, b: float,
@@ -406,8 +399,8 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
 
 def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> float:
     """Signed U_eff of tables already evaluated; degenerate pairs raise."""
-    return sum(sign * _effective_pair_value(q.w, t1, t2, joint, mode, a, b)
-               for _, a, b, sign, t1, t2, joint in q.pairs())
+    return chsh_sum(_effective_pair_value(q.w, t1, t2, joint, mode, a, b)
+                    for _, a, b, t1, t2, joint in q.pairs())
 
 
 @dataclass(frozen=True)
@@ -488,8 +481,8 @@ class InequalityReport:
 
 
 def effective_chsh(model: SLHVModel, quad: SettingsQuad,
-                   mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
-                   tol: float = BOUND_TOL) -> InequalityReport:
+                   mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1
+                   ) -> InequalityReport:
     """Full bound-verification report for one model, quad and mode.
 
     Always computes; when the mode's assumptions fail the report flags
@@ -500,34 +493,29 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     e: dict[str, float] = {}
     e_eff: dict[str, float] = {}
     coin: dict[str, float] = {}
-    u = 0.0
-    u_eff = 0.0
-    degenerate = None
-    for label, x, y, sign, t1, t2, joint in q.pairs():
+    for label, x, y, t1, t2, joint in q.pairs():
         e[label] = float(signed_sum(joint))
         coin[label] = float(coincidence_sum(joint))
-        u += sign * e[label]
         try:
             e_eff[label] = _effective_pair_value(q.w, t1, t2, joint, mode, x, y)
-            u_eff += sign * e_eff[label]
-        except DegenerateModelError as exc:
-            degenerate = exc
+        except DegenerateModelError:
             e_eff[label] = math.nan
-    if degenerate is not None:
-        u_eff = math.nan
+    # A degenerate pair's NaN carries into U_eff and fails its verdict.
+    u = chsh_sum(e.values())
+    u_eff = chsh_sum(e_eff.values())
     m = 2.0 * coin["ab"]
 
     assumption = _mode_report(q, mode)
-    bound_guaranteed = assumption.passed and degenerate is None
+    bound_guaranteed = assumption.passed and not math.isnan(u_eff)
 
     pointwise = None
     if mode is EffectiveCorrelationMode.SOLUTION1 and assumption.passed:
-        pointwise = _pointwise(q, tol)
+        pointwise = _pointwise(q)
 
     verdicts = {
-        "abs_u_le_2": abs(u) <= 2.0 + tol,
-        "abs_u_le_m": abs(u) <= m + tol,
-        "abs_u_eff_le_2": (not math.isnan(u_eff)) and abs(u_eff) <= 2.0 + tol,
+        "abs_u_le_2": abs(u) <= 2.0 + BOUND_TOL,
+        "abs_u_le_m": abs(u) <= m + BOUND_TOL,
+        "abs_u_eff_le_2": abs(u_eff) <= 2.0 + BOUND_TOL,
         "assumptions_passed": assumption.passed,
     }
     theorem_breach = bound_guaranteed and not verdicts["abs_u_eff_le_2"]

@@ -155,8 +155,11 @@ def _analysis_csv(report: dict) -> str:
 def cmd_analyze(args) -> int:
     totals = None
     if args.emitted_totals:
-        totals_doc = json.loads(Path(args.emitted_totals).read_text(encoding="utf-8"))
-        totals = {str(k): int(v) for k, v in totals_doc.items()}
+        totals = json.loads(Path(args.emitted_totals).read_text(encoding="utf-8"))
+        if not isinstance(totals, dict):
+            raise ValidationError(
+                "--emitted-totals must hold a JSON object mapping pair labels "
+                f"to integers, got {type(totals).__name__}")
     recs = read_counts_csv(args.counts, emitted_totals=totals)
     report = analysis_report(recs)
     text = _analysis_csv(report) if args.format == "csv" else _json_dump(report)
@@ -227,6 +230,11 @@ def cmd_sweep(args) -> int:
     etas = _parse_values(args.eta_values)
     f12s = _parse_values(args.f12_values)
     quad = _parse_quad(args.quad)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.min_coincidences) and args.min_coincidences > 0):
+        raise ValidationError(
+            f"--min-coincidences must be finite and > 0, got {args.min_coincidences!r}")
 
     lines = ["eta,f12,F,n_pairs,u_eff_exact,u_eff_sampled,u_eff_stderr,"
              "u_sampled,epsilon_qm,u_eff_cap"]

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PAIR_LABELS, PAIR_SIGNS, coincidence_sum, signed_sum
+from .bounds import PAIR_LABELS, chsh_sum, coincidence_sum, signed_sum
 from .model import _OUTCOME_INDEX, NoDataError, ValidationError
 from .qm import QMModelParams
 
@@ -98,11 +99,8 @@ def e_eff_from_counts(rec: CountsRecord) -> float:
 
 def e_eff_stderr(rec: CountsRecord) -> float:
     """Plug-in binomial standard error of the effective correlation."""
-    n_c = coincidence_count(rec)
-    if n_c == 0:
-        raise NoDataError(f"no coincidences recorded for pair {rec.label!r}")
-    e = int(signed_sum(rec.table)) / n_c
-    return math.sqrt(max(1.0 - e * e, 0.0) / n_c)
+    e = e_eff_from_counts(rec)
+    return math.sqrt(max(1.0 - e * e, 0.0) / coincidence_count(rec))
 
 
 def _ordered(recs) -> list[CountsRecord]:
@@ -122,9 +120,13 @@ def u_eff_from_counts(recs) -> tuple[float, float]:
     quadrature.
     """
     ordered = _ordered(recs)
-    u_eff = sum(s * e_eff_from_counts(r) for s, r in zip(PAIR_SIGNS, ordered))
-    var = sum(e_eff_stderr(r) ** 2 for r in ordered)
-    return float(u_eff), math.sqrt(var)
+    return _chsh_with_stderr([e_eff_from_counts(r) for r in ordered],
+                             [e_eff_stderr(r) for r in ordered])
+
+
+def _chsh_with_stderr(e_eff, stderr) -> tuple[float, float]:
+    """U_eff of four per-pair values and its error from theirs, in quadrature."""
+    return float(chsh_sum(e_eff)), math.sqrt(sum(s ** 2 for s in stderr))
 
 
 @dataclass(frozen=True)
@@ -161,25 +163,11 @@ def epsilon_decomposition(recs) -> EpsilonReport:
             raise NoDataError(
                 f"eps cannot be determined for pair {r.label!r}: the number "
                 "of emitted pairs is unknown (coincidence-only data)")
-    eps: dict[str, float] = {}
-    e: dict[str, float] = {}
-    e_eff: dict[str, float] = {}
-    frac: dict[str, float] = {}
-    u = 0.0
-    u_eff = 0.0
-    eps_total = 0.0
-    for sign, rec in zip(PAIR_SIGNS, ordered):
-        n_c = coincidence_count(rec)
-        if n_c == 0:
-            raise NoDataError(f"no coincidences recorded for pair {rec.label!r}")
-        sp = n_c / rec.emitted_total
-        e[rec.label] = int(signed_sum(rec.table)) / rec.emitted_total
-        e_eff[rec.label] = int(signed_sum(rec.table)) / n_c
-        eps[rec.label] = e[rec.label] * (1.0 - sp) / sp
-        frac[rec.label] = sp
-        u += sign * e[rec.label]
-        u_eff += sign * e_eff[rec.label]
-        eps_total += sign * eps[rec.label]
+    e_eff = {r.label: e_eff_from_counts(r) for r in ordered}
+    frac = {r.label: coincidence_count(r) / r.emitted_total for r in ordered}
+    e = {r.label: int(signed_sum(r.table)) / r.emitted_total for r in ordered}
+    eps = {lab: e[lab] * (1.0 - sp) / sp for lab, sp in frac.items()}
+    u, u_eff, eps_total = (chsh_sum(d.values()) for d in (e, e_eff, eps))
     interval = (-2.0 + eps_total, 2.0 + eps_total)
     return EpsilonReport(eps=eps, eps_total=float(eps_total), e=e, e_eff=e_eff,
                          coincidence_fraction=frac, u=float(u),
@@ -205,8 +193,12 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
     values, in which case the unobserved remainder is lumped into the
     (0, 0) cell and ``nondetect_split_known`` is False.  A repeated
-    (pair_label, r, q) row is rejected.
+    (pair_label, r, q) row and a non-integer emitted total are rejected.
     """
+    for label, total in (emitted_totals or {}).items():
+        if isinstance(total, bool) or not isinstance(total, numbers.Integral):
+            raise ValidationError(
+                f"emitted total for pair {label!r} must be an integer, got {total!r}")
     tables: dict[str, np.ndarray] = {}
     saw_nondetect: dict[str, bool] = {}
     seen: set[tuple[str, int, int]] = set()
@@ -270,14 +262,16 @@ def analysis_report(recs, params: QMModelParams | None = None) -> dict:
     discrepancy is included for comparison.
     """
     ordered = _ordered(recs)
-    u_eff, stderr = u_eff_from_counts(ordered)
-    per_pair = {}
-    for rec in ordered:
-        per_pair[rec.label] = {
+    per_pair = {
+        rec.label: {
             "E_eff": e_eff_from_counts(rec),
             "stderr": e_eff_stderr(rec),
             "coincidences": coincidence_count(rec),
         }
+        for rec in ordered
+    }
+    u_eff, stderr = _chsh_with_stderr([p["E_eff"] for p in per_pair.values()],
+                                      [p["stderr"] for p in per_pair.values()])
     report: dict = {
         "schema_version": 1,
         "per_pair": per_pair,

@@ -66,6 +66,8 @@ _OUTCOME_INDEX = {v: i for i, v in enumerate(OUTCOME_VALUES)}
 NORMALIZATION_TOL = 1e-12
 # Assumption validators allow formula-defined models benign rounding room.
 VALIDATOR_TOL = 1e-10
+# A tabulated response answers an angle within this distance (radians) of an entry.
+_TABLE_ANGLE_TOL = 1e-9
 
 
 class BellSimError(Exception):
@@ -118,8 +120,7 @@ class ProbTriple(NamedTuple):
         return self.p_plus + self.p_minus
 
 
-def _check_triples(table: np.ndarray, party: int, angle: float,
-                   tol: float = NORMALIZATION_TOL) -> np.ndarray:
+def _check_triples(table: np.ndarray, party: int, angle: float) -> np.ndarray:
     """Validate an (n, 3) probability table; returns it as float64."""
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[1] != 3:
@@ -131,13 +132,14 @@ def _check_triples(table: np.ndarray, party: int, angle: float,
         raise ValidationError(
             f"non-finite probabilities (party {party}, angle {angle:.6g}, "
             f"lambda index {bad})")
-    if np.any(t < -tol) or np.any(t > 1.0 + tol):
-        bad = int(np.argwhere((t < -tol) | (t > 1.0 + tol))[0, 0])
+    lo, hi = -NORMALIZATION_TOL, 1.0 + NORMALIZATION_TOL
+    if np.any(t < lo) or np.any(t > hi):
+        bad = int(np.argwhere((t < lo) | (t > hi))[0, 0])
         raise ValidationError(
             f"probability outside [0, 1] (party {party}, angle {angle:.6g}, "
             f"lambda index {bad})")
     sums = t.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValidationError(
             f"outcome probabilities do not sum to 1 (party {party}, angle "
@@ -221,8 +223,7 @@ class ResponseFunction:
         return cls(party, fn)
 
     @classmethod
-    def from_table(cls, party: int, tables: dict[float, np.ndarray],
-                   angle_tol: float = 1e-9) -> "ResponseFunction":
+    def from_table(cls, party: int, tables: dict[float, np.ndarray]) -> "ResponseFunction":
         angles = np.array(sorted(canonical_angle(a) for a in tables))
         stacked = np.stack([np.asarray(tables[a], dtype=float)
                             for a in sorted(tables, key=canonical_angle)])
@@ -233,7 +234,7 @@ class ResponseFunction:
             raw = np.abs(angles - a)
             dist = np.minimum(raw, math.pi - raw)
             i = int(np.argmin(dist))
-            if dist[i] > angle_tol:
+            if dist[i] > _TABLE_ANGLE_TOL:
                 raise ValidationError(
                     f"tabulated response for party {party} has no entry for "
                     f"angle {a:.9g} rad (nearest {angles[i]:.9g})")
@@ -301,12 +302,11 @@ class SLHVModel:
 
     # -- vectorized surface (one angle, all hidden points at once) --------
 
-    def triples(self, party: int, angle: float, validate: bool = True,
-                tol: float = NORMALIZATION_TOL) -> np.ndarray:
+    def triples(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
         """Outcome probability table, shape (n, 3), columns (+1, -1, 0)."""
         t = self._response(party).triples(angle, self.space.values)
         if validate:
-            t = _check_triples(t, party, canonical_angle(angle), tol=tol)
+            t = _check_triples(t, party, canonical_angle(angle))
         else:
             t = np.asarray(t, dtype=float)
         return t
@@ -399,22 +399,21 @@ def _angle_lists(angles1: Sequence[float], angles2: Sequence[float] | None):
 
 
 def validate_solution1(model: SLHVModel, angles1: Sequence[float],
-                       angles2: Sequence[float] | None = None,
-                       tol: float = VALIDATOR_TOL) -> AssumptionReport:
+                       angles2: Sequence[float] | None = None) -> AssumptionReport:
     """Check that non-detection is independent of the analyzer angle.
 
     For each party and each hidden point, the non-detection probability
-    must agree (within ``tol``) across all supplied angles for that
+    must agree (within ``VALIDATOR_TOL``) across all supplied angles for that
     party.  This is the hidden-level assumption under which the
     coincidence rate is setting-independent and the detection-robust
     CHSH bound is provable.
     """
-    return _solution1_report(model.nondetect_probs, angles1, angles2, tol)
+    return _solution1_report(model.nondetect_probs, angles1, angles2)
 
 
 def _solution1_report(p0_of: Callable[[int, float], np.ndarray],
-                      angles1: Sequence[float], angles2: Sequence[float] | None,
-                      tol: float = VALIDATOR_TOL) -> AssumptionReport:
+                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      ) -> AssumptionReport:
     """validate_solution1 over the non-detection arrays ``p0_of(party, angle)``."""
     a1, a2 = _angle_lists(angles1, angles2)
     worst_dev = 0.0
@@ -428,14 +427,13 @@ def _solution1_report(p0_of: Callable[[int, float], np.ndarray],
                 if dev[k] > worst_dev:
                     worst_dev = float(dev[k])
                     worst = (party, k, (angs[i], angs[j]))
-    passed = worst_dev <= tol
-    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=tol,
+    passed = worst_dev <= VALIDATOR_TOL
+    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=VALIDATOR_TOL,
                             worst=None if passed else worst)
 
 
 def validate_solution2(model: SLHVModel, angles1: Sequence[float],
-                       angles2: Sequence[float] | None = None,
-                       tol: float = VALIDATOR_TOL) -> AssumptionReport:
+                       angles2: Sequence[float] | None = None) -> AssumptionReport:
     """Check that non-detection is constant across the hidden variable.
 
     This is the necessary condition for the hidden-level non-detection
@@ -444,12 +442,12 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
     (party, angle); it is reported, never asserted against external data.
     """
     return _solution2_report(model.nondetect_probs, model.space.weights,
-                             angles1, angles2, tol)
+                             angles1, angles2)
 
 
 def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.ndarray,
-                      angles1: Sequence[float], angles2: Sequence[float] | None,
-                      tol: float = VALIDATOR_TOL) -> AssumptionReport:
+                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      ) -> AssumptionReport:
     """validate_solution2 over the non-detection arrays ``p0_of(party, angle)``."""
     a1, a2 = _angle_lists(angles1, angles2)
     worst_dev = 0.0
@@ -465,7 +463,26 @@ def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.nda
             # Weighted mean is the implied experimental value; equals the
             # common constant when the check passes.
             implied[party][a] = float(np.sum(weights * p0))
-    passed = worst_dev <= tol
-    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=tol,
+    passed = worst_dev <= VALIDATOR_TOL
+    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=VALIDATOR_TOL,
                             worst=None if passed else worst,
                             implied_p0=implied if passed else None)
+
+
+def _solution3_report(p0_of: Callable[[int, float], np.ndarray],
+                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      ) -> AssumptionReport:
+    """Solution3 nondegeneracy over ``p0_of(party, angle)``: no point has p0 = 1."""
+    a1, a2 = _angle_lists(angles1, angles2)
+    worst_p0 = 0.0
+    worst = None
+    for party, angs in ((1, a1), (2, a2)):
+        for a in angs:
+            p0 = p0_of(party, a)
+            k = int(np.argmax(p0))
+            if p0[k] > worst_p0:
+                worst_p0 = float(p0[k])
+                worst = (party, k, (a, a))
+    passed = worst_p0 < 1.0
+    return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
+                            worst=None if passed else worst)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import SettingsQuad, optimal_quad
+from .bounds import SettingsQuad, chsh_sum, optimal_quad
 from .model import ValidationError
 
 __all__ = [
@@ -101,15 +101,13 @@ def effective_correlation(params: QMModelParams, a: float, b: float) -> float:
 
 def chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Full-ensemble CHSH combination of the four correlations."""
-    return sum(sign * correlation(params, x, y)
-               for (_, x, y, sign) in quad.pairs())
+    return chsh_sum(correlation(params, x, y) for _, x, y, _ in quad.pairs())
 
 
 def effective_chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Coincidence-normalized CHSH combination; equals 2*sqrt(2)*F at the
     pi/8-separation quad and never depends on eta or f."""
-    return sum(sign * effective_correlation(params, x, y)
-               for (_, x, y, sign) in quad.pairs())
+    return chsh_sum(effective_correlation(params, x, y) for _, x, y, _ in quad.pairs())
 
 
 def violation_lhs(F: float, phi: float) -> float:

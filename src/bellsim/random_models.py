@@ -13,8 +13,8 @@ in the shape of the detection efficiency applied on top:
   non-detection probability never reacts to the analyzer setting;
 * lambda-independent: eta depends on the analyzer angle only, shared by
   every hidden point;
-* unconstrained (nondegenerate): eta varies with both, optionally per
-  detected channel, floored away from zero so no hidden point is dead.
+* unconstrained (nondegenerate): eta varies with both and per detected
+  channel, floored away from zero so no hidden point is dead.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ def random_lambda_independent_model(rng: np.random.Generator,
     return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
 
 
-def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32,
-                               channel_dependent: bool = True) -> SLHVModel:
+def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32) -> SLHVModel:
     """Fully setting- and point-dependent losses; every point detectable."""
     space = _random_space(rng, n_lambda)
     lo = 0.05
@@ -131,7 +130,7 @@ def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32,
             return me, pe
 
         me_plus, pe_plus = eff_params()
-        me_minus, pe_minus = eff_params() if channel_dependent else (me_plus, pe_plus)
+        me_minus, pe_minus = eff_params()
 
         def ideal(angle, lam):
             share = _ideal_share(m, psi, angle)

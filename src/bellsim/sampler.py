@@ -79,6 +79,8 @@ class ExperimentPlan:
         if self.trials_per_pair < 1:
             raise ValidationError(
                 f"trials_per_pair must be >= 1, got {self.trials_per_pair!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -342,6 +342,26 @@ class TestEffectiveChsh:
                          "angles_degrees": [math.degrees(a) for a in angles]}
         assert party in (1, 2) and 0 <= lam < 720
 
+    @pytest.mark.parametrize("mode", [MODE1, MODE2, MODE3])
+    def test_degenerate_pair_report(self, mode):
+        # Party 1 is never detected at a, detected at every point at a'.
+        quad = optimal_quad()
+        never, always = [(0.0, 0.0, 1.0)] * 2, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+        model = SLHVModel(
+            HiddenVariableSpace([0.5, 0.5]),
+            ResponseFunction.from_table(1, {quad.a: never, quad.a_prime: always}),
+            ResponseFunction.from_table(2, {quad.b: always, quad.b_prime: always}))
+        rep = effective_chsh(model, quad, mode)
+        assert rep.to_json_dict()["U_eff"] is None
+        assert rep.verdicts["abs_u_eff_le_2"] is False
+        assert rep.theorem_breach is False
+        if mode is MODE2:
+            # Non-detection is constant over lambda, so the validator passes,
+            # but a never-detected party leaves the bound unguaranteed.
+            assert rep.assumption_report.passed
+            assert rep.verdicts["assumptions_passed"]
+            assert rep.bound_guaranteed is False
+
     def test_json_serialization(self):
         rng = np.random.default_rng(149)
         m = random_lambda_independent_model(rng, 8)

@@ -203,6 +203,65 @@ class TestWorkersFlag:
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s.csv").exists()
 
 
+def _json_file(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _coincidence_only_csv(path: Path) -> str:
+    rows = [f"{lab},{r:+d},{q:+d},10" for lab in ("ab", "ab'", "a'b", "a'b'")
+            for r in (1, -1) for q in (1, -1)]
+    path.write_text("pair_label,r,q,count\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+_QM_FLAGS = ["--eta", "0.9", "--f", "1", "--F", "0.95"]
+_SWEEP = ["sweep", "--eta-values", "1", "--f12-values", "1", "--F", "0.95"]
+_SEARCH = ["adversary-search", "--family", "threshold-detection",
+           "--restarts", "1", "--max-evals", "10"]
+_FRACTIONAL_TOTALS = {lab: 100.5 for lab in ("ab", "ab'", "a'b", "a'b'")}
+
+# Each argv used to end in a traceback or in exit 0 on a silently
+# coerced value; each is an input error now.
+BAD_ARGV = {
+    "simulate-negative-seed": lambda tmp: [
+        "simulate", *_QM_FLAGS, "--trials", "10", "--seed", "-1",
+        "--out", str(tmp / "run.csv")],
+    "sweep-negative-seed": lambda tmp: [
+        *_SWEEP, "--seed", "-2", "--min-coincidences", "1", "--out", str(tmp / "s.csv")],
+    "search-negative-seed": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--seed", "-3"],
+    **{f"sweep-min-coincidences-{v}": (lambda tmp, v=v: [
+        *_SWEEP, "--min-coincidences", v, "--out", str(tmp / "s.csv")])
+       for v in ("nan", "inf", "0", "-5")},
+    "analyze-totals-list": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _json_file(tmp / "t.json", [1, 2])],
+    "analyze-totals-string": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _json_file(tmp / "t.json", {"ab": "x"})],
+    "analyze-totals-float": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _json_file(tmp / "t.json", _FRACTIONAL_TOTALS)],
+    "search-freeze-nan": lambda tmp: [
+        *_SEARCH, "--n-lambda", "36", "--freeze", "theta1=nan"],
+    "search-n-lambda-zero": lambda tmp: [*_SEARCH, "--n-lambda", "0"],
+    "family-file-n-lambda-zero": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", {
+            "schema_version": 1, "type": "family", "family": "threshold-detection",
+            "parameters": {"theta1": 0.5, "theta2": 0.5}, "n_lambda": 0})],
+    "family-file-nan-parameter": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", {
+            "schema_version": 1, "type": "family", "family": "threshold-detection",
+            "parameters": {"theta1": math.nan, "theta2": 0.5}, "n_lambda": 36})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_input_is_an_input_error(case, tmp_path, capsys):
+    assert run(BAD_ARGV[case](tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestAdversarySearchCli:
     def test_search_and_freeze(self, tmp_path, capsys):
         out = tmp_path / "adv.json"
