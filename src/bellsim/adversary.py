@@ -26,7 +26,6 @@ the clipping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,13 +40,11 @@ from .bounds import (
 )
 from .model import (
     DegenerateModelError,
-    HiddenVariableSpace,
     ResponseFunction,
     SLHVModel,
     TheoremViolationError,
     ValidationError,
-    _solution1_report,
-    _solution2_report,
+    uniform_lambda_grid,
 )
 
 __all__ = [
@@ -99,8 +96,7 @@ class ParametricFamily:
 
 def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     theta1, theta2 = float(params[0]), float(params[1])
-    space = HiddenVariableSpace(np.full(n_lambda, 1.0 / n_lambda),
-                                np.arange(n_lambda) * (math.pi / n_lambda))
+    space = uniform_lambda_grid(n_lambda)
 
     def response(theta):
         def fn(angle: float, lam: np.ndarray) -> np.ndarray:
@@ -121,8 +117,7 @@ def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
 
 def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
-    space = HiddenVariableSpace(np.full(n_lambda, 1.0 / n_lambda),
-                                np.arange(n_lambda) * (math.pi / n_lambda))
+    space = uniform_lambda_grid(n_lambda)
 
     def fn(angle: float, lam: np.ndarray) -> np.ndarray:
         p0 = np.clip(c0 + c1 * np.cos(2.0 * (angle - lam)), 0.0, 1.0)
@@ -261,20 +256,21 @@ class SearchResult:
 
 def objective(family: ParametricFamily, params, quad: SettingsQuad,
               mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
-              n_lambda: int = 720, check_soundness: bool = False) -> float:
+              n_lambda: int = 720) -> float:
     """|U_eff| of the instantiated model, exactly; 0 for degenerate points.
 
-    With ``check_soundness`` a value above 2 must fail the mode's own
-    assumption validator (the one ``effective_chsh`` uses for
-    ``bound_guaranteed``), read from the same tables: a live test of the
-    bound against an active adversary.
+    A value above 2 must fail the mode's own assumption validator (the
+    one ``effective_chsh`` uses for ``bound_guaranteed``), read from the
+    same tables; otherwise TheoremViolationError is raised.  Every
+    evaluation is thus a live test of the bound against an active
+    adversary.
     """
     q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
     try:
         value = abs(_u_eff(q, mode))
     except DegenerateModelError:
         return 0.0
-    if check_soundness and value > 2.0 + SOUNDNESS_TOL and _mode_report(q, mode).passed:
+    if value > 2.0 + SOUNDNESS_TOL and _mode_report(q, mode).passed:
         raise TheoremViolationError(
             f"|U_eff| = {value!r} > 2 for a model satisfying the {mode.value} "
             f"assumption (family {family.name!r}, params {list(params)})")
@@ -324,7 +320,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
             x = np.clip(x_free, lower[free_idx], upper[free_idx])
             full = _expand(free_idx, frozen_full, x)
             value = objective(fam, full, config.quad, config.mode,
-                              n_lambda=config.n_lambda, check_soundness=True)
+                              n_lambda=config.n_lambda)
             if not trajectory or value > trajectory[-1]:
                 trajectory.append(value)
             return -value
@@ -356,9 +352,8 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     except DegenerateModelError:
         signed = 0.0
         degenerate = True
-    a1, a2 = config.quad.party1_angles(), config.quad.party2_angles()
-    sol1 = _solution1_report(q.p0, a1, a2).passed
-    sol2 = _solution2_report(q.p0, q.w, a1, a2).passed
+    sol1 = _mode_report(q, EffectiveCorrelationMode.SOLUTION1).passed
+    sol2 = _mode_report(q, EffectiveCorrelationMode.SOLUTION2).passed
 
     return SearchResult(
         best_parameters=fam.params_dict(best_full),

@@ -242,17 +242,27 @@ class _QuadTables:
             yield label, a, b, t1, t2, _joint(self.w, t1, t2)
 
 
-def correlation(model: SLHVModel, a: float, b: float, validate: bool = True) -> float:
+def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
+    """The mode's assumption validator on tables already evaluated; the one
+    place a regime is mapped to its check."""
+    a1, a2 = q.quad.party1_angles(), q.quad.party2_angles()
+    if mode is EffectiveCorrelationMode.SOLUTION1:
+        return _solution1_report(q.p0, a1, a2)
+    if mode is EffectiveCorrelationMode.SOLUTION2:
+        return _solution2_report(q.p0, q.w, a1, a2)
+    return _solution3_report(q.p0, a1, a2)
+
+
+def correlation(model: SLHVModel, a: float, b: float) -> float:
     """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
-    return float(signed_sum(_joint(model.space.weights, model.triples(1, a, validate),
-                                   model.triples(2, b, validate))))
+    return float(signed_sum(_joint(model.space.weights, model.triples(1, a),
+                                   model.triples(2, b))))
 
 
-def coincidence_probability(model: SLHVModel, a: float, b: float,
-                            validate: bool = True) -> float:
+def coincidence_probability(model: SLHVModel, a: float, b: float) -> float:
     """Probability that both photons are detected: weighted sum of alpha*beta."""
-    return float(coincidence_sum(_joint(model.space.weights, model.triples(1, a, validate),
-                                        model.triples(2, b, validate))))
+    return float(coincidence_sum(_joint(model.space.weights, model.triples(1, a),
+                                        model.triples(2, b))))
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,7 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
     point); refuses otherwise.
     """
     q = _QuadTables(model, quad)
-    rep = _solution1_report(q.p0, quad.party1_angles(), quad.party2_angles())
+    rep = _mode_report(q, EffectiveCorrelationMode.SOLUTION1)
     if not rep.passed:
         raise AssumptionError(
             "pointwise bound requires angle-independent non-detection; "
@@ -313,8 +323,8 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     if abs(u) > 2.0 + BOUND_TOL:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds 2 for an SLHV model")
-    if abs(u) > m + BOUND_TOL and _solution1_report(
-            q.p0, quad.party1_angles(), quad.party2_angles()).passed:
+    if abs(u) > m + BOUND_TOL and _mode_report(
+            q, EffectiveCorrelationMode.SOLUTION1).passed:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds M = {m!r} despite angle-independent "
             "non-detection")
@@ -354,36 +364,26 @@ def _effective_pair_value(w: np.ndarray, t1: np.ndarray, t2: np.ndarray,
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
-    a1, a2 = q.quad.party1_angles(), q.quad.party2_angles()
-    if mode is EffectiveCorrelationMode.SOLUTION1:
-        return _solution1_report(q.p0, a1, a2)
-    if mode is EffectiveCorrelationMode.SOLUTION2:
-        return _solution2_report(q.p0, q.w, a1, a2)
-    return _solution3_report(q.p0, a1, a2)
-
-
 def effective_correlation(model: SLHVModel, a: float, b: float,
-                          mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
-                          check_assumptions: bool = True) -> float:
+                          mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1
+                          ) -> float:
     """Coincidence-normalized correlation for one setting pair.
 
     Per-pair preconditions: a positive coincidence probability (mode
     solution1), lambda-independent non-detection with both parties
-    detectable (solution2), or no dead hidden point (solution3).
-    ``check_assumptions=False`` skips the solution2 validator so the
-    same expression can be evaluated on models that violate it (the
-    adversarial-search workflow); degenerate denominators always raise.
+    detectable (solution2), or no dead hidden point (solution3).  A
+    degenerate denominator raises first; then a failing mode validator
+    raises AssumptionError (``effective_chsh`` reports such models).
     """
-    w = model.space.weights
-    t1, t2 = model.triples(1, a), model.triples(2, b)
-    if check_assumptions and mode is EffectiveCorrelationMode.SOLUTION2:
-        rep = _solution2_report(lambda party, _: (t1, t2)[party - 1][:, 2], w, [a], [b])
-        if not rep.passed:
-            raise AssumptionError(
-                "validate_solution2 failed for mode solution2 "
-                f"(max deviation {rep.max_deviation:.3e})")
-    return _effective_pair_value(w, t1, t2, _joint(w, t1, t2), mode, a, b)
+    q = _QuadTables(model, SettingsQuad(a, a, b, b))
+    *_, t1, t2, joint = next(q.pairs())
+    value = _effective_pair_value(q.w, t1, t2, joint, mode, a, b)
+    rep = _mode_report(q, mode)
+    if not rep.passed:
+        raise AssumptionError(
+            f"validate_{mode.value} failed for mode {mode.value} "
+            f"(max deviation {rep.max_deviation:.3e})")
+    return value
 
 
 def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,

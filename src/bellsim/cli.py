@@ -155,7 +155,16 @@ def _analysis_csv(report: dict) -> str:
 def cmd_analyze(args) -> int:
     totals = None
     if args.emitted_totals:
-        totals = json.loads(Path(args.emitted_totals).read_text(encoding="utf-8"))
+        path = Path(args.emitted_totals)
+        try:
+            totals = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"--emitted-totals file {path} is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:
+            # JSONDecodeError, or an integer literal past Python's digit limit.
+            raise ValidationError(
+                f"--emitted-totals file {path} is not valid JSON: {exc}") from exc
         if not isinstance(totals, dict):
             raise ValidationError(
                 "--emitted-totals must hold a JSON object mapping pair labels "

@@ -203,7 +203,11 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     saw_nondetect: dict[str, bool] = {}
     seen: set[tuple[str, int, int]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"counts CSV {path!r} is not UTF-8 text: {exc}") from exc
+        reader = csv.DictReader(lines)
         required = {"pair_label", "r", "q", "count"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValidationError(

@@ -311,14 +311,13 @@ class SLHVModel:
             t = np.asarray(t, dtype=float)
         return t
 
-    def detection_probs(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
+    def detection_probs(self, party: int, angle: float) -> np.ndarray:
         """alpha (or beta) per hidden point: probability of any detection."""
-        t = self.triples(party, angle, validate=validate)
+        t = self.triples(party, angle)
         return t[:, 0] + t[:, 1]
 
-    def nondetect_probs(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
-        t = self.triples(party, angle, validate=validate)
-        return t[:, 2]
+    def nondetect_probs(self, party: int, angle: float) -> np.ndarray:
+        return self.triples(party, angle)[:, 2]
 
     # -- scalar surface (one hidden point) ---------------------------------
 
@@ -390,16 +389,35 @@ class AssumptionReport:
         return self.passed
 
 
-def _angle_lists(angles1: Sequence[float], angles2: Sequence[float] | None):
+def _worst_point(p0_of, angles1: Sequence[float], angles2: Sequence[float],
+                 pairwise: bool, score) -> tuple[float, tuple | None]:
+    """Largest ``score(p0_i, p0_j) -> (deviation, lambda index)`` over each
+    party's angles i = j, or with ``pairwise`` its angle pairs i < j, and
+    where it sits as (party, lambda index, angle pair); first on ties."""
     a1 = [canonical_angle(a) for a in angles1]
-    a2 = a1 if angles2 is None else [canonical_angle(a) for a in angles2]
+    a2 = [canonical_angle(a) for a in angles2]
     if not a1 or not a2:
         raise ValidationError("angle lists must be non-empty")
-    return a1, a2
+    worst_dev, worst = 0.0, None
+    for party, angs in ((1, a1), (2, a2)):
+        p0 = [p0_of(party, a) for a in angs]
+        n = len(angs)
+        pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if pairwise
+                 else [(i, i) for i in range(n)])
+        for i, j in pairs:
+            dev, k = score(p0[i], p0[j])
+            if dev > worst_dev:
+                worst_dev, worst = float(dev), (party, int(k), (angs[i], angs[j]))
+    return worst_dev, worst
+
+
+def _peak(v: np.ndarray) -> tuple[float, int]:
+    k = int(np.argmax(v))
+    return v[k], k
 
 
 def validate_solution1(model: SLHVModel, angles1: Sequence[float],
-                       angles2: Sequence[float] | None = None) -> AssumptionReport:
+                       angles2: Sequence[float]) -> AssumptionReport:
     """Check that non-detection is independent of the analyzer angle.
 
     For each party and each hidden point, the non-detection probability
@@ -412,28 +430,18 @@ def validate_solution1(model: SLHVModel, angles1: Sequence[float],
 
 
 def _solution1_report(p0_of: Callable[[int, float], np.ndarray],
-                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      angles1: Sequence[float], angles2: Sequence[float]
                       ) -> AssumptionReport:
     """validate_solution1 over the non-detection arrays ``p0_of(party, angle)``."""
-    a1, a2 = _angle_lists(angles1, angles2)
-    worst_dev = 0.0
-    worst = None
-    for party, angs in ((1, a1), (2, a2)):
-        p0 = np.stack([p0_of(party, a) for a in angs])
-        for i in range(len(angs)):
-            for j in range(i + 1, len(angs)):
-                dev = np.abs(p0[i] - p0[j])
-                k = int(np.argmax(dev))
-                if dev[k] > worst_dev:
-                    worst_dev = float(dev[k])
-                    worst = (party, k, (angs[i], angs[j]))
-    passed = worst_dev <= VALIDATOR_TOL
-    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=VALIDATOR_TOL,
+    dev, worst = _worst_point(p0_of, angles1, angles2, True,
+                              lambda p0, q0: _peak(np.abs(p0 - q0)))
+    passed = dev <= VALIDATOR_TOL
+    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
                             worst=None if passed else worst)
 
 
 def validate_solution2(model: SLHVModel, angles1: Sequence[float],
-                       angles2: Sequence[float] | None = None) -> AssumptionReport:
+                       angles2: Sequence[float]) -> AssumptionReport:
     """Check that non-detection is constant across the hidden variable.
 
     This is the necessary condition for the hidden-level non-detection
@@ -446,43 +454,32 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
 
 
 def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.ndarray,
-                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      angles1: Sequence[float], angles2: Sequence[float]
                       ) -> AssumptionReport:
     """validate_solution2 over the non-detection arrays ``p0_of(party, angle)``."""
-    a1, a2 = _angle_lists(angles1, angles2)
-    worst_dev = 0.0
-    worst = None
     implied: dict[int, dict[float, float]] = {1: {}, 2: {}}
-    for party, angs in ((1, a1), (2, a2)):
-        for a in angs:
-            p0 = p0_of(party, a)
-            spread = float(p0.max() - p0.min())
-            if spread > worst_dev:
-                worst_dev = spread
-                worst = (party, int(np.argmax(p0)), (a, a))
-            # Weighted mean is the implied experimental value; equals the
-            # common constant when the check passes.
-            implied[party][a] = float(np.sum(weights * p0))
-    passed = worst_dev <= VALIDATOR_TOL
-    return AssumptionReport(passed=passed, max_deviation=worst_dev, tol=VALIDATOR_TOL,
+
+    def p0_read(party: int, angle: float) -> np.ndarray:
+        p0 = p0_of(party, angle)
+        # Weighted mean is the implied experimental value; equals the
+        # common constant when the check passes.
+        implied[party][angle] = float(np.sum(weights * p0))
+        return p0
+
+    dev, worst = _worst_point(p0_read, angles1, angles2, False,
+                              lambda p0, _: (p0.max() - p0.min(), np.argmax(p0)))
+    passed = dev <= VALIDATOR_TOL
+    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
                             worst=None if passed else worst,
                             implied_p0=implied if passed else None)
 
 
 def _solution3_report(p0_of: Callable[[int, float], np.ndarray],
-                      angles1: Sequence[float], angles2: Sequence[float] | None
+                      angles1: Sequence[float], angles2: Sequence[float]
                       ) -> AssumptionReport:
     """Solution3 nondegeneracy over ``p0_of(party, angle)``: no point has p0 = 1."""
-    a1, a2 = _angle_lists(angles1, angles2)
-    worst_p0 = 0.0
-    worst = None
-    for party, angs in ((1, a1), (2, a2)):
-        for a in angs:
-            p0 = p0_of(party, a)
-            k = int(np.argmax(p0))
-            if p0[k] > worst_p0:
-                worst_p0 = float(p0[k])
-                worst = (party, k, (a, a))
+    worst_p0, worst = _worst_point(p0_of, angles1, angles2, False,
+                                   lambda p0, _: _peak(p0))
     passed = worst_p0 < 1.0
     return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
                             worst=None if passed else worst)

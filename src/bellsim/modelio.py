@@ -49,18 +49,49 @@ from .model import (
 __all__ = ["load_model", "model_from_dict", "save_model"]
 
 
+def _number(x, what: str) -> float:
+    """A JSON number as a float; strings, booleans and nulls are input errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError(f"{what} is out of range: {x}") from None
+
+
+def _table(rows, n: int, what: str) -> np.ndarray:
+    """An (n, 3) table given as a JSON list of rows of numbers."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(f"{what} must be a list of rows")
+    lengths = sorted({len(r) for r in rows})
+    if len(lengths) > 1:
+        raise ValidationError(
+            f"{what} must have shape ({n}, 3), got rows of lengths {lengths}")
+    arr = np.array([[_number(x, f"{what} entry") for x in r] for r in rows], dtype=float)
+    if arr.shape != (n, 3):
+        raise ValidationError(f"{what} must have shape ({n}, 3), got {arr.shape}")
+    return arr
+
+
 def _tabulated_from_dict(doc: dict) -> SLHVModel:
     try:
         weights = doc["lambda_weights"]
         responses = doc["responses"]
     except KeyError as exc:
         raise ValidationError(f"tabulated model is missing key {exc}") from None
-    space = HiddenVariableSpace(weights)
+    if not isinstance(weights, list):
+        raise ValidationError("'lambda_weights' must be a list of numbers")
+    if not isinstance(responses, dict):
+        raise ValidationError("'responses' must be an object keyed by party")
+    space = HiddenVariableSpace([_number(w, "lambda weight") for w in weights])
     parts = {}
     for party in (1, 2):
         key = str(party)
         if key not in responses:
             raise ValidationError(f"responses missing party {key!r}")
+        if not isinstance(responses[key], dict):
+            raise ValidationError(
+                f"responses of party {key!r} must be an object keyed by angle")
         tables = {}
         for angle_deg, rows in responses[key].items():
             try:
@@ -68,12 +99,8 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"bad angle key {angle_deg!r} (expected degrees)") from None
-            arr = np.asarray(rows, dtype=float)
-            if arr.shape != (space.size, 3):
-                raise ValidationError(
-                    f"party {party} table at {angle_deg} deg must have shape "
-                    f"({space.size}, 3), got {arr.shape}")
-            tables[ang] = arr
+            tables[ang] = _table(rows, space.size,
+                                 f"party {party} table at {angle_deg} deg")
         if not tables:
             raise ValidationError(f"party {key!r} has no tabulated angles")
         parts[party] = ResponseFunction.from_table(party, tables)
@@ -104,8 +131,11 @@ def model_from_dict(doc: dict) -> SLHVModel:
         if extra:
             raise ValidationError(
                 f"family {name!r} does not take parameters {extra}")
-        vector = [float(params_by_name[n]) for n in family.param_names]
-        n_lambda = int(doc.get("n_lambda", 720))
+        vector = [_number(params_by_name[n], f"parameter {n!r}")
+                  for n in family.param_names]
+        n_lambda = doc.get("n_lambda", 720)
+        if isinstance(n_lambda, bool) or not isinstance(n_lambda, int):
+            raise ValidationError(f"n_lambda must be an integer, got {n_lambda!r}")
         return family.instantiate(vector, n_lambda=n_lambda)
     raise ValidationError(
         f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
@@ -117,7 +147,10 @@ def load_model(path) -> SLHVModel:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read model file {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file {p} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit.
         raise ValidationError(f"model file {p} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 

@@ -60,6 +60,9 @@ class QMModelParams:
                 raise ValidationError(f"{name} must lie in (0, 1], got {v!r}")
         if not (0.0 <= self.F <= 1.0):
             raise ValidationError(f"F must lie in [0, 1], got {self.F!r}")
+        if self.eta12f12 == 0.0:
+            raise ValidationError(
+                "eta1*eta2*f1*f2 underflows to 0: no pair is ever detected")
 
     @property
     def f12(self) -> float:

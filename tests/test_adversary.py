@@ -119,11 +119,10 @@ class TestObjective:
         # Solution1's validator passes for this model, solution2's does not,
         # so its solution2 value may exceed 2 without breaching a theorem.
         mode = EffectiveCorrelationMode
-        v = objective(TWO_POINT, [0.05], QUAD, mode=mode.SOLUTION2, check_soundness=True)
+        v = objective(TWO_POINT, [0.05], QUAD, mode=mode.SOLUTION2)
         assert v == pytest.approx(3.6371882086, abs=1e-9)
         for m in (mode.SOLUTION1, mode.SOLUTION3):
-            assert objective(TWO_POINT, [0.05], QUAD, mode=m,
-                             check_soundness=True) <= 2.0 + 1e-9
+            assert objective(TWO_POINT, [0.05], QUAD, mode=m) <= 2.0 + 1e-9
 
     def test_one_table_evaluation_per_point(self, monkeypatch):
         calls = []
@@ -135,7 +134,7 @@ class TestObjective:
 
         monkeypatch.setattr(SLHVModel, "triples", counted)
         fam = get_family("threshold-detection")
-        assert objective(fam, [0.8, 0.8], QUAD, check_soundness=True) > 2.0
+        assert objective(fam, [0.8, 0.8], QUAD) > 2.0
         assert len(calls) == 4
 
     def test_reproducible_from_parameters(self):

@@ -257,8 +257,7 @@ class TestEffectiveCorrelation:
             m = random_nondegenerate_model(rng, 8)
             a, b = rng.random(2) * math.pi
             for mode in (MODE1, MODE3):
-                assert abs(effective_correlation(m, a, b, mode,
-                                                 check_assumptions=False)) <= 1.0 + 1e-12
+                assert abs(effective_correlation(m, a, b, mode)) <= 1.0 + 1e-12
         for _ in range(100):
             m = random_lambda_independent_model(rng, 8)
             a, b = rng.random(2) * math.pi
@@ -282,8 +281,10 @@ class TestEffectiveCorrelation:
                             [(0.5, 0.5, 0), (0.5, 0.5, 0)])
         with pytest.raises(AssumptionError, match="validate_solution2"):
             effective_correlation(m, 0.0, 0.0, MODE2)
-        # Non-strict evaluation still produces a number.
-        effective_correlation(m, 0.0, 0.0, MODE2, check_assumptions=False)
+        # The full report still gives the violating model its value.
+        rep = effective_chsh(m, SettingsQuad(0.0, 0.0, 0.0, 0.0), MODE2)
+        assert math.isfinite(rep.e_eff["ab"])
+        assert not rep.bound_guaranteed
 
 
 class TestEffectiveChsh:

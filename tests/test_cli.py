@@ -215,6 +215,25 @@ def _coincidence_only_csv(path: Path) -> str:
     return str(path)
 
 
+def _family_doc(n_lambda=36, **params) -> dict:
+    return {"schema_version": 1, "type": "family", "family": "threshold-detection",
+            "parameters": {"theta1": 0.5, "theta2": 0.5, **params}, "n_lambda": n_lambda}
+
+
+def _tabulated_doc(**keys) -> dict:
+    return {"schema_version": 1, "type": "tabulated", "lambda_weights": [1.0],
+            "responses": {"1": {"0": [[1, 0, 0]]}, "2": {"0": [[1, 0, 0]]}}, **keys}
+
+
+def _raw_file(path: Path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+_NOT_UTF8 = b"\xff{}\n"
+_LONG_INTEGER = b"1" * 5000  # past Python's digit limit for int parsing
+
+
 _QM_FLAGS = ["--eta", "0.9", "--f", "1", "--F", "0.95"]
 _SWEEP = ["sweep", "--eta-values", "1", "--f12-values", "1", "--F", "0.95"]
 _SEARCH = ["adversary-search", "--family", "threshold-detection",
@@ -253,6 +272,42 @@ BAD_ARGV = {
         "verify-bounds", "--model", _json_file(tmp / "m.json", {
             "schema_version": 1, "type": "family", "family": "threshold-detection",
             "parameters": {"theta1": math.nan, "theta2": 0.5}, "n_lambda": 36})],
+    **{f"family-file-parameter-{v!r}": (lambda tmp, v=v: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(theta1=v))])
+       for v in ("x", None, False)},
+    "family-file-parameter-overflow": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(theta1=10**400))],
+    **{f"family-file-n-lambda-{v!r}": (lambda tmp, v=v: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(n_lambda=v))])
+       for v in ("many", None, 36.7, True)},
+    "tabulated-file-string-entry": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            responses={"1": {"0": [["a", 0, 0]]}, "2": {"0": [[1, 0, 0]]}}))],
+    "tabulated-file-ragged-rows": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            lambda_weights=[0.5, 0.5],
+            responses={"1": {"0": [[1, 0, 0], [1, 0]]}, "2": {"0": [[1, 0, 0]] * 2}}))],
+    **{f"tabulated-file-weights-{v!r}": (lambda tmp, v=v: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            lambda_weights=v))])
+       for v in ("ab", 5)},
+    "tabulated-file-party-list": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            responses={"1": [[1, 0, 0]], "2": {"0": [[1, 0, 0]]}}))],
+    "model-file-not-utf8": lambda tmp: [
+        "verify-bounds", "--model", _raw_file(tmp / "m.json", _NOT_UTF8)],
+    "model-file-5000-digit-integer": lambda tmp: [
+        "verify-bounds", "--model", _raw_file(tmp / "m.json", _LONG_INTEGER)],
+    "counts-file-not-utf8": lambda tmp: [
+        "analyze", "--counts", _raw_file(tmp / "c.csv", _NOT_UTF8)],
+    "totals-file-not-utf8": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _raw_file(tmp / "t.json", _NOT_UTF8)],
+    "totals-file-5000-digit-integer": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _raw_file(tmp / "t.json", b'{"ab": ' + _LONG_INTEGER + b"}")],
+    "qm-predict-detection-underflow": lambda tmp: [
+        "qm-predict", "--eta", "0.5", "--f", "1e-300", "--F", "0"],
 }
 
 
