@@ -254,8 +254,12 @@ def cmd_sweep(args) -> int:
             exact = qm.effective_chsh_value(params, quad)
             # Scale the emitted count so every point collects at least
             # --min-coincidences coincidences per setting pair.
-            n_pairs = max(int(math.ceil(args.min_coincidences /
-                                        params.eta12f12)), 1)
+            n_pairs = args.min_coincidences / params.eta12f12
+            if not math.isfinite(n_pairs):
+                raise ValidationError(
+                    f"--min-coincidences {args.min_coincidences!r} at eta={eta!r}, "
+                    f"f12={f12!r} needs more emitted pairs than a float holds")
+            n_pairs = max(int(math.ceil(n_pairs)), 1)
             point_seed = int(np.random.SeedSequence(
                 entropy=args.seed, spawn_key=(point_index,)).generate_state(1)[0])
             plan = ExperimentPlan(quad=quad, trials_per_pair=n_pairs,
@@ -374,7 +378,7 @@ def main(argv=None) -> int:
     except BellSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -48,6 +48,9 @@ __all__ = [
     "analysis_report",
 ]
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # the largest count a table cell holds
+
+
 @dataclass(frozen=True)
 class CountsRecord:
     """Outcome counts for one setting pair.
@@ -73,6 +76,9 @@ class CountsRecord:
                 f"counts table must be 3x3, got shape {t.shape}")
         if np.any(t < 0):
             raise ValidationError("counts must be nonnegative")
+        if sum(int(c) for c in t.flat) > _MAX_COUNT:
+            raise ValidationError(
+                f"counts for pair {self.label!r} total more than int64 holds")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         if self.emitted_total is not None:
@@ -193,12 +199,16 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
     values, in which case the unobserved remainder is lumped into the
     (0, 0) cell and ``nondetect_split_known`` is False.  A repeated
-    (pair_label, r, q) row and a non-integer emitted total are rejected.
+    (pair_label, r, q) row, a non-integer emitted total and a count or
+    total past int64 are rejected.
     """
     for label, total in (emitted_totals or {}).items():
         if isinstance(total, bool) or not isinstance(total, numbers.Integral):
             raise ValidationError(
                 f"emitted total for pair {label!r} must be an integer, got {total!r}")
+        if total > _MAX_COUNT:
+            raise ValidationError(
+                f"emitted total for pair {label!r} exceeds int64, got {total!r}")
     tables: dict[str, np.ndarray] = {}
     saw_nondetect: dict[str, bool] = {}
     seen: set[tuple[str, int, int]] = set()
@@ -224,8 +234,8 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
             if r not in _OUTCOME_INDEX or q not in _OUTCOME_INDEX:
                 raise ValidationError(
                     f"outcomes must be in (+1, -1, 0), got {(r, q)}")
-            if c < 0:
-                raise ValidationError(f"negative count in row {row!r}")
+            if not 0 <= c <= _MAX_COUNT:
+                raise ValidationError(f"count outside [0, int64 max] in row {row!r}")
             if (label, r, q) in seen:
                 raise ValidationError(f"repeated counts row for {(label, r, q)}")
             seen.add((label, r, q))

@@ -26,9 +26,14 @@ A block is tallied straight from its uniform arrays.  The QM kernel
 counts each 3x3 cell from boolean masks over them, with no per-trial
 index arrays; the SLHV kernel compares each trial's outcome uniforms
 with the cumulative outcome edges ``(p+, p+ + p-)`` at its hidden
-point, computed once per (party, angle).  Block results are integer
-count tables, so the reduction over blocks is exact in any order; we
-still sum in block order.
+point, computed once per (party, angle).
+
+One path runs at every worker count: each setting pair's kernel is
+chosen once, and the blocks run on a thread pool of ``workers`` threads
+in chunks of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
+chunk are added into the pair totals as soon as the chunk finishes, so
+memory does not grow with the number of trials, and integer sums are
+exact in any order.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import json
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import PAIR_LABELS, SettingsQuad, _QuadTables
-from .estimator import CountsRecord
+from .estimator import _MAX_COUNT, CountsRecord
 from .model import _OUTCOME_INDEX, OUTCOME_VALUES, SLHVModel, ValidationError
 from .qm import QMModelParams
 
@@ -51,14 +57,13 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "substream",
-    "sample_slhv_trial",
-    "sample_qm_trial",
     "run_experiment",
     "write_counts_csv",
     "write_run_sidecar",
 ]
 
 BLOCK_SIZE = 1 << 16
+_MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,15 @@ class ExperimentPlan:
     def __post_init__(self):
         for name in ("trials_per_pair", "seed"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral)
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral)
                     or isinstance(value, float) and value.is_integer()):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.trials_per_pair < 1:
+        if not 1 <= self.trials_per_pair <= _MAX_COUNT:
             raise ValidationError(
-                f"trials_per_pair must be >= 1, got {self.trials_per_pair!r}")
+                f"trials_per_pair must lie in [1, {_MAX_COUNT}] (the count "
+                f"tables are int64), got {self.trials_per_pair!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -158,26 +165,6 @@ def _qm_block(params: QMModelParams, a: float, b: float,
                     dtype=np.int64)
 
 
-def _single_trial(counts: np.ndarray) -> tuple[int, int]:
-    """The (r, q) outcome of a one-trial 3x3 count table."""
-    r, q = divmod(int(np.argmax(counts)), 3)
-    return OUTCOME_VALUES[r], OUTCOME_VALUES[q]
-
-
-def sample_slhv_trial(model: SLHVModel, a: float, b: float,
-                      rng: np.random.Generator) -> tuple[int, int]:
-    """One trial from an SLHV model, same draws as the block path."""
-    return _single_trial(_slhv_block(_outcome_edges(model.triples(1, a)),
-                                     _outcome_edges(model.triples(2, b)),
-                                     _lambda_cdf(model), rng, 1))
-
-
-def sample_qm_trial(params: QMModelParams, a: float, b: float,
-                    rng: np.random.Generator) -> tuple[int, int]:
-    """One trial from the QM source, same branch logic as the block path."""
-    return _single_trial(_qm_block(params, a, b, rng, 1))
-
-
 def _source_summary(source) -> dict:
     if isinstance(source, QMModelParams):
         return {"kind": "qm", "eta1": source.eta1, "eta2": source.eta2,
@@ -198,36 +185,38 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         raise ValidationError(f"workers must be >= 1, got {workers!r}")
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_tasks = 4 * n_blocks
 
     pairs = plan.quad.pairs()
     if isinstance(source, SLHVModel):
         edges = {key: _outcome_edges(table)
                  for key, table in _QuadTables(source, plan.quad).tables.items()}
         cdf = _lambda_cdf(source)
+        kernels = [partial(_slhv_block, edges[1, a], edges[2, b], cdf)
+                   for _label, a, b, _sign in pairs]
+    else:
+        kernels = [partial(_qm_block, source, a, b) for _label, a, b, _sign in pairs]
 
-    def block_counts(pair_index: int, block_index: int) -> np.ndarray:
-        _label, a, b, _sign = pairs[pair_index]
+    def block_counts(task: int) -> tuple[int, np.ndarray]:
+        pair_index, block_index = divmod(task, n_blocks)
         size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
         rng = substream(plan.seed, pair_index, block_index)
-        if isinstance(source, SLHVModel):
-            return _slhv_block(edges[1, a], edges[2, b], cdf, rng, size)
-        return _qm_block(source, a, b, rng, size)
+        return pair_index, kernels[pair_index](rng, size)
 
-    tasks = [(i, j) for i in range(4) for j in range(n_blocks)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(lambda ij: block_counts(*ij), tasks))
-    else:
-        results = [block_counts(i, j) for i, j in tasks]
+    counts = np.zeros((4, 3, 3), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+        for start in range(0, n_tasks, _MAX_IN_FLIGHT):
+            chunk = range(start, min(start + _MAX_IN_FLIGHT, n_tasks))
+            # The chunk's tables are held until it is done: freeing each one
+            # as it arrives lets malloc trim a worker's heap after every
+            # block, and the next block faults its pages back in.
+            for pair_index, table in list(pool.map(block_counts, chunk)):
+                counts[pair_index] += table
 
-    records = []
-    for pair_index, (label, a, b, _sign) in enumerate(pairs):
-        table = np.zeros((3, 3), dtype=np.int64)
-        for j in range(n_blocks):
-            table += results[pair_index * n_blocks + j]
-        records.append(CountsRecord(label=label, angles=(a, b), table=table,
-                                    emitted_total=n))
-    return ExperimentResult(records=tuple(records), plan=plan,
+    records = tuple(CountsRecord(label=label, angles=(a, b), table=counts[i],
+                                 emitted_total=n)
+                    for i, (label, a, b, _sign) in enumerate(pairs))
+    return ExperimentResult(records=records, plan=plan,
                             source_summary=_source_summary(source))
 
 

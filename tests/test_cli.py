@@ -215,6 +215,14 @@ def _coincidence_only_csv(path: Path) -> str:
     return str(path)
 
 
+def _full_csv(path: Path, cells: dict) -> str:
+    """All 36 rows, each count 10 unless ``cells`` maps its (label, r, q)."""
+    rows = [f"{lab},{r:+d},{q:+d},{cells.get((lab, r, q), 10)}"
+            for lab in ("ab", "ab'", "a'b", "a'b'") for r in (1, -1, 0) for q in (1, -1, 0)]
+    path.write_text("pair_label,r,q,count\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 def _family_doc(n_lambda=36, **params) -> dict:
     return {"schema_version": 1, "type": "family", "family": "threshold-detection",
             "parameters": {"theta1": 0.5, "theta2": 0.5, **params}, "n_lambda": n_lambda}
@@ -308,6 +316,22 @@ BAD_ARGV = {
         "--emitted-totals", _raw_file(tmp / "t.json", b'{"ab": ' + _LONG_INTEGER + b"}")],
     "qm-predict-detection-underflow": lambda tmp: [
         "qm-predict", "--eta", "0.5", "--f", "1e-300", "--F", "0"],
+    "sweep-min-coincidences-1e30": lambda tmp: [
+        *_SWEEP, "--min-coincidences", "1e30", "--out", str(tmp / "s.csv")],
+    "sweep-subnormal-detection": lambda tmp: [
+        "sweep", "--eta-values", "1e-100", "--f12-values", "1e-110", "--F", "0.9",
+        "--out", str(tmp / "s.csv")],
+    "simulate-trials-past-int64": lambda tmp: [
+        "simulate", *_QM_FLAGS, "--trials", str(2**63), "--out", str(tmp / "run.csv")],
+    "analyze-count-past-int64": lambda tmp: [
+        "analyze", "--counts", _raw_file(
+            tmp / "c.csv", b"pair_label,r,q,count\nab,+1,+1,100000000000000000000\n")],
+    "analyze-totals-past-int64": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _json_file(tmp / "t.json", {"ab": 10**20})],
+    "analyze-counts-total-past-int64": lambda tmp: [
+        "analyze", "--counts", _full_csv(tmp / "c.csv", {
+            ("ab", r, q): 2**62 for r, q in ((1, 0), (0, 1), (0, 0))})],
 }
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bellsim.bounds import optimal_quad
+from bellsim import sampler
 from bellsim.model import (
-    OUTCOME_VALUES,
     HiddenVariableSpace,
     ResponseFunction,
     SLHVModel,
@@ -21,14 +21,13 @@ from bellsim.random_models import (
     random_lambda_independent_model,
 )
 from bellsim.sampler import (
+    BLOCK_SIZE,
     ExperimentPlan,
     _lambda_cdf,
     _outcome_edges,
     _qm_block,
     _slhv_block,
     run_experiment,
-    sample_qm_trial,
-    sample_slhv_trial,
     substream,
 )
 
@@ -46,11 +45,22 @@ class TestPlan:
         with pytest.raises(ValidationError):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=0, seed=1)
 
+    def test_trials_limited_to_int64(self):
+        limit = int(np.iinfo(np.int64).max)
+        assert ExperimentPlan(optimal_quad(), limit, seed=1).trials_per_pair == limit
+        for trials in (limit + 1, 1e30):
+            with pytest.raises(ValidationError, match="int64"):
+                ExperimentPlan(quad=optimal_quad(), trials_per_pair=trials, seed=1)
+
     def test_rejects_non_integral_trials_and_seed(self):
         with pytest.raises(ValidationError, match="trials_per_pair"):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=1.9, seed=1)
         with pytest.raises(ValidationError, match="seed"):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=2.7)
+        for name, bad in (("trials_per_pair", True), ("seed", False)):
+            kwargs = {"trials_per_pair": 10, "seed": 1, name: bad}
+            with pytest.raises(ValidationError, match=name):
+                ExperimentPlan(quad=optimal_quad(), **kwargs)
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=1e3, seed=np.int64(4))
         assert (plan.trials_per_pair, plan.seed) == (1000, 4)
         assert type(plan.trials_per_pair) is int and type(plan.seed) is int
@@ -83,6 +93,20 @@ class TestDeterminism:
         for workers in (4, 8):
             for t1, t8 in zip(tables[1], tables[workers]):
                 assert (t1 == t8).all()
+
+    def test_in_flight_bound_does_not_change_counts(self, monkeypatch):
+        # Two blocks per pair make eight blocks, so a bound of 3 leaves
+        # a short last chunk.
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=BLOCK_SIZE + 5, seed=6)
+        sources = (QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9),
+                   random_nondegenerate_model(np.random.default_rng(4), 8))
+        for source in sources:
+            want = [r.table for r in run_experiment(source, plan).records]
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "_MAX_IN_FLIGHT", 3)
+                for workers in (1, 2):
+                    got = [r.table for r in run_experiment(source, plan, workers).records]
+                    assert all((g == w).all() for g, w in zip(got, want))
 
     def test_different_seeds_differ(self):
         params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
@@ -117,37 +141,25 @@ class TestConservation:
 
 
 class TestScalarTrials:
+    """Tiny runs, down to one trial, whose every trial has a known cell."""
+
+    @staticmethod
+    def tables(source, n):
+        plan = ExperimentPlan(optimal_quad(), n, seed=n)
+        return [rec.table for rec in run_experiment(source, plan).records]
+
     def test_slhv_deterministic(self):
         m = constant_model((1, 0, 0), (0, 1, 0))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_slhv_trial(m, 0.1, 0.2, rng) == (1, -1)
+        for n in (1, 20):
+            assert all(t[0, 1] == t.sum() == n for t in self.tables(m, n))
 
     def test_qm_no_detection_when_blocked(self):
         p = QMModelParams(1e-12, 0.9, 1e-12, 0.9, 0.9)
-        rng = np.random.default_rng(0)
-        rs = [sample_qm_trial(p, 0.0, 0.0, rng)[0] for _ in range(50)]
-        assert all(r == 0 for r in rs)
+        assert all(t[2].sum() == 50 for t in self.tables(p, 50))
 
     def test_qm_perfect_never_nondetect(self):
         p = QMModelParams(1, 1, 1, 1, 0.9)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            r, q = sample_qm_trial(p, 0.0, math.pi / 8, rng)
-            assert r in (1, -1) and q in (1, -1)
-
-    def test_scalar_trial_matches_one_trial_run(self):
-        quad = optimal_quad()
-        sources = ((random_nondegenerate_model(np.random.default_rng(5), 16),
-                    sample_slhv_trial),
-                   (QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9), sample_qm_trial))
-        for source, sample in sources:
-            for seed in range(200):
-                r, q = sample(source, quad.a, quad.b, substream(seed, 0, 0))
-                table = run_experiment(source, ExperimentPlan(quad, 1, seed)).records[0].table
-                expected = np.zeros((3, 3), dtype=np.int64)
-                expected[OUTCOME_VALUES.index(r), OUTCOME_VALUES.index(q)] = 1
-                assert (table == expected).all(), (seed, r, q)
+        assert all(t[:2, :2].sum() == 50 for t in self.tables(p, 50))
 
 
 class TestStatistics:
