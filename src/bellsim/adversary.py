@@ -27,6 +27,7 @@ the clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -195,6 +196,8 @@ class SearchConfig:
         if unknown:
             raise ValidationError(
                 f"cannot freeze unknown parameters {sorted(unknown)}")
+        if len(self.freeze) == len(self.family.param_names):
+            raise ValidationError("at least one parameter must remain free")
 
 
 @dataclass(frozen=True)
@@ -283,62 +286,94 @@ def _expand(free_idx, frozen_full, x_free):
     return full
 
 
-def search(config: SearchConfig, workers: int = 1) -> SearchResult:
-    """Restarted Nelder-Mead maximization of |U_eff| over the family box.
+def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
+    """Restart ``k`` of the search: one bounded Nelder-Mead descent.
 
-    Deterministic given the seed: restart k draws its start point from
-    SeedSequence(entropy=seed, spawn_key=(k,)), the simplex descent is
-    deterministic, and the reduction takes the best value with ties
-    broken by the lowest restart index.  Restarts run serially in index
-    order; ``workers`` is accepted for replay and no longer changes execution.
+    Its start point is drawn from SeedSequence(entropy=config.seed,
+    spawn_key=(k,)) and the descent is deterministic, so the summary
+    depends on (config, k) alone and not on the process that computes it.
+    A module-level function so that a process pool can pickle it; the
+    family's builder travels with ``config`` and must pickle too.
     """
-    from scipy import optimize  # only the search needs scipy; keep it off import
+    from scipy import optimize
 
     fam = config.family
     names = fam.param_names
     lower = np.asarray(fam.lower, dtype=float)
     upper = np.asarray(fam.upper, dtype=float)
     frozen_full = lower.copy()
-    for k, v in config.freeze.items():
-        frozen_full[names.index(k)] = float(v)
+    for name, v in config.freeze.items():
+        frozen_full[names.index(name)] = float(v)
     free_idx = np.array([i for i, n in enumerate(names) if n not in config.freeze],
                         dtype=int)
-    if free_idx.size == 0:
-        raise ValidationError("at least one parameter must remain free")
 
-    def run_restart(k: int) -> RestartSummary:
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
-        x0 = lower[free_idx] + rng.random(free_idx.size) * \
-            (upper[free_idx] - lower[free_idx])
-        evals = 0
-        trajectory: list[float] = []
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
+    x0 = lower[free_idx] + rng.random(free_idx.size) * \
+        (upper[free_idx] - lower[free_idx])
+    evals = 0
+    trajectory: list[float] = []
 
-        def neg_abs_ueff(x_free):
-            nonlocal evals
-            evals += 1
-            x = np.clip(x_free, lower[free_idx], upper[free_idx])
-            full = _expand(free_idx, frozen_full, x)
-            value = objective(fam, full, config.quad, config.mode,
-                              n_lambda=config.n_lambda)
-            if not trajectory or value > trajectory[-1]:
-                trajectory.append(value)
-            return -value
+    def neg_abs_ueff(x_free):
+        nonlocal evals
+        evals += 1
+        x = np.clip(x_free, lower[free_idx], upper[free_idx])
+        full = _expand(free_idx, frozen_full, x)
+        value = objective(fam, full, config.quad, config.mode,
+                          n_lambda=config.n_lambda)
+        if not trajectory or value > trajectory[-1]:
+            trajectory.append(value)
+        return -value
 
-        res = optimize.minimize(
-            neg_abs_ueff, x0, method="Nelder-Mead",
-            bounds=list(zip(lower[free_idx], upper[free_idx])),
-            options={"maxfev": config.max_evals, "xatol": 1e-6,
-                     "fatol": 1e-10, "adaptive": False})
-        x_best = np.clip(res.x, lower[free_idx], upper[free_idx])
-        full_best = _expand(free_idx, frozen_full, x_best)
-        return RestartSummary(restart_index=k, start=tuple(x0.tolist()),
-                              best_params=tuple(full_best.tolist()),
-                              best_value=float(-res.fun), evaluations=evals,
-                              converged=bool(res.success),
-                              trajectory=tuple(trajectory))
+    res = optimize.minimize(
+        neg_abs_ueff, x0, method="Nelder-Mead",
+        bounds=list(zip(lower[free_idx], upper[free_idx])),
+        options={"maxfev": config.max_evals, "xatol": 1e-6,
+                 "fatol": 1e-10, "adaptive": False})
+    x_best = np.clip(res.x, lower[free_idx], upper[free_idx])
+    full_best = _expand(free_idx, frozen_full, x_best)
+    return RestartSummary(restart_index=k, start=tuple(x0.tolist()),
+                          best_params=tuple(full_best.tolist()),
+                          best_value=float(-res.fun), evaluations=evals,
+                          converged=bool(res.success),
+                          trajectory=tuple(trajectory))
 
-    summaries = [run_restart(k) for k in range(config.restarts)]
+
+def search(config: SearchConfig, workers: int = 1) -> SearchResult:
+    """Restarted Nelder-Mead maximization of |U_eff| over the family box.
+
+    Deterministic given the seed: each restart depends only on the
+    config and its index (see ``_run_restart``), and the reduction takes
+    the best value with ties broken by the lowest restart index, so the
+    result is identical at any ``workers`` value >= 1.
+
+    With ``min(workers, restarts) > 1`` the restarts run on a process
+    pool of that many workers; otherwise they run serially in this
+    process, which avoids the pool's start-up cost for small searches.
+    The pool uses the ``fork`` start method, named explicitly because
+    Python 3.14 changes the default on Linux.  Forked children inherit
+    this process's modules, so scipy is imported here, before the pool
+    starts, and no child imports it again (a spawned child would re-import
+    bellsim and scipy, which costs a large share of a default search).
+    With more than one worker each restart is pickled by reference, so
+    the family's builder must be a module-level callable.
+    """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from scipy import optimize  # noqa: F401  loaded before the fork; see above
+
+    fam = config.family
+    run = partial(_run_restart, config)
+    n_workers = min(workers, config.restarts)
+    if n_workers > 1:
+        with ProcessPoolExecutor(
+                n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            summaries = list(pool.map(run, range(config.restarts)))
+    else:
+        summaries = list(map(run, range(config.restarts)))
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))
     best_full = np.asarray(best.best_params)
 

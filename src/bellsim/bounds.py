@@ -231,15 +231,20 @@ class _QuadTables:
             for angle in angles:
                 if (party, angle) not in self.tables:
                     self.tables[party, angle] = model.triples(party, angle, validate=validate)
+        t1 = np.stack([self.tables[1, a] for a in quad.party1_angles()])
+        t2 = np.stack([self.tables[2, b] for b in quad.party2_angles()])
+        # The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3),
+        # flattened to PAIR_LABELS order (a b, a b', a' b, a' b').
+        self.joints = ((t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
+                       @ t2[None]).reshape(4, 3, 3)
 
     def p0(self, party: int, angle: float) -> np.ndarray:
         return self.tables[party, angle][:, 2]
 
     def pairs(self):
         """(label, a, b, t1, t2, joint table) per setting pair, in CHSH order."""
-        for label, a, b, _sign in self.quad.pairs():
-            t1, t2 = self.tables[1, a], self.tables[2, b]
-            yield label, a, b, t1, t2, _joint(self.w, t1, t2)
+        for (label, a, b, _sign), joint in zip(self.quad.pairs(), self.joints):
+            yield label, a, b, self.tables[1, a], self.tables[2, b], joint
 
 
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:

@@ -347,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze", action="append", default=None,
                    metavar="NAME=VALUE")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for manifest replay; restarts run serially "
-                        "and this has no effect")
+                   help="worker processes the restarts run on (>= 1); the "
+                        "output is the same at any value")
     common(p)
     p.set_defaults(func=cmd_adversary_search)
 

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bellsim import adversary
 from bellsim.adversary import (
     FAMILIES,
     ParametricFamily,
@@ -26,6 +28,7 @@ from bellsim.model import (
     HiddenVariableSpace,
     ResponseFunction,
     SLHVModel,
+    TheoremViolationError,
     ValidationError,
     validate_solution1,
 )
@@ -44,9 +47,11 @@ def _two_point_builder(params, n_lambda):
         c = np.cos(2.0 * (angle - lam))
         return np.column_stack([eta * (c >= 0.0), eta * (c < 0.0), 1.0 - eta])
 
-    return SLHVModel(HiddenVariableSpace([0.5, 0.5], [0.0, math.pi / 2]),
-                     ResponseFunction.from_function(1, fn),
-                     ResponseFunction.from_function(2, fn))
+    model = SLHVModel(HiddenVariableSpace([0.5, 0.5], [0.0, math.pi / 2]),
+                      ResponseFunction.from_function(1, fn),
+                      ResponseFunction.from_function(2, fn))
+    model.meta["projection_active"] = False  # search reports this flag
+    return model
 
 
 TWO_POINT = ParametricFamily(name="two-point", param_names=("eta",), lower=(0.0,),
@@ -166,8 +171,28 @@ class TestSearch:
 
     def test_worker_count_does_not_change_result(self):
         r1 = search(self.small_config(), workers=1)
-        r4 = search(self.small_config(), workers=4)
-        assert r1 == r4
+        for workers in (2, 4):
+            assert search(self.small_config(), workers=workers) == r1
+        # A family defined outside bellsim pickles into the workers by reference.
+        two_point = self.small_config(family=TWO_POINT, mode=EffectiveCorrelationMode.SOLUTION2,
+                                      n_lambda=2)
+        assert search(two_point, workers=2) == search(two_point, workers=1)
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -1):
+            with pytest.raises(ValidationError, match="workers"):
+                search(self.small_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_soundness_check_fires_in_every_worker(self, monkeypatch, workers):
+        # A validator that always passes turns every |U_eff| > 2 into a
+        # theorem breach; forked workers inherit the patch, and the error
+        # must reach the caller from them.
+        monkeypatch.setattr(adversary, "_mode_report",
+                            lambda q, mode: SimpleNamespace(passed=True))
+        with pytest.raises(TheoremViolationError):
+            search(self.small_config(restarts=2, max_evals=60, n_lambda=90),
+                   workers=workers)
 
     def test_best_value_reproducible_from_stored_parameters(self):
         res = search(self.small_config())
@@ -217,6 +242,11 @@ class TestSearch:
             SearchConfig(family=get_family("modulated-p0"), quad=QUAD,
                          restarts=1, max_evals=10, freeze={"bogus": 1.0})
 
+    def test_freezing_every_parameter_rejected(self):
+        with pytest.raises(ValidationError, match="remain free"):
+            SearchConfig(family=get_family("threshold-detection"), quad=QUAD,
+                         restarts=1, max_evals=10, freeze={"theta1": 0.1, "theta2": 0.2})
+
     def test_json_serialization(self):
         import json
         res = search(self.small_config(restarts=2, max_evals=60))
@@ -227,12 +257,13 @@ class TestSearch:
 
 
 def test_import_loads_no_scipy():
+    # Nor the process pool's modules: the search imports them when it runs.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, bellsim; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = ("import sys, bellsim; print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -10,8 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
+    PAIR_LABELS,
     EffectiveCorrelationMode,
     SettingsQuad,
+    _joint,
+    _QuadTables,
     chsh_combination,
     chsh_value,
     coincidence_probability,
@@ -159,6 +162,27 @@ class TestCorrelation:
             cap = float(np.sum(m.space.weights *
                                m.detection_probs(1, a) * m.detection_probs(2, b)))
             assert abs(e) <= cap + 1e-12
+
+
+class TestQuadTables:
+    def test_stacked_joints_match_per_pair_products_bitwise(self):
+        # _QuadTables forms all four joint tables in one stacked matmul;
+        # _joint is the per-pair reference, and they must agree to the bit.
+        rng = np.random.default_rng(107)
+        generators = (random_angle_independent_model, random_lambda_independent_model,
+                      random_nondegenerate_model)
+        for n in (1, 2, 7, 64, 720, 5000):
+            for gen in generators:
+                m = gen(rng, n)
+                q = random_quad(rng)
+                for quad in (q, SettingsQuad(q.a, q.a, q.b, q.b_prime),
+                             SettingsQuad(q.a, q.a, q.b, q.b)):
+                    tables = _QuadTables(m, quad)
+                    labels = [label for label, *_ in tables.pairs()]
+                    assert labels == list(PAIR_LABELS)
+                    for _, a, b, t1, t2, joint in tables.pairs():
+                        assert t1 is tables.tables[1, a] and t2 is tables.tables[2, b]
+                        assert np.array_equal(joint, _joint(m.space.weights, t1, t2))
 
 
 class TestCoincidenceProbability:

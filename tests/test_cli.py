@@ -272,6 +272,7 @@ BAD_ARGV = {
     "search-freeze-nan": lambda tmp: [
         *_SEARCH, "--n-lambda", "36", "--freeze", "theta1=nan"],
     "search-n-lambda-zero": lambda tmp: [*_SEARCH, "--n-lambda", "0"],
+    "search-workers-zero": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--workers", "0"],
     "family-file-n-lambda-zero": lambda tmp: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", {
             "schema_version": 1, "type": "family", "family": "threshold-detection",
