@@ -9,7 +9,7 @@ bookkeeping connecting the full-sample CHSH value to the effective one.
 
 from bellsim import qm
 from bellsim.bounds import optimal_quad
-from bellsim.estimator import analysis_report, epsilon_decomposition
+from bellsim.estimator import analysis_report, epsilon_decomposition, qm_epsilon_identity
 from bellsim.qm import QMModelParams
 from bellsim.sampler import ExperimentPlan, run_experiment
 
@@ -23,7 +23,7 @@ def main():
     print(f"{plan.trials_per_pair} emitted pairs per setting, seed {plan.seed}")
     print(f"both-detected probability: {qm.coincidence_probability(params):.4f}\n")
 
-    report = analysis_report(result.records, params=params)
+    report = analysis_report(result.records)
     exact = qm.effective_chsh_value(params, quad)
     print(f"{'pair':>5} {'E_eff':>9} {'stderr':>8} {'coincidences':>13}")
     for label, entry in report["per_pair"].items():
@@ -36,7 +36,7 @@ def main():
     print(f"U     = {eps.u:.4f}  (full sample; bounded by 2)")
     print(f"eps   = {eps.eps_total:.4f}  so U_eff - eps = {eps.u_eff - eps.eps_total:.4f} = U")
     print(f"predicted eps from the closed form: "
-          f"{report['qm_predicted_epsilon']:.4f}")
+          f"{qm_epsilon_identity(params, report['U_eff']):.4f}")
     print("\nOnly because the simulation counts every emitted pair is eps")
     print("knowable at all; coincidence-only data cannot determine it.")
 

@@ -47,6 +47,7 @@ from .model import (
     ValidationError,
     uniform_lambda_grid,
 )
+from .sampler import _pool_size
 
 __all__ = [
     "ParametricFamily",
@@ -64,7 +65,13 @@ SOUNDNESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ParametricFamily:
-    """A named map from a small parameter box to SLHV models."""
+    """A named map from a small parameter box to SLHV models.
+
+    ``builder(params, n_lambda)`` may set ``meta["projection_active"]`` on
+    the model it returns: True when clipping moved a response into [0, 1].
+    ``search`` reports it at the optimum, and a model without the key
+    counts as unclipped (False).
+    """
 
     name: str
     param_names: tuple[str, ...]
@@ -347,8 +354,8 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     the best value with ties broken by the lowest restart index, so the
     result is identical at any ``workers`` value >= 1.
 
-    With ``min(workers, restarts) > 1`` the restarts run on a process
-    pool of that many workers; otherwise they run serially in this
+    With ``min(workers, restarts, CPU count) > 1`` the restarts run on a
+    process pool of that many workers; otherwise they run serially in this
     process, which avoids the pool's start-up cost for small searches.
     The pool uses the ``fork`` start method, named explicitly because
     Python 3.14 changes the default on Linux.  Forked children inherit
@@ -358,8 +365,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     With more than one worker each restart is pickled by reference, so
     the family's builder must be a module-level callable.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    n_workers = _pool_size(workers, config.restarts)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -367,7 +373,6 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
 
     fam = config.family
     run = partial(_run_restart, config)
-    n_workers = min(workers, config.restarts)
     if n_workers > 1:
         with ProcessPoolExecutor(
                 n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -400,7 +405,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
         restarts=tuple(summaries),
         budget_exhausted=any(not s.converged for s in summaries),
         degenerate_best=degenerate,
-        projection_active_at_optimum=best_model.meta["projection_active"],
+        projection_active_at_optimum=best_model.meta.get("projection_active", False),
         config_summary={
             "family": fam.name,
             "quad_degrees": list(config.quad.to_degrees()),

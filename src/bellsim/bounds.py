@@ -2,10 +2,12 @@
 
 Everything here is a finite weighted sum over the hidden-variable
 points; no sampling.  A quad evaluates each (party, angle) response
-table once; a setting pair's 3x3 joint-outcome table is
-``t1^T . diag(w) . t2``, whose ``signed_sum`` is E and whose
-``coincidence_sum`` is the coincidence probability (the estimator
-applies both to count tables).  The central objects:
+table once and forms the four setting pairs' 3x3 joint-outcome tables
+``t1^T . diag(w) . t2`` in one stacked product.  Every per-pair value
+is then a (4,) vector in PAIR_LABELS order: ``signed_sum`` gives E,
+``coincidence_sum`` the coincidence probability (the estimator applies
+both to count tables), and each mode its E_eff, NaN where the pair is
+degenerate.  The central objects:
 
 * ``u = x(y - y') + x'(y + y')``, the CHSH combination of the four
   single-party averages at one hidden point.  On the box
@@ -205,14 +207,14 @@ def enumerate_vertices(alpha, beta) -> list[VertexRow]:
 
 
 def signed_sum(table):
-    """Sum of r*q*table[r, q] over a 3x3 joint table: E of a probability
-    table, the exact signed coincidence count of an integer count table."""
-    return table[0, 0] - table[0, 1] - table[1, 0] + table[1, 1]
+    """Sum of r*q*table[..., r, q] over 3x3 joint tables: E of probability
+    tables, the exact signed coincidence count of integer count tables."""
+    return table[..., 0, 0] - table[..., 0, 1] - table[..., 1, 0] + table[..., 1, 1]
 
 
 def coincidence_sum(table):
-    """Mass of the four both-detected cells of a 3x3 joint table."""
-    return table[0, 0] + table[0, 1] + table[1, 0] + table[1, 1]
+    """Mass of the four both-detected cells of 3x3 joint tables."""
+    return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] + table[..., 1, 1]
 
 
 def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -221,53 +223,88 @@ def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 class _QuadTables:
-    """A model at a quad, the response table of each (party, angle) evaluated once."""
+    """A model at a quad, the response table of each (party, angle) evaluated once.
+
+    ``t`` holds them as (party, angle, n, 3), and ``t1``, ``t2`` are its
+    two (2, n, 3) halves.  Per-pair values are (4,) arrays in PAIR_LABELS
+    order, the (a, a') x (b, b') grid flattened: ``e`` and ``coin`` of the
+    four ``joints``, and ``e_eff(mode)``.
+    """
 
     def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
         self.w = model.space.weights
-        self.quad = quad
-        self.tables: dict[tuple[int, float], np.ndarray] = {}
-        for party, angles in ((1, quad.party1_angles()), (2, quad.party2_angles())):
-            for angle in angles:
-                if (party, angle) not in self.tables:
-                    self.tables[party, angle] = model.triples(party, angle, validate=validate)
-        t1 = np.stack([self.tables[1, a] for a in quad.party1_angles()])
-        t2 = np.stack([self.tables[2, b] for b in quad.party2_angles()])
-        # The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3),
-        # flattened to PAIR_LABELS order (a b, a b', a' b, a' b').
-        self.joints = ((t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
-                       @ t2[None]).reshape(4, 3, 3)
+        self.angles = (quad.party1_angles(), quad.party2_angles())
+        keys = [(party, x) for party, angles in enumerate(self.angles, start=1)
+                for x in angles]
+        tables = {key: model.triples(*key, validate=validate) for key in dict.fromkeys(keys)}
+        self.t = np.array([tables[key] for key in keys]).reshape(2, 2, -1, 3)
+        self.t1, self.t2 = self.t
+        # The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3).
+        self.joints = ((self.t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
+                       @ self.t2[None]).reshape(4, 3, 3)
+        self.e = signed_sum(self.joints)
+        self.coin = coincidence_sum(self.joints)
 
     def p0(self, party: int, angle: float) -> np.ndarray:
-        return self.tables[party, angle][:, 2]
+        return self.t[party - 1, self.angles[party - 1].index(angle), :, 2]
 
-    def pairs(self):
-        """(label, a, b, t1, t2, joint table) per setting pair, in CHSH order."""
-        for (label, a, b, _sign), joint in zip(self.quad.pairs(), self.joints):
-            yield label, a, b, self.tables[1, a], self.tables[2, b], joint
+    def e_eff(self, mode: EffectiveCorrelationMode) -> tuple[np.ndarray, str | None]:
+        """The four coincidence-normalized correlations, NaN at a degenerate
+        pair, and why the first degenerate pair is one (None if none is).
+
+        A pair is degenerate when its coincidence probability (solution1),
+        a party's detection probability at its setting (solution2) or at
+        some hidden point (solution3) is not positive.
+        """
+        t = self.t
+        if mode is EffectiveCorrelationMode.SOLUTION1:
+            dead = self.coin <= 0.0
+            value = np.divide(self.e, self.coin, out=np.full(4, np.nan), where=~dead)
+            why = "zero coincidence probability"
+        elif mode is EffectiveCorrelationMode.SOLUTION2:
+            d = 1.0 - np.sum(self.w * t[..., 2], axis=2)
+            dead_at = d <= 0.0
+            dead = (dead_at[0, :, None] | dead_at[1]).ravel()
+            value = np.divide(self.e, (d[0, :, None] * d[1]).ravel(),
+                              out=np.full(4, np.nan), where=~dead)
+            why = "is never detected at its setting"
+        elif mode is EffectiveCorrelationMode.SOLUTION3:
+            al = t[..., 0] + t[..., 1]
+            dead_at = np.any(al <= 0.0, axis=2)
+            dead = (dead_at[0, :, None] | dead_at[1]).ravel()
+            # A dead (party, angle) row stays NaN, and so do its pairs' sums.
+            eff = np.divide(t[..., 0] - t[..., 1], al, out=np.full_like(al, np.nan),
+                            where=~dead_at[..., None])
+            value = np.sum(self.w * eff[0, :, None] * eff[1], axis=2).ravel()
+            why = "has a hidden point with zero detection probability"
+        else:
+            raise ValidationError(f"unknown mode {mode!r}")
+        k = int(np.argmax(dead))
+        if not dead[k]:
+            return value, None
+        if mode is not EffectiveCorrelationMode.SOLUTION1:
+            why = f"party {1 if dead_at[0, k // 2] else 2} {why}"
+        return value, f"{mode.value} E_eff undefined at pair {PAIR_LABELS[k]}: {why}"
 
 
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
     """The mode's assumption validator on tables already evaluated; the one
     place a regime is mapped to its check."""
-    a1, a2 = q.quad.party1_angles(), q.quad.party2_angles()
     if mode is EffectiveCorrelationMode.SOLUTION1:
-        return _solution1_report(q.p0, a1, a2)
+        return _solution1_report(q.p0, *q.angles)
     if mode is EffectiveCorrelationMode.SOLUTION2:
-        return _solution2_report(q.p0, q.w, a1, a2)
-    return _solution3_report(q.p0, a1, a2)
+        return _solution2_report(q.p0, q.w, *q.angles)
+    return _solution3_report(q.p0, *q.angles)
 
 
 def correlation(model: SLHVModel, a: float, b: float) -> float:
     """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
-    return float(signed_sum(_joint(model.space.weights, model.triples(1, a),
-                                   model.triples(2, b))))
+    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).e[0])
 
 
 def coincidence_probability(model: SLHVModel, a: float, b: float) -> float:
     """Probability that both photons are detected: weighted sum of alpha*beta."""
-    return float(coincidence_sum(_joint(model.space.weights, model.triples(1, a),
-                                        model.triples(2, b))))
+    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).coin[0])
 
 
 @dataclass(frozen=True)
@@ -295,11 +332,8 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
 
 
 def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
-    t, quad = q.tables, q.quad
-    x, xp = (t[1, a][:, 0] - t[1, a][:, 1] for a in quad.party1_angles())
-    y, yp = (t[2, b][:, 0] - t[2, b][:, 1] for b in quad.party2_angles())
-    alpha = t[1, quad.a][:, 0] + t[1, quad.a][:, 1]
-    beta = t[2, quad.b][:, 0] + t[2, quad.b][:, 1]
+    (x, xp), (y, yp) = q.t[..., 0] - q.t[..., 1]
+    alpha, beta = q.t[:, 0, :, 0] + q.t[:, 0, :, 1]
     slack = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(slack))
     return PointwiseBoundReport(passed=bool(slack[k] <= BOUND_TOL),
@@ -322,9 +356,8 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     not a reachable state).
     """
     q = _QuadTables(model, quad)
-    joints = [joint for *_, joint in q.pairs()]
-    u = chsh_sum(float(signed_sum(joint)) for joint in joints)
-    m = 2.0 * float(coincidence_sum(joints[0]))
+    u = chsh_sum(q.e.tolist())
+    m = 2.0 * float(q.coin[0])
     if abs(u) > 2.0 + BOUND_TOL:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds 2 for an SLHV model")
@@ -334,39 +367,6 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
             f"|U| = {abs(u)!r} exceeds M = {m!r} despite angle-independent "
             "non-detection")
     return ChshValues(float(u), float(m))
-
-
-def _effective_pair_value(w: np.ndarray, t1: np.ndarray, t2: np.ndarray,
-                          joint: np.ndarray, mode: EffectiveCorrelationMode,
-                          a: float, b: float) -> float:
-    """One coincidence-normalized correlation, no assumption checking."""
-    if mode is EffectiveCorrelationMode.SOLUTION3:
-        al = t1[:, 0] + t1[:, 1]
-        be = t2[:, 0] + t2[:, 1]
-        if np.any(al <= 0.0) or np.any(be <= 0.0):
-            party = 1 if np.any(al <= 0.0) else 2
-            raise DegenerateModelError(
-                f"detected-subset average undefined: party {party} has a "
-                f"hidden point with zero detection probability")
-        eff1 = (t1[:, 0] - t1[:, 1]) / al
-        eff2 = (t2[:, 0] - t2[:, 1]) / be
-        return float(np.sum(w * eff1 * eff2))
-    e = float(signed_sum(joint))
-    if mode is EffectiveCorrelationMode.SOLUTION1:
-        coin = float(coincidence_sum(joint))
-        if coin <= 0.0:
-            raise DegenerateModelError(
-                f"zero coincidence probability at pair ({a:.6g}, {b:.6g})")
-        return e / coin
-    if mode is EffectiveCorrelationMode.SOLUTION2:
-        d1 = 1.0 - float(np.sum(w * t1[:, 2]))
-        d2 = 1.0 - float(np.sum(w * t2[:, 2]))
-        if d1 <= 0.0 or d2 <= 0.0:
-            party = 1 if d1 <= 0.0 else 2
-            raise DegenerateModelError(
-                f"party {party} is never detected at its setting")
-        return e / (d1 * d2)
-    raise ValidationError(f"unknown mode {mode!r}")
 
 
 def effective_correlation(model: SLHVModel, a: float, b: float,
@@ -381,14 +381,15 @@ def effective_correlation(model: SLHVModel, a: float, b: float,
     raises AssumptionError (``effective_chsh`` reports such models).
     """
     q = _QuadTables(model, SettingsQuad(a, a, b, b))
-    *_, t1, t2, joint = next(q.pairs())
-    value = _effective_pair_value(q.w, t1, t2, joint, mode, a, b)
+    value, why = q.e_eff(mode)
+    if why is not None:
+        raise DegenerateModelError(why)
     rep = _mode_report(q, mode)
     if not rep.passed:
         raise AssumptionError(
             f"validate_{mode.value} failed for mode {mode.value} "
             f"(max deviation {rep.max_deviation:.3e})")
-    return value
+    return float(value[0])
 
 
 def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
@@ -404,8 +405,10 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
 
 def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> float:
     """Signed U_eff of tables already evaluated; degenerate pairs raise."""
-    return chsh_sum(_effective_pair_value(q.w, t1, t2, joint, mode, a, b)
-                    for _, a, b, t1, t2, joint in q.pairs())
+    value, why = q.e_eff(mode)
+    if why is not None:
+        raise DegenerateModelError(why)
+    return chsh_sum(value.tolist())
 
 
 @dataclass(frozen=True)
@@ -495,16 +498,9 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     violating models (the adversarial workflow) still get their values.
     """
     q = _QuadTables(model, quad)
-    e: dict[str, float] = {}
-    e_eff: dict[str, float] = {}
-    coin: dict[str, float] = {}
-    for label, x, y, t1, t2, joint in q.pairs():
-        e[label] = float(signed_sum(joint))
-        coin[label] = float(coincidence_sum(joint))
-        try:
-            e_eff[label] = _effective_pair_value(q.w, t1, t2, joint, mode, x, y)
-        except DegenerateModelError:
-            e_eff[label] = math.nan
+    e = dict(zip(PAIR_LABELS, q.e.tolist()))
+    e_eff = dict(zip(PAIR_LABELS, q.e_eff(mode)[0].tolist()))
+    coin = dict(zip(PAIR_LABELS, q.coin.tolist()))
     # A degenerate pair's NaN carries into U_eff and fails its verdict.
     u = chsh_sum(e.values())
     u_eff = chsh_sum(e_eff.values())
@@ -525,9 +521,8 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     }
     theorem_breach = bound_guaranteed and not verdicts["abs_u_eff_le_2"]
 
-    t1 = q.tables[1, quad.a]
     extremes = {
-        "max_abs_local_average_a": float(np.max(np.abs(t1[:, 0] - t1[:, 1]))),
+        "max_abs_local_average_a": float(np.max(np.abs(q.t1[0, :, 0] - q.t1[0, :, 1]))),
         "min_coincidence_probability": min(coin.values()),
         "max_coincidence_probability": max(coin.values()),
     }

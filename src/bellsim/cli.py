@@ -8,9 +8,9 @@ and tool version; re-running the stored argv reproduces all outputs
 byte for byte at any worker count.
 
 Exit codes: 0 success (bounds hold or are flagged not-guaranteed),
-1 input error, 2 verified theorem breach (a passing assumption
-validator together with a broken bound; never reachable for a correct
-core).
+1 input error (usage errors included), 2 verified theorem breach (a
+passing assumption validator together with a broken bound; never
+reachable for a correct core).
 """
 
 from __future__ import annotations
@@ -279,8 +279,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 1 like any other
+    input error and exit code 2 stays the theorem-breach trip-wire.
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bellsim",
         description="Simulate and analyze double-channel Bell experiments "
                     "with imperfect detection")

@@ -268,12 +268,11 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     return records
 
 
-def analysis_report(recs, params: QMModelParams | None = None) -> dict:
+def analysis_report(recs) -> dict:
     """JSON-ready analysis of four counts records.
 
     ``epsilon`` degrades to the string "unavailable" when emitted totals
-    are missing.  When QM parameters are supplied, the predicted
-    discrepancy is included for comparison.
+    are missing.
     """
     ordered = _ordered(recs)
     per_pair = {
@@ -311,6 +310,4 @@ def analysis_report(recs, params: QMModelParams | None = None) -> dict:
         report["epsilon"] = "unavailable"
         report["epsilon_unavailable_reason"] = str(exc)
         report["verdicts"] = {"abs_u_eff_le_2": abs(u_eff) <= 2.0}
-    if params is not None:
-        report["qm_predicted_epsilon"] = qm_epsilon_identity(params, u_eff)
     return report

@@ -29,8 +29,9 @@ with the cumulative outcome edges ``(p+, p+ + p-)`` at its hidden
 point, computed once per (party, angle).
 
 One path runs at every worker count: each setting pair's kernel is
-chosen once, and the blocks run on a thread pool of ``workers`` threads
-in chunks of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
+chosen once, and the blocks run on a thread pool of ``workers`` threads,
+capped at the block count and the CPU count (``_pool_size``), in chunks
+of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
 chunk are added into the pair totals as soon as the chunk finishes, so
 memory does not grow with the number of trials, and integer sums are
 exact in any order.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -64,6 +66,14 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 16
 _MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
+    count and the CPU count.  No output of this package depends on it."""
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers!r}")
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -181,19 +191,18 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     The result is bit-identical for any ``workers`` value >= 1; see the
     module docstring for the substream derivation.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_tasks = 4 * n_blocks
+    n_workers = _pool_size(workers, n_tasks)
 
     pairs = plan.quad.pairs()
     if isinstance(source, SLHVModel):
-        edges = {key: _outcome_edges(table)
-                 for key, table in _QuadTables(source, plan.quad).tables.items()}
+        q = _QuadTables(source, plan.quad)
+        edges1, edges2 = ([_outcome_edges(t) for t in ts] for ts in (q.t1, q.t2))
         cdf = _lambda_cdf(source)
-        kernels = [partial(_slhv_block, edges[1, a], edges[2, b], cdf)
-                   for _label, a, b, _sign in pairs]
+        # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
+        kernels = [partial(_slhv_block, e1, e2, cdf) for e1 in edges1 for e2 in edges2]
     else:
         kernels = [partial(_qm_block, source, a, b) for _label, a, b, _sign in pairs]
 
@@ -204,7 +213,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         return pair_index, kernels[pair_index](rng, size)
 
     counts = np.zeros((4, 3, 3), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for start in range(0, n_tasks, _MAX_IN_FLIGHT):
             chunk = range(start, min(start + _MAX_IN_FLIGHT, n_tasks))
             # The chunk's tables are held until it is done: freeing each one

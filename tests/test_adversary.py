@@ -1,5 +1,6 @@
 """Adversarial search: family validity, bound soundness, determinism."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -56,6 +57,17 @@ def _two_point_builder(params, n_lambda):
 
 TWO_POINT = ParametricFamily(name="two-point", param_names=("eta",), lower=(0.0,),
                              upper=(1.0,), builder=_two_point_builder)
+
+
+def _bare_meta_builder(params, n_lambda):
+    """The two-point model with no meta at all, so no projection flag."""
+    model = _two_point_builder(params, n_lambda)
+    model.meta.clear()
+    return model
+
+
+BARE_META = ParametricFamily(name="bare-meta", param_names=("eta",), lower=(0.0,),
+                             upper=(1.0,), builder=_bare_meta_builder)
 
 
 class TestFamilies:
@@ -177,6 +189,27 @@ class TestSearch:
         two_point = self.small_config(family=TWO_POINT, mode=EffectiveCorrelationMode.SOLUTION2,
                                       n_lambda=2)
         assert search(two_point, workers=2) == search(two_point, workers=1)
+
+    def test_family_without_projection_flag(self):
+        config = self.small_config(family=BARE_META, mode=EffectiveCorrelationMode.SOLUTION2,
+                                   n_lambda=2)
+        res = search(config, workers=1)
+        assert res.projection_active_at_optimum is False
+        assert search(config, workers=2) == res
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        def inline_pool(max_workers, **_kw):
+            sizes.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert search(self.small_config(), workers=10**6) == search(self.small_config())
+        assert sizes == [3]
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -1):

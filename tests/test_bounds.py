@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
-    PAIR_LABELS,
     EffectiveCorrelationMode,
     SettingsQuad,
     _joint,
@@ -178,11 +177,55 @@ class TestQuadTables:
                 for quad in (q, SettingsQuad(q.a, q.a, q.b, q.b_prime),
                              SettingsQuad(q.a, q.a, q.b, q.b)):
                     tables = _QuadTables(m, quad)
-                    labels = [label for label, *_ in tables.pairs()]
-                    assert labels == list(PAIR_LABELS)
-                    for _, a, b, t1, t2, joint in tables.pairs():
-                        assert t1 is tables.tables[1, a] and t2 is tables.tables[2, b]
-                        assert np.array_equal(joint, _joint(m.space.weights, t1, t2))
+                    for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
+                        t1, t2 = m.triples(1, a), m.triples(2, b)
+                        assert np.array_equal(tables.t1[k // 2], t1)
+                        assert np.array_equal(tables.t2[k % 2], t2)
+                        assert np.array_equal(tables.joints[k],
+                                              _joint(m.space.weights, t1, t2))
+
+
+def _per_point_reference(model, a, b):
+    """E, coincidence probability and E_eff per mode at one setting pair,
+    summed in pure Python over the hidden points of the scalar per-point
+    surface (local_average, alpha, effective_local_average)."""
+    e = coin = det1 = det2 = subset = 0.0
+    for i, w in enumerate(model.space.weights.tolist()):
+        x, y = model.local_average(1, a, i), model.local_average(2, b, i)
+        al, be = model.alpha(1, a, i), model.alpha(2, b, i)
+        e += w * x * y
+        coin += w * al * be
+        det1 += w * al
+        det2 += w * be
+        subset += (w * model.effective_local_average(1, a, i)
+                   * model.effective_local_average(2, b, i))
+    return e, coin, {MODE1: e / coin, MODE2: e / (det1 * det2), MODE3: subset}
+
+
+class TestPerPointReference:
+    def test_report_matches_scalar_sums(self):
+        # A second evaluation of every per-pair value that shares no code
+        # with the stacked tables in bounds.
+        rng = np.random.default_rng(211)
+        generators = (random_angle_independent_model, random_lambda_independent_model,
+                      random_nondegenerate_model)
+        for n in (1, 2, 5, 16):
+            for gen in generators:
+                for _ in range(4):
+                    m, quad = gen(rng, n), random_quad(rng)
+                    pairs = (("ab", quad.a, quad.b), ("ab'", quad.a, quad.b_prime),
+                             ("a'b", quad.a_prime, quad.b),
+                             ("a'b'", quad.a_prime, quad.b_prime))
+                    ref = {label: _per_point_reference(m, a, b) for label, a, b in pairs}
+                    for mode in (MODE1, MODE2, MODE3):
+                        rep = effective_chsh(m, quad, mode)
+                        for label, (e, coin, e_eff) in ref.items():
+                            assert rep.e[label] == pytest.approx(e, abs=1e-12)
+                            assert rep.coincidence[label] == pytest.approx(coin, abs=1e-12)
+                            assert rep.e_eff[label] == pytest.approx(e_eff[mode], abs=1e-12)
+                        u_eff = sum(sign * ref[label][2][mode] for label, sign in
+                                    (("ab", 1), ("ab'", -1), ("a'b", 1), ("a'b'", 1)))
+                        assert rep.u_eff == pytest.approx(u_eff, abs=1e-12)
 
 
 class TestCoincidenceProbability:

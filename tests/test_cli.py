@@ -248,8 +248,8 @@ _SEARCH = ["adversary-search", "--family", "threshold-detection",
            "--restarts", "1", "--max-evals", "10"]
 _FRACTIONAL_TOTALS = {lab: 100.5 for lab in ("ab", "ab'", "a'b", "a'b'")}
 
-# Each argv used to end in a traceback or in exit 0 on a silently
-# coerced value; each is an input error now.
+# Each argv used to end in a traceback, in exit 0 on a silently
+# coerced value or in exit 2; each is an input error now.
 BAD_ARGV = {
     "simulate-negative-seed": lambda tmp: [
         "simulate", *_QM_FLAGS, "--trials", "10", "--seed", "-1",
@@ -330,6 +330,15 @@ BAD_ARGV = {
     "analyze-totals-past-int64": lambda tmp: [
         "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
         "--emitted-totals", _json_file(tmp / "t.json", {"ab": 10**20})],
+    # Usage errors, which argparse alone ends with exit 2, the breach code.
+    "usage-bad-choice": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc()),
+        "--mode", "foo"],
+    "usage-non-integer": lambda tmp: [
+        "simulate", *_QM_FLAGS, "--trials", "x", "--out", str(tmp / "run.csv")],
+    "usage-missing-required": lambda tmp: ["simulate", *_QM_FLAGS, "--trials", "10"],
+    "usage-unknown-flag": lambda tmp: ["qm-predict", *_QM_FLAGS, "--bogus"],
+    "usage-unknown-subcommand": lambda tmp: ["no-such-command"],
     "analyze-counts-total-past-int64": lambda tmp: [
         "analyze", "--counts", _full_csv(tmp / "c.csv", {
             ("ab", r, q): 2**62 for r, q in ((1, 0), (0, 1), (0, 0))})],

@@ -1,6 +1,9 @@
 """Monte Carlo sampling: determinism, conservation, statistics."""
 
+import contextlib
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,6 +74,23 @@ class TestPlan:
         for workers in (0, -1):
             with pytest.raises(ValidationError, match="workers"):
                 run_experiment(params, plan, workers=workers)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
+        params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+        expected = run_experiment(params, plan)
+        sizes = []
+
+        def inline_pool(max_workers, **_kw):
+            sizes.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", inline_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        result = run_experiment(params, plan, workers=10**6)
+        assert sizes == [3]
+        for got, want in zip(result.records, expected.records):
+            assert np.array_equal(got.table, want.table)
 
 
 class TestDeterminism:
