@@ -32,10 +32,9 @@ def saturating_model():
     space = uniform_lambda_grid(720)
 
     def resp(party):
-        def fn(angle, lam):
-            c = np.cos(2.0 * (angle - lam))
-            return np.column_stack([(c >= 0) * 1.0, (c < 0) * 1.0,
-                                    np.zeros(lam.size)])
+        def fn(angles, lam):
+            c = np.cos(2.0 * (angles[:, None] - lam))
+            return np.stack([(c >= 0) * 1.0, (c < 0) * 1.0, np.zeros_like(c)], axis=-1)
         return ResponseFunction.from_function(party, fn)
 
     return SLHVModel(space, resp(1), resp(2))

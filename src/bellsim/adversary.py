@@ -26,9 +26,11 @@ the clipping.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,13 +63,17 @@ __all__ = [
 ]
 
 SOUNDNESS_TOL = 1e-9
+# Parameters may sit this far outside a family's box.
+_BOX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ParametricFamily:
     """A named map from a small parameter box to SLHV models.
 
-    ``builder(params, n_lambda)`` may set ``meta["projection_active"]`` on
+    ``builder(params, n_lambda)`` returns a model whose responses follow
+    the broadcast protocol of ``bellsim.model`` (k angles in, (k, n, 3)
+    tables out).  It may set ``meta["projection_active"]`` on
     the model it returns: True when clipping moved a response into [0, 1].
     ``search`` reports it at the optimum, and a model without the key
     counts as unclipped (False).
@@ -86,15 +92,16 @@ class ParametricFamily:
             raise ValidationError(
                 f"family {self.name!r} takes {len(self.param_names)} parameters "
                 f"{self.param_names}, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
+        values = p.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValidationError(
-                f"family {self.name!r} parameters must be finite, got {p.tolist()}")
+                f"family {self.name!r} parameters must be finite, got {values}")
         if int(n_lambda) < 1:
             raise ValidationError(f"n_lambda must be >= 1, got {n_lambda!r}")
-        if np.any(p < np.asarray(self.lower) - 1e-12) or \
-                np.any(p > np.asarray(self.upper) + 1e-12):
+        if not all(lo - _BOX_TOL <= v <= hi + _BOX_TOL
+                   for v, lo, hi in zip(values, self.lower, self.upper)):
             raise ValidationError(
-                f"parameters {p.tolist()} outside box "
+                f"parameters {values} outside box "
                 f"[{self.lower}, {self.upper}] for family {self.name!r}")
         return self.builder(p, int(n_lambda))
 
@@ -102,20 +109,51 @@ class ParametricFamily:
         return {n: float(v) for n, v in zip(self.param_names, params)}
 
 
+# A search instantiates thousands of models on one grid at one quad.  The
+# grid and the response terms that depend only on the angles and the grid
+# are computed once and shared read-only, so each evaluation runs only the
+# operations that depend on the parameters.  The family responses read the
+# grid through this cache: ``lam`` is always the model's own grid.
+_grid = lru_cache(maxsize=8)(uniform_lambda_grid)
+
+
+class _AngleTerms(NamedTuple):
+    """Functions of d = angle - lambda, each (k, n_lambda)."""
+
+    cos2d: np.ndarray
+    abs_cos2d: np.ndarray
+    cos2d_nonneg: np.ndarray  # bool
+    cos2d_neg: np.ndarray  # bool
+    cos_sq: np.ndarray
+    sin_sq: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _angle_terms(angles: tuple[float, ...], n_lambda: int) -> _AngleTerms:
+    """The terms at each of the k ``angles`` over the family grid."""
+    d = np.asarray(angles)[:, None] - _grid(n_lambda).values
+    c = np.cos(2.0 * d)
+    terms = _AngleTerms(c, np.abs(c), c >= 0.0, c < 0.0,
+                        np.cos(d) ** 2, np.sin(d) ** 2)
+    for t in terms:
+        t.setflags(write=False)
+    return terms
+
+
 def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     theta1, theta2 = float(params[0]), float(params[1])
-    space = uniform_lambda_grid(n_lambda)
 
     def response(theta):
-        def fn(angle: float, lam: np.ndarray) -> np.ndarray:
-            c = np.cos(2.0 * (angle - lam))
-            detect = (np.abs(c) >= theta).astype(float)
-            plus = detect * (c >= 0.0)
-            minus = detect * (c < 0.0)
-            return np.column_stack([plus, minus, 1.0 - detect])
+        def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+            terms = _angle_terms(tuple(angles.tolist()), n_lambda)
+            # Detected points answer +1 where cos 2d >= 0 and -1 elsewhere;
+            # every probability is 0 or 1.
+            detect = terms.abs_cos2d >= theta
+            return np.stack([detect & terms.cos2d_nonneg, detect & terms.cos2d_neg,
+                             ~detect], axis=-1).astype(float)
         return fn
 
-    model = SLHVModel(space,
+    model = SLHVModel(_grid(n_lambda),
                       ResponseFunction.from_function(1, response(theta1)),
                       ResponseFunction.from_function(2, response(theta2)))
     model.meta.update(family="threshold-detection", theta1=theta1, theta2=theta2,
@@ -125,12 +163,11 @@ def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
 
 def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
-    space = uniform_lambda_grid(n_lambda)
 
-    def fn(angle: float, lam: np.ndarray) -> np.ndarray:
-        p0 = np.clip(c0 + c1 * np.cos(2.0 * (angle - lam)), 0.0, 1.0)
-        w_plus = np.cos(angle - lam) ** 2
-        w_minus = np.sin(angle - lam) ** 2
+    def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        terms = _angle_terms(tuple(angles.tolist()), n_lambda)
+        p0 = np.clip(c0 + c1 * terms.cos2d, 0.0, 1.0)
+        w_plus, w_minus = terms.cos_sq, terms.sin_sq
         if sharpness != 1.0:
             w_plus = w_plus ** sharpness
             w_minus = w_minus ** sharpness
@@ -138,9 +175,9 @@ def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
         detect = 1.0 - p0
         plus = detect * share
         minus = detect * (1.0 - share)
-        return np.column_stack([plus, minus, p0])
+        return np.stack([plus, minus, p0], axis=-1)
 
-    model = SLHVModel(space,
+    model = SLHVModel(_grid(n_lambda),
                       ResponseFunction.from_function(1, fn),
                       ResponseFunction.from_function(2, fn))
     # c0 + c1*cos spans [c0 - |c1|, c0 + |c1|] over the angles, so the
@@ -199,10 +236,21 @@ class SearchConfig:
             raise ValidationError("max_evals must be >= 10")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
-        unknown = set(self.freeze) - set(self.family.param_names)
+        fam = self.family
+        unknown = set(self.freeze) - set(fam.param_names)
         if unknown:
             raise ValidationError(
                 f"cannot freeze unknown parameters {sorted(unknown)}")
+        for name, v in self.freeze.items():
+            i = fam.param_names.index(name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                    or not math.isfinite(v):
+                raise ValidationError(
+                    f"frozen parameter {name!r} must be a finite number, got {v!r}")
+            if not fam.lower[i] - _BOX_TOL <= v <= fam.upper[i] + _BOX_TOL:
+                raise ValidationError(
+                    f"frozen parameter {name!r} = {v!r} is outside the box "
+                    f"[{fam.lower[i]}, {fam.upper[i]}] of family {fam.name!r}")
         if len(self.freeze) == len(self.family.param_names):
             raise ValidationError("at least one parameter must remain free")
 

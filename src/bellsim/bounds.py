@@ -1,8 +1,8 @@
 """Exact CHSH-type quantities for discrete SLHV models.
 
 Everything here is a finite weighted sum over the hidden-variable
-points; no sampling.  A quad evaluates each (party, angle) response
-table once and forms the four setting pairs' 3x3 joint-outcome tables
+points; no sampling.  A quad evaluates each party's two response
+tables in one call and forms the four setting pairs' 3x3 joint-outcome tables
 ``t1^T . diag(w) . t2`` in one stacked product.  Every per-pair value
 is then a (4,) vector in PAIR_LABELS order: ``signed_sum`` gives E,
 ``coincidence_sum`` the coincidence probability (the estimator applies
@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -223,27 +224,35 @@ def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 
 
 class _QuadTables:
-    """A model at a quad, the response table of each (party, angle) evaluated once.
+    """A model at a quad: one response call per party, over its two angles.
 
-    ``t`` holds them as (party, angle, n, 3), and ``t1``, ``t2`` are its
-    two (2, n, 3) halves.  Per-pair values are (4,) arrays in PAIR_LABELS
-    order, the (a, a') x (b, b') grid flattened: ``e`` and ``coin`` of the
-    four ``joints``, and ``e_eff(mode)``.
+    ``t`` holds the tables as (party, angle, n, 3), and ``t1``, ``t2`` are
+    its two (2, n, 3) halves.  Per-pair values are (4,) arrays in
+    PAIR_LABELS order, the (a, a') x (b, b') grid flattened: ``e`` and
+    ``coin`` of the four ``joints``, formed on first use, and
+    ``e_eff(mode)``.
     """
 
     def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
         self.w = model.space.weights
         self.angles = (quad.party1_angles(), quad.party2_angles())
-        keys = [(party, x) for party, angles in enumerate(self.angles, start=1)
-                for x in angles]
-        tables = {key: model.triples(*key, validate=validate) for key in dict.fromkeys(keys)}
-        self.t = np.array([tables[key] for key in keys]).reshape(2, 2, -1, 3)
+        self.t = np.stack([model.tables(party, angles, validate)
+                           for party, angles in enumerate(self.angles, start=1)])
         self.t1, self.t2 = self.t
-        # The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3).
-        self.joints = ((self.t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
-                       @ self.t2[None]).reshape(4, 3, 3)
-        self.e = signed_sum(self.joints)
-        self.coin = coincidence_sum(self.joints)
+
+    @cached_property
+    def joints(self) -> np.ndarray:
+        """The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3)."""
+        return ((self.t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
+                @ self.t2[None]).reshape(4, 3, 3)
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return signed_sum(self.joints)
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        return coincidence_sum(self.joints)
 
     def p0(self, party: int, angle: float) -> np.ndarray:
         return self.t[party - 1, self.angles[party - 1].index(angle), :, 2]

@@ -7,6 +7,12 @@ point to a probability triple over the three single-photon outcomes
 
     +1 (transmitted channel), -1 (reflected channel), 0 (not detected).
 
+Response functions are evaluated by broadcast: ``fn(angles, values)``
+takes a (k,) array of canonical angles and the (n,) hidden-point values
+and returns a (k, n, 3) table, one (n, 3) block of triples per angle.
+``SLHVModel.tables`` is that call; ``SLHVModel.triples`` is its one-angle
+(n, 3) wrapper and the per-point reference surface.
+
 Locality is structural: there is no joint response function anywhere in
 the type, so joint outcome probabilities can only ever be formed as
 products of the two single-party triples.
@@ -120,31 +126,43 @@ class ProbTriple(NamedTuple):
         return self.p_plus + self.p_minus
 
 
-def _check_triples(table: np.ndarray, party: int, angle: float) -> np.ndarray:
-    """Validate an (n, 3) probability table; returns it as float64."""
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise ValidationError(
-            f"response table for party {party} at angle {angle:.6g} must have "
-            f"shape (n, 3), got {t.shape}")
-    if not np.all(np.isfinite(t)):
-        bad = int(np.argwhere(~np.isfinite(t).all(axis=1))[0, 0])
-        raise ValidationError(
-            f"non-finite probabilities (party {party}, angle {angle:.6g}, "
-            f"lambda index {bad})")
+def _check_tables(t: np.ndarray, party: int, angles: Sequence[float]) -> np.ndarray:
+    """Validate the (k, n, 3) probability tables of one party at ``angles``."""
+
+    def where(j, i) -> str:
+        return f"party {party}, angle {canonical_angle(angles[j]):.6g}, lambda index {i}"
+
+    finite = np.isfinite(t)
+    if not np.all(finite):
+        j, i = np.argwhere(~finite.all(axis=2))[0]
+        raise ValidationError(f"non-finite probabilities ({where(j, i)})")
     lo, hi = -NORMALIZATION_TOL, 1.0 + NORMALIZATION_TOL
-    if np.any(t < lo) or np.any(t > hi):
-        bad = int(np.argwhere((t < lo) | (t > hi))[0, 0])
+    outside = (t < lo) | (t > hi)
+    if np.any(outside):
+        j, i = np.argwhere(outside.any(axis=2))[0]
+        raise ValidationError(f"probability outside [0, 1] ({where(j, i)})")
+    sums = t.sum(axis=2)
+    dev = np.abs(sums - 1.0)
+    if np.any(dev > NORMALIZATION_TOL):
+        j, i = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
-            f"probability outside [0, 1] (party {party}, angle {angle:.6g}, "
-            f"lambda index {bad})")
-    sums = t.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValidationError(
-            f"outcome probabilities do not sum to 1 (party {party}, angle "
-            f"{angle:.6g}, lambda index {bad}, sum {sums[bad]!r})")
+            f"outcome probabilities do not sum to 1 ({where(j, i)}, "
+            f"sum {sums[j, i]!r})")
     return t
+
+
+def _distinct_angles(keys: Sequence, angles: Sequence[float], what: str) -> None:
+    """Reject two ``keys`` whose canonical ``angles`` name one polarizer:
+    within _TABLE_ANGLE_TOL of each other in the wraparound metric."""
+    a = np.asarray(angles, dtype=float)
+    raw = np.abs(a[:, None] - a[None, :])
+    close = np.minimum(raw, math.pi - raw) <= _TABLE_ANGLE_TOL
+    np.fill_diagonal(close, False)
+    if np.any(close):
+        i, j = np.argwhere(close)[0]
+        raise ValidationError(
+            f"{what} gives the same polarizer angle twice: keys {keys[i]!r} "
+            f"and {keys[j]!r}")
 
 
 @dataclass(frozen=True)
@@ -193,23 +211,28 @@ def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
 
 
 class ResponseFunction:
-    """Per-party outcome law: (angle, hidden point) -> probability triple.
+    """Per-party outcome law: (angles, hidden points) -> probability triples.
+
+    Every route evaluates ``fn(angles, values) -> (k, n, 3)``: ``angles``
+    is a (k,) float array of canonical angles, ``values`` the (n,) labels
+    of the hidden points, and row ``[j, i]`` of the result is the triple
+    (p_plus, p_minus, p_zero) at ``angles[j]`` and hidden point i.
 
     Three construction routes:
 
-    * :meth:`from_function` wraps ``fn(angle, values) -> (n, 3)`` evaluated
-      over the whole hidden-variable space at once.
-    * :meth:`from_table` holds explicit triples for a fixed set of angles
-      and rejects any other angle.
+    * :meth:`from_function` wraps such an ``fn`` directly.
+    * :meth:`from_table` holds explicit (n, 3) triples for a fixed set of
+      angles and rejects any other angle.
     * :meth:`from_split` composes an ideal two-outcome law with per-channel
       detection efficiencies: ``p_r = p_ideal_r * eff_r`` for r in {+1, -1}
       and ``p_zero`` is the remainder.
     """
 
     def __init__(self, party: int,
-                 triples_fn: Callable[[float, np.ndarray], np.ndarray],
-                 ideal_fn: Callable[[float, np.ndarray], np.ndarray] | None = None,
-                 efficiency_fn: Callable[[float, np.ndarray, int], np.ndarray] | None = None):
+                 triples_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 ideal_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+                 efficiency_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+                 | None = None):
         if party not in (1, 2):
             raise ValidationError(f"party must be 1 or 2, got {party!r}")
         self.party = party
@@ -219,61 +242,75 @@ class ResponseFunction:
 
     @classmethod
     def from_function(cls, party: int,
-                      fn: Callable[[float, np.ndarray], np.ndarray]) -> "ResponseFunction":
+                      fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                      ) -> "ResponseFunction":
         return cls(party, fn)
 
     @classmethod
     def from_table(cls, party: int, tables: dict[float, np.ndarray]) -> "ResponseFunction":
-        angles = np.array(sorted(canonical_angle(a) for a in tables))
-        stacked = np.stack([np.asarray(tables[a], dtype=float)
-                            for a in sorted(tables, key=canonical_angle)])
+        """Triples tabulated per angle; two keys naming one polarizer are rejected."""
+        keys = sorted(tables, key=canonical_angle)
+        angles = np.array([canonical_angle(a) for a in keys])
+        _distinct_angles(keys, angles, f"tabulated response for party {party}")
+        stacked = np.stack([np.asarray(tables[a], dtype=float) for a in keys])
 
-        def lookup(angle: float, values: np.ndarray) -> np.ndarray:
-            a = canonical_angle(angle)
+        def lookup(query: np.ndarray, values: np.ndarray) -> np.ndarray:
             # Wraparound metric: pi - eps and 0 are the same polarizer.
-            raw = np.abs(angles - a)
+            raw = np.abs(angles[None, :] - query[:, None])
             dist = np.minimum(raw, math.pi - raw)
-            i = int(np.argmin(dist))
-            if dist[i] > _TABLE_ANGLE_TOL:
+            nearest = np.argmin(dist, axis=1)
+            far = dist[np.arange(query.size), nearest] > _TABLE_ANGLE_TOL
+            if np.any(far):
+                j = int(np.argmax(far))
                 raise ValidationError(
                     f"tabulated response for party {party} has no entry for "
-                    f"angle {a:.9g} rad (nearest {angles[i]:.9g})")
-            return stacked[i]
+                    f"angle {query[j]:.9g} rad (nearest {angles[nearest[j]]:.9g})")
+            return stacked[nearest]
 
         return cls(party, lookup)
 
     @classmethod
     def from_split(cls, party: int,
-                   ideal_fn: Callable[[float, np.ndarray], np.ndarray],
-                   efficiency_fn: Callable[[float, np.ndarray, int], np.ndarray]
+                   ideal_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   efficiency_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
                    ) -> "ResponseFunction":
         """Compose ideal responses with (possibly channel-dependent) efficiencies.
 
-        ``ideal_fn(angle, values)`` returns an (n, 2) table over the two
-        detected channels, each row summing to 1.  ``efficiency_fn(angle,
-        values, r)`` returns per-point detection efficiencies in [0, 1]
-        for channel r (+1 or -1).
+        ``ideal_fn(angles, values)`` returns a (k, n, 2) table over the two
+        detected channels, each row summing to 1.  ``efficiency_fn(angles,
+        values, r)`` returns (k, n) per-point detection efficiencies in
+        [0, 1] for channel r (+1 or -1).
         """
 
-        def composed(angle: float, values: np.ndarray) -> np.ndarray:
-            ideal = np.asarray(ideal_fn(angle, values), dtype=float)
-            if ideal.ndim != 2 or ideal.shape[1] != 2:
+        def composed(angles: np.ndarray, values: np.ndarray) -> np.ndarray:
+            ideal = np.asarray(ideal_fn(angles, values), dtype=float)
+            if ideal.shape != (angles.size, values.size, 2):
                 raise ValidationError(
-                    f"ideal response for party {party} must have shape (n, 2)")
-            if np.any(np.abs(ideal.sum(axis=1) - 1.0) > NORMALIZATION_TOL):
+                    f"ideal response for party {party} must have shape "
+                    f"(k, n, 2) = {(angles.size, values.size, 2)}, got {ideal.shape}")
+            dev = np.abs(ideal.sum(axis=2) - 1.0) > NORMALIZATION_TOL
+            if np.any(dev):
+                j = int(np.argwhere(dev)[0, 0])
                 raise ValidationError(
                     f"ideal response rows must sum to 1 (party {party}, "
-                    f"angle {angle:.6g})")
-            eff_plus = np.asarray(efficiency_fn(angle, values, +1), dtype=float)
-            eff_minus = np.asarray(efficiency_fn(angle, values, -1), dtype=float)
-            p_plus = ideal[:, 0] * eff_plus
-            p_minus = ideal[:, 1] * eff_minus
-            return np.column_stack([p_plus, p_minus, 1.0 - p_plus - p_minus])
+                    f"angle {angles[j]:.6g})")
+            eff_plus = np.asarray(efficiency_fn(angles, values, +1), dtype=float)
+            eff_minus = np.asarray(efficiency_fn(angles, values, -1), dtype=float)
+            p_plus = ideal[..., 0] * eff_plus
+            p_minus = ideal[..., 1] * eff_minus
+            return np.stack([p_plus, p_minus, 1.0 - p_plus - p_minus], axis=-1)
 
         return cls(party, composed, ideal_fn=ideal_fn, efficiency_fn=efficiency_fn)
 
-    def triples(self, angle: float, values: np.ndarray) -> np.ndarray:
-        return self._triples_fn(canonical_angle(angle), values)
+    def tables(self, angles: Sequence[float], values: np.ndarray) -> np.ndarray:
+        """The (k, n, 3) tables at ``angles``, each reduced to [0, pi) first."""
+        a = np.array([canonical_angle(x) for x in angles], dtype=float)
+        t = np.asarray(self._triples_fn(a, values), dtype=float)
+        if t.shape != (a.size, values.size, 3):
+            raise ValidationError(
+                f"response for party {self.party} must have shape (k, n, 3) = "
+                f"{(a.size, values.size, 3)}, got {t.shape}")
+        return t
 
 
 @dataclass(frozen=True)
@@ -300,16 +337,18 @@ class SLHVModel:
             return self.response2
         raise ValidationError(f"party must be 1 or 2, got {party!r}")
 
-    # -- vectorized surface (one angle, all hidden points at once) --------
+    # -- vectorized surface (all hidden points at once) --------------------
+
+    def tables(self, party: int, angles: Sequence[float],
+               validate: bool = True) -> np.ndarray:
+        """Outcome probability tables at k angles in one response call,
+        shape (k, n, 3), columns (+1, -1, 0)."""
+        t = self._response(party).tables(angles, self.space.values)
+        return _check_tables(t, party, angles) if validate else t
 
     def triples(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
-        """Outcome probability table, shape (n, 3), columns (+1, -1, 0)."""
-        t = self._response(party).triples(angle, self.space.values)
-        if validate:
-            t = _check_triples(t, party, canonical_angle(angle))
-        else:
-            t = np.asarray(t, dtype=float)
-        return t
+        """Outcome probability table at one angle, shape (n, 3)."""
+        return self.tables(party, (angle,), validate)[0]
 
     def detection_probs(self, party: int, angle: float) -> np.ndarray:
         """alpha (or beta) per hidden point: probability of any detection."""

@@ -16,7 +16,8 @@ Two forms:
 
   Angle keys are degrees (converted to radians and reduced mod 180 on
   load); each angle maps to one (p_plus, p_minus, p_nondetect) triple
-  per hidden point.
+  per hidden point.  Two keys that name one polarizer (``"0"`` and
+  ``"180"``) are rejected.
 
 * parametric family::
 
@@ -43,6 +44,7 @@ from .model import (
     ResponseFunction,
     SLHVModel,
     ValidationError,
+    _distinct_angles,
     canonical_angle,
 )
 
@@ -92,18 +94,20 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
         if not isinstance(responses[key], dict):
             raise ValidationError(
                 f"responses of party {key!r} must be an object keyed by angle")
-        tables = {}
+        angles, tables = [], []
         for angle_deg, rows in responses[key].items():
             try:
-                ang = canonical_angle(math.radians(float(angle_deg)))
+                angles.append(canonical_angle(math.radians(float(angle_deg))))
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"bad angle key {angle_deg!r} (expected degrees)") from None
-            tables[ang] = _table(rows, space.size,
-                                 f"party {party} table at {angle_deg} deg")
+            tables.append(_table(rows, space.size,
+                                 f"party {party} table at {angle_deg} deg"))
         if not tables:
             raise ValidationError(f"party {key!r} has no tabulated angles")
-        parts[party] = ResponseFunction.from_table(party, tables)
+        # Checked on the degree keys, which a dict keyed by radians would merge.
+        _distinct_angles(list(responses[key]), angles, f"responses of party {key!r}")
+        parts[party] = ResponseFunction.from_table(party, dict(zip(angles, tables)))
     model = SLHVModel(space, parts[1], parts[2])
     model.meta["source"] = "tabulated"
     return model

@@ -66,8 +66,9 @@ def _pair_ideal_params(rng: np.random.Generator, n: int):
     return (m1, psi1), _ideal_params(rng, n)
 
 
-def _ideal_share(m, psi, angle):
-    return 0.5 * (1.0 + m * np.cos(2.0 * (angle - psi)))
+def _ideal_share(m, psi, angles):
+    """(k, n) ideal +1 shares at the (k,) ``angles``."""
+    return 0.5 * (1.0 + m * np.cos(2.0 * (angles[:, None] - psi)))
 
 
 def random_angle_independent_model(rng: np.random.Generator,
@@ -80,11 +81,11 @@ def random_angle_independent_model(rng: np.random.Generator,
         m, psi = ideal
         eta = rng.uniform(0.0, 1.0, size=n_lambda)
 
-        def fn(angle, lam):
-            share = _ideal_share(m, psi, angle)
+        def fn(angles, lam):
+            share = _ideal_share(m, psi, angles)
             plus = eta * share
             minus = eta * (1.0 - share)
-            return np.column_stack([plus, minus, 1.0 - plus - minus])
+            return np.stack([plus, minus, 1.0 - plus - minus], axis=-1)
 
         return ResponseFunction.from_function(party, fn)
 
@@ -103,12 +104,14 @@ def random_lambda_independent_model(rng: np.random.Generator,
         e1 = rng.uniform(0.0, min(e0, 1.0 - e0))
         chi = rng.random() * math.pi
 
-        def fn(angle, lam):
-            eta = e0 + e1 * math.cos(2.0 * (angle - chi))
-            share = _ideal_share(m, psi, angle)
+        def fn(angles, lam):
+            # One math.cos per angle: np.cos need not round like it.
+            eta = np.array([e0 + e1 * math.cos(2.0 * (a - chi))
+                            for a in angles.tolist()])[:, None]
+            share = _ideal_share(m, psi, angles)
             plus = eta * share
             minus = eta * (1.0 - share)
-            return np.column_stack([plus, minus, 1.0 - plus - minus])
+            return np.stack([plus, minus, 1.0 - plus - minus], axis=-1)
 
         return ResponseFunction.from_function(party, fn)
 
@@ -132,13 +135,14 @@ def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32) -> 
         me_plus, pe_plus = eff_params()
         me_minus, pe_minus = eff_params()
 
-        def ideal(angle, lam):
-            share = _ideal_share(m, psi, angle)
-            return np.column_stack([share, 1.0 - share])
+        def ideal(angles, lam):
+            share = _ideal_share(m, psi, angles)
+            return np.stack([share, 1.0 - share], axis=-1)
 
-        def efficiency(angle, lam, r):
+        def efficiency(angles, lam, r):
             me, pe = (me_plus, pe_plus) if r == 1 else (me_minus, pe_minus)
-            return lo + (1.0 - lo) * 0.5 * (1.0 + me * np.cos(2.0 * (angle - pe)))
+            c = np.cos(2.0 * (angles[:, None] - pe))
+            return lo + (1.0 - lo) * 0.5 * (1.0 + me * c)
 
         return ResponseFunction.from_split(party, ideal, efficiency)
 

@@ -44,9 +44,10 @@ def _two_point_builder(params, n_lambda):
     varies across lambda."""
     eta = np.array([1.0, params[0]])
 
-    def fn(angle, lam):
-        c = np.cos(2.0 * (angle - lam))
-        return np.column_stack([eta * (c >= 0.0), eta * (c < 0.0), 1.0 - eta])
+    def fn(angles, lam):
+        c = np.cos(2.0 * (angles[:, None] - lam))
+        detect = np.broadcast_to(eta, c.shape)
+        return np.stack([detect * (c >= 0.0), detect * (c < 0.0), 1.0 - detect], axis=-1)
 
     model = SLHVModel(HiddenVariableSpace([0.5, 0.5], [0.0, math.pi / 2]),
                       ResponseFunction.from_function(1, fn),
@@ -142,17 +143,19 @@ class TestObjective:
             assert objective(TWO_POINT, [0.05], QUAD, mode=m) <= 2.0 + 1e-9
 
     def test_one_table_evaluation_per_point(self, monkeypatch):
+        # One response call per party, the two together covering the quad's
+        # four angles: each (party, angle) table is evaluated exactly once.
         calls = []
-        triples = SLHVModel.triples
+        tables = ResponseFunction.tables
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return triples(self, *args, **kwargs)
+        def counted(self, angles, values):
+            calls.append((self.party, tuple(angles)))
+            return tables(self, angles, values)
 
-        monkeypatch.setattr(SLHVModel, "triples", counted)
+        monkeypatch.setattr(ResponseFunction, "tables", counted)
         fam = get_family("threshold-detection")
         assert objective(fam, [0.8, 0.8], QUAD) > 2.0
-        assert len(calls) == 4
+        assert sorted(calls) == [(1, QUAD.party1_angles()), (2, QUAD.party2_angles())]
 
     def test_reproducible_from_parameters(self):
         fam = get_family("threshold-detection")
@@ -274,6 +277,19 @@ class TestSearch:
         with pytest.raises(ValidationError):
             SearchConfig(family=get_family("modulated-p0"), quad=QUAD,
                          restarts=1, max_evals=10, freeze={"bogus": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 7.0, -0.6, "0.1", True])
+    def test_freeze_value_checked_at_config(self, value):
+        # Rejected before any restart runs, and the error names the parameter.
+        with pytest.raises(ValidationError, match="frozen parameter 'c1'"):
+            SearchConfig(family=get_family("modulated-p0"), quad=QUAD,
+                         restarts=1, max_evals=10, freeze={"c1": value})
+
+    def test_freeze_box_edges_accepted(self):
+        fam = get_family("modulated-p0")
+        for c1 in (fam.lower[1], fam.upper[1], 0):
+            SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
+                         freeze={"c1": c1})
 
     def test_freezing_every_parameter_rejected(self):
         with pytest.raises(ValidationError, match="remain free"):

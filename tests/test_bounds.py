@@ -14,6 +14,7 @@ from bellsim.bounds import (
     SettingsQuad,
     _joint,
     _QuadTables,
+    _u_eff,
     chsh_combination,
     chsh_value,
     coincidence_probability,
@@ -53,8 +54,8 @@ def tabulated_model(weights, triples1, triples2):
     t2 = np.asarray(triples2, dtype=float)
     return SLHVModel(
         space,
-        ResponseFunction.from_function(1, lambda a, lam: t1),
-        ResponseFunction.from_function(2, lambda a, lam: t2),
+        ResponseFunction.from_function(1, lambda a, lam: np.tile(t1, (a.size, 1, 1))),
+        ResponseFunction.from_function(2, lambda a, lam: np.tile(t2, (a.size, 1, 1))),
     )
 
 
@@ -63,10 +64,10 @@ def sign_model(theta1=0.0, theta2=0.0, n=720):
     space = uniform_lambda_grid(n)
 
     def resp(party, theta):
-        def fn(angle, lam):
-            c = np.cos(2.0 * (angle - lam))
+        def fn(angles, lam):
+            c = np.cos(2.0 * (angles[:, None] - lam))
             det = (np.abs(c) >= theta).astype(float)
-            return np.column_stack([det * (c >= 0), det * (c < 0), 1.0 - det])
+            return np.stack([det * (c >= 0), det * (c < 0), 1.0 - det], axis=-1)
         return ResponseFunction.from_function(party, fn)
 
     return SLHVModel(space, resp(1, theta1), resp(2, theta2))
@@ -164,6 +165,16 @@ class TestCorrelation:
 
 
 class TestQuadTables:
+    def test_joints_formed_on_first_use(self):
+        # Solution3 reads only the response tables; the joint tables, E and
+        # the coincidence probabilities are formed when a mode needs them.
+        m = random_nondegenerate_model(np.random.default_rng(101), 16)
+        q = _QuadTables(m, optimal_quad())
+        _u_eff(q, MODE3)
+        assert not {"joints", "e", "coin"} & set(vars(q))
+        _u_eff(q, MODE1)
+        assert {"joints", "e", "coin"} <= set(vars(q))
+
     def test_stacked_joints_match_per_pair_products_bitwise(self):
         # _QuadTables forms all four joint tables in one stacked matmul;
         # _joint is the per-pair reference, and they must agree to the bit.
@@ -299,9 +310,9 @@ class TestEffectiveCorrelation:
         m_arr = rng.uniform(-1, 1, 8)
         psi = rng.random(8) * math.pi
 
-        def fn(angle, lam):
-            share = 0.5 * (1 + m_arr * np.cos(2 * (angle - psi)))
-            return np.column_stack([share, 1 - share, np.zeros(8)])
+        def fn(angles, lam):
+            share = 0.5 * (1 + m_arr * np.cos(2 * (angles[:, None] - psi)))
+            return np.stack([share, 1 - share, np.zeros_like(share)], axis=-1)
 
         m = SLHVModel(space, ResponseFunction.from_function(1, fn),
                       ResponseFunction.from_function(2, fn))
@@ -370,10 +381,10 @@ class TestEffectiveChsh:
         psi = rng.random(16) * math.pi
 
         def make(party, eta):
-            def fn(angle, lam):
-                share = 0.5 * (1 + m_arr * np.cos(2 * (angle - psi)))
-                return np.column_stack([eta * share, eta * (1 - share),
-                                        np.full(16, 1 - eta)])
+            def fn(angles, lam):
+                share = 0.5 * (1 + m_arr * np.cos(2 * (angles[:, None] - psi)))
+                return np.stack([eta * share, eta * (1 - share),
+                                 np.full_like(share, 1 - eta)], axis=-1)
             return ResponseFunction.from_function(party, fn)
 
         m = SLHVModel(space, make(1, 0.8), make(2, 0.6))

@@ -300,6 +300,11 @@ BAD_ARGV = {
         "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
             lambda_weights=v))])
        for v in ("ab", 5)},
+    # 180 degrees is the polarizer at 0: the second table would replace the first.
+    "tabulated-file-duplicate-angle": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            responses={"1": {"0": [[1, 0, 0]], "45": [[1, 0, 0]], "180.0": [[0, 1, 0]]},
+                       "2": {"22.5": [[1, 0, 0]], "67.5": [[1, 0, 0]]}}))],
     "tabulated-file-party-list": lambda tmp: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
             responses={"1": [[1, 0, 0]], "2": {"0": [[1, 0, 0]]}}))],
@@ -449,6 +454,20 @@ class TestModelIo:
         # the wraparound metric than to the 90-degree entry.
         assert m.response(1, math.pi - 1e-12, 0).p_plus == 1.0
         assert m.response(1, math.pi + 1e-12, 0).p_plus == 1.0
+
+    @pytest.mark.parametrize("second", ["180.0", "-180", "1e-8"])
+    def test_tabulated_angle_given_twice_rejected(self, second):
+        # Each key names the polarizer at 0 degrees; the message names both.
+        doc = {
+            "type": "tabulated",
+            "lambda_weights": [1.0],
+            "responses": {
+                "1": {"0": [[1.0, 0.0, 0.0]], second: [[0.0, 1.0, 0.0]]},
+                "2": {"0": [[1.0, 0.0, 0.0]]},
+            },
+        }
+        with pytest.raises(ValidationError, match=f"'0' and '{second}'"):
+            model_from_dict(doc)
 
     def test_wrong_table_shape_named(self):
         doc = {

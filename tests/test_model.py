@@ -34,8 +34,8 @@ def constant_model(triple1, triple2, n=4, weights=None):
     def resp(party, triple):
         t = np.asarray(triple, dtype=float)
 
-        def fn(angle, lam):
-            return np.tile(t, (lam.size, 1))
+        def fn(angles, lam):
+            return np.tile(t, (angles.size, lam.size, 1))
 
         return ResponseFunction.from_function(party, fn)
 
@@ -87,11 +87,11 @@ class TestResponse:
         # Deterministic +1 response with 60% efficiency in each channel.
         space = HiddenVariableSpace([1.0])
 
-        def ideal(angle, lam):
-            return np.tile([1.0, 0.0], (lam.size, 1))
+        def ideal(angles, lam):
+            return np.tile([1.0, 0.0], (angles.size, lam.size, 1))
 
-        def eff(angle, lam, r):
-            return np.full(lam.size, 0.6)
+        def eff(angles, lam, r):
+            return np.full((angles.size, lam.size), 0.6)
 
         r1 = ResponseFunction.from_split(1, ideal, eff)
         r2 = ResponseFunction.from_split(2, ideal, eff)
@@ -108,9 +108,9 @@ class TestResponse:
             angle = rng.random() * math.pi
             for party, resp in ((1, m.response1), (2, m.response2)):
                 t = m.triples(party, angle)
-                ideal = resp.ideal_fn(angle, m.space.values)
-                ep = resp.efficiency_fn(angle, m.space.values, +1)
-                em = resp.efficiency_fn(angle, m.space.values, -1)
+                ideal = resp.ideal_fn(np.array([angle]), m.space.values)[0]
+                ep = resp.efficiency_fn(np.array([angle]), m.space.values, +1)[0]
+                em = resp.efficiency_fn(np.array([angle]), m.space.values, -1)[0]
                 np.testing.assert_allclose(t[:, 0], ideal[:, 0] * ep, atol=1e-12)
                 np.testing.assert_allclose(t[:, 1], ideal[:, 1] * em, atol=1e-12)
 
@@ -122,8 +122,8 @@ class TestResponse:
     def test_unnormalized_response_raises_with_location(self):
         space = HiddenVariableSpace([1.0])
 
-        def bad(angle, lam):
-            return np.array([[0.5, 0.5, 0.5]])
+        def bad(angles, lam):
+            return np.array([[[0.5, 0.5, 0.5]]])
 
         m = SLHVModel(space, ResponseFunction.from_function(1, bad),
                       ResponseFunction.from_function(2, bad))
@@ -242,10 +242,10 @@ class TestValidators:
     def test_angle_modulated_nondetection_fails(self):
         space = uniform_lambda_grid(36)
 
-        def fn(angle, lam):
-            p0 = 0.1 + 0.05 * np.cos(2.0 * (angle - lam))
-            share = np.full(lam.size, 0.5)
-            return np.column_stack([(1 - p0) * share, (1 - p0) * (1 - share), p0])
+        def fn(angles, lam):
+            p0 = 0.1 + 0.05 * np.cos(2.0 * (angles[:, None] - lam))
+            share = np.full_like(p0, 0.5)
+            return np.stack([(1 - p0) * share, (1 - p0) * (1 - share), p0], axis=-1)
 
         m = SLHVModel(space, ResponseFunction.from_function(1, fn),
                       ResponseFunction.from_function(2, fn))
@@ -272,9 +272,9 @@ class TestValidators:
     def test_lambda_dependent_nondetection_fails(self):
         space = HiddenVariableSpace([0.5, 0.5])
 
-        def fn(angle, lam):
-            p0 = np.array([0.2, 0.3])
-            return np.column_stack([(1 - p0) / 2, (1 - p0) / 2, p0])
+        def fn(angles, lam):
+            p0 = np.tile([0.2, 0.3], (angles.size, 1))
+            return np.stack([(1 - p0) / 2, (1 - p0) / 2, p0], axis=-1)
 
         m = SLHVModel(space, ResponseFunction.from_function(1, fn),
                       ResponseFunction.from_function(2, fn))
@@ -295,6 +295,132 @@ class TestValidators:
             validate_solution1(m, [], [0.0])
 
 
+def _one_angle_threshold(theta, angle, lam):
+    """The threshold-detection response at one angle, in its one-angle form."""
+    c = np.cos(2.0 * (angle - lam))
+    detect = (np.abs(c) >= theta).astype(float)
+    plus = detect * (c >= 0.0)
+    minus = detect * (c < 0.0)
+    return np.column_stack([plus, minus, 1.0 - detect])
+
+
+def _one_angle_modulated(c0, c1, sharpness, angle, lam):
+    """The modulated-p0 response at one angle, in its one-angle form."""
+    p0 = np.clip(c0 + c1 * np.cos(2.0 * (angle - lam)), 0.0, 1.0)
+    w_plus = np.cos(angle - lam) ** 2
+    w_minus = np.sin(angle - lam) ** 2
+    if sharpness != 1.0:
+        w_plus = w_plus ** sharpness
+        w_minus = w_minus ** sharpness
+    share = w_plus / (w_plus + w_minus)
+    detect = 1.0 - p0
+    plus = detect * share
+    minus = detect * (1.0 - share)
+    return np.column_stack([plus, minus, p0])
+
+
+class TestBroadcastProtocol:
+    """One k-angle response call equals the stack of k one-angle calls, bit
+    for bit, on every construction route."""
+
+    SIZES = (1, 90, 97, 720)
+
+    @staticmethod
+    def angles(rng):
+        # A repeat, a turn past pi and a negative angle, which the response
+        # sees reduced to [0, pi).
+        a = (rng.random(5) * math.pi).tolist()
+        return a + [a[1], a[2] + math.pi, -a[3]]
+
+    @staticmethod
+    def assert_stacked(m, angles, reference=None):
+        for party in (1, 2):
+            got = m.tables(party, angles)
+            assert got.shape == (len(angles), m.space.size, 3)
+            assert np.array_equal(got, np.stack([m.triples(party, a) for a in angles]))
+            if reference is not None:
+                want = np.stack([reference(party, canonical_angle(a), m.space.values)
+                                 for a in angles])
+                assert np.array_equal(got, want)
+
+    def test_families_match_one_angle_formulas(self):
+        from bellsim.adversary import get_family
+
+        rng = np.random.default_rng(53)
+        threshold, modulated = get_family("threshold-detection"), get_family("modulated-p0")
+        for n in self.SIZES:
+            for _ in range(4):
+                th = rng.random(2) * 0.999
+                self.assert_stacked(
+                    threshold.instantiate(th, n), self.angles(rng),
+                    lambda party, a, lam: _one_angle_threshold(th[party - 1], a, lam))
+                for c0, c1, sharpness in ((rng.random() * 0.9, rng.uniform(-0.5, 0.5),
+                                           rng.uniform(0.25, 4.0)),
+                                          (rng.random() * 0.9, 0.0, 1.0)):
+                    self.assert_stacked(
+                        modulated.instantiate([c0, c1, sharpness], n), self.angles(rng),
+                        lambda party, a, lam: _one_angle_modulated(c0, c1, sharpness,
+                                                                   a, lam))
+
+    def test_generators(self):
+        # random_nondegenerate_model is the from_split route.
+        rng = np.random.default_rng(59)
+        for n in self.SIZES:
+            for gen in (random_angle_independent_model, random_lambda_independent_model,
+                        random_nondegenerate_model):
+                for _ in range(3):
+                    self.assert_stacked(gen(rng, n), self.angles(rng))
+
+    def test_from_split(self):
+        rng = np.random.default_rng(61)
+        for n in self.SIZES:
+            me, pe = rng.uniform(-1, 1, n), rng.random(n) * math.pi
+
+            def ideal(angles, lam):
+                share = np.cos(angles[:, None] - lam) ** 2
+                return np.stack([share, 1.0 - share], axis=-1)
+
+            def efficiency(angles, lam, r):
+                return 0.5 + 0.25 * r * me * np.sin(2.0 * (angles[:, None] - pe))
+
+            m = SLHVModel(uniform_lambda_grid(n),
+                          ResponseFunction.from_split(1, ideal, efficiency),
+                          ResponseFunction.from_split(2, ideal, efficiency))
+            self.assert_stacked(m, self.angles(rng))
+
+    def test_from_table(self):
+        rng = np.random.default_rng(67)
+        for n in self.SIZES:
+            keys = (rng.random(4) * math.pi).tolist()
+
+            def tables():
+                p = rng.random((n, 3))
+                return {a: p / p.sum(axis=1, keepdims=True) for a in keys}
+
+            m = SLHVModel(HiddenVariableSpace(np.full(n, 1.0 / n)),
+                          ResponseFunction.from_table(1, tables()),
+                          ResponseFunction.from_table(2, tables()))
+            query = keys[::-1] + [keys[0], keys[1] + math.pi, keys[2] - math.pi]
+            self.assert_stacked(m, query)
+            with pytest.raises(ValidationError, match="no entry"):
+                m.tables(1, [keys[0], keys[0] + 1e-3])
+
+    def test_one_angle_table_rejected(self):
+        t = np.array([[0.5, 0.5, 0.0]])
+        m = SLHVModel(HiddenVariableSpace([1.0]),
+                      ResponseFunction.from_function(1, lambda angles, lam: t),
+                      ResponseFunction.from_function(2, lambda angles, lam: t))
+        with pytest.raises(ValidationError, match=r"shape \(k, n, 3\)"):
+            m.tables(1, [0.0, 1.0], validate=False)
+
+    def test_from_table_rejects_one_polarizer_twice(self):
+        t = np.array([[1.0, 0.0, 0.0]])
+        for twin in (math.pi - 1e-12, 1e-10, -1e-10):
+            with pytest.raises(ValidationError, match="same polarizer angle twice"):
+                ResponseFunction.from_table(1, {0.0: t, twin: t})
+        ResponseFunction.from_table(1, {0.0: t, 1e-8: t})
+
+
 @settings(max_examples=200)
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_arbitrary_valid_triple_roundtrip(p1, p2, p3):
@@ -302,8 +428,8 @@ def test_arbitrary_valid_triple_roundtrip(p1, p2, p3):
     if total == 0:
         return
     t = np.array([[p1 / total, p2 / total, p3 / total]])
-    m = SLHVModel(HiddenVariableSpace([1.0]),
-                  ResponseFunction.from_function(1, lambda a, lam: t),
-                  ResponseFunction.from_function(2, lambda a, lam: t))
+    fn = lambda angles, lam: np.tile(t, (angles.size, 1, 1))  # noqa: E731
+    m = SLHVModel(HiddenVariableSpace([1.0]), ResponseFunction.from_function(1, fn),
+                  ResponseFunction.from_function(2, fn))
     trip = m.response(1, 0.0, 0)
     assert trip.p_plus + trip.p_minus + trip.p_zero == pytest.approx(1.0, abs=1e-9)

@@ -35,12 +35,17 @@ from bellsim.sampler import (
 )
 
 
+def angle_blind(t):
+    """A response fn giving the (n, 3) table ``t`` at every angle."""
+    return lambda angles, lam: np.tile(t, (angles.size, 1, 1))
+
+
 def constant_model(triple1, triple2):
     t1 = np.asarray([triple1], dtype=float)
     t2 = np.asarray([triple2], dtype=float)
     return SLHVModel(HiddenVariableSpace([1.0]),
-                     ResponseFunction.from_function(1, lambda a, lam: t1),
-                     ResponseFunction.from_function(2, lambda a, lam: t2))
+                     ResponseFunction.from_function(1, angle_blind(t1)),
+                     ResponseFunction.from_function(2, angle_blind(t2)))
 
 
 class TestPlan:
@@ -361,8 +366,8 @@ class TestFrozenReference:
         models.append(constant_model((0.6, 0.0, 0.4), (0.25, 0.0, 0.75)))
         t_neg = np.array([[0.5, -5e-13, 0.5 + 5e-13], [0.3, 0.2, 0.5]])
         models.append(SLHVModel(HiddenVariableSpace([0.5, 0.5]),
-                                ResponseFunction.from_function(1, lambda a, lam: t_neg),
-                                ResponseFunction.from_function(2, lambda a, lam: t_neg)))
+                                ResponseFunction.from_function(1, angle_blind(t_neg)),
+                                ResponseFunction.from_function(2, angle_blind(t_neg))))
         cases = 0
         for m_index, model in enumerate(models):
             cdf = _lambda_cdf(model)
