@@ -30,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    canonical_angle,
     uniform_lambda_grid,
 )
 from .sampler import _pool_size
@@ -77,6 +78,15 @@ class ParametricFamily:
     the model it returns: True when clipping moved a response into [0, 1].
     ``search`` reports it at the optimum, and a model without the key
     counts as unclipped (False).
+
+    ``breakpoints(quad, n_lambda)``, if given, returns one entry per
+    parameter: the sorted values at which the tables instantiated at that
+    quad and ``n_lambda`` change, or None for a parameter they depend on
+    continuously.  A search keys each point on the count of breakpoints
+    strictly below each such parameter (and on the exact value of every
+    other one), and evaluates each key once per restart, so equal keys
+    must mean bit-identical tables.  Like ``builder``, it must be a
+    module-level callable, so that it pickles with the restarts.
     """
 
     name: str
@@ -85,6 +95,7 @@ class ParametricFamily:
     upper: tuple[float, ...]
     builder: Callable[[np.ndarray, int], SLHVModel]
     description: str = ""
+    breakpoints: Callable[[SettingsQuad, int], tuple[np.ndarray | None, ...]] | None = None
 
     def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
         p = np.asarray(params, dtype=float)
@@ -138,6 +149,23 @@ def _angle_terms(angles: tuple[float, ...], n_lambda: int) -> _AngleTerms:
     for t in terms:
         t.setflags(write=False)
     return terms
+
+
+@lru_cache(maxsize=64)
+def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> np.ndarray:
+    """The distinct values of |cos 2d| at ``angles`` over the grid, sorted."""
+    b = np.unique(_angle_terms(angles, n_lambda).abs_cos2d)
+    b.setflags(write=False)
+    return b
+
+
+def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[np.ndarray, ...]:
+    # A party's detection mask |cos 2d| >= theta changes only when theta
+    # crosses one of its values.  The angles are reduced as the response
+    # call reduces them, so the values are those the builder compares.
+    return tuple(
+        _abs_cos2d_breakpoints(tuple(canonical_angle(a) for a in angles), n_lambda)
+        for angles in (quad.party1_angles(), quad.party2_angles()))
 
 
 def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
@@ -197,6 +225,7 @@ FAMILIES: dict[str, ParametricFamily] = {
         builder=_threshold_builder,
         description="sign-of-cosine responder, detects only above a "
                     "per-party |cos| threshold",
+        breakpoints=_threshold_breakpoints,
     ),
     "modulated-p0": ParametricFamily(
         name="modulated-p0",
@@ -236,6 +265,9 @@ class SearchConfig:
             raise ValidationError("max_evals must be >= 10")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
+        if isinstance(self.n_lambda, bool) or not isinstance(self.n_lambda, numbers.Integral) \
+                or self.n_lambda < 1:
+            raise ValidationError(f"n_lambda must be an integer >= 1, got {self.n_lambda!r}")
         fam = self.family
         unknown = set(self.freeze) - set(fam.param_names)
         if unknown:
@@ -319,8 +351,9 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
 
     A value above 2 must fail the mode's own assumption validator (the
     one ``effective_chsh`` uses for ``bound_guaranteed``), read from the
-    same tables; otherwise TheoremViolationError is raised.  Every
-    evaluation is thus a live test of the bound against an active
+    same tables; otherwise TheoremViolationError is raised.  ``search``
+    calls this for each distinct model, so every distinct model a restart
+    visits is checked once: a live test of the bound against an active
     adversary.
     """
     q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
@@ -341,6 +374,21 @@ def _expand(free_idx, frozen_full, x_free):
     return full
 
 
+def _memo_key(breakpoints: tuple[np.ndarray | None, ...] | None,
+              full: np.ndarray) -> Hashable:
+    """The restart memo's key for the clipped parameter vector ``full``.
+
+    A parameter with breakpoints b is keyed on the count of breakpoints
+    strictly below it, which fixes every comparison ``x >= value`` against
+    them, a value equal to a breakpoint included; any other parameter is
+    keyed on its exact bytes.
+    """
+    if breakpoints is None:
+        return full.tobytes()
+    return tuple(int(np.searchsorted(b, v, side="left")) if b is not None else v.tobytes()
+                 for b, v in zip(breakpoints, full))
+
+
 def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
     """Restart ``k`` of the search: one bounded Nelder-Mead descent.
 
@@ -348,7 +396,12 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
     spawn_key=(k,)) and the descent is deterministic, so the summary
     depends on (config, k) alone and not on the process that computes it.
     A module-level function so that a process pool can pickle it; the
-    family's builder travels with ``config`` and must pickle too.
+    family's builder and breakpoints travel with ``config`` and must
+    pickle too.
+
+    Each evaluation is counted, but ``objective`` runs once per memo key
+    (see ``_memo_key``): points of one threshold cell, or the exact
+    repeats the box clipping produces, reuse the first point's value.
     """
     from scipy import optimize
 
@@ -366,6 +419,13 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
         np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
     x0 = lower[free_idx] + rng.random(free_idx.size) * \
         (upper[free_idx] - lower[free_idx])
+    breakpoints = (None if fam.breakpoints is None
+                   else fam.breakpoints(config.quad, config.n_lambda))
+    if breakpoints is not None and len(breakpoints) != len(names):
+        raise ValidationError(
+            f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
+            f"parameters, not {len(names)}")
+    memo: dict[Hashable, float] = {}
     evals = 0
     trajectory: list[float] = []
 
@@ -374,8 +434,11 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
         evals += 1
         x = np.clip(x_free, lower[free_idx], upper[free_idx])
         full = _expand(free_idx, frozen_full, x)
-        value = objective(fam, full, config.quad, config.mode,
-                          n_lambda=config.n_lambda)
+        key = _memo_key(breakpoints, full)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = objective(fam, full, config.quad, config.mode,
+                                          n_lambda=config.n_lambda)
         if not trajectory or value > trajectory[-1]:
             trajectory.append(value)
         return -value
@@ -400,7 +463,10 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     Deterministic given the seed: each restart depends only on the
     config and its index (see ``_run_restart``), and the reduction takes
     the best value with ties broken by the lowest restart index, so the
-    result is identical at any ``workers`` value >= 1.
+    result is identical at any ``workers`` value >= 1.  Every distinct
+    model a restart visits is checked once by ``objective``; a point that
+    repeats one (same memo key, see ``_run_restart``) counts as an
+    evaluation and reuses its value.
 
     With ``min(workers, restarts, CPU count) > 1`` the restarts run on a
     process pool of that many workers; otherwise they run serially in this
@@ -411,7 +477,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     starts, and no child imports it again (a spawned child would re-import
     bellsim and scipy, which costs a large share of a default search).
     With more than one worker each restart is pickled by reference, so
-    the family's builder must be a module-level callable.
+    the family's builder and breakpoints must be module-level callables.
     """
     n_workers = _pool_size(workers, config.restarts)
     import multiprocessing

@@ -221,8 +221,11 @@ def cmd_adversary_search(args) -> int:
         if "=" not in item:
             raise ValidationError(f"--freeze takes name=value, got {item!r}")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name in freeze:
+            raise ValidationError(f"--freeze names {name!r} more than once")
         try:
-            freeze[name.strip()] = float(value)
+            freeze[name] = float(value)
         except ValueError as exc:
             raise ValidationError(f"bad --freeze value {item!r}") from exc
     config = SearchConfig(
@@ -354,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-lambda", type=int, default=720)
     p.add_argument("--freeze", action="append", default=None,
-                   metavar="NAME=VALUE")
+                   metavar="NAME=VALUE",
+                   help="hold a parameter at VALUE; repeatable, once per name")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes the restarts run on (>= 1); the "
                         "output is the same at any value")

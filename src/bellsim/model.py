@@ -496,21 +496,23 @@ def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.nda
                       angles1: Sequence[float], angles2: Sequence[float]
                       ) -> AssumptionReport:
     """validate_solution2 over the non-detection arrays ``p0_of(party, angle)``."""
-    implied: dict[int, dict[float, float]] = {1: {}, 2: {}}
+    seen: dict[int, dict[float, np.ndarray]] = {1: {}, 2: {}}
 
     def p0_read(party: int, angle: float) -> np.ndarray:
-        p0 = p0_of(party, angle)
-        # Weighted mean is the implied experimental value; equals the
-        # common constant when the check passes.
-        implied[party][angle] = float(np.sum(weights * p0))
+        seen[party][angle] = p0 = p0_of(party, angle)
         return p0
 
     dev, worst = _worst_point(p0_read, angles1, angles2, False,
                               lambda p0, _: (p0.max() - p0.min(), np.argmax(p0)))
-    passed = dev <= VALIDATOR_TOL
-    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
-                            worst=None if passed else worst,
-                            implied_p0=implied if passed else None)
+    if dev > VALIDATOR_TOL:
+        return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
+                                worst=worst)
+    # The weighted mean is the implied experimental value; it equals the
+    # common constant, since the check passed.
+    implied = {party: {a: float(np.sum(weights * p0)) for a, p0 in p0s.items()}
+               for party, p0s in seen.items()}
+    return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
+                            implied_p0=implied)
 
 
 def _solution3_report(p0_of: Callable[[int, float], np.ndarray],

@@ -1,6 +1,7 @@
 """Adversarial search: family validity, bound soundness, determinism."""
 
 import contextlib
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,6 +23,8 @@ from bellsim.adversary import (
 )
 from bellsim.bounds import (
     EffectiveCorrelationMode,
+    SettingsQuad,
+    _QuadTables,
     effective_chsh_value,
     optimal_quad,
 )
@@ -291,6 +294,14 @@ class TestSearch:
             SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
                          freeze={"c1": c1})
 
+    @pytest.mark.parametrize("n_lambda", [True, 0, -1, 36.7, "36"])
+    def test_n_lambda_checked_at_config(self, n_lambda):
+        with pytest.raises(ValidationError, match="n_lambda"):
+            self.small_config(n_lambda=n_lambda)
+
+    def test_n_lambda_numpy_integer_accepted(self):
+        assert self.small_config(n_lambda=np.int64(36)).n_lambda == 36
+
     def test_freezing_every_parameter_rejected(self):
         with pytest.raises(ValidationError, match="remain free"):
             SearchConfig(family=get_family("threshold-detection"), quad=QUAD,
@@ -303,6 +314,96 @@ class TestSearch:
         json.dumps(doc)
         assert doc["config"]["family"] == "threshold-detection"
         assert len(doc["restarts"]) == 2
+
+
+class TestRestartMemo:
+    """A restart evaluates ``objective`` once per memo key, with no change
+    to the search's result."""
+
+    THRESHOLD = get_family("threshold-detection")
+    MODES = tuple(EffectiveCorrelationMode)
+
+    @staticmethod
+    def _theta_candidates(b, lo, hi, rng):
+        """Every breakpoint and its two float neighbours, the box ends and
+        200 random values, those inside the box [lo, hi]."""
+        v = np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                            [lo, hi], lo + rng.random(200) * (hi - lo)])
+        return v[(v >= lo) & (v <= hi)]
+
+    @pytest.mark.parametrize("quad", [QUAD, SettingsQuad.from_degrees(3, 41, 17, 80)],
+                             ids=["optimal", "other"])
+    def test_equal_keys_give_identical_tables_and_values(self, quad):
+        fam, n_lambda = self.THRESHOLD, 90
+        rng = np.random.default_rng(11)
+        bps = fam.breakpoints(quad, n_lambda)
+        cands = [self._theta_candidates(b, lo, hi, rng)
+                 for b, lo, hi in zip(bps, fam.lower, fam.upper)]
+        # Each party's theta over its candidates with the other held, then
+        # random pairs of candidates.
+        points = [np.array([t, 0.5]) for t in cands[0]]
+        points += [np.array([0.5, t]) for t in cands[1]]
+        points += [np.array([rng.choice(cands[0]), rng.choice(cands[1])])
+                   for _ in range(200)]
+        first, repeats = {}, 0
+        for full in points:
+            key = adversary._memo_key(bps, full)
+            seen = (_QuadTables(fam.instantiate(full, n_lambda), quad, validate=False).t,
+                    [objective(fam, full, quad, m, n_lambda) for m in self.MODES])
+            if key not in first:
+                first[key] = seen
+                continue
+            repeats += 1
+            assert seen[0].tobytes() == first[key][0].tobytes(), full
+            assert seen[1] == first[key][1], full
+        assert repeats > len(bps[0])  # each breakpoint's upper neighbour repeats a key
+        assert len(first) > 2 * len(bps[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_search_same_without_breakpoints(self, mode, workers):
+        config = SearchConfig(family=self.THRESHOLD, quad=QUAD, mode=mode, restarts=4,
+                              max_evals=200, seed=12, n_lambda=360)
+        plain = dataclasses.replace(
+            config, family=dataclasses.replace(self.THRESHOLD, breakpoints=None))
+        assert search(config, workers=workers) == search(plain, workers=workers)
+
+    @pytest.mark.parametrize("family", ["threshold-detection", "modulated-p0"])
+    def test_objective_runs_once_per_key(self, monkeypatch, family):
+        # The family without breakpoints repeats only bit-equal points, which
+        # Nelder-Mead makes when the box clipping puts several on one face.
+        keys_per_restart, calls = [], []
+        run_restart, memo_key, inner = (adversary._run_restart, adversary._memo_key,
+                                        adversary.objective)
+
+        def counted_restart(config, k):
+            keys_per_restart.append(set())
+            return run_restart(config, k)
+
+        def recorded_key(breakpoints, full):
+            key = memo_key(breakpoints, full)
+            keys_per_restart[-1].add(key)
+            return key
+
+        def counted_objective(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, "_run_restart", counted_restart)
+        monkeypatch.setattr(adversary, "_memo_key", recorded_key)
+        monkeypatch.setattr(adversary, "objective", counted_objective)
+        config = SearchConfig(family=get_family(family), quad=QUAD, restarts=4,
+                              max_evals=200, seed=12, n_lambda=360)
+        res = search(config, workers=1)
+        assert len(keys_per_restart) == config.restarts
+        assert len(calls) == sum(map(len, keys_per_restart))
+        assert len(calls) < res.evaluation_count
+
+    def test_breakpoints_need_one_entry_per_parameter(self):
+        fam = dataclasses.replace(self.THRESHOLD, breakpoints=lambda quad, n: (None,))
+        with pytest.raises(ValidationError, match="breakpoints"):
+            search(SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
+                                n_lambda=36))
 
 
 def test_import_loads_no_scipy():

@@ -271,6 +271,9 @@ BAD_ARGV = {
         "--emitted-totals", _json_file(tmp / "t.json", _FRACTIONAL_TOTALS)],
     "search-freeze-nan": lambda tmp: [
         *_SEARCH, "--n-lambda", "36", "--freeze", "theta1=nan"],
+    "search-freeze-twice": lambda tmp: [
+        "adversary-search", "--family", "modulated-p0", "--restarts", "1",
+        "--max-evals", "10", "--n-lambda", "36", "--freeze", "c1=0", "--freeze", "c1=0.3"],
     "search-n-lambda-zero": lambda tmp: [*_SEARCH, "--n-lambda", "0"],
     "search-workers-zero": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--workers", "0"],
     "family-file-n-lambda-zero": lambda tmp: [
