@@ -11,7 +11,6 @@ from .model import (  # noqa: F401
     DegenerateModelError,
     HiddenVariableSpace,
     NoDataError,
-    ProbTriple,
     ResponseFunction,
     SLHVModel,
     TheoremViolationError,

@@ -47,6 +47,7 @@ from .model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    _check_integer,
     canonical_angle,
     uniform_lambda_grid,
 )
@@ -107,14 +108,13 @@ class ParametricFamily:
         if not all(map(math.isfinite, values)):
             raise ValidationError(
                 f"family {self.name!r} parameters must be finite, got {values}")
-        if int(n_lambda) < 1:
-            raise ValidationError(f"n_lambda must be >= 1, got {n_lambda!r}")
+        n_lambda = _check_integer(n_lambda, "n_lambda", 1)
         if not all(lo - _BOX_TOL <= v <= hi + _BOX_TOL
                    for v, lo, hi in zip(values, self.lower, self.upper)):
             raise ValidationError(
                 f"parameters {values} outside box "
                 f"[{self.lower}, {self.upper}] for family {self.name!r}")
-        return self.builder(p, int(n_lambda))
+        return self.builder(p, n_lambda)
 
     def params_dict(self, params) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.param_names, params)}
@@ -259,15 +259,10 @@ class SearchConfig:
     freeze: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
-        if self.max_evals < 10:
-            raise ValidationError("max_evals must be >= 10")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
-        if isinstance(self.n_lambda, bool) or not isinstance(self.n_lambda, numbers.Integral) \
-                or self.n_lambda < 1:
-            raise ValidationError(f"n_lambda must be an integer >= 1, got {self.n_lambda!r}")
+        for name, minimum in (("restarts", 1), ("max_evals", 10), ("seed", 0),
+                              ("n_lambda", 1)):
+            object.__setattr__(self, name,
+                               _check_integer(getattr(self, name), name, minimum))
         fam = self.family
         unknown = set(self.freeze) - set(fam.param_names)
         if unknown:

@@ -218,11 +218,6 @@ def coincidence_sum(table):
     return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] + table[..., 1, 1]
 
 
-def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """The 3x3 joint-outcome table t1^T . diag(w) . t2 of one setting pair."""
-    return (t1 * w[:, None]).T @ t2
-
-
 class _QuadTables:
     """A model at a quad: one response call per party, over its two angles.
 
@@ -242,7 +237,8 @@ class _QuadTables:
 
     @cached_property
     def joints(self) -> np.ndarray:
-        """The four _joint tables in one matmul, (2, 1, 3, n) @ (1, 2, n, 3)."""
+        """The four joint-outcome tables t1^T . diag(w) . t2 in one matmul,
+        (2, 1, 3, n) @ (1, 2, n, 3)."""
         return ((self.t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
                 @ self.t2[None]).reshape(4, 3, 3)
 
@@ -253,9 +249,6 @@ class _QuadTables:
     @cached_property
     def coin(self) -> np.ndarray:
         return coincidence_sum(self.joints)
-
-    def p0(self, party: int, angle: float) -> np.ndarray:
-        return self.t[party - 1, self.angles[party - 1].index(angle), :, 2]
 
     def e_eff(self, mode: EffectiveCorrelationMode) -> tuple[np.ndarray, str | None]:
         """The four coincidence-normalized correlations, NaN at a degenerate
@@ -299,11 +292,12 @@ class _QuadTables:
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
     """The mode's assumption validator on tables already evaluated; the one
     place a regime is mapped to its check."""
+    p0 = q.t[..., 2]
     if mode is EffectiveCorrelationMode.SOLUTION1:
-        return _solution1_report(q.p0, *q.angles)
+        return _solution1_report(p0, q.angles)
     if mode is EffectiveCorrelationMode.SOLUTION2:
-        return _solution2_report(q.p0, q.w, *q.angles)
-    return _solution3_report(q.p0, *q.angles)
+        return _solution2_report(p0, q.angles, q.w)
+    return _solution3_report(p0, q.angles)
 
 
 def correlation(model: SLHVModel, a: float, b: float) -> float:

@@ -10,8 +10,8 @@ point to a probability triple over the three single-photon outcomes
 Response functions are evaluated by broadcast: ``fn(angles, values)``
 takes a (k,) array of canonical angles and the (n,) hidden-point values
 and returns a (k, n, 3) table, one (n, 3) block of triples per angle.
-``SLHVModel.tables`` is that call; ``SLHVModel.triples`` is its one-angle
-(n, 3) wrapper and the per-point reference surface.
+``SLHVModel.tables`` is that call and the model's only way of answering;
+``SLHVModel.triples`` is its one-angle (n, 3) wrapper.
 
 Locality is structural: there is no joint response function anywhere in
 the type, so joint outcome probabilities can only ever be formed as
@@ -21,11 +21,11 @@ Angles are polarizer transmission-axis angles in radians, canonical on
 ``[0, pi)`` (polarizer settings are pi-periodic, so all trigonometry in
 this package uses ``cos 2(.)``).
 
-Conventions used throughout:
+Conventions used throughout, as functions of a table's columns
+``t[..., 0] = p_plus``, ``t[..., 1] = p_minus``, ``t[..., 2] = p_zero``:
 
-* ``alpha(angle, lam) = p_plus + p_minus`` is the detection probability
-  of party 1 at the hidden level (``beta`` for party 2); it equals
-  ``1 - p_zero``.
+* ``alpha = p_plus + p_minus`` is the detection probability of party 1
+  at the hidden level (``beta`` for party 2); it equals ``1 - p_zero``.
 * ``local_average = p_plus - p_minus`` is the hidden-level single-party
   average of the +-1 outcomes (non-detections count as 0).
 * ``effective_local_average = (p_plus - p_minus) / (p_plus + p_minus)``
@@ -36,8 +36,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
     "TheoremViolationError",
     "NoDataError",
     "canonical_angle",
-    "ProbTriple",
     "HiddenVariableSpace",
     "ResponseFunction",
     "SLHVModel",
@@ -111,19 +111,6 @@ def canonical_angle(angle: float) -> float:
     r = a % math.pi
     # (-tiny) % pi can round up to exactly pi; fold it back to 0.
     return 0.0 if r >= math.pi else r
-
-
-class ProbTriple(NamedTuple):
-    """Single-photon outcome distribution (detected +1, detected -1, no detection)."""
-
-    p_plus: float
-    p_minus: float
-    p_zero: float
-
-    @property
-    def alpha(self) -> float:
-        """Detection probability, the sum over the two detected channels."""
-        return self.p_plus + self.p_minus
 
 
 def _check_tables(t: np.ndarray, party: int, angles: Sequence[float]) -> np.ndarray:
@@ -202,10 +189,17 @@ class HiddenVariableSpace:
         return int(self.weights.size)
 
 
+def _check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int: an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
     """Equal-weight grid of n hidden angles covering [0, pi)."""
-    if n < 1:
-        raise ValidationError("grid needs at least one point")
+    n = _check_integer(n, "grid size", 1)
     values = np.arange(n) * (math.pi / n)
     return HiddenVariableSpace(np.full(n, 1.0 / n), values)
 
@@ -228,17 +222,11 @@ class ResponseFunction:
       and ``p_zero`` is the remainder.
     """
 
-    def __init__(self, party: int,
-                 triples_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 ideal_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-                 efficiency_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-                 | None = None):
+    def __init__(self, party: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         if party not in (1, 2):
             raise ValidationError(f"party must be 1 or 2, got {party!r}")
         self.party = party
-        self._triples_fn = triples_fn
-        self.ideal_fn = ideal_fn
-        self.efficiency_fn = efficiency_fn
+        self._fn = fn
 
     @classmethod
     def from_function(cls, party: int,
@@ -300,12 +288,12 @@ class ResponseFunction:
             p_minus = ideal[..., 1] * eff_minus
             return np.stack([p_plus, p_minus, 1.0 - p_plus - p_minus], axis=-1)
 
-        return cls(party, composed, ideal_fn=ideal_fn, efficiency_fn=efficiency_fn)
+        return cls(party, composed)
 
     def tables(self, angles: Sequence[float], values: np.ndarray) -> np.ndarray:
         """The (k, n, 3) tables at ``angles``, each reduced to [0, pi) first."""
         a = np.array([canonical_angle(x) for x in angles], dtype=float)
-        t = np.asarray(self._triples_fn(a, values), dtype=float)
+        t = np.asarray(self._fn(a, values), dtype=float)
         if t.shape != (a.size, values.size, 3):
             raise ValidationError(
                 f"response for party {self.party} must have shape (k, n, 3) = "
@@ -337,8 +325,6 @@ class SLHVModel:
             return self.response2
         raise ValidationError(f"party must be 1 or 2, got {party!r}")
 
-    # -- vectorized surface (all hidden points at once) --------------------
-
     def tables(self, party: int, angles: Sequence[float],
                validate: bool = True) -> np.ndarray:
         """Outcome probability tables at k angles in one response call,
@@ -349,62 +335,6 @@ class SLHVModel:
     def triples(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
         """Outcome probability table at one angle, shape (n, 3)."""
         return self.tables(party, (angle,), validate)[0]
-
-    def detection_probs(self, party: int, angle: float) -> np.ndarray:
-        """alpha (or beta) per hidden point: probability of any detection."""
-        t = self.triples(party, angle)
-        return t[:, 0] + t[:, 1]
-
-    def nondetect_probs(self, party: int, angle: float) -> np.ndarray:
-        return self.triples(party, angle)[:, 2]
-
-    # -- scalar surface (one hidden point) ---------------------------------
-
-    def _check_index(self, lam: int) -> int:
-        i = int(lam)
-        if not 0 <= i < self.space.size:
-            raise IndexError(
-                f"lambda index {lam} out of range for space of size {self.space.size}")
-        return i
-
-    def response(self, party: int, angle: float, lam: int) -> ProbTriple:
-        i = self._check_index(lam)
-        t = self.triples(party, angle)
-        return ProbTriple(float(t[i, 0]), float(t[i, 1]), float(t[i, 2]))
-
-    def alpha(self, party: int, angle: float, lam: int) -> float:
-        """Detection probability p_plus + p_minus at one hidden point."""
-        t = self.response(party, angle, lam)
-        return t.p_plus + t.p_minus
-
-    def nondetect_prob(self, party: int, angle: float, lam: int) -> float:
-        return self.response(party, angle, lam).p_zero
-
-    def local_average(self, party: int, angle: float, lam: int) -> float:
-        t = self.response(party, angle, lam)
-        return t.p_plus - t.p_minus
-
-    def effective_local_average(self, party: int, angle: float, lam: int) -> float:
-        """Detected-subset average (p_plus - p_minus) / (p_plus + p_minus).
-
-        The denominator equals 1 - p_zero by normalization; the sum form
-        keeps |result| <= 1 exact in floating point.
-        """
-        t = self.response(party, angle, lam)
-        denom = t.p_plus + t.p_minus
-        if denom <= 0.0:
-            raise DegenerateModelError(
-                f"photon is never detected (party {party}, angle "
-                f"{canonical_angle(angle):.6g}, lambda index {lam})")
-        return (t.p_plus - t.p_minus) / denom
-
-    def joint_prob(self, a: float, b: float, lam: int, r: int, q: int) -> float:
-        """Product of the two single-party probabilities for outcomes (r, q)."""
-        if r not in OUTCOME_VALUES or q not in OUTCOME_VALUES:
-            raise ValidationError(f"outcomes must be in {OUTCOME_VALUES}, got {(r, q)}")
-        t1 = self.response(1, a, lam)
-        t2 = self.response(2, b, lam)
-        return t1[OUTCOME_VALUES.index(r)] * t2[OUTCOME_VALUES.index(q)]
 
 
 @dataclass(frozen=True)
@@ -428,23 +358,35 @@ class AssumptionReport:
         return self.passed
 
 
-def _worst_point(p0_of, angles1: Sequence[float], angles2: Sequence[float],
+def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
+                    angles2: Sequence[float]
+                    ) -> tuple[tuple[np.ndarray, ...], tuple[list[float], ...]]:
+    """Each party's (k, n) non-detection rows at its canonical angles, from
+    one response call per party, and those angles."""
+    angles = tuple([canonical_angle(a) for a in angs] for angs in (angles1, angles2))
+    if not all(angles):
+        raise ValidationError("angle lists must be non-empty")
+    p0 = tuple(model.tables(party, angs)[..., 2]
+               for party, angs in enumerate(angles, start=1))
+    return p0, angles
+
+
+def _worst_point(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]],
                  pairwise: bool, score) -> tuple[float, tuple | None]:
     """Largest ``score(p0_i, p0_j) -> (deviation, lambda index)`` over each
     party's angles i = j, or with ``pairwise`` its angle pairs i < j, and
-    where it sits as (party, lambda index, angle pair); first on ties."""
-    a1 = [canonical_angle(a) for a in angles1]
-    a2 = [canonical_angle(a) for a in angles2]
-    if not a1 or not a2:
-        raise ValidationError("angle lists must be non-empty")
+    where it sits as (party, lambda index, angle pair); first on ties.
+
+    ``p0[party - 1]`` holds that party's (k, n) non-detection rows at its
+    canonical ``angles[party - 1]``.
+    """
     worst_dev, worst = 0.0, None
-    for party, angs in ((1, a1), (2, a2)):
-        p0 = [p0_of(party, a) for a in angs]
+    for party, (rows, angs) in enumerate(zip(p0, angles), start=1):
         n = len(angs)
         pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if pairwise
                  else [(i, i) for i in range(n)])
         for i, j in pairs:
-            dev, k = score(p0[i], p0[j])
+            dev, k = score(rows[i], rows[j])
             if dev > worst_dev:
                 worst_dev, worst = float(dev), (party, int(k), (angs[i], angs[j]))
     return worst_dev, worst
@@ -463,17 +405,16 @@ def validate_solution1(model: SLHVModel, angles1: Sequence[float],
     must agree (within ``VALIDATOR_TOL``) across all supplied angles for that
     party.  This is the hidden-level assumption under which the
     coincidence rate is setting-independent and the detection-robust
-    CHSH bound is provable.
+    CHSH bound is provable.  Each party's response is called once, over
+    all of its angles.
     """
-    return _solution1_report(model.nondetect_probs, angles1, angles2)
+    return _solution1_report(*_nondetect_rows(model, angles1, angles2))
 
 
-def _solution1_report(p0_of: Callable[[int, float], np.ndarray],
-                      angles1: Sequence[float], angles2: Sequence[float]
+def _solution1_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
                       ) -> AssumptionReport:
-    """validate_solution1 over the non-detection arrays ``p0_of(party, angle)``."""
-    dev, worst = _worst_point(p0_of, angles1, angles2, True,
-                              lambda p0, q0: _peak(np.abs(p0 - q0)))
+    """validate_solution1 over each party's non-detection rows (see _worst_point)."""
+    dev, worst = _worst_point(p0, angles, True, lambda p, q: _peak(np.abs(p - q)))
     passed = dev <= VALIDATOR_TOL
     return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
                             worst=None if passed else worst)
@@ -487,40 +428,33 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
     probabilities to equal the experimental ones.  On success the report
     carries the implied experimental non-detection probability per
     (party, angle); it is reported, never asserted against external data.
+    Each party's response is called once, over all of its angles.
     """
-    return _solution2_report(model.nondetect_probs, model.space.weights,
-                             angles1, angles2)
+    return _solution2_report(*_nondetect_rows(model, angles1, angles2),
+                             model.space.weights)
 
 
-def _solution2_report(p0_of: Callable[[int, float], np.ndarray], weights: np.ndarray,
-                      angles1: Sequence[float], angles2: Sequence[float]
-                      ) -> AssumptionReport:
-    """validate_solution2 over the non-detection arrays ``p0_of(party, angle)``."""
-    seen: dict[int, dict[float, np.ndarray]] = {1: {}, 2: {}}
-
-    def p0_read(party: int, angle: float) -> np.ndarray:
-        seen[party][angle] = p0 = p0_of(party, angle)
-        return p0
-
-    dev, worst = _worst_point(p0_read, angles1, angles2, False,
-                              lambda p0, _: (p0.max() - p0.min(), np.argmax(p0)))
+def _solution2_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]],
+                      weights: np.ndarray) -> AssumptionReport:
+    """validate_solution2 over each party's non-detection rows (see _worst_point)."""
+    dev, worst = _worst_point(p0, angles, False,
+                              lambda p, _: (p.max() - p.min(), np.argmax(p)))
     if dev > VALIDATOR_TOL:
         return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
                                 worst=worst)
     # The weighted mean is the implied experimental value; it equals the
     # common constant, since the check passed.
-    implied = {party: {a: float(np.sum(weights * p0)) for a, p0 in p0s.items()}
-               for party, p0s in seen.items()}
+    implied = {party: {a: float(np.sum(weights * p)) for a, p in zip(angs, rows)}
+               for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
     return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
                             implied_p0=implied)
 
 
-def _solution3_report(p0_of: Callable[[int, float], np.ndarray],
-                      angles1: Sequence[float], angles2: Sequence[float]
+def _solution3_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
                       ) -> AssumptionReport:
-    """Solution3 nondegeneracy over ``p0_of(party, angle)``: no point has p0 = 1."""
-    worst_p0, worst = _worst_point(p0_of, angles1, angles2, False,
-                                   lambda p0, _: _peak(p0))
+    """Solution3 nondegeneracy over each party's non-detection rows: no point
+    has p0 = 1."""
+    worst_p0, worst = _worst_point(p0, angles, False, lambda p, _: _peak(p))
     passed = worst_p0 < 1.0
     return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
                             worst=None if passed else worst)

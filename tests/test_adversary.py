@@ -34,6 +34,7 @@ from bellsim.model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    uniform_lambda_grid,
     validate_solution1,
 )
 
@@ -294,13 +295,32 @@ class TestSearch:
             SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
                          freeze={"c1": c1})
 
-    @pytest.mark.parametrize("n_lambda", [True, 0, -1, 36.7, "36"])
-    def test_n_lambda_checked_at_config(self, n_lambda):
-        with pytest.raises(ValidationError, match="n_lambda"):
-            self.small_config(n_lambda=n_lambda)
+    @pytest.mark.parametrize("name, value", [
+        *(pytest.param("n_lambda", v, id=str(v)) for v in (True, 0, -1, 36.7, "36")),
+        *(pytest.param(name, v, id=f"{name}-{v}") for name, v in (
+            ("restarts", True), ("restarts", 0), ("restarts", 2.5),
+            ("max_evals", 60.5), ("max_evals", 9), ("max_evals", "60"),
+            ("seed", True), ("seed", -1), ("seed", 1.5))),
+    ])
+    def test_n_lambda_checked_at_config(self, name, value):
+        # Every count is an integer (not a bool) with a minimum; n_lambda is
+        # checked the same way when a family is instantiated directly, and
+        # so is the size of a hidden-variable grid.
+        with pytest.raises(ValidationError, match=f"{name} must be an integer >="):
+            self.small_config(**{name: value})
+        if name == "n_lambda":
+            with pytest.raises(ValidationError, match="n_lambda must be an integer >="):
+                get_family("threshold-detection").instantiate([0.1, 0.2], n_lambda=value)
+            with pytest.raises(ValidationError, match="grid size must be an integer >="):
+                uniform_lambda_grid(value)
 
     def test_n_lambda_numpy_integer_accepted(self):
-        assert self.small_config(n_lambda=np.int64(36)).n_lambda == 36
+        config = self.small_config(n_lambda=np.int64(36), restarts=np.int32(2),
+                                   max_evals=np.int64(60), seed=np.uint8(3))
+        assert [type(getattr(config, name)) for name in
+                ("n_lambda", "restarts", "max_evals", "seed")] == [int] * 4
+        assert config.n_lambda == 36 and config.seed == 3
+        assert uniform_lambda_grid(np.int64(12)).size == 12
 
     def test_freezing_every_parameter_rejected(self):
         with pytest.raises(ValidationError, match="remain free"):

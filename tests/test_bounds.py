@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bellsim.bounds import (
     EffectiveCorrelationMode,
     SettingsQuad,
-    _joint,
     _QuadTables,
     _u_eff,
     chsh_combination,
@@ -45,6 +44,11 @@ from bellsim.random_models import (
 MODE1 = EffectiveCorrelationMode.SOLUTION1
 MODE2 = EffectiveCorrelationMode.SOLUTION2
 MODE3 = EffectiveCorrelationMode.SOLUTION3
+
+
+def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The 3x3 joint-outcome table t1^T . diag(w) . t2 of one setting pair."""
+    return (t1 * w[:, None]).T @ t2
 
 
 def tabulated_model(weights, triples1, triples2):
@@ -159,8 +163,9 @@ class TestCorrelation:
             m = random_nondegenerate_model(rng, 8)
             a, b = rng.random(2) * math.pi
             e = correlation(m, a, b)
+            t1, t2 = m.triples(1, a), m.triples(2, b)
             cap = float(np.sum(m.space.weights *
-                               m.detection_probs(1, a) * m.detection_probs(2, b)))
+                               (t1[:, 0] + t1[:, 1]) * (t2[:, 0] + t2[:, 1])))
             assert abs(e) <= cap + 1e-12
 
 
@@ -198,18 +203,20 @@ class TestQuadTables:
 
 def _per_point_reference(model, a, b):
     """E, coincidence probability and E_eff per mode at one setting pair,
-    summed in pure Python over the hidden points of the scalar per-point
-    surface (local_average, alpha, effective_local_average)."""
+    summed in pure Python over the hidden points, from the rows of one
+    ``triples`` call per party: local average p+ - p-, detection
+    probability p+ + p- and detected-subset average (p+ - p-) / (p+ + p-)."""
     e = coin = det1 = det2 = subset = 0.0
-    for i, w in enumerate(model.space.weights.tolist()):
-        x, y = model.local_average(1, a, i), model.local_average(2, b, i)
-        al, be = model.alpha(1, a, i), model.alpha(2, b, i)
+    rows = zip(model.space.weights.tolist(), model.triples(1, a).tolist(),
+               model.triples(2, b).tolist())
+    for w, (p1, m1, _), (p2, m2, _) in rows:
+        x, y = p1 - m1, p2 - m2
+        al, be = p1 + m1, p2 + m2
         e += w * x * y
         coin += w * al * be
         det1 += w * al
         det2 += w * be
-        subset += (w * model.effective_local_average(1, a, i)
-                   * model.effective_local_average(2, b, i))
+        subset += w * (x / al) * (y / be)
     return e, coin, {MODE1: e / coin, MODE2: e / (det1 * det2), MODE3: subset}
 
 
@@ -220,7 +227,7 @@ class TestPerPointReference:
         rng = np.random.default_rng(211)
         generators = (random_angle_independent_model, random_lambda_independent_model,
                       random_nondegenerate_model)
-        for n in (1, 2, 5, 16):
+        for n in (1, 2, 5, 16, 90, 720):
             for gen in generators:
                 for _ in range(4):
                     m, quad = gen(rng, n), random_quad(rng)

@@ -438,10 +438,10 @@ class TestModelIo:
             },
         }
         m = model_from_dict(doc)
-        assert m.response(1, 0.0, 0).p_plus == 1.0
-        assert m.response(1, math.pi / 2, 0).p_minus == 1.0
+        assert m.triples(1, 0.0)[0, 0] == 1.0
+        assert m.triples(1, math.pi / 2)[0, 1] == 1.0
         with pytest.raises(ValidationError, match="no entry"):
-            m.response(1, math.pi / 4, 0)
+            m.triples(1, math.pi / 4)
 
     def test_tabulated_lookup_wraps_around_pi(self):
         doc = {
@@ -455,8 +455,8 @@ class TestModelIo:
         m = model_from_dict(doc)
         # Just below pi is the same polarizer as 0, and closer to it in
         # the wraparound metric than to the 90-degree entry.
-        assert m.response(1, math.pi - 1e-12, 0).p_plus == 1.0
-        assert m.response(1, math.pi + 1e-12, 0).p_plus == 1.0
+        assert m.triples(1, math.pi - 1e-12)[0, 0] == 1.0
+        assert m.triples(1, math.pi + 1e-12)[0, 0] == 1.0
 
     @pytest.mark.parametrize("second", ["180.0", "-180", "1e-8"])
     def test_tabulated_angle_given_twice_rejected(self, second):

@@ -1,4 +1,4 @@
-"""Core model machinery: triples, averages, validators."""
+"""Core model machinery: response tables, averages, validators."""
 
 import math
 
@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim.bounds import (
+    EffectiveCorrelationMode,
+    SettingsQuad,
+    _QuadTables,
+    coincidence_probability,
+    correlation,
+    effective_correlation,
+)
 from bellsim.model import (
     DegenerateModelError,
     HiddenVariableSpace,
-    ProbTriple,
     ResponseFunction,
     SLHVModel,
     ValidationError,
+    _nondetect_rows,
+    _solution3_report,
     canonical_angle,
     uniform_lambda_grid,
     validate_solution1,
@@ -78,10 +87,9 @@ class TestHiddenVariableSpace:
 class TestResponse:
     def test_perfect_efficiency_has_no_nondetection(self):
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
-        t = m.response(1, 0.3, 0)
-        assert t == ProbTriple(0.5, 0.5, 0.0)
-        assert m.nondetect_prob(1, 0.3, 0) == 0.0
-        assert m.alpha(1, 0.3, 0) == 1.0
+        t = m.triples(1, 0.3)[0]
+        assert t.tolist() == [0.5, 0.5, 0.0]
+        assert t[0] + t[1] == 1.0
 
     def test_split_form_composition(self):
         # Deterministic +1 response with 60% efficiency in each channel.
@@ -96,28 +104,36 @@ class TestResponse:
         r1 = ResponseFunction.from_split(1, ideal, eff)
         r2 = ResponseFunction.from_split(2, ideal, eff)
         m = SLHVModel(space, r1, r2)
-        t = m.response(1, 0.0, 0)
-        assert t.p_plus == pytest.approx(0.6, abs=1e-15)
-        assert t.p_minus == 0.0
-        assert t.p_zero == pytest.approx(0.4, abs=1e-15)
+        t = m.triples(1, 0.0)[0]
+        assert t[0] == pytest.approx(0.6, abs=1e-15)
+        assert t[1] == 0.0
+        assert t[2] == pytest.approx(0.4, abs=1e-15)
 
     def test_split_form_matches_manual_composition(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            m = random_nondegenerate_model(rng, n_lambda=8)
-            angle = rng.random() * math.pi
-            for party, resp in ((1, m.response1), (2, m.response2)):
-                t = m.triples(party, angle)
-                ideal = resp.ideal_fn(np.array([angle]), m.space.values)[0]
-                ep = resp.efficiency_fn(np.array([angle]), m.space.values, +1)[0]
-                em = resp.efficiency_fn(np.array([angle]), m.space.values, -1)[0]
-                np.testing.assert_allclose(t[:, 0], ideal[:, 0] * ep, atol=1e-12)
-                np.testing.assert_allclose(t[:, 1], ideal[:, 1] * em, atol=1e-12)
+            n = 8
+            phase, eff0, tilt = rng.random(n) * math.pi, rng.random(n), rng.random(n)
 
-    def test_out_of_range_lambda_raises_index_error(self):
-        m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), n=3)
-        with pytest.raises(IndexError):
-            m.response(1, 0.0, 3)
+            def ideal(angles, lam):
+                share = np.cos(angles[:, None] - phase) ** 2
+                return np.stack([share, 1.0 - share], axis=-1)
+
+            def efficiency(angles, lam, r):
+                return eff0 * (0.75 + 0.25 * r * tilt * np.cos(2.0 * angles[:, None]))
+
+            m = SLHVModel(uniform_lambda_grid(n), ResponseFunction.from_split(1, ideal, efficiency),
+                          ResponseFunction.from_split(2, ideal, efficiency))
+            angle = rng.random() * math.pi
+            a = np.array([angle])
+            for party in (1, 2):
+                t = m.triples(party, angle)
+                want = ideal(a, m.space.values)[0]
+                np.testing.assert_allclose(
+                    t[:, 0], want[:, 0] * efficiency(a, m.space.values, +1)[0], atol=1e-12)
+                np.testing.assert_allclose(
+                    t[:, 1], want[:, 1] * efficiency(a, m.space.values, -1)[0], atol=1e-12)
+                np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
     def test_unnormalized_response_raises_with_location(self):
         space = HiddenVariableSpace([1.0])
@@ -128,7 +144,7 @@ class TestResponse:
         m = SLHVModel(space, ResponseFunction.from_function(1, bad),
                       ResponseFunction.from_function(2, bad))
         with pytest.raises(ValidationError, match="party 1"):
-            m.response(1, 0.25, 0)
+            m.triples(1, 0.25)
 
     def test_normalization_property_over_random_models(self):
         rng = np.random.default_rng(11)
@@ -144,33 +160,43 @@ class TestResponse:
                 assert np.all(t >= -1e-15) and np.all(t <= 1.0 + 1e-15)
 
 
+MODE3 = EffectiveCorrelationMode.SOLUTION3
+
+
 class TestAverages:
+    """The table-column conventions (alpha, local and effective local
+    averages), read through the exact sums of bounds."""
+
     def test_symmetric_triple_has_zero_average(self):
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
-        assert m.local_average(1, 0.1, 0) == 0.0
+        assert correlation(m, 0.1, 0.1) == 0.0
 
     def test_plain_average_example(self):
+        # local average 0.6 and alpha 0.6 per party
         m = constant_model((0.6, 0.0, 0.4), (0.6, 0.0, 0.4))
-        assert m.local_average(1, 0.0, 0) == pytest.approx(0.6, abs=1e-15)
-        assert m.alpha(1, 0.0, 0) == pytest.approx(0.6, abs=1e-15)
+        assert correlation(m, 0.0, 0.0) == pytest.approx(0.36, abs=1e-15)
+        assert coincidence_probability(m, 0.0, 0.0) == pytest.approx(0.36, abs=1e-15)
 
     def test_triple_sum_example(self):
         m = constant_model((0.3, 0.2, 0.5), (0.3, 0.2, 0.5))
-        assert m.alpha(1, 1.0, 1) == pytest.approx(0.5, abs=1e-15)
-        assert m.nondetect_prob(1, 1.0, 1) == pytest.approx(0.5, abs=1e-15)
+        t = m.triples(1, 1.0)[1]
+        assert t[0] + t[1] == pytest.approx(0.5, abs=1e-15)
+        assert t[2] == pytest.approx(0.5, abs=1e-15)
 
     def test_effective_average_example(self):
+        # (0.3 - 0.1) / (0.3 + 0.1) = 0.5 per party
         m = constant_model((0.3, 0.1, 0.6), (0.3, 0.1, 0.6))
-        assert m.effective_local_average(1, 0.0, 0) == pytest.approx(0.5, rel=1e-12)
+        assert effective_correlation(m, 0.0, 0.0, MODE3) == pytest.approx(0.25, rel=1e-12)
 
     def test_effective_average_equals_plain_without_loss(self):
         m = constant_model((0.7, 0.3, 0.0), (0.7, 0.3, 0.0))
-        assert m.effective_local_average(2, 0.2, 1) == m.local_average(2, 0.2, 1)
+        assert effective_correlation(m, 0.2, 0.2, MODE3) == pytest.approx(
+            correlation(m, 0.2, 0.2), abs=1e-15)
 
     def test_effective_average_undefined_at_dead_point(self):
         m = constant_model((0.0, 0.0, 1.0), (0.5, 0.5, 0.0))
         with pytest.raises(DegenerateModelError, match="party 1"):
-            m.effective_local_average(1, 0.0, 0)
+            effective_correlation(m, 0.0, 0.0, MODE3)
 
     def test_average_bounds_over_random_models(self):
         rng = np.random.default_rng(23)
@@ -192,42 +218,45 @@ class TestAverages:
         for _ in range(100):
             m = random_lambda_independent_model(rng, 8)
             angle = rng.random() * math.pi
-            lam = int(rng.integers(8))
-            assert m.nondetect_prob(1, angle, lam) == pytest.approx(
-                1.0 - m.alpha(1, angle, lam), abs=1e-12)
+            t = m.triples(1, angle)
+            np.testing.assert_allclose(t[:, 2], 1.0 - (t[:, 0] + t[:, 1]), atol=1e-12)
 
 
 class TestJointProb:
+    """The four 3x3 joint-outcome tables of a quad (``_QuadTables.joints``),
+    rows and columns in OUTCOME_VALUES order."""
+
     def test_deterministic_opposite_outcomes(self):
         m = constant_model((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-        assert m.joint_prob(0.0, 0.0, 0, 1, -1) == 1.0
-        for r, q in [(1, 1), (-1, -1), (-1, 1), (0, 0), (1, 0)]:
-            assert m.joint_prob(0.0, 0.0, 0, r, q) == 0.0
+        want = np.zeros((3, 3))
+        want[0, 1] = 1.0
+        assert np.array_equal(_QuadTables(m, SettingsQuad(0.0, 0.0, 0.0, 0.0)).joints[0],
+                              want)
 
     def test_independent_fair_responses(self):
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
-        for r in (1, -1):
-            for q in (1, -1):
-                assert m.joint_prob(0.1, 0.2, 0, r, q) == 0.25
+        joints = _QuadTables(m, SettingsQuad(0.1, 0.1, 0.2, 0.2)).joints
+        assert np.all(joints[:, :2, :2] == 0.25)
 
     def test_full_table_sums_to_one(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             m = random_nondegenerate_model(rng, 6)
-            a, b = rng.random(2) * math.pi
-            lam = int(rng.integers(6))
-            total = sum(m.joint_prob(a, b, lam, r, q)
-                        for r in (1, -1, 0) for q in (1, -1, 0))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            quad = SettingsQuad(*(rng.random(4) * math.pi))
+            joints = _QuadTables(m, quad).joints
+            np.testing.assert_allclose(joints.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
     def test_factorization_is_exact(self):
+        # At a single hidden point each joint table is the outer product of
+        # the two parties' triples, bit for bit.
         rng = np.random.default_rng(37)
-        m = random_nondegenerate_model(rng, 6)
-        a, b = 0.3, 1.1
-        for lam in range(6):
-            t1 = m.response(1, a, lam)
-            t2 = m.response(2, b, lam)
-            assert m.joint_prob(a, b, lam, 1, -1) == t1.p_plus * t2.p_minus
+        for _ in range(20):
+            m = random_nondegenerate_model(rng, 1)
+            quad = SettingsQuad(0.3, 0.7, 1.1, 2.9)
+            joints = _QuadTables(m, quad).joints
+            for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
+                assert np.array_equal(joints[k],
+                                      np.outer(m.triples(1, a)[0], m.triples(2, b)[0]))
 
 
 class TestValidators:
@@ -293,6 +322,74 @@ class TestValidators:
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
         with pytest.raises(ValidationError):
             validate_solution1(m, [], [0.0])
+
+    def test_one_response_call_per_party(self):
+        calls = {1: 0, 2: 0}
+
+        def counting(party):
+            def fn(angles, lam):
+                calls[party] += 1
+                return np.tile([0.25, 0.25, 0.5], (angles.size, lam.size, 1))
+
+            return ResponseFunction.from_function(party, fn)
+
+        m = SLHVModel(uniform_lambda_grid(8), counting(1), counting(2))
+        for validate in (validate_solution1, validate_solution2):
+            calls.update({1: 0, 2: 0})
+            assert validate(m, [0.0, 1.0, 2.0, 1.0], [0.5, 1.5 + math.pi]).passed
+            assert calls == {1: 1, 2: 1}
+
+
+def _p0_table_model(rows1, rows2):
+    """Tabulated model over three equal-weight hidden points from per-angle
+    non-detection rows keyed by degrees; detections split evenly."""
+    def resp(party, rows):
+        return ResponseFunction.from_table(party, {
+            math.radians(deg): np.column_stack([(1 - np.array(p0)) / 2,
+                                                (1 - np.array(p0)) / 2, p0])
+            for deg, p0 in rows.items()})
+
+    return SLHVModel(uniform_lambda_grid(3), resp(1, rows1), resp(2, rows2))
+
+
+class TestWorstPoint:
+    """Where each regime's check reports its failure, with more than two
+    angles per party: the first maximum in (party, angle pair, lambda)
+    order, at the canonical angles.  Party 1 asks for 0, 30, 0 again and
+    240 (= 60) degrees; party 2 for 10, 230 (= 50), 10 again and -80
+    (= 100) degrees.  Every value is dyadic, so the ties are exact."""
+
+    MODEL = _p0_table_model(
+        {0: [0.125, 0.25, 0.5], 30: [1.0, 1.0, 1.0], 60: [0.375, 0.25, 0.875]},
+        {10: [0.25, 0.25, 0.25], 50: [0.25, 0.25, 0.75], 100: [0.25, 1.0, 0.25]})
+    ANGLES1 = [math.radians(d) for d in (0, 30, 0, 240)]
+    ANGLES2 = [math.radians(d) for d in (10, 230, 10, -80)]
+
+    @staticmethod
+    def at(deg):
+        return canonical_angle(math.radians(deg))
+
+    def test_solution1(self):
+        # Party 1's pairs (0, 30) and (30, 0 again) both differ by 0.875 at
+        # lambda 0; the first is reported, and party 2's 0.75 is smaller.
+        rep = validate_solution1(self.MODEL, self.ANGLES1, self.ANGLES2)
+        assert not rep.passed and rep.max_deviation == 0.875
+        assert rep.worst == (1, 0, (self.at(0), self.at(30)))
+
+    def test_solution2(self):
+        # Party 2's 100-degree row ranges over 0.75, more than party 1's
+        # 0.625 at 60 degrees; it is asked for as -80 degrees.
+        rep = validate_solution2(self.MODEL, self.ANGLES1, self.ANGLES2)
+        assert not rep.passed and rep.max_deviation == 0.75
+        assert rep.worst == (2, 1, (self.at(-80), self.at(-80)))
+        assert rep.implied_p0 is None
+
+    def test_solution3(self):
+        # Both parties have a point with p0 = 1; party 1's (every point at
+        # 30 degrees, the first at lambda 0) comes first.
+        rep = _solution3_report(*_nondetect_rows(self.MODEL, self.ANGLES1, self.ANGLES2))
+        assert not rep.passed and rep.max_deviation == 1.0
+        assert rep.worst == (1, 0, (self.at(30), self.at(30)))
 
 
 def _one_angle_threshold(theta, angle, lam):
@@ -431,5 +528,5 @@ def test_arbitrary_valid_triple_roundtrip(p1, p2, p3):
     fn = lambda angles, lam: np.tile(t, (angles.size, 1, 1))  # noqa: E731
     m = SLHVModel(HiddenVariableSpace([1.0]), ResponseFunction.from_function(1, fn),
                   ResponseFunction.from_function(2, fn))
-    trip = m.response(1, 0.0, 0)
-    assert trip.p_plus + trip.p_minus + trip.p_zero == pytest.approx(1.0, abs=1e-9)
+    trip = m.triples(1, 0.0)[0]
+    assert trip[0] + trip[1] + trip[2] == pytest.approx(1.0, abs=1e-9)

@@ -1,0 +1,47 @@
+"""The package's public names resolve, and the removed per-point surface
+stays removed: a model answers only in (k, n, 3) tables."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import bellsim
+from bellsim import bounds, model
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_every_all_name_resolves(name):
+    module = importlib.import_module(f"bellsim.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+
+
+def test_package_imports_resolve():
+    # Every name bellsim/__init__.py imports is an attribute of the package
+    # and the same object as in the module it comes from.
+    tree = ast.parse(Path(bellsim.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"bellsim.{node.module}")
+        for alias in node.names:
+            assert getattr(bellsim, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+def test_per_point_surface_removed():
+    assert not hasattr(bellsim, "ProbTriple")
+    assert not hasattr(model, "ProbTriple")
+    assert "ProbTriple" not in model.__all__
+    for name in ("response", "alpha", "nondetect_prob", "local_average",
+                 "effective_local_average", "joint_prob", "_check_index",
+                 "detection_probs", "nondetect_probs"):
+        assert not hasattr(model.SLHVModel, name), name
+    fn = model.ResponseFunction.from_split(1, None, None)
+    assert not hasattr(fn, "ideal_fn") and not hasattr(fn, "efficiency_fn")
+    assert not hasattr(bounds._QuadTables, "p0")
+    assert not hasattr(bounds, "_joint")
