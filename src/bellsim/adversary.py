@@ -21,16 +21,20 @@ Two built-in families:
 The objective is evaluated exactly by the bounds module (no sampling in
 the loop); the optimizer is a restarted Nelder-Mead simplex with box
 projection, gradients being unavailable through the absolute value and
-the clipping.
+the clipping.  The simplex code is bellsim's own (``_nelder_mead``) and
+equals scipy's bounded, non-adaptive Nelder-Mead step for step, so the
+search needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Hashable, NamedTuple
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +69,10 @@ __all__ = [
 ]
 
 SOUNDNESS_TOL = 1e-9
+# A restart's simplex has converged once every vertex lies within _XATOL of
+# the best one in each coordinate and within _FATOL of its value.
+_XATOL = 1e-6
+_FATOL = 1e-10
 # Parameters may sit this far outside a family's box.
 _BOX_TOL = 1e-12
 
@@ -363,32 +371,153 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
     return value
 
 
-def _expand(free_idx, frozen_full, x_free):
-    full = frozen_full.copy()
-    full[free_idx] = x_free
-    return full
-
-
-def _memo_key(breakpoints: tuple[np.ndarray | None, ...] | None,
-              full: np.ndarray) -> Hashable:
+def _memo_key(breakpoints: tuple[Sequence[float] | None, ...] | None,
+              full: Sequence[float]) -> Hashable:
     """The restart memo's key for the clipped parameter vector ``full``.
 
     A parameter with breakpoints b is keyed on the count of breakpoints
     strictly below it, which fixes every comparison ``x >= value`` against
     them, a value equal to a breakpoint included; any other parameter is
-    keyed on its exact bytes.
+    keyed on its exact bytes, so that 0.0 and -0.0 stay apart.
     """
     if breakpoints is None:
-        return full.tobytes()
-    return tuple(int(np.searchsorted(b, v, side="left")) if b is not None else v.tobytes()
+        return struct.pack(f"{len(full)}d", *full)
+    return tuple(bisect_left(b, v) if b is not None else struct.pack("d", v)
                  for b, v in zip(breakpoints, full))
+
+
+class _BudgetExhausted(Exception):
+    """A call past ``maxfev``: it aborts the current Nelder-Mead step."""
+
+
+def _clip(x: Sequence[float], lower: list[float], upper: list[float]) -> list[float]:
+    # np.clip's order, which decides the sign of a zero on the box edge.
+    clipped = []
+    for v, lo, hi in zip(x, lower, upper):
+        v = v if v > lo else lo
+        clipped.append(v if v < hi else hi)
+    return clipped
+
+
+def _sort_by_value(sim: list[list[float]], fsim: list[float]
+                   ) -> tuple[list[list[float]], list[float]]:
+    # np.argsort, not sorted(): its order among equal values decides the
+    # later steps on a plateau.
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
+                 lower: list[float], upper: list[float], maxfev: int
+                 ) -> tuple[list[float], float, int]:
+    """Minimize ``func`` over the box [lower, upper] by Nelder-Mead.
+
+    Returns the best vertex, its value and the number of calls made; fewer
+    than ``maxfev`` calls means the simplex converged (``_XATOL``,
+    ``_FATOL``).  Every point passed to ``func`` lies in the box.
+
+    The steps are scipy's bounded, non-adaptive Nelder-Mead
+    (``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``, as of
+    scipy 1.17) in every floating-point operation: the same initial simplex,
+    reflection (1), expansion (2), contraction (0.5) and shrink (0.5)
+    coefficients and arithmetic order, clipping of every trial point,
+    ``np.argsort`` ordering of the vertices, and a call past ``maxfev``
+    abandoning the step in progress.  So it visits the same points in the
+    same order and returns the same bits (Nelder & Mead, Comput. J. 7, 308
+    (1965)).
+    """
+    n = len(x0)
+    calls = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetExhausted
+        calls += 1
+        return func(x)
+
+    x0 = _clip(x0, lower, upper)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    # A vertex pushed past the top of the box is reflected back into it.
+    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)], lower, upper)
+           for y in sim]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetExhausted:
+        pass
+    sim, fsim = _sort_by_value(sim, fsim)
+    sim, fsim = _sort_by_value(sim, fsim)
+
+    def trial(a: float, xbar: list[float], b: float, w: list[float]) -> list[float]:
+        # a*xbar + b*w, clipped.  With the a and b below this is bit-equal
+        # to the usual (1 + rho)*xbar - rho*w forms, since x + (-y) == x - y.
+        return _clip([a * c + b * v for c, v in zip(xbar, w)], lower, upper)
+
+    while calls < maxfev:
+        try:
+            best = sim[0]
+            if (all(abs(v - b) <= _XATOL for y in sim[1:] for v, b in zip(y, best))
+                    and all(abs(fsim[0] - fv) <= _FATOL for fv in fsim[1:])):
+                break
+            # The centroid of the best n vertices, summed in vertex order.
+            xbar = []
+            for i in range(n):
+                total = 0.0
+                for y in sim[:-1]:
+                    total += y[i]
+                xbar.append(total / n)
+            worst = sim[-1]
+            xr = trial(2, xbar, -1, worst)
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = trial(3, xbar, -2, worst)
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = trial(1.5, xbar, -0.5, worst)
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = trial(0.5, xbar, 0.5, worst)
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                # Each vertex moves before its call, so a call past the
+                # budget leaves it moved but with its old value.
+                for j in range(1, n + 1):
+                    sim[j] = _clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])],
+                                   lower, upper)
+                    fsim[j] = f(sim[j])
+        except _BudgetExhausted:
+            pass
+        sim, fsim = _sort_by_value(sim, fsim)
+    return sim[0], fsim[0], calls
 
 
 def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
     """Restart ``k`` of the search: one bounded Nelder-Mead descent.
 
     Its start point is drawn from SeedSequence(entropy=config.seed,
-    spawn_key=(k,)) and the descent is deterministic, so the summary
+    spawn_key=(k,)) and the descent (``_nelder_mead``, which takes scipy's
+    bounded Nelder-Mead steps bit for bit) is deterministic, so the summary
     depends on (config, k) alone and not on the process that computes it.
     A module-level function so that a process pool can pickle it; the
     family's builder and breakpoints travel with ``config`` and must
@@ -398,37 +527,37 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
     (see ``_memo_key``): points of one threshold cell, or the exact
     repeats the box clipping produces, reuse the first point's value.
     """
-    from scipy import optimize
-
     fam = config.family
     names = fam.param_names
-    lower = np.asarray(fam.lower, dtype=float)
-    upper = np.asarray(fam.upper, dtype=float)
-    frozen_full = lower.copy()
-    for name, v in config.freeze.items():
-        frozen_full[names.index(name)] = float(v)
-    free_idx = np.array([i for i, n in enumerate(names) if n not in config.freeze],
-                        dtype=int)
+    free = [i for i, n in enumerate(names) if n not in config.freeze]
+    lower = [float(fam.lower[i]) for i in free]
+    upper = [float(fam.upper[i]) for i in free]
+    frozen_full = [float(config.freeze.get(n, lo)) for n, lo in zip(names, fam.lower)]
 
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
-    x0 = lower[free_idx] + rng.random(free_idx.size) * \
-        (upper[free_idx] - lower[free_idx])
+    x0 = [lo + r * (hi - lo)
+          for lo, hi, r in zip(lower, upper, rng.random(len(free)).tolist())]
     breakpoints = (None if fam.breakpoints is None
                    else fam.breakpoints(config.quad, config.n_lambda))
-    if breakpoints is not None and len(breakpoints) != len(names):
-        raise ValidationError(
-            f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
-            f"parameters, not {len(names)}")
+    if breakpoints is not None:
+        if len(breakpoints) != len(names):
+            raise ValidationError(
+                f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
+                f"parameters, not {len(names)}")
+        breakpoints = tuple(None if b is None else np.asarray(b).tolist()
+                            for b in breakpoints)
     memo: dict[Hashable, float] = {}
-    evals = 0
     trajectory: list[float] = []
 
-    def neg_abs_ueff(x_free):
-        nonlocal evals
-        evals += 1
-        x = np.clip(x_free, lower[free_idx], upper[free_idx])
-        full = _expand(free_idx, frozen_full, x)
+    def expand(x: list[float]) -> list[float]:
+        full = frozen_full.copy()
+        for i, v in zip(free, x):
+            full[i] = v
+        return full
+
+    def neg_abs_ueff(x: list[float]) -> float:
+        full = expand(x)
         key = _memo_key(breakpoints, full)
         value = memo.get(key)
         if value is None:
@@ -438,23 +567,20 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
             trajectory.append(value)
         return -value
 
-    res = optimize.minimize(
-        neg_abs_ueff, x0, method="Nelder-Mead",
-        bounds=list(zip(lower[free_idx], upper[free_idx])),
-        options={"maxfev": config.max_evals, "xatol": 1e-6,
-                 "fatol": 1e-10, "adaptive": False})
-    x_best = np.clip(res.x, lower[free_idx], upper[free_idx])
-    full_best = _expand(free_idx, frozen_full, x_best)
-    return RestartSummary(restart_index=k, start=tuple(x0.tolist()),
-                          best_params=tuple(full_best.tolist()),
-                          best_value=float(-res.fun), evaluations=evals,
-                          converged=bool(res.success),
+    x_best, f_best, evals = _nelder_mead(neg_abs_ueff, x0, lower, upper,
+                                         config.max_evals)
+    return RestartSummary(restart_index=k, start=tuple(x0),
+                          best_params=tuple(expand(x_best)),
+                          best_value=float(-f_best), evaluations=evals,
+                          converged=evals < config.max_evals,
                           trajectory=tuple(trajectory))
 
 
 def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     """Restarted Nelder-Mead maximization of |U_eff| over the family box.
 
+    The simplex code is bellsim's own (``_nelder_mead``) and equals
+    scipy's bounded, non-adaptive Nelder-Mead step for step.
     Deterministic given the seed: each restart depends only on the
     config and its index (see ``_run_restart``), and the reduction takes
     the best value with ties broken by the lowest restart index, so the
@@ -467,18 +593,14 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     process pool of that many workers; otherwise they run serially in this
     process, which avoids the pool's start-up cost for small searches.
     The pool uses the ``fork`` start method, named explicitly because
-    Python 3.14 changes the default on Linux.  Forked children inherit
-    this process's modules, so scipy is imported here, before the pool
-    starts, and no child imports it again (a spawned child would re-import
-    bellsim and scipy, which costs a large share of a default search).
+    Python 3.14 changes the default on Linux: forked children inherit this
+    process's modules, where a spawned child would import bellsim again.
     With more than one worker each restart is pickled by reference, so
     the family's builder and breakpoints must be module-level callables.
     """
     n_workers = _pool_size(workers, config.restarts)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-
-    from scipy import optimize  # noqa: F401  loaded before the fork; see above
 
     fam = config.family
     run = partial(_run_restart, config)

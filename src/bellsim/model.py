@@ -204,6 +204,12 @@ def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
     return HiddenVariableSpace(np.full(n, 1.0 / n), values)
 
 
+def _check_callable(fn, name: str) -> None:
+    if not callable(fn):
+        raise ValidationError(
+            f"response {name} must be callable, got {type(fn).__name__}")
+
+
 class ResponseFunction:
     """Per-party outcome law: (angles, hidden points) -> probability triples.
 
@@ -225,6 +231,7 @@ class ResponseFunction:
     def __init__(self, party: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         if party not in (1, 2):
             raise ValidationError(f"party must be 1 or 2, got {party!r}")
+        _check_callable(fn, "fn")
         self.party = party
         self._fn = fn
 
@@ -269,6 +276,8 @@ class ResponseFunction:
         values, r)`` returns (k, n) per-point detection efficiencies in
         [0, 1] for channel r (+1 or -1).
         """
+        _check_callable(ideal_fn, "ideal_fn")
+        _check_callable(efficiency_fn, "efficiency_fn")
 
         def composed(angles: np.ndarray, values: np.ndarray) -> np.ndarray:
             ideal = np.asarray(ideal_fn(angles, values), dtype=float)

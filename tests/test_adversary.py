@@ -16,6 +16,7 @@ from bellsim import adversary
 from bellsim.adversary import (
     FAMILIES,
     ParametricFamily,
+    RestartSummary,
     SearchConfig,
     get_family,
     objective,
@@ -426,15 +427,168 @@ class TestRestartMemo:
                                 n_lambda=36))
 
 
+def _scipy_expand(free_idx, frozen_full, x_free):
+    full = frozen_full.copy()
+    full[free_idx] = x_free
+    return full
+
+
+def _scipy_memo_key(breakpoints, full):
+    if breakpoints is None:
+        return full.tobytes()
+    return tuple(int(np.searchsorted(b, v, side="left")) if b is not None else v.tobytes()
+                 for b, v in zip(breakpoints, full))
+
+
+def _scipy_run_restart(config, k, _memo_key=_scipy_memo_key, _expand=_scipy_expand):
+    """The search's restart as it was when scipy.optimize.minimize ran the
+    simplex: the body is kept verbatim as the reference for _nelder_mead."""
+    from scipy import optimize
+
+    fam = config.family
+    names = fam.param_names
+    lower = np.asarray(fam.lower, dtype=float)
+    upper = np.asarray(fam.upper, dtype=float)
+    frozen_full = lower.copy()
+    for name, v in config.freeze.items():
+        frozen_full[names.index(name)] = float(v)
+    free_idx = np.array([i for i, n in enumerate(names) if n not in config.freeze],
+                        dtype=int)
+
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
+    x0 = lower[free_idx] + rng.random(free_idx.size) * \
+        (upper[free_idx] - lower[free_idx])
+    breakpoints = (None if fam.breakpoints is None
+                   else fam.breakpoints(config.quad, config.n_lambda))
+    if breakpoints is not None and len(breakpoints) != len(names):
+        raise ValidationError(
+            f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
+            f"parameters, not {len(names)}")
+    memo: dict = {}
+    evals = 0
+    trajectory: list[float] = []
+
+    def neg_abs_ueff(x_free):
+        nonlocal evals
+        evals += 1
+        x = np.clip(x_free, lower[free_idx], upper[free_idx])
+        full = _expand(free_idx, frozen_full, x)
+        key = _memo_key(breakpoints, full)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = objective(fam, full, config.quad, config.mode,
+                                          n_lambda=config.n_lambda)
+        if not trajectory or value > trajectory[-1]:
+            trajectory.append(value)
+        return -value
+
+    res = optimize.minimize(
+        neg_abs_ueff, x0, method="Nelder-Mead",
+        bounds=list(zip(lower[free_idx], upper[free_idx])),
+        options={"maxfev": config.max_evals, "xatol": 1e-6,
+                 "fatol": 1e-10, "adaptive": False})
+    x_best = np.clip(res.x, lower[free_idx], upper[free_idx])
+    full_best = _expand(free_idx, frozen_full, x_best)
+    return RestartSummary(restart_index=k, start=tuple(x0.tolist()),
+                          best_params=tuple(full_best.tolist()),
+                          best_value=float(-res.fun), evaluations=evals,
+                          converged=bool(res.success),
+                          trajectory=tuple(trajectory))
+
+
+class TestNelderMeadReference:
+    """``_nelder_mead`` takes scipy's bounded Nelder-Mead steps bit for bit:
+    each restart visits the points the scipy-driven restart visited, in the
+    same order, and returns an equal summary."""
+
+    @staticmethod
+    def _bytes(points):
+        return [np.asarray(x, dtype=float).tobytes() for x in points]
+
+    @pytest.mark.parametrize("family, freeze", [
+        pytest.param("threshold-detection", {}, id="threshold"),
+        pytest.param("threshold-detection", {"theta2": 0.999}, id="threshold-theta2-top"),
+        pytest.param("threshold-detection", {"theta1": 0.0}, id="threshold-theta1-bottom"),
+        pytest.param("modulated-p0", {}, id="modulated"),
+        pytest.param("modulated-p0", {"c1": 0.0}, id="modulated-c1"),
+        pytest.param("modulated-p0", {"c0": 0.9}, id="modulated-c0-top"),
+        pytest.param("modulated-p0", {"c1": 0.0, "sharpness": 1.0}, id="modulated-c1-sharpness"),
+    ])
+    @pytest.mark.parametrize("mode", tuple(EffectiveCorrelationMode), ids=lambda m: m.value)
+    def test_restart_matches_scipy(self, monkeypatch, family, freeze, mode):
+        pytest.importorskip("scipy.optimize")
+        new_points, ref_points = [], []
+        memo_key = adversary._memo_key
+
+        def recorded_key(breakpoints, full):
+            new_points.append(full)
+            return memo_key(breakpoints, full)
+
+        def recorded_ref_key(breakpoints, full):
+            ref_points.append(full)
+            return _scipy_memo_key(breakpoints, full)
+
+        monkeypatch.setattr(adversary, "_memo_key", recorded_key)
+        # The small budgets run out inside expansions, contractions and
+        # shrinks; at 60 most restarts converge first.
+        for max_evals in (10, 11, 13, 17, 60):
+            config = SearchConfig(family=get_family(family), quad=QUAD, mode=mode,
+                                  restarts=2, max_evals=max_evals, seed=max_evals,
+                                  n_lambda=90, freeze=freeze)
+            for k in range(config.restarts):
+                new_points.clear()
+                ref_points.clear()
+                summary = adversary._run_restart(config, k)
+                assert summary == _scipy_run_restart(config, k, _memo_key=recorded_ref_key)
+                assert self._bytes(new_points) == self._bytes(ref_points)
+                assert len(new_points) == summary.evaluations
+
+    @pytest.mark.parametrize("x0, maxfev", [
+        pytest.param([0.0, 0.4], 60, id="zero-start"),
+        pytest.param([0.97, 0.5], 60, id="near-upper"),
+        pytest.param([0.97, 0.0], 13, id="both-budget"),
+        pytest.param([0.0], 40, id="one-dim"),
+    ])
+    def test_direct_matches_scipy(self, x0, maxfev):
+        # A start coordinate of 0 moves to 0.00025 in the initial simplex,
+        # and one within 5 % of the upper bound is reflected back into the
+        # box; the stepped objective makes ties between vertices.
+        optimize = pytest.importorskip("scipy.optimize")
+        lower, upper = [0.0] * len(x0), [1.0] * len(x0)
+
+        def stepped(x):
+            return math.floor(sum((v - 0.3) ** 2 for v in x) / 0.01) * 0.01
+
+        ours, theirs = [], []
+        x, fx, calls = adversary._nelder_mead(
+            lambda x: ours.append(list(x)) or stepped(x), x0, lower, upper, maxfev)
+        res = optimize.minimize(
+            lambda x: theirs.append(x.tolist()) or stepped(x), np.array(x0),
+            method="Nelder-Mead", bounds=list(zip(lower, upper)),
+            options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-10, "adaptive": False})
+        assert self._bytes(ours) == self._bytes(theirs)
+        assert all(0.0 <= v <= 1.0 for p in ours for v in p)
+        assert np.asarray(x).tobytes() == res.x.tobytes()
+        assert (fx, calls, calls < maxfev) == (res.fun, res.nfev, res.success)
+
+
 def test_import_loads_no_scipy():
     # Nor the process pool's modules: the search imports them when it runs.
+    # A search, serial or on the pool, never loads scipy either.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     code = ("import sys, bellsim; print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
+            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))\n"
+            "from bellsim import adversary, bounds\n"
+            "config = adversary.SearchConfig(adversary.get_family('threshold-detection'), "
+            "bounds.optimal_quad(), restarts=2, max_evals=30, n_lambda=36)\n"
+            "for workers in (1, 2):\n"
+            "    adversary.search(config, workers=workers)\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]"] * 3

@@ -146,6 +146,16 @@ class TestResponse:
         with pytest.raises(ValidationError, match="party 1"):
             m.triples(1, 0.25)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ResponseFunction.from_function(1, 5), "fn"),
+        (lambda: ResponseFunction(2, None), "fn"),
+        (lambda: ResponseFunction.from_split(1, None, None), "ideal_fn"),
+        (lambda: ResponseFunction.from_split(2, lambda a, v: a, "eff"), "efficiency_fn"),
+    ], ids=["from_function", "constructor", "split-ideal", "split-efficiency"])
+    def test_non_callable_rejected_at_construction(self, build, name):
+        with pytest.raises(ValidationError, match=f"response {name} must be callable"):
+            build()
+
     def test_normalization_property_over_random_models(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):

@@ -41,7 +41,7 @@ def test_per_point_surface_removed():
                  "effective_local_average", "joint_prob", "_check_index",
                  "detection_probs", "nondetect_probs"):
         assert not hasattr(model.SLHVModel, name), name
-    fn = model.ResponseFunction.from_split(1, None, None)
+    fn = model.ResponseFunction.from_split(1, lambda a, v: None, lambda a, v, r: None)
     assert not hasattr(fn, "ideal_fn") and not hasattr(fn, "efficiency_fn")
     assert not hasattr(bounds._QuadTables, "p0")
     assert not hasattr(bounds, "_joint")
