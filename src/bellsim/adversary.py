@@ -33,7 +33,7 @@ import numbers
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -94,8 +94,11 @@ class ParametricFamily:
     continuously.  A search keys each point on the count of breakpoints
     strictly below each such parameter (and on the exact value of every
     other one), and evaluates each key once per restart, so equal keys
-    must mean bit-identical tables.  Like ``builder``, it must be a
-    module-level callable, so that it pickles with the restarts.
+    must mean bit-identical tables.
+
+    ``search`` hands the family to its worker processes by fork, never by
+    pickling, so ``builder`` and ``breakpoints`` may be any callables,
+    lambdas and closures included.
     """
 
     name: str
@@ -185,8 +188,11 @@ def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
             # Detected points answer +1 where cos 2d >= 0 and -1 elsewhere;
             # every probability is 0 or 1.
             detect = terms.abs_cos2d >= theta
-            return np.stack([detect & terms.cos2d_nonneg, detect & terms.cos2d_neg,
-                             ~detect], axis=-1).astype(float)
+            out = np.empty(detect.shape + (3,))
+            np.logical_and(detect, terms.cos2d_nonneg, out=out[..., 0])
+            np.logical_and(detect, terms.cos2d_neg, out=out[..., 1])
+            np.logical_not(detect, out=out[..., 2])
+            return out
         return fn
 
     model = SLHVModel(_grid(n_lambda),
@@ -518,10 +524,8 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
     Its start point is drawn from SeedSequence(entropy=config.seed,
     spawn_key=(k,)) and the descent (``_nelder_mead``, which takes scipy's
     bounded Nelder-Mead steps bit for bit) is deterministic, so the summary
-    depends on (config, k) alone and not on the process that computes it.
-    A module-level function so that a process pool can pickle it; the
-    family's builder and breakpoints travel with ``config`` and must
-    pickle too.
+    depends on (config, k) alone and not on the process that computes it:
+    ``search`` runs it in whichever process claims ``k``.
 
     Each evaluation is counted, but ``objective`` runs once per memo key
     (see ``_memo_key``): points of one threshold cell, or the exact
@@ -576,6 +580,86 @@ def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
                           trajectory=tuple(trajectory))
 
 
+def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
+    """Every restart's summary, in index order, from this process and
+    ``n_workers - 1`` forked children.
+
+    All of them claim restart indices from one counter in shared memory
+    and run each claimed restart to the end.  A child sends the summaries
+    it computed, or the exception that stopped it, over its own pipe once
+    the counter runs out; an exception in any process also empties the
+    counter, so the others stop claiming.  Children are forked, so they
+    share ``config`` by memory and only summaries and exceptions are
+    pickled.  No child outlives this call.
+    """
+    if n_workers == 1:
+        return [_run_restart(config, k) for k in range(config.restarts)]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    next_index = ctx.Value("q", 0)
+
+    def claim_and_run() -> dict[int, RestartSummary]:
+        done = {}
+        while True:
+            with next_index.get_lock():
+                k = next_index.value
+                next_index.value = k + 1
+            if k >= config.restarts:
+                return done
+            try:
+                done[k] = _run_restart(config, k)
+            except BaseException:
+                with next_index.get_lock():
+                    next_index.value = config.restarts
+                raise
+
+    children, readers = [], []
+    try:
+        for _ in range(n_workers - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            child = ctx.Process(target=_report, args=(claim_and_run, writer), daemon=True)
+            try:
+                child.start()
+            finally:
+                writer.close()  # the child's copy stays open until it reports
+            children.append(child)
+        summaries = claim_and_run()
+        for child, reader in zip(children, readers):
+            try:
+                ok, payload = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"search worker {child.pid} exited with code {child.exitcode} "
+                    "without reporting its restarts") from None
+            if not ok:
+                raise payload
+            summaries.update(payload)
+    except BaseException:
+        for child in children:
+            child.kill()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for reader in readers:
+            reader.close()
+    return [summaries[k] for k in range(config.restarts)]
+
+
+def _report(work: Callable[[], dict], writer) -> None:
+    """A search worker's body: send ``(True, work())``, or ``(False, exc)``
+    for the exception that stopped it."""
+    try:
+        result = (True, work())
+    except Exception as exc:  # the caller re-raises it
+        result = (False, exc)
+    writer.send(result)
+    writer.close()
+
+
 def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     """Restarted Nelder-Mead maximization of |U_eff| over the family box.
 
@@ -589,27 +673,14 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     repeats one (same memo key, see ``_run_restart``) counts as an
     evaluation and reuses its value.
 
-    With ``min(workers, restarts, CPU count) > 1`` the restarts run on a
-    process pool of that many workers; otherwise they run serially in this
-    process, which avoids the pool's start-up cost for small searches.
-    The pool uses the ``fork`` start method, named explicitly because
-    Python 3.14 changes the default on Linux: forked children inherit this
-    process's modules, where a spawned child would import bellsim again.
-    With more than one worker each restart is pickled by reference, so
-    the family's builder and breakpoints must be module-level callables.
+    The restarts run in this process beside ``n - 1`` forked worker
+    processes, ``n = min(workers, restarts, CPU count)``, which claim
+    them one at a time from a shared counter (``_run_restarts``); with
+    ``n = 1`` no process is started.  An exception raised in any of them
+    reaches the caller, and no worker outlives the call.
     """
-    n_workers = _pool_size(workers, config.restarts)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    summaries = _run_restarts(config, _pool_size(workers, config.restarts))
     fam = config.family
-    run = partial(_run_restart, config)
-    if n_workers > 1:
-        with ProcessPoolExecutor(
-                n_workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            summaries = list(pool.map(run, range(config.restarts)))
-    else:
-        summaries = list(map(run, range(config.restarts)))
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))
     best_full = np.asarray(best.best_params)
 

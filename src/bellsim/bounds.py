@@ -221,25 +221,29 @@ def coincidence_sum(table):
 class _QuadTables:
     """A model at a quad: one response call per party, over its two angles.
 
-    ``t`` holds the tables as (party, angle, n, 3), and ``t1``, ``t2`` are
-    its two (2, n, 3) halves.  Per-pair values are (4,) arrays in
-    PAIR_LABELS order, the (a, a') x (b, b') grid flattened: ``e`` and
-    ``coin`` of the four ``joints``, formed on first use, and
-    ``e_eff(mode)``.
+    ``t1`` and ``t2`` are the two parties' (2, n, 3) tables as their
+    response calls returned them, and ``t`` stacks them as (party, angle,
+    n, 3) on first use.  Per-pair values are (4,) arrays in PAIR_LABELS
+    order, the (a, a') x (b, b') grid flattened: ``e`` and ``coin`` of the
+    four ``joints``, formed on first use, and ``e_eff(mode)``.
     """
 
     def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
         self.w = model.space.weights
         self.angles = (quad.party1_angles(), quad.party2_angles())
-        self.t = np.stack([model.tables(party, angles, validate)
-                           for party, angles in enumerate(self.angles, start=1)])
-        self.t1, self.t2 = self.t
+        self.t1, self.t2 = (model.tables(party, angles, validate)
+                            for party, angles in enumerate(self.angles, start=1))
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return np.stack([self.t1, self.t2])
 
     @cached_property
     def joints(self) -> np.ndarray:
         """The four joint-outcome tables t1^T . diag(w) . t2 in one matmul,
-        (2, 1, 3, n) @ (1, 2, n, 3)."""
-        return ((self.t1 * self.w[:, None]).transpose(0, 2, 1)[:, None]
+        (2, 1, 3, n) @ (1, 2, n, 3).  The weights scale t1 in its transposed
+        (outcome, lambda) layout, a long inner loop over lambda."""
+        return ((self.t1.transpose(0, 2, 1) * self.w)[:, None]
                 @ self.t2[None]).reshape(4, 3, 3)
 
     @cached_property
@@ -258,12 +262,14 @@ class _QuadTables:
         a party's detection probability at its setting (solution2) or at
         some hidden point (solution3) is not positive.
         """
-        t = self.t
         if mode is EffectiveCorrelationMode.SOLUTION1:
             dead = self.coin <= 0.0
+            if not dead.any():
+                return self.e / self.coin, None
             value = np.divide(self.e, self.coin, out=np.full(4, np.nan), where=~dead)
             why = "zero coincidence probability"
         elif mode is EffectiveCorrelationMode.SOLUTION2:
+            t = self.t
             d = 1.0 - np.sum(self.w * t[..., 2], axis=2)
             dead_at = d <= 0.0
             dead = (dead_at[0, :, None] | dead_at[1]).ravel()
@@ -271,6 +277,7 @@ class _QuadTables:
                               out=np.full(4, np.nan), where=~dead)
             why = "is never detected at its setting"
         elif mode is EffectiveCorrelationMode.SOLUTION3:
+            t = self.t
             al = t[..., 0] + t[..., 1]
             dead_at = np.any(al <= 0.0, axis=2)
             dead = (dead_at[0, :, None] | dead_at[1]).ravel()

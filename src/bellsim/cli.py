@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=VALUE",
                    help="hold a parameter at VALUE; repeatable, once per name")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes the restarts run on (>= 1); the "
-                        "output is the same at any value")
+                   help="processes the restarts run on (>= 1): this one and "
+                        "N - 1 forked workers; the output is the same at any value")
     common(p)
     p.set_defaults(func=cmd_adversary_search)
 

@@ -51,7 +51,13 @@ import numpy as np
 
 from .bounds import PAIR_LABELS, SettingsQuad, _QuadTables
 from .estimator import _MAX_COUNT, CountsRecord
-from .model import _OUTCOME_INDEX, OUTCOME_VALUES, SLHVModel, ValidationError
+from .model import (
+    _OUTCOME_INDEX,
+    OUTCOME_VALUES,
+    SLHVModel,
+    ValidationError,
+    _check_integer,
+)
 from .qm import QMModelParams
 
 __all__ = [
@@ -71,9 +77,7 @@ _MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
 def _pool_size(workers: int, tasks: int) -> int:
     """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
     count and the CPU count.  No output of this package depends on it."""
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers!r}")
-    return min(workers, tasks, os.cpu_count() or 1)
+    return min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

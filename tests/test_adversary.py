@@ -3,9 +3,13 @@
 import contextlib
 import dataclasses
 import math
+import multiprocessing
+import multiprocessing.context
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -193,7 +197,7 @@ class TestSearch:
         r1 = search(self.small_config(), workers=1)
         for workers in (2, 4):
             assert search(self.small_config(), workers=workers) == r1
-        # A family defined outside bellsim pickles into the workers by reference.
+        # A family defined outside bellsim reaches the forked workers too.
         two_point = self.small_config(family=TWO_POINT, mode=EffectiveCorrelationMode.SOLUTION2,
                                       n_lambda=2)
         assert search(two_point, workers=2) == search(two_point, workers=1)
@@ -206,23 +210,42 @@ class TestSearch:
         assert search(config, workers=2) == res
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        import concurrent.futures
+        # The caller runs restarts too, so min(workers, restarts, CPU count)
+        # processes means one forked child fewer.
+        started = []
+        start = multiprocessing.context.ForkProcess.start
 
-        sizes = []
+        def counted_start(process):
+            started.append(process)
+            start(process)
 
-        def inline_pool(max_workers, **_kw):
-            sizes.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert search(self.small_config(), workers=10**6) == search(self.small_config())
-        assert sizes == [3]
+        for workers, restarts, children in ((10**6, 4, 2), (10**6, 2, 1), (2, 4, 1),
+                                            (1, 4, 0)):
+            started.clear()
+            config = self.small_config(restarts=restarts)
+            assert search(config, workers=workers) == search(config)
+            assert len(started) == children
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -1):
             with pytest.raises(ValidationError, match="workers"):
                 search(self.small_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2", None, True], ids=repr)
+    def test_workers_must_be_an_integer(self, workers):
+        with pytest.raises(ValidationError, match="workers must be an integer"):
+            search(self.small_config(), workers=workers)
+
+    def test_lambda_family_runs_on_workers(self):
+        # Workers are forked, so a family that cannot pickle reaches them.
+        fam = dataclasses.replace(
+            get_family("threshold-detection"),
+            builder=lambda params, n: adversary._threshold_builder(params, n),
+            breakpoints=lambda quad, n: adversary._threshold_breakpoints(quad, n))
+        config = self.small_config(family=fam)
+        assert search(config, workers=2) == search(config, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_soundness_check_fires_in_every_worker(self, monkeypatch, workers):
@@ -234,6 +257,11 @@ class TestSearch:
         with pytest.raises(TheoremViolationError):
             search(self.small_config(restarts=2, max_evals=60, n_lambda=90),
                    workers=workers)
+
+    def test_no_worker_outlives_a_search(self):
+        search(self.small_config(), workers=2)
+        assert multiprocessing.active_children() == []
+
 
     def test_best_value_reproducible_from_stored_parameters(self):
         res = search(self.small_config())
@@ -335,6 +363,66 @@ class TestSearch:
         json.dumps(doc)
         assert doc["config"]["family"] == "threshold-detection"
         assert len(doc["restarts"]) == 2
+
+
+def _split_restarts(monkeypatch, in_worker, in_caller=adversary._run_restart):
+    """Patch ``_run_restart`` so that a forked worker calls ``in_worker(k)``
+    and the caller ``in_caller(config, k)``, the caller only once it has
+    seen a worker claim a restart."""
+    caller = os.getpid()
+    claimed = multiprocessing.get_context("fork").Event()
+
+    def patched(config, k):
+        if os.getpid() != caller:
+            claimed.set()
+            return in_worker(k)
+        assert claimed.wait(60), "no worker claimed a restart"
+        return in_caller(config, k)
+
+    monkeypatch.setattr(adversary, "_run_restart", patched)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkers:
+    CONFIG = SearchConfig(family=get_family("threshold-detection"), quad=QUAD,
+                          restarts=4, max_evals=60, seed=12, n_lambda=90)
+
+    @staticmethod
+    def breach(*args):
+        raise TheoremViolationError(f"breach in restart {args[-1]}")
+
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        _split_restarts(monkeypatch, self.breach)
+        with _deadline(60), pytest.raises(TheoremViolationError, match="breach in restart"):
+            search(self.CONFIG, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_caller_stops_the_workers(self, monkeypatch):
+        # The worker would sleep far past the deadline: it must be stopped.
+        _split_restarts(monkeypatch, lambda k: time.sleep(600), self.breach)
+        with _deadline(60), pytest.raises(TheoremViolationError, match="breach in restart"):
+            search(self.CONFIG, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exiting_without_report_raises(self, monkeypatch):
+        _split_restarts(monkeypatch, lambda k: os._exit(3))
+        with _deadline(60), pytest.raises(RuntimeError, match="code 3 without reporting"):
+            search(self.CONFIG, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestRestartMemo:
@@ -574,8 +662,8 @@ class TestNelderMeadReference:
 
 
 def test_import_loads_no_scipy():
-    # Nor the process pool's modules: the search imports them when it runs.
-    # A search, serial or on the pool, never loads scipy either.
+    # Nor multiprocessing: the search imports it when it forks workers.  A
+    # search, serial or on workers, never loads scipy or a process pool.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -587,7 +675,8 @@ def test_import_loads_no_scipy():
             "bounds.optimal_quad(), restarts=2, max_evals=30, n_lambda=36)\n"
             "for workers in (1, 2):\n"
             "    adversary.search(config, workers=workers)\n"
-            "    print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "    print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -201,6 +201,56 @@ class TestQuadTables:
                                               _joint(m.space.weights, t1, t2))
 
 
+class TestEvaluationForms:
+    """The joint tables and the solution1 E_eff equal, bit for bit, the
+    forms they replaced: the weights applied to t1 in its (n, 3) layout,
+    and the masked division."""
+
+    SIZES = (1, 90, 97, 720)
+
+    @staticmethod
+    def quads(rng):
+        q = random_quad(rng)
+        return (optimal_quad(), q, SettingsQuad(q.a, q.a, q.b, q.b_prime))
+
+    @staticmethod
+    def assert_old_forms(q):
+        joints = ((q.t1 * q.w[:, None]).transpose(0, 2, 1)[:, None]
+                  @ q.t2[None]).reshape(4, 3, 3)
+        assert q.joints.tobytes() == joints.tobytes()
+        masked = np.divide(q.e, q.coin, out=np.full(4, np.nan), where=~(q.coin <= 0.0))
+        assert q.e_eff(MODE1)[0].tobytes() == masked.tobytes()
+
+    def test_generators(self):
+        rng = np.random.default_rng(113)
+        for n in self.SIZES:
+            for gen in (random_angle_independent_model, random_lambda_independent_model,
+                        random_nondegenerate_model):
+                for _ in range(3):
+                    m = gen(rng, n)
+                    for quad in self.quads(rng):
+                        self.assert_old_forms(_QuadTables(m, quad))
+
+    def test_families(self):
+        from bellsim.adversary import get_family
+
+        rng = np.random.default_rng(127)
+        threshold, modulated = get_family("threshold-detection"), get_family("modulated-p0")
+        dead = 0
+        for n in self.SIZES:
+            for _ in range(4):
+                models = (threshold.instantiate(rng.random(2) * 0.999, n),
+                          modulated.instantiate([rng.random() * 0.9, rng.uniform(-0.5, 0.5),
+                                                 rng.uniform(0.25, 4.0)], n),
+                          modulated.instantiate([rng.random() * 0.9, 0.0, 1.0], n))
+                for m in models:
+                    for quad in self.quads(rng):
+                        q = _QuadTables(m, quad, validate=False)
+                        self.assert_old_forms(q)
+                        dead += bool(np.any(q.coin <= 0.0))
+        assert dead  # the masked path runs too
+
+
 def _per_point_reference(model, a, b):
     """E, coincidence probability and E_eff per mode at one setting pair,
     summed in pure Python over the hidden points, from the rows of one

@@ -199,7 +199,7 @@ class TestWorkersFlag:
                  "--min-coincidences", "10", "--out", str(tmp_path / "s.csv")]
         assert run(simulate + ["--workers", "0"]) == 1
         assert run(sweep + ["--workers", "-1"]) == 1
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists() and not (tmp_path / "s.csv").exists()
 
 

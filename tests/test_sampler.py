@@ -80,6 +80,13 @@ class TestPlan:
             with pytest.raises(ValidationError, match="workers"):
                 run_experiment(params, plan, workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2", None, True], ids=repr)
+    def test_rejects_non_integer_workers(self, workers):
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
+        params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+        with pytest.raises(ValidationError, match="workers must be an integer"):
+            run_experiment(params, plan, workers=workers)
+
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
         params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
