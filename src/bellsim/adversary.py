@@ -107,7 +107,7 @@ class ParametricFamily:
     upper: tuple[float, ...]
     builder: Callable[[np.ndarray, int], SLHVModel]
     description: str = ""
-    breakpoints: Callable[[SettingsQuad, int], tuple[np.ndarray | None, ...]] | None = None
+    breakpoints: Callable[[SettingsQuad, int], tuple[Sequence[float] | None, ...]] | None = None
 
     def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
         p = np.asarray(params, dtype=float)
@@ -163,14 +163,13 @@ def _angle_terms(angles: tuple[float, ...], n_lambda: int) -> _AngleTerms:
 
 
 @lru_cache(maxsize=64)
-def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> np.ndarray:
+def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> tuple[float, ...]:
     """The distinct values of |cos 2d| at ``angles`` over the grid, sorted."""
-    b = np.unique(_angle_terms(angles, n_lambda).abs_cos2d)
-    b.setflags(write=False)
-    return b
+    # Not np.unique, whose first call imports numpy.ma.
+    return tuple(sorted(set(_angle_terms(angles, n_lambda).abs_cos2d.ravel().tolist())))
 
 
-def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[np.ndarray, ...]:
+def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[float, ...], ...]:
     # A party's detection mask |cos 2d| >= theta changes only when theta
     # crosses one of its values.  The angles are reduced as the response
     # call reduces them, so the values are those the builder compares.

@@ -298,8 +298,10 @@ class _QuadTables:
 
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
     """The mode's assumption validator on tables already evaluated; the one
-    place a regime is mapped to its check."""
-    p0 = q.t[..., 2]
+    place a regime is mapped to its check.  It reads each party's (2, n)
+    non-detection rows as views of ``t1`` and ``t2``, so it never stacks
+    ``t``."""
+    p0 = (q.t1[..., 2], q.t2[..., 2])
     if mode is EffectiveCorrelationMode.SOLUTION1:
         return _solution1_report(p0, q.angles)
     if mode is EffectiveCorrelationMode.SOLUTION2:

@@ -341,9 +341,9 @@ class SLHVModel:
         t = self._response(party).tables(angles, self.space.values)
         return _check_tables(t, party, angles) if validate else t
 
-    def triples(self, party: int, angle: float, validate: bool = True) -> np.ndarray:
+    def triples(self, party: int, angle: float) -> np.ndarray:
         """Outcome probability table at one angle, shape (n, 3)."""
-        return self.tables(party, (angle,), validate)[0]
+        return self.tables(party, (angle,))[0]
 
 
 @dataclass(frozen=True)
@@ -380,30 +380,15 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
     return p0, angles
 
 
-def _worst_point(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]],
-                 pairwise: bool, score) -> tuple[float, tuple | None]:
-    """Largest ``score(p0_i, p0_j) -> (deviation, lambda index)`` over each
-    party's angles i = j, or with ``pairwise`` its angle pairs i < j, and
-    where it sits as (party, lambda index, angle pair); first on ties.
-
-    ``p0[party - 1]`` holds that party's (k, n) non-detection rows at its
-    canonical ``angles[party - 1]``.
-    """
-    worst_dev, worst = 0.0, None
-    for party, (rows, angs) in enumerate(zip(p0, angles), start=1):
-        n = len(angs)
-        pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if pairwise
-                 else [(i, i) for i in range(n)])
-        for i, j in pairs:
-            dev, k = score(rows[i], rows[j])
-            if dev > worst_dev:
-                worst_dev, worst = float(dev), (party, int(k), (angs[i], angs[j]))
-    return worst_dev, worst
-
-
-def _peak(v: np.ndarray) -> tuple[float, int]:
-    k = int(np.argmax(v))
-    return v[k], k
+def _first_peak(scores: Iterable[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
+    """The largest entry of each party's scores, and its first (party, flat
+    index); (0.0, None) when no entry is positive."""
+    peak, at = 0.0, None
+    for party, s in enumerate(scores, start=1):
+        k = int(np.argmax(s))
+        if s.flat[k] > peak:
+            peak, at = float(s.flat[k]), (party, k)
+    return peak, at
 
 
 def validate_solution1(model: SLHVModel, angles1: Sequence[float],
@@ -415,18 +400,26 @@ def validate_solution1(model: SLHVModel, angles1: Sequence[float],
     party.  This is the hidden-level assumption under which the
     coincidence rate is setting-independent and the detection-robust
     CHSH bound is provable.  Each party's response is called once, over
-    all of its angles.
+    all of its angles.  The deviation is the largest range of a point's
+    non-detection probability over its party's angles; a failing report
+    names the first (party, lambda index) where it peaks, with the angles
+    of the first minimum and the first maximum there, in index order.
     """
     return _solution1_report(*_nondetect_rows(model, angles1, angles2))
 
 
 def _solution1_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
                       ) -> AssumptionReport:
-    """validate_solution1 over each party's non-detection rows (see _worst_point)."""
-    dev, worst = _worst_point(p0, angles, True, lambda p, q: _peak(np.abs(p - q)))
-    passed = dev <= VALIDATOR_TOL
-    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
-                            worst=None if passed else worst)
+    """validate_solution1 over each party's (k, n) non-detection rows
+    ``p0[party - 1]`` at its canonical ``angles[party - 1]``."""
+    dev, at = _first_peak(rows.max(axis=0) - rows.min(axis=0) for rows in p0)
+    if dev <= VALIDATOR_TOL:
+        return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL)
+    party, k = at
+    column, angs = p0[party - 1][:, k], angles[party - 1]
+    i, j = sorted((int(np.argmin(column)), int(np.argmax(column))))
+    return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
+                            worst=(party, k, (angs[i], angs[j])))
 
 
 def validate_solution2(model: SLHVModel, angles1: Sequence[float],
@@ -445,15 +438,20 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
 
 def _solution2_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]],
                       weights: np.ndarray) -> AssumptionReport:
-    """validate_solution2 over each party's non-detection rows (see _worst_point)."""
-    dev, worst = _worst_point(p0, angles, False,
-                              lambda p, _: (p.max() - p.min(), np.argmax(p)))
+    """validate_solution2 over each party's (k, n) non-detection rows: the
+    deviation is a row's range over lambda, and a failing report names the
+    first widest (party, angle) row and the first lambda index of its
+    maximum."""
+    dev, at = _first_peak(rows.max(axis=1) - rows.min(axis=1) for rows in p0)
     if dev > VALIDATOR_TOL:
+        party, j = at
+        angle = angles[party - 1][j]
         return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
-                                worst=worst)
+                                worst=(party, int(np.argmax(p0[party - 1][j])),
+                                       (angle, angle)))
     # The weighted mean is the implied experimental value; it equals the
     # common constant, since the check passed.
-    implied = {party: {a: float(np.sum(weights * p)) for a, p in zip(angs, rows)}
+    implied = {party: dict(zip(angs, np.sum(weights * rows, axis=1).tolist()))
                for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
     return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
                             implied_p0=implied)
@@ -461,9 +459,15 @@ def _solution2_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]
 
 def _solution3_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
                       ) -> AssumptionReport:
-    """Solution3 nondegeneracy over each party's non-detection rows: no point
-    has p0 = 1."""
-    worst_p0, worst = _worst_point(p0, angles, False, lambda p, _: _peak(p))
-    passed = worst_p0 < 1.0
-    return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
-                            worst=None if passed else worst)
+    """Solution3 nondegeneracy over each party's (k, n) non-detection rows:
+    no point has p0 = 1.  The deviation is the largest p0 (0.0 if none is
+    positive), and a failing report names its first (party, angle, lambda
+    index)."""
+    worst_p0, at = _first_peak(p0)
+    if worst_p0 < 1.0:
+        return AssumptionReport(passed=True, max_deviation=worst_p0, tol=1.0)
+    party, flat = at
+    j, k = divmod(flat, p0[party - 1].shape[1])
+    angle = angles[party - 1][j]
+    return AssumptionReport(passed=False, max_deviation=worst_p0, tol=1.0,
+                            worst=(party, k, (angle, angle)))

@@ -137,10 +137,7 @@ def model_from_dict(doc: dict) -> SLHVModel:
                 f"family {name!r} does not take parameters {extra}")
         vector = [_number(params_by_name[n], f"parameter {n!r}")
                   for n in family.param_names]
-        n_lambda = doc.get("n_lambda", 720)
-        if isinstance(n_lambda, bool) or not isinstance(n_lambda, int):
-            raise ValidationError(f"n_lambda must be an integer, got {n_lambda!r}")
-        return family.instantiate(vector, n_lambda=n_lambda)
+        return family.instantiate(vector, n_lambda=doc.get("n_lambda", 720))
     raise ValidationError(
         f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
 

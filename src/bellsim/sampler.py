@@ -40,7 +40,6 @@ exact in any order.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -89,19 +88,13 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
-        for name in ("trials_per_pair", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Integral)
-                    or isinstance(value, float) and value.is_integer()):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 1 <= self.trials_per_pair <= _MAX_COUNT:
+        for name, minimum in (("trials_per_pair", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               _check_integer(getattr(self, name), name, minimum))
+        if self.trials_per_pair > _MAX_COUNT:
             raise ValidationError(
                 f"trials_per_pair must lie in [1, {_MAX_COUNT}] (the count "
                 f"tables are int64), got {self.trials_per_pair!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

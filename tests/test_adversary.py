@@ -663,7 +663,8 @@ class TestNelderMeadReference:
 
 def test_import_loads_no_scipy():
     # Nor multiprocessing: the search imports it when it forks workers.  A
-    # search, serial or on workers, never loads scipy or a process pool.
+    # search, serial or on workers, never loads scipy, a process pool or
+    # numpy.ma (which the first np.unique call imports, with numpy.ma.core).
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -676,7 +677,7 @@ def test_import_loads_no_scipy():
             "for workers in (1, 2):\n"
             "    adversary.search(config, workers=workers)\n"
             "    print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy', 'concurrent.futures.process'))))")
+            "('scipy', 'concurrent.futures.process', 'numpy.ma.'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -15,13 +15,18 @@ from bellsim.bounds import (
     correlation,
     effective_correlation,
 )
+from bellsim.adversary import get_family
 from bellsim.model import (
+    VALIDATOR_TOL,
+    AssumptionReport,
     DegenerateModelError,
     HiddenVariableSpace,
     ResponseFunction,
     SLHVModel,
     ValidationError,
     _nondetect_rows,
+    _solution1_report,
+    _solution2_report,
     _solution3_report,
     canonical_angle,
     uniform_lambda_grid,
@@ -364,10 +369,13 @@ def _p0_table_model(rows1, rows2):
 
 class TestWorstPoint:
     """Where each regime's check reports its failure, with more than two
-    angles per party: the first maximum in (party, angle pair, lambda)
-    order, at the canonical angles.  Party 1 asks for 0, 30, 0 again and
-    240 (= 60) degrees; party 2 for 10, 230 (= 50), 10 again and -80
-    (= 100) degrees.  Every value is dyadic, so the ties are exact."""
+    angles per party, at the canonical angles: for solution1 the first
+    (party, lambda) where the range over the angles peaks, with its first
+    minimum's and first maximum's angles in index order; for solution2
+    and solution3 the first maximum in (party, angle, lambda) order.
+    Party 1 asks for 0, 30, 0 again and 240 (= 60) degrees; party 2 for
+    10, 230 (= 50), 10 again and -80 (= 100) degrees.  Every value is
+    dyadic, so the ties are exact."""
 
     MODEL = _p0_table_model(
         {0: [0.125, 0.25, 0.5], 30: [1.0, 1.0, 1.0], 60: [0.375, 0.25, 0.875]},
@@ -400,6 +408,173 @@ class TestWorstPoint:
         rep = _solution3_report(*_nondetect_rows(self.MODEL, self.ANGLES1, self.ANGLES2))
         assert not rep.passed and rep.max_deviation == 1.0
         assert rep.worst == (1, 0, (self.at(30), self.at(30)))
+
+
+# Reference reports: the validators as they were when each one scanned
+# every angle (pair) of a party in a Python loop through score callbacks,
+# kept verbatim as the specification of the reports' verdicts, deviations
+# and implied values.
+
+def _reference_worst_point(p0, angles, pairwise, score):
+    worst_dev, worst = 0.0, None
+    for party, (rows, angs) in enumerate(zip(p0, angles), start=1):
+        n = len(angs)
+        pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if pairwise
+                 else [(i, i) for i in range(n)])
+        for i, j in pairs:
+            dev, k = score(rows[i], rows[j])
+            if dev > worst_dev:
+                worst_dev, worst = float(dev), (party, int(k), (angs[i], angs[j]))
+    return worst_dev, worst
+
+
+def _reference_peak(v):
+    k = int(np.argmax(v))
+    return v[k], k
+
+
+def _reference_solution1_report(p0, angles):
+    dev, worst = _reference_worst_point(p0, angles, True,
+                                        lambda p, q: _reference_peak(np.abs(p - q)))
+    passed = dev <= VALIDATOR_TOL
+    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
+                            worst=None if passed else worst)
+
+
+def _reference_solution2_report(p0, angles, weights):
+    dev, worst = _reference_worst_point(p0, angles, False,
+                                        lambda p, _: (p.max() - p.min(), np.argmax(p)))
+    if dev > VALIDATOR_TOL:
+        return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
+                                worst=worst)
+    implied = {party: {a: float(np.sum(weights * p)) for a, p in zip(angs, rows)}
+               for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
+    return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
+                            implied_p0=implied)
+
+
+def _reference_solution3_report(p0, angles):
+    worst_p0, worst = _reference_worst_point(p0, angles, False,
+                                             lambda p, _: _reference_peak(p))
+    passed = worst_p0 < 1.0
+    return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
+                            worst=None if passed else worst)
+
+
+_TIE_P0 = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _tie_heavy_model(rng, n):
+    """Tabulated model at four angles per party whose p0 entries all lie in
+    _TIE_P0, with random weights, and those angles in radians.  About half
+    the rows are constant over lambda, so solution2 sometimes passes."""
+    space = HiddenVariableSpace(rng.dirichlet(np.ones(n)))
+    parts, angles = [], []
+    for party in (1, 2):
+        degrees = rng.choice(180, size=4, replace=False)
+        tables = {}
+        for deg in degrees:
+            p0 = (np.full(n, rng.choice(_TIE_P0)) if rng.random() < 0.5
+                  else rng.choice(_TIE_P0, size=n))
+            plus = (1.0 - p0) * rng.choice((0.0, 0.5, 1.0))
+            tables[math.radians(deg)] = np.column_stack([plus, 1.0 - p0 - plus, p0])
+        parts.append(ResponseFunction.from_table(party, tables))
+        angles.append(list(tables))
+    return SLHVModel(space, *parts), angles
+
+
+def _report_cases(k_choices, seed):
+    """(case, model, angles1, angles2) with len(angles) drawn from
+    ``k_choices`` per party: the three random_models generators, both
+    search families and tie-heavy tabulated models, at each n in
+    (1, 2, 5, 16, 90, 720).  Angles may repeat."""
+    rng = np.random.default_rng(seed)
+    generators = (random_angle_independent_model, random_lambda_independent_model,
+                  random_nondegenerate_model)
+    families = tuple(get_family(name) for name in ("threshold-detection", "modulated-p0"))
+
+    def draw(pool=None):
+        k = int(rng.choice(k_choices))
+        if pool is None:
+            return list(rng.random(k) * math.pi)
+        return [pool[i] for i in rng.integers(len(pool), size=k)]
+
+    for n in (1, 2, 5, 16, 90, 720):
+        for rep in range(4):
+            for gen in generators:
+                yield (gen.__name__, n, rep), gen(rng, n), draw(), draw()
+            for fam in families:
+                params = np.asarray(fam.lower) + rng.random(len(fam.lower)) * (
+                    np.asarray(fam.upper) - np.asarray(fam.lower))
+                if rep == 0:  # the slices theta1 = theta2 = 0 and c1 = 0
+                    params[[0, 1] if fam.name == "threshold-detection" else [1]] = 0.0
+                yield ((fam.name, n, rep), fam.instantiate(params, n_lambda=n),
+                       draw(), draw())
+            model, pools = _tie_heavy_model(rng, n)
+            yield ("tie-heavy", n, rep), model, draw(pools[0]), draw(pools[1])
+
+
+class TestReferenceReports:
+    """The array reductions give the reference reports."""
+
+    @staticmethod
+    def reports(model, angles1, angles2):
+        p0, angles = _nondetect_rows(model, angles1, angles2)
+        w = model.space.weights
+        return ((_solution1_report(p0, angles), _reference_solution1_report(p0, angles)),
+                (_solution2_report(p0, angles, w),
+                 _reference_solution2_report(p0, angles, w)),
+                (_solution3_report(p0, angles), _reference_solution3_report(p0, angles)))
+
+    @staticmethod
+    def fields(rep, worst=True):
+        return (rep.passed, repr(rep.max_deviation), rep.worst if worst else None,
+                repr(rep.implied_p0), rep.tol)
+
+    def test_equal_reports_at_one_or_two_angles(self):
+        verdicts = set()
+        for case, model, angles1, angles2 in _report_cases((1, 2), seed=61):
+            for regime, (got, want) in enumerate(self.reports(model, angles1, angles2),
+                                                 start=1):
+                assert self.fields(got) == self.fields(want), (case, regime)
+                verdicts.add((regime, got.passed))
+        assert len(verdicts) == 6  # each regime both passes and fails
+
+    def test_equal_verdicts_at_three_or_four_angles(self):
+        verdicts = set()
+        for case, model, angles1, angles2 in _report_cases((3, 4), seed=67):
+            (got1, want1), *others = self.reports(model, angles1, angles2)
+            assert self.fields(got1, worst=False) == self.fields(want1, worst=False), case
+            assert (got1.worst is None) == (want1.worst is None), case
+            for regime, (got, want) in enumerate(others, start=2):
+                assert self.fields(got) == self.fields(want), (case, regime)
+            verdicts.update((regime, rep.passed) for regime, rep in
+                            enumerate((got1, *(got for got, _ in others)), start=1))
+        assert len(verdicts) == 6
+
+    def test_no_positive_p0_reads_zero(self):
+        # A p0 of -0.0, or just below 0 within the normalization
+        # tolerance, is a deviation of 0.0 in every regime.
+        for p0 in (-0.0, -2.0 ** -50):
+            m = _p0_table_model({0: [p0] * 3, 45: [p0] * 3}, {0: [p0] * 3})
+            for got, want in self.reports(m, [0.0, math.pi / 4], [0.0]):
+                assert self.fields(got) == self.fields(want), p0
+                assert repr(got.max_deviation) == "0.0"
+
+    def test_solution1_worst_is_the_first_lambda_of_the_peak_range(self):
+        # Lambdas 0 and 1 both range over 1.  The loop over angle pairs met
+        # the peak first in pair (0, 1), at lambda 1; the range reduction
+        # reports the first lambda, 0, with its first minimum (0 degrees)
+        # and first maximum (60 degrees).
+        m = _p0_table_model({0: [0.0, 1.0, 0.0], 30: [0.0, 0.0, 0.0], 60: [1.0, 1.0, 0.0]},
+                            {0: [0.5, 0.5, 0.5]})
+        angles1 = [math.radians(d) for d in (0, 30, 60)]
+        rep = validate_solution1(m, angles1, [0.0])
+        assert not rep.passed and rep.max_deviation == 1.0
+        assert rep.worst == (1, 0, (angles1[0], angles1[2]))
+        p0, angles = _nondetect_rows(m, angles1, [0.0])
+        assert _reference_solution1_report(p0, angles).worst == (
+            1, 1, (angles1[0], angles1[1]))
 
 
 def _one_angle_threshold(theta, angle, lam):

@@ -1,5 +1,6 @@
-"""The package's public names resolve, and the removed per-point surface
-stays removed: a model answers only in (k, n, 3) tables."""
+"""The package's public names resolve, and removed surfaces stay removed:
+a model answers only in (k, n, 3) tables, and the validators have no
+worst-point scan."""
 
 import ast
 import importlib
@@ -45,3 +46,10 @@ def test_per_point_surface_removed():
     assert not hasattr(fn, "ideal_fn") and not hasattr(fn, "efficiency_fn")
     assert not hasattr(bounds._QuadTables, "p0")
     assert not hasattr(bounds, "_joint")
+
+
+def test_validator_scan_removed():
+    # The validators reduce each party's non-detection rows directly; the
+    # angle-pair loop and its score callbacks are gone.
+    for name in ("_worst_point", "_peak"):
+        assert not hasattr(model, name), name

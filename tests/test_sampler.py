@@ -56,20 +56,24 @@ class TestPlan:
     def test_trials_limited_to_int64(self):
         limit = int(np.iinfo(np.int64).max)
         assert ExperimentPlan(optimal_quad(), limit, seed=1).trials_per_pair == limit
-        for trials in (limit + 1, 1e30):
-            with pytest.raises(ValidationError, match="int64"):
-                ExperimentPlan(quad=optimal_quad(), trials_per_pair=trials, seed=1)
+        with pytest.raises(ValidationError, match="int64"):
+            ExperimentPlan(quad=optimal_quad(), trials_per_pair=limit + 1, seed=1)
+        with pytest.raises(ValidationError, match="trials_per_pair must be an integer"):
+            ExperimentPlan(quad=optimal_quad(), trials_per_pair=1e30, seed=1)
 
     def test_rejects_non_integral_trials_and_seed(self):
         with pytest.raises(ValidationError, match="trials_per_pair"):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=1.9, seed=1)
         with pytest.raises(ValidationError, match="seed"):
             ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=2.7)
-        for name, bad in (("trials_per_pair", True), ("seed", False)):
+        # Integral floats are rejected too, not coerced.
+        for name, bad in (("trials_per_pair", True), ("seed", False),
+                          ("trials_per_pair", 1e3), ("seed", 4.0)):
             kwargs = {"trials_per_pair": 10, "seed": 1, name: bad}
             with pytest.raises(ValidationError, match=name):
                 ExperimentPlan(quad=optimal_quad(), **kwargs)
-        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=1e3, seed=np.int64(4))
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=np.int64(1000),
+                              seed=np.int64(4))
         assert (plan.trials_per_pair, plan.seed) == (1000, 4)
         assert type(plan.trials_per_pair) is int and type(plan.seed) is int
 
