@@ -88,6 +88,12 @@ class ParametricFamily:
     ``search`` reports it at the optimum, and a model without the key
     counts as unclipped (False).
 
+    The responses may reuse read-only terms that depend only on the
+    angles and some of the parameters, cached across models, as the
+    built-in families do.  Each response call must still return a fresh
+    table, and equal inputs must give bit-identical tables whatever the
+    caches hold.
+
     ``breakpoints(quad, n_lambda)``, if given, returns one entry per
     parameter: the sorted values at which the tables instantiated at that
     quad and ``n_lambda`` change, or None for a parameter they depend on
@@ -132,10 +138,11 @@ class ParametricFamily:
 
 
 # A search instantiates thousands of models on one grid at one quad.  The
-# grid and the response terms that depend only on the angles and the grid
+# grid, the response terms that depend only on the angles and the grid, and
+# modulated-p0's Malus shares, which depend on them and the sharpness alone,
 # are computed once and shared read-only, so each evaluation runs only the
-# operations that depend on the parameters.  The family responses read the
-# grid through this cache: ``lam`` is always the model's own grid.
+# operations that depend on the other parameters.  The family responses
+# read the grid through this cache: ``lam`` is always the model's own grid.
 _grid = lru_cache(maxsize=8)(uniform_lambda_grid)
 
 
@@ -160,6 +167,28 @@ def _angle_terms(angles: tuple[float, ...], n_lambda: int) -> _AngleTerms:
     for t in terms:
         t.setflags(write=False)
     return terms
+
+
+# On the c1 = 0 slice U_eff does not depend on c0 and the optimum lies on
+# the sharpness box top, so a search there evaluates most points at a
+# sharpness it has just used.  Each entry holds two (k, n_lambda) arrays.
+_MALUS_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_MALUS_CACHE_SIZE)
+def _malus_shares(angles: tuple[float, ...], n_lambda: int,
+                  sharpness: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Malus shares cos^2s d / (cos^2s d + sin^2s d) and one minus them."""
+    terms = _angle_terms(angles, n_lambda)
+    w_plus, w_minus = terms.cos_sq, terms.sin_sq
+    if sharpness != 1.0:
+        w_plus = w_plus ** sharpness
+        w_minus = w_minus ** sharpness
+    share = w_plus / (w_plus + w_minus)
+    rest = 1.0 - share
+    share.setflags(write=False)
+    rest.setflags(write=False)
+    return share, rest
 
 
 @lru_cache(maxsize=64)
@@ -206,17 +235,17 @@ def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
 
     def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        terms = _angle_terms(tuple(angles.tolist()), n_lambda)
-        p0 = np.clip(c0 + c1 * terms.cos2d, 0.0, 1.0)
-        w_plus, w_minus = terms.cos_sq, terms.sin_sq
-        if sharpness != 1.0:
-            w_plus = w_plus ** sharpness
-            w_minus = w_minus ** sharpness
-        share = w_plus / (w_plus + w_minus)
+        key = tuple(angles.tolist())
+        cos2d = _angle_terms(key, n_lambda).cos2d
+        share, rest = _malus_shares(key, n_lambda, sharpness)
+        # The ndarray method runs np.clip's ufunc without its wrapper.
+        p0 = (c0 + c1 * cos2d).clip(0.0, 1.0)
         detect = 1.0 - p0
-        plus = detect * share
-        minus = detect * (1.0 - share)
-        return np.stack([plus, minus, p0], axis=-1)
+        out = np.empty(p0.shape + (3,))
+        np.multiply(detect, share, out=out[..., 0])
+        np.multiply(detect, rest, out=out[..., 1])
+        out[..., 2] = p0
+        return out
 
     model = SLHVModel(_grid(n_lambda),
                       ResponseFunction.from_function(1, fn),

@@ -118,6 +118,29 @@ class TestFamilies:
         assert not m2.meta["projection_active"]
         assert fam.instantiate([0.2, -0.3, 1.0], n_lambda=60).meta["projection_active"]
 
+    def test_cached_malus_shares_are_read_only(self):
+        adversary._malus_shares.cache_clear()
+        fam = get_family("modulated-p0")
+        fam.instantiate([0.3, 0.2, 2.5], n_lambda=90).tables(1, QUAD.party1_angles())
+        key = tuple(QUAD.party1_angles())
+        for shares in (adversary._malus_shares(key, 90, 2.5),
+                       adversary._malus_shares(key, 90, 1.0)):
+            for a in shares:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 0.5
+
+    def test_modulated_tables_are_fresh(self):
+        m = get_family("modulated-p0").instantiate([0.3, 0.2, 2.5], n_lambda=90)
+        angles = QUAD.party1_angles()
+        first = m.tables(1, angles)
+        want = first.tobytes()
+        assert first.flags.writeable and first.flags.owndata
+        first[...] = -1.0
+        again = m.tables(1, angles)
+        assert again.tobytes() == want
+        assert again is not first
+
 
 class TestObjective:
     def test_always_detecting_threshold_respects_bound(self):
@@ -293,6 +316,34 @@ class TestSearch:
         res = search(config)
         assert res.best_u_eff <= 2.0 + 1e-9
         assert res.best_parameters["c1"] == 0.0
+
+    def test_frozen_modulated_search_matches_one_angle_formulas(self):
+        # The cached sharpness terms change no result: the built-in family
+        # and one stacking the one-angle formula agree at either worker count.
+        from test_model import _one_angle_modulated
+
+        builtin = get_family("modulated-p0")
+
+        def stacked_builder(params, n_lambda):
+            c0, c1, sharpness = (float(v) for v in params)
+
+            def fn(angles, lam):
+                return np.stack([_one_angle_modulated(c0, c1, sharpness, a, lam)
+                                 for a in angles])
+
+            model = SLHVModel(uniform_lambda_grid(n_lambda),
+                              ResponseFunction.from_function(1, fn),
+                              ResponseFunction.from_function(2, fn))
+            model.meta["projection_active"] = c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0
+            return model
+
+        stacked = dataclasses.replace(builtin, builder=stacked_builder)
+        docs = [search(SearchConfig(family=fam, quad=QUAD, restarts=4, max_evals=200,
+                                    seed=21, n_lambda=90, freeze={"c1": 0.0}),
+                       workers=workers).to_json_dict()
+                for fam in (builtin, stacked) for workers in (1, 2)]
+        assert all(doc == docs[0] for doc in docs[1:])
+        assert docs[0]["best_u_eff"] <= 2.0 + 1e-9
 
     def test_projection_active_at_optimum(self):
         # c0 + |c1| > 1: the non-detection probability is clipped at some angle.

@@ -616,33 +616,46 @@ class TestBroadcastProtocol:
 
     @staticmethod
     def assert_stacked(m, angles, reference=None):
+        # Bytes, not np.array_equal, which takes -0.0 for 0.0.
         for party in (1, 2):
             got = m.tables(party, angles)
             assert got.shape == (len(angles), m.space.size, 3)
-            assert np.array_equal(got, np.stack([m.triples(party, a) for a in angles]))
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.stack([m.triples(party, a) for a in angles]).tobytes()
             if reference is not None:
                 want = np.stack([reference(party, canonical_angle(a), m.space.values)
                                  for a in angles])
-                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
 
     def test_families_match_one_angle_formulas(self):
-        from bellsim.adversary import get_family
+        from bellsim import adversary
 
         rng = np.random.default_rng(53)
-        threshold, modulated = get_family("threshold-detection"), get_family("modulated-p0")
+        threshold = adversary.get_family("threshold-detection")
+        modulated = adversary.get_family("modulated-p0")
+        # The box ends and the no-op sharpness; c1 = +-0.5 makes the clip
+        # bind at c0 = 0.9 (and at -0.0), and -0.0 keeps its sign through it.
+        edges = [(c0, c1, sharpness) for c0 in (-0.0, 0.9) for c1 in (0.5, -0.5, -0.0)
+                 for sharpness in (1.0, 0.25, 4.0, 2.0)]
         for n in self.SIZES:
             for _ in range(4):
                 th = rng.random(2) * 0.999
                 self.assert_stacked(
                     threshold.instantiate(th, n), self.angles(rng),
                     lambda party, a, lam: _one_angle_threshold(th[party - 1], a, lam))
-                for c0, c1, sharpness in ((rng.random() * 0.9, rng.uniform(-0.5, 0.5),
-                                           rng.uniform(0.25, 4.0)),
-                                          (rng.random() * 0.9, 0.0, 1.0)):
+            cases = [(rng.random() * 0.9, rng.uniform(-0.5, 0.5), rng.uniform(0.25, 4.0))
+                     for _ in range(4)]
+            cases += [(rng.random() * 0.9, 0.0, 1.0) for _ in range(4)]
+            for c0, c1, sharpness in cases + edges:
+                angles = self.angles(rng)
+                # Once with the sharpness terms computed afresh, once from the cache.
+                adversary._malus_shares.cache_clear()
+                for _ in range(2):
                     self.assert_stacked(
-                        modulated.instantiate([c0, c1, sharpness], n), self.angles(rng),
+                        modulated.instantiate([c0, c1, sharpness], n), angles,
                         lambda party, a, lam: _one_angle_modulated(c0, c1, sharpness,
                                                                    a, lam))
+                assert adversary._malus_shares.cache_info().hits > 0
 
     def test_generators(self):
         # random_nondegenerate_model is the from_split route.
