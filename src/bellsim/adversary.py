@@ -41,6 +41,7 @@ import numpy as np
 from .bounds import (
     EffectiveCorrelationMode,
     SettingsQuad,
+    _breach,
     _mode_report,
     _QuadTables,
     _u_eff,
@@ -68,7 +69,6 @@ __all__ = [
     "search",
 ]
 
-SOUNDNESS_TOL = 1e-9
 # A restart's simplex has converged once every vertex lies within _XATOL of
 # the best one in each coordinate and within _FATOL of its value.
 _XATOL = 1e-6
@@ -386,22 +386,21 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
               n_lambda: int = 720) -> float:
     """|U_eff| of the instantiated model, exactly; 0 for degenerate points.
 
-    A value above 2 must fail the mode's own assumption validator (the
-    one ``effective_chsh`` uses for ``bound_guaranteed``), read from the
-    same tables; otherwise TheoremViolationError is raised.  ``search``
-    calls this for each distinct model, so every distinct model a restart
-    visits is checked once: a live test of the bound against an active
-    adversary.
+    A value above the cap its premise proves for the same tables (the
+    check behind ``effective_chsh``'s ``theorem_breach``) raises
+    TheoremViolationError.  ``search`` calls this for each distinct model,
+    so every distinct model a restart visits is checked once: a live test
+    of the bound against an active adversary.
     """
     q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
     try:
         value = abs(_u_eff(q, mode))
     except DegenerateModelError:
         return 0.0
-    if value > 2.0 + SOUNDNESS_TOL and _mode_report(q, mode).passed:
+    if _breach(q, mode, value - 2.0):
         raise TheoremViolationError(
-            f"|U_eff| = {value!r} > 2 for a model satisfying the {mode.value} "
-            f"assumption (family {family.name!r}, params {list(params)})")
+            f"|U_eff| = {value!r} exceeds the cap the {mode.value} assumption "
+            f"proves (family {family.name!r}, params {list(params)})")
     return value
 
 

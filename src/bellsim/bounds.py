@@ -44,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    NORMALIZATION_TOL,
     AssumptionError,
     AssumptionReport,
     DegenerateModelError,
@@ -80,7 +81,8 @@ __all__ = [
     "effective_chsh",
 ]
 
-# Additive tolerance on inequality verdicts computed from exact sums.
+# Additive tolerance on inequality verdicts computed from exact sums: the
+# rounding room every verdict and trip-wire allows on top of its bound.
 BOUND_TOL = 1e-12
 
 # The four setting pairs of a CHSH run, with the sign each correlation
@@ -247,6 +249,12 @@ class _QuadTables:
                 @ self.t2[None]).reshape(4, 3, 3)
 
     @cached_property
+    def detection(self) -> np.ndarray:
+        """Each party's experimental detection probability 1 - sum(w p0) at
+        each of its angles, (party, angle)."""
+        return 1.0 - np.sum(self.w * self.t[..., 2], axis=2)
+
+    @cached_property
     def e(self) -> np.ndarray:
         return signed_sum(self.joints)
 
@@ -269,8 +277,7 @@ class _QuadTables:
             value = np.divide(self.e, self.coin, out=np.full(4, np.nan), where=~dead)
             why = "zero coincidence probability"
         elif mode is EffectiveCorrelationMode.SOLUTION2:
-            t = self.t
-            d = 1.0 - np.sum(self.w * t[..., 2], axis=2)
+            d = self.detection
             dead_at = d <= 0.0
             dead = (dead_at[0, :, None] | dead_at[1]).ravel()
             value = np.divide(self.e, (d[0, :, None] * d[1]).ravel(),
@@ -281,8 +288,11 @@ class _QuadTables:
             al = t[..., 0] + t[..., 1]
             dead_at = np.any(al <= 0.0, axis=2)
             dead = (dead_at[0, :, None] | dead_at[1]).ravel()
-            # A dead (party, angle) row stays NaN, and so do its pairs' sums.
-            eff = np.divide(t[..., 0] - t[..., 1], al, out=np.full_like(al, np.nan),
+            # The ratio reads entries clamped at 0, so it stays in [-1, 1] for
+            # entries down to -NORMALIZATION_TOL.  A dead (party, angle) row
+            # stays NaN, and so do its pairs' sums.
+            plus, minus = np.maximum(t[..., 0], 0.0), np.maximum(t[..., 1], 0.0)
+            eff = np.divide(plus - minus, plus + minus, out=np.full_like(al, np.nan),
                             where=~dead_at[..., None])
             value = np.sum(self.w * eff[0, :, None] * eff[1], axis=2).ravel()
             why = "has a hidden point with zero detection probability"
@@ -309,6 +319,100 @@ def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionRe
     return _solution3_report(p0, q.angles)
 
 
+def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
+           report: AssumptionReport | None = None):
+    """How far above its ideal bound the premise of ``bound`` still caps
+    the tables ``q``, or None when that premise fails and proves nothing.
+
+    This is the one place that knows which premise proves which bound and
+    how far the premise's tolerances stretch it.  The slack is the cap
+    minus the ideal bound (2, M or 2ab), and ``bound`` names the value:
+
+    * ``"U"``: |U| of any model, cap 2(1 + 4nu)^2;
+    * ``"M"``: |U| under solution1, cap M + 2(2delta + delta^2);
+    * ``"pointwise"``: |u| at each hidden point under solution1, an (n,)
+      cap 2ab + 2(delta(a + b) + delta^2), with a and b the parties'
+      detection probabilities at their first angles;
+    * a mode: |U_eff| under that mode's premise, cap
+      2 + 6(2delta + delta^2)/C* (solution1), 2(1 + delta/D1*)(1 + delta/D2*)
+      (solution2) or 2(1 + nu) (solution3), with C* the smallest
+      coincidence probability and D* a party's smaller experimental
+      detection probability over its two angles.
+
+    Here nu = NORMALIZATION_TOL and delta = dev + 5nu, where
+    dev = ``report.max_deviation`` <= VALIDATOR_TOL is the premise's
+    deviation (its validator's report, evaluated here when ``report`` is
+    None).  Rounding is left to BOUND_TOL.
+
+    Proof.  Admitted tables hold entries in [-nu, 1 + nu] in rows summing to
+    within nu of 1, and weights w >= 0 with W = sum(w) <= 1 + nu.  Write
+    x = p+ - p- and a = p+ + p- at one (party, angle, point); taking the
+    smaller of p+- as at least -nu, (i) |x| <= 1 + 2nu, |x| <= a + 2nu and
+    |x| <= 1 - p0 + 3nu.  Let d = delta - nu.
+
+    * U: by (i) |u| <= 2(1 + 2nu)^2, so |U| <= 2W(1 + 2nu)^2 <= 2(1 + 4nu)^2.
+    * solution1: a party's p0 at its two angles differ by at most dev at
+      each point, so its a differ by at most dev + 2nu and by (i) |x| <= a + d
+      at both angles, a at its first angle.  Hence |u| <= 2(a + d)(b + d), the
+      pointwise cap.  Summed, with M = 2 sum(w ab), sum(w a) <= W(1 + 2nu) and
+      W <= 1 + nu, |U| <= M + 2(2delta + delta^2).  For U_eff take instead
+      the party's smaller a over its angles, a_, and X = a_ + d (Y for party
+      2): every a lies in [a_, X] and |x| <= X.  With Q = sum(w XY) and
+      R = d sum(w(X + Y)), each |E_k| <= Q, |U| <= 2Q, and each C_k lies in
+      [Q - R, Q] (ab over the box [a_, X] x [b_, Y], X, Y > 0).  Then
+      U_eff = U/C* + sum_k s_k E_k (1/C_k - 1/C*), where each term is at most
+      (Q - C*)/C* <= R/C* and the smallest pair's is 0, so
+      |U_eff| <= 2 + 5R/C*, and 5R <= 10dW(1 + 2nu + d) <= 6(2delta + delta^2).
+    * solution2: at each angle a party's p0 over the points lies in
+      [m, m + dev], and D = 1 - sum(w p0) divides its E.  By (i)
+      |x| <= 1 - m + 3nu, and D >= 1 - W(m + dev) >= 1 - m - dev - nu(1 + nu + dev),
+      so |x/D| <= 1 + e/D with e = dev + 4nu + nu(nu + dev).  U_eff is the
+      weighted sum of u over the x/D and y/D', so
+      |U_eff| <= 2W(1 + e/D1*)(1 + e/D2*), where each sqrt(W)(1 + e/D) <=
+      (1 + nu/2)(1 + e/D) <= 1 + delta/D as D <= 1 + 2nu.
+    * solution3: each clamped detected-subset average lies in [-1, 1], so
+      |U_eff| <= 2W <= 2(1 + nu).
+    """
+    nu = NORMALIZATION_TOL
+    if bound == "U":
+        return 2.0 * ((1.0 + 4.0 * nu) ** 2 - 1.0)
+    mode = bound if isinstance(bound, EffectiveCorrelationMode) \
+        else EffectiveCorrelationMode.SOLUTION1
+    if report is None:
+        report = _mode_report(q, mode)
+    if not report.passed:
+        return None
+    delta = report.max_deviation + 5.0 * nu
+    if bound == "M":
+        return 2.0 * (2.0 * delta + delta ** 2)
+    if bound == "pointwise":
+        alpha, beta = q.t[:, 0, :, 0] + q.t[:, 0, :, 1]
+        return 2.0 * (delta * (alpha + beta) + delta ** 2)
+    if mode is EffectiveCorrelationMode.SOLUTION1:
+        return 6.0 * (2.0 * delta + delta ** 2) / float(np.min(q.coin))
+    if mode is EffectiveCorrelationMode.SOLUTION2:
+        d1, d2 = np.min(q.detection, axis=1).tolist()
+        return 2.0 * ((1.0 + delta / d1) * (1.0 + delta / d2) - 1.0)
+    return 2.0 * nu
+
+
+def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess,
+            report: AssumptionReport | None = None) -> bool:
+    """Whether ``excess``, a value's distance above the ideal bound of
+    ``bound`` (see ``_slack``), passes the slack its premise proves by more
+    than BOUND_TOL: the one test behind every trip-wire.
+
+    Every slack is at least 0, so an excess within BOUND_TOL decides
+    without evaluating the premise or the slack.  ``excess`` is a float, or
+    an (n,) array for ``"pointwise"``; it is never NaN.
+    """
+    worst = excess.max() if isinstance(excess, np.ndarray) else excess
+    if worst <= BOUND_TOL:
+        return False
+    slack = _slack(q, bound, report)
+    return slack is not None and bool(np.any(excess > slack + BOUND_TOL))
+
+
 def correlation(model: SLHVModel, a: float, b: float) -> float:
     """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
     return float(_QuadTables(model, SettingsQuad(a, a, b, b)).e[0])
@@ -332,7 +436,9 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
 
     Only meaningful when non-detection is angle-independent (then the
     four per-party bounds collapse to a single alpha and beta per
-    point); refuses otherwise.
+    point); refuses otherwise.  ``passed`` holds when no point exceeds
+    the cap that premise proves (see ``_slack``); ``max_slack`` is the
+    largest |u| - 2*alpha*beta.
     """
     q = _QuadTables(model, quad)
     rep = _mode_report(q, EffectiveCorrelationMode.SOLUTION1)
@@ -340,16 +446,17 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
         raise AssumptionError(
             "pointwise bound requires angle-independent non-detection; "
             f"validator failed with max deviation {rep.max_deviation:.3e}")
-    return _pointwise(q)
+    return _pointwise(q, rep)
 
 
-def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
+def _pointwise(q: _QuadTables, report: AssumptionReport) -> PointwiseBoundReport:
+    """The pointwise check under ``report``, a passing solution1 report."""
     (x, xp), (y, yp) = q.t[..., 0] - q.t[..., 1]
     alpha, beta = q.t[:, 0, :, 0] + q.t[:, 0, :, 1]
-    slack = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
-    k = int(np.argmax(slack))
-    return PointwiseBoundReport(passed=bool(slack[k] <= BOUND_TOL),
-                                max_slack=float(slack[k]), worst_lambda=k, tol=BOUND_TOL)
+    excess = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
+    k = int(np.argmax(excess))
+    return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess, report),
+                                max_slack=float(excess[k]), worst_lambda=k, tol=BOUND_TOL)
 
 
 class ChshValues(NamedTuple):
@@ -363,21 +470,21 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     """Full-ensemble CHSH value U and the coincidence bound M.
 
     |U| <= 2 holds for every SLHV model; |U| <= M additionally holds
-    when non-detection is angle-independent.  Both are re-checked here
-    and raise TheoremViolationError on numerical breach (a bug tripwire,
-    not a reachable state).
+    when non-detection is angle-independent.  Both are re-checked here,
+    and a |U| above the cap its premise proves for these tables (see
+    ``_slack``) raises TheoremViolationError (a bug tripwire, not a
+    reachable state).
     """
     q = _QuadTables(model, quad)
     u = chsh_sum(q.e.tolist())
     m = 2.0 * float(q.coin[0])
-    if abs(u) > 2.0 + BOUND_TOL:
+    if _breach(q, "U", abs(u) - 2.0):
         raise TheoremViolationError(
-            f"|U| = {abs(u)!r} exceeds 2 for an SLHV model")
-    if abs(u) > m + BOUND_TOL and _mode_report(
-            q, EffectiveCorrelationMode.SOLUTION1).passed:
+            f"|U| = {abs(u)!r} exceeds 2 by more than any SLHV model can")
+    if _breach(q, "M", abs(u) - m):
         raise TheoremViolationError(
-            f"|U| = {abs(u)!r} exceeds M = {m!r} despite angle-independent "
-            "non-detection")
+            f"|U| = {abs(u)!r} exceeds M = {m!r} by more than angle-independent "
+            "non-detection allows")
     return ChshValues(float(u), float(m))
 
 
@@ -428,10 +535,13 @@ class InequalityReport:
     """Everything the bound verification of one (model, quad, mode) produced.
 
     ``bound_guaranteed`` is True when the mode's assumption validator
-    passed, in which case |u_eff| <= 2 is a theorem for this model;
-    ``theorem_breach`` marks the impossible combination of a passing
-    validator and a broken bound (always False for a correct
-    implementation, surfaced for the CLI's exit-code contract).
+    passed, in which case |u_eff| <= 2 is a theorem for this model, up to
+    the slack the validator's tolerances leave: ``u_eff_cap`` is the cap
+    the passing premise proves for these tables (see ``bounds._slack``),
+    None when it proves nothing.  ``theorem_breach`` marks the impossible
+    combination of a passing validator and a |u_eff| above that cap plus
+    BOUND_TOL (always False for a correct implementation, surfaced for
+    the CLI's exit-code contract).
     """
 
     quad_degrees: tuple[float, float, float, float]
@@ -448,6 +558,7 @@ class InequalityReport:
     theorem_breach: bool
     pointwise: PointwiseBoundReport | None = None
     per_lambda_extremes: dict[str, float] | None = None
+    u_eff_cap: float | None = None
 
     def to_json_dict(self, verbosity: int = 0) -> dict:
         def num(x):
@@ -489,6 +600,8 @@ class InequalityReport:
                 str(party): {f"{math.degrees(a):.6g}": v for a, v in vals.items()}
                 for party, vals in self.assumption_report.implied_p0.items()
             }
+        if verbosity >= 1:
+            d["assumptions"]["u_eff_cap"] = self.u_eff_cap
         if verbosity >= 1 and self.pointwise is not None:
             d["pointwise"] = {
                 "passed": self.pointwise.passed,
@@ -523,7 +636,7 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
 
     pointwise = None
     if mode is EffectiveCorrelationMode.SOLUTION1 and assumption.passed:
-        pointwise = _pointwise(q)
+        pointwise = _pointwise(q, assumption)
 
     verdicts = {
         "abs_u_le_2": abs(u) <= 2.0 + BOUND_TOL,
@@ -531,7 +644,8 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
         "abs_u_eff_le_2": abs(u_eff) <= 2.0 + BOUND_TOL,
         "assumptions_passed": assumption.passed,
     }
-    theorem_breach = bound_guaranteed and not verdicts["abs_u_eff_le_2"]
+    u_eff_cap = 2.0 + _slack(q, mode, assumption) if bound_guaranteed else None
+    theorem_breach = bound_guaranteed and _breach(q, mode, abs(u_eff) - 2.0, assumption)
 
     extremes = {
         "max_abs_local_average_a": float(np.max(np.abs(q.t1[0, :, 0] - q.t1[0, :, 1]))),
@@ -543,4 +657,4 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
         coincidence=coin, u=float(u), m=float(m), u_eff=float(u_eff),
         assumption_report=assumption, bound_guaranteed=bound_guaranteed,
         verdicts=verdicts, theorem_breach=theorem_breach,
-        pointwise=pointwise, per_lambda_extremes=extremes)
+        pointwise=pointwise, per_lambda_extremes=extremes, u_eff_cap=u_eff_cap)

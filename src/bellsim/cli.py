@@ -9,8 +9,10 @@ byte for byte at any worker count.
 
 Exit codes: 0 success (bounds hold or are flagged not-guaranteed),
 1 input error (usage errors included), 2 verified theorem breach (a
-passing assumption validator together with a broken bound; never
-reachable for a correct core).
+passing assumption validator together with a |U_eff| above the cap its
+premise proves, which ``verify-bounds -v`` reports as ``u_eff_cap``, or
+a model above that cap met by ``adversary-search``; never reachable for
+a correct core).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .bounds import (
     effective_chsh,
 )
 from .estimator import analysis_report, qm_epsilon_identity, read_counts_csv
-from .model import BellSimError, ValidationError
+from .model import BellSimError, TheoremViolationError, ValidationError
 from .modelio import load_model
 from .qm import (
     QMModelParams,
@@ -388,6 +390,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._argv = argv
         return args.func(args)
+    except TheoremViolationError as exc:
+        # adversary-search's live check of every model it visits.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_THEOREM_BREACH
     except BellSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

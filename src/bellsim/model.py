@@ -30,7 +30,9 @@ Conventions used throughout, as functions of a table's columns
   average of the +-1 outcomes (non-detections count as 0).
 * ``effective_local_average = (p_plus - p_minus) / (p_plus + p_minus)``
   is the average over the detected subset only; it is bounded by 1 in
-  magnitude whenever the photon is detectable at all.
+  magnitude whenever the photon is detectable at all.  The bounds module
+  reads it with negative entries clamped at 0, so the rounding-level
+  negatives a table may hold (down to -NORMALIZATION_TOL) keep it there.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bellsim import adversary
+from bellsim import adversary, bounds
 from bellsim.adversary import (
     FAMILIES,
     ParametricFamily,
@@ -272,11 +271,10 @@ class TestSearch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_soundness_check_fires_in_every_worker(self, monkeypatch, workers):
-        # A validator that always passes turns every |U_eff| > 2 into a
-        # theorem breach; forked workers inherit the patch, and the error
-        # must reach the caller from them.
-        monkeypatch.setattr(adversary, "_mode_report",
-                            lambda q, mode: SimpleNamespace(passed=True))
+        # A cap of exactly 2 under every premise turns every |U_eff| > 2
+        # into a theorem breach; forked workers inherit the patch, and the
+        # error must reach the caller from them.
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None: 0.0)
         with pytest.raises(TheoremViolationError):
             search(self.small_config(restarts=2, max_evals=60, n_lambda=90),
                    workers=workers)

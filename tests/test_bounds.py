@@ -397,6 +397,9 @@ class TestEffectiveCorrelation:
             m = random_lambda_independent_model(rng, 8)
             a, b = rng.random(2) * math.pi
             assert abs(effective_correlation(m, a, b, MODE2)) <= 1.0 + 1e-12
+        # Entries down to -NORMALIZATION_TOL: the subset average reads 2e-12/2e-12.
+        m = tabulated_model([1.0], [(2e-12, -1e-12, 1 - 1e-12)], [(1.0, 0.0, 0.0)])
+        assert effective_correlation(m, 0.0, 0.0, MODE3) == 1.0
 
     def test_degenerate_coincidence_raises(self):
         m = tabulated_model([1.0], [(0, 0, 1)], [(0.5, 0.5, 0)])

@@ -1,0 +1,259 @@
+"""Trip-wire caps: a valid model never reads as a theorem breach.
+
+The validators admit tables within ``VALIDATOR_TOL`` of their premise and
+within ``NORMALIZATION_TOL`` of normalization, so |U_eff| may lie a little
+above 2 on a model whose premise passes.  The trip-wires compare against
+the cap that premise proves for such tables (``bounds._slack``); these
+tests check the caps from both sides: valid models never trip them, and a
+real breach still does.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellsim import bounds
+from bellsim.adversary import ParametricFamily, _threshold_builder, objective
+from bellsim.bounds import (
+    BOUND_TOL,
+    EffectiveCorrelationMode,
+    chsh_value,
+    effective_chsh,
+    optimal_quad,
+    signed_sum,
+)
+from bellsim.cli import main
+from bellsim.model import (
+    NORMALIZATION_TOL,
+    VALIDATOR_TOL,
+    HiddenVariableSpace,
+    ResponseFunction,
+    SLHVModel,
+    TheoremViolationError,
+)
+from bellsim.modelio import model_from_dict
+
+QUAD = optimal_quad()
+NU = NORMALIZATION_TOL
+PLUS, MINUS = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+
+
+def _tabulated(weights, rows1, rows2) -> dict:
+    """A tabulated model document; rows are keyed by the quad's angles."""
+    return {"schema_version": 1, "type": "tabulated", "lambda_weights": weights,
+            "responses": {"1": dict(zip(("0", "45"), rows1)),
+                          "2": dict(zip(("22.5", "67.5"), rows2))}}
+
+
+def _as_document(model: SLHVModel) -> dict:
+    """``model`` tabulated at the quad's four angles."""
+    tables = [model.tables(party, angles).tolist()
+              for party, angles in ((1, QUAD.party1_angles()), (2, QUAD.party2_angles()))]
+    return _tabulated(model.space.weights.tolist(), *tables)
+
+
+def _constant_family(doc: dict) -> ParametricFamily:
+    model = model_from_dict(doc)
+    return ParametricFamily("constant", ("unused",), (0.0,), (1.0,),
+                            lambda params, n_lambda: model)
+
+
+def _scaled_threshold(scale: float) -> ParametricFamily:
+    """threshold-detection with every detection probability times ``scale``;
+    U_eff does not change, but the validators' absolute tolerance admits
+    its angle-dependent non-detection."""
+
+    def build(params, n_lambda):
+        base = _threshold_builder(params, n_lambda)
+
+        def scaled(response):
+            def fn(angles, lam):
+                t = response.tables(angles, lam)
+                t[..., :2] *= scale
+                t[..., 2] = 1.0 - t[..., 0] - t[..., 1]
+                return t
+            return ResponseFunction.from_function(response.party, fn)
+
+        return SLHVModel(base.space, scaled(base.response1), scaled(base.response2))
+
+    return ParametricFamily("scaled-threshold", ("theta1", "theta2"),
+                            (0.0, 0.0), (0.999, 0.999), build)
+
+
+def _five_point(w5: float) -> ParametricFamily:
+    """Party 2 always detects, deterministically.  At four points party 1
+    detects with probability 9e-11 at one angle and never at the other,
+    within VALIDATOR_TOL of angle-independent; the fifth point, of weight
+    w5, always detects.  U_eff = 2 + 9e-11 at w5 = 0.5, 2 + 8.9e-9 at 0.01."""
+    d = 9e-11
+    up, down, never = [d, 0.0, 1.0 - d], [0.0, d, 1.0 - d], [0.0, 0.0, 1.0]
+    w = (1.0 - w5) / 4
+    return _constant_family(_tabulated(
+        [w] * 4 + [w5],
+        ([up, down, never, never, PLUS], [never, never, up, down, PLUS]),
+        ([PLUS, MINUS, PLUS, MINUS, PLUS], [MINUS, PLUS, PLUS, MINUS, PLUS])))
+
+
+def _row(p: float, sign: int) -> list[list[float]]:
+    return [[p, 0.0, 1.0 - p] if sign > 0 else [0.0, p, 1.0 - p]]
+
+
+UP = [1.0 + 1e-12, -1e-12, 0.0]
+DOWN = [-1e-12, 1.0 + 1e-12, 0.0]
+HALF_UP = 0.5 + 4.5e-13
+
+# (family, parameters, n_lambda), with the values each case reached before
+# the trip-wires compared against the caps (all with a passing premise).
+CASES = {
+    # verify-bounds exited 2 on U_eff = 2.00000000009; |U| - M = 4.5e-11.
+    "five-point-w0.5": (_five_point(0.5), (0.0,), 720),
+    # U_eff - 2 = 8.9e-9, past the search's old 1e-9 tolerance too.
+    "five-point-w0.01": (_five_point(0.01), (0.0,), 720),
+    # U_eff = 4.0 (solution1) and 3.9963 (solution2).
+    "scaled-threshold-0.9": (_scaled_threshold(5e-11), (0.9, 0.9), 720),
+    "scaled-threshold-0.69": (_scaled_threshold(5e-11), (0.69, 0.69), 180),
+    # One point, deterministic signs, detection probabilities 4.8e-8 to
+    # 0.028: 1 - sum(w p0) cancels, and solution2 gave U_eff = 2.0000000010.
+    "cancelling-denominator": (_constant_family(_tabulated(
+        [1.0], (_row(4.78429e-8, 1), _row(8.95643e-7, 1)),
+        (_row(0.0282110, 1), _row(0.0189492, -1)))), (0.0,), 720),
+    # Entries at -NORMALIZATION_TOL: U = 2.000000000008.
+    "negative-entries": (_constant_family(_tabulated(
+        [1.0], ([UP], [UP]), ([UP], [DOWN]))), (0.0,), 720),
+    # solution3's detected-subset average read 3.0, and U_eff 6.0.
+    "subset-average-above-one": (_constant_family(_tabulated(
+        [1.0], ([[2e-12, -1e-12, 1.0 - 1e-12]], [PLUS]), ([PLUS], [MINUS]))),
+        (0.0,), 720),
+    # Weights summing to 1 + 9e-13: U and U_eff = 2.0000000000018.
+    "weights-above-one": (_constant_family(_tabulated(
+        [HALF_UP, HALF_UP], ([PLUS, MINUS], [PLUS, MINUS]),
+        ([PLUS, MINUS], [MINUS, PLUS]))), (0.0,), 720),
+}
+
+CASE_MODES = [
+    ("five-point-w0.5", "solution1"),
+    ("five-point-w0.01", "solution1"),
+    ("scaled-threshold-0.9", "solution1"),
+    ("scaled-threshold-0.69", "solution2"),
+    ("cancelling-denominator", "solution2"),
+    ("negative-entries", "solution1"),
+    ("negative-entries", "solution2"),
+    ("negative-entries", "solution3"),
+    ("subset-average-above-one", "solution3"),
+    ("weights-above-one", "solution2"),
+    ("weights-above-one", "solution3"),
+]
+
+
+@pytest.mark.parametrize("case, mode", CASE_MODES, ids=[f"{c}-{m}" for c, m in CASE_MODES])
+def test_valid_model_is_no_breach(case, mode, tmp_path, capsys):
+    family, params, n_lambda = CASES[case]
+    model = family.instantiate(params, n_lambda=n_lambda)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_as_document(model)), encoding="utf-8")
+
+    code = main(["verify-bounds", "--model", str(path), "--mode", mode])
+    out = json.loads(capsys.readouterr().out)
+    assert out["bound_guaranteed"]
+    assert not out["theorem_breach"]
+    assert code == 0
+    chsh_value(model, QUAD)
+    objective(family, params, QUAD, EffectiveCorrelationMode(mode), n_lambda=n_lambda)
+
+
+@pytest.mark.parametrize("mode", ["solution1", "solution2"])
+def test_real_breach_still_trips(mode, monkeypatch, tmp_path, capsys):
+    # One deterministic point detected with probability 0.5 by each party:
+    # no deviation, every coincidence probability 0.25 and U_eff = 2.
+    half_up, half_down = [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]
+    doc = _tabulated([1.0], ([half_up], [half_up]), ([half_up], [half_down]))
+    family = _constant_family(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    m = EffectiveCorrelationMode(mode)
+    assert objective(family, (0.0,), QUAD, m) == 2.0
+
+    # Every E 5e-9 relatively too large puts U_eff 1e-8 above 2.
+    monkeypatch.setattr(bounds._QuadTables, "e",
+                        property(lambda q: signed_sum(q.joints) * (1.0 + 5e-9)))
+    assert main(["verify-bounds", "--model", str(path), "--mode", mode]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["theorem_breach"] and out["U_eff"] == pytest.approx(2.0 + 1e-8, abs=1e-15)
+    with pytest.raises(TheoremViolationError):
+        objective(family, (0.0,), QUAD, m)
+
+
+def _premise_deviation(p0, mode) -> float:
+    """The validator's deviation, from each party's (2, n) p0 rows: the
+    range over the angles (solution1) or over the points (solution2)."""
+    axis = 0 if mode == "solution1" else 1
+    return max(float(np.max(np.ptp(rows, axis=axis))) for rows in p0)
+
+
+@st.composite
+def near_premise_models(draw, mode):
+    """1-8 point models whose ``mode`` premise holds up to a deviation in
+    (0, VALIDATOR_TOL]: detection scaled down as far as 1e-9, signs often
+    deterministic, entries and weights jittered within NORMALIZATION_TOL."""
+    # solution2's deviation is a range over the points, so it needs two.
+    n = draw(st.integers(1 if mode == "solution1" else 2, 8))
+    scale = 10.0 ** -draw(st.integers(0, 9))
+    dev = draw(st.floats(0.0, 1.0, exclude_min=True)) * (VALIDATOR_TOL - NU)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-0.9, 0.9) * NU)
+    # The base detection probability is shared across the angles
+    # (solution1) or across the points (solution2); dev spreads it.
+    base_shape = (2, 1, n) if mode == "solution1" else (2, 2, 1)
+    detect = scale * rng.uniform(0.01, 1.0 - 1e-9, size=base_shape) \
+        + dev * rng.uniform(0.0, 1.0, size=(2, 2, n))
+    share = np.where(rng.uniform(size=(2, 2, n)) < 0.6,
+                     rng.integers(0, 2, size=(2, 2, n)), rng.uniform(size=(2, 2, n)))
+    t = np.stack([detect * share, detect * (1.0 - share), 1.0 - detect], axis=-1)
+    t += rng.uniform(-0.3, 0.3, size=t.shape) * NU
+    responses = [ResponseFunction.from_table(party, dict(zip(angles, t[party - 1])))
+                 for party, angles in ((1, QUAD.party1_angles()), (2, QUAD.party2_angles()))]
+    return SLHVModel(HiddenVariableSpace(w), *responses), t, w
+
+
+@pytest.mark.parametrize("mode", ["solution1", "solution2"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_caps_hold_near_the_premise(mode, data):
+    model, t, w = data.draw(near_premise_models(mode))
+    # Every value and cap from the raw tables, sharing no code with bounds.
+    t1, t2 = t
+    x, y = t1[..., 0] - t1[..., 1], t2[..., 0] - t2[..., 1]
+    a, b = t1[..., 0] + t1[..., 1], t2[..., 0] + t2[..., 1]
+    e = np.einsum("i,ji,li->jl", w, x, y).ravel()
+    coin = np.einsum("i,ji,li->jl", w, a, b).ravel()
+    signs = np.array([1.0, -1.0, 1.0, 1.0])
+    dev = _premise_deviation((t1[..., 2], t2[..., 2]), mode)
+    assert 0.0 < dev <= VALIDATOR_TOL
+    delta = dev + 5 * NU
+    u_total, m = float(signs @ e), 2.0 * coin[0]
+    assert abs(u_total) <= 2.0 * (1.0 + 4.0 * NU) ** 2 + BOUND_TOL
+    if mode == "solution1":
+        u_eff = float(signs @ (e / coin))
+        cap = 2.0 + 6.0 * (2 * delta + delta**2) / coin.min()
+        assert abs(u_total) <= m + 2.0 * (2 * delta + delta**2) + BOUND_TOL
+        u = x[0] * (y[0] - y[1]) + x[1] * (y[0] + y[1])
+        pointwise = 2.0 * a[0] * b[0] + 2.0 * (delta * (a[0] + b[0]) + delta**2)
+        assert np.all(np.abs(u) <= pointwise + BOUND_TOL)
+    else:
+        d1, d2 = 1.0 - t1[..., 2] @ w, 1.0 - t2[..., 2] @ w
+        u_eff = float(signs @ (e / np.outer(d1, d2).ravel()))
+        cap = 2.0 * (1 + delta / d1.min()) * (1 + delta / d2.min())
+    assert abs(u_eff) <= cap + BOUND_TOL
+
+    # And bellsim's own trip-wires stay quiet.  1 - sum(w p0) cancels at
+    # small detection, so its U_eff may differ from the one above in more
+    # than the last place, but the 5nu in delta covers that rounding.
+    report = effective_chsh(model, QUAD, EffectiveCorrelationMode(mode))
+    assert report.bound_guaranteed and not report.theorem_breach
+    assert abs(report.u_eff) <= cap + BOUND_TOL
+    assert report.u_eff_cap == pytest.approx(cap, rel=1e-3)
+    assert report.pointwise is None or report.pointwise.passed
+    chsh_value(model, QUAD)

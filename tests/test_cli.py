@@ -29,6 +29,16 @@ class TestVerifyBounds:
         assert out["bound_guaranteed"]
         assert abs(out["U_eff"]) <= 2.0
 
+    def test_cap_reported_under_verbose_only(self, capsys):
+        compliant = str(MODELS / "solution1_tabulated.json")
+        run(["verify-bounds", "--model", compliant])
+        assert "u_eff_cap" not in json.loads(capsys.readouterr().out)["assumptions"]
+        run(["verify-bounds", "-v", "--model", compliant])
+        assert 2.0 < json.loads(capsys.readouterr().out)["assumptions"]["u_eff_cap"] < 2.0 + 1e-8
+        # A failing premise proves no cap.
+        run(["verify-bounds", "-v", "--model", str(MODELS / "threshold_adversary.json")])
+        assert json.loads(capsys.readouterr().out)["assumptions"]["u_eff_cap"] is None
+
     def test_adversary_model_flagged_not_breach(self, capsys):
         code = run(["verify-bounds", "--model",
                     str(MODELS / "threshold_adversary.json")])
@@ -393,6 +403,15 @@ class TestExitCodeContract:
         code = run(["verify-bounds", "--model",
                     str(MODELS / "solution1_tabulated.json")])
         assert code == 2
+
+    def test_search_breach_maps_to_exit_two(self, monkeypatch, capsys):
+        # A cap of exactly 2 under every premise makes the search's live
+        # check raise on the first |U_eff| above 2.
+        from bellsim import bounds
+
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None: 0.0)
+        assert run([*_SEARCH, "--n-lambda", "90", "--seed", "1"]) == 2
+        assert "error: |U_eff|" in capsys.readouterr().err
 
 
 class TestManifests:
