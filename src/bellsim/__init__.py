@@ -32,6 +32,7 @@ from .bounds import (  # noqa: F401
     correlation,
     effective_chsh,
     effective_chsh_value,
+    effective_chsh_values,
     effective_correlation,
     enumerate_vertices,
     optimal_quad,

@@ -24,6 +24,14 @@ projection, gradients being unavailable through the absolute value and
 the clipping.  The simplex code is bellsim's own (``_nelder_mead``) and
 equals scipy's bounded, non-adaptive Nelder-Mead step for step, so the
 search needs no scipy at run time.
+
+Nelder-Mead is sequential within a restart, so the restarts a process
+holds are the batch a search shares its per-evaluation overhead over.
+Each process runs its restarts in lockstep (``_lockstep``): every
+restart's next new point goes into one batched evaluation
+(``_evaluate``), whose tables carry the batch axis of
+``bounds._QuadTables``.  Each restart still takes exactly the steps it
+would take alone, so no result depends on which restarts share a batch.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .bounds import (
     _mode_report,
     _QuadTables,
     _u_eff,
+    chsh_sum,
 )
 from .model import (
     DegenerateModelError,
@@ -75,6 +84,12 @@ _XATOL = 1e-6
 _FATOL = 1e-10
 # Parameters may sit this far outside a family's box.
 _BOX_TOL = 1e-12
+# A batched evaluation's response tables take at most this many bytes; a
+# lockstep step with more new points evaluates them in several batches.
+BATCH_TABLE_BYTES = 1 << 22
+# The bytes of one point's tables per hidden point: two parties at two
+# angles, three float64 outcomes each.
+_POINT_TABLE_BYTES = 2 * 2 * 3 * 8
 
 
 @dataclass(frozen=True)
@@ -102,9 +117,23 @@ class ParametricFamily:
     other one), and evaluates each key once per restart, so equal keys
     must mean bit-identical tables.
 
+    ``response(params, party, angles, n_lambda, out)``, if given, is the
+    batched form of the builder's responses: ``params`` is a (B, p) array
+    of points and ``angles`` a tuple of k canonical angles, and it fills
+    ``out``, a (B, k, n, 3) float array that may be a strided view, with
+    the party's tables on the grid ``uniform_lambda_grid(n_lambda)``, row b
+    bit-identical to the table the model ``builder(params[b], n_lambda)``
+    returns.  ``search`` evaluates the new points of a lockstep step
+    through it into one buffer it reuses (see ``_evaluate``); without it,
+    each point is instantiated and its tables are stacked, so every model
+    a family builds at one ``n_lambda`` must then have the same number of
+    hidden points.  The built-in families' builders wrap their
+    ``response`` code at B = 1, so each family has one response
+    implementation.
+
     ``search`` hands the family to its worker processes by fork, never by
-    pickling, so ``builder`` and ``breakpoints`` may be any callables,
-    lambdas and closures included.
+    pickling, so ``builder``, ``breakpoints`` and ``response`` may be any
+    callables, lambdas and closures included.
     """
 
     name: str
@@ -114,6 +143,7 @@ class ParametricFamily:
     builder: Callable[[np.ndarray, int], SLHVModel]
     description: str = ""
     breakpoints: Callable[[SettingsQuad, int], tuple[Sequence[float] | None, ...]] | None = None
+    response: Callable[[np.ndarray, int, tuple[float, ...], int, np.ndarray], None] | None = None
 
     def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
         p = np.asarray(params, dtype=float)
@@ -207,20 +237,34 @@ def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[flo
         for angles in (quad.party1_angles(), quad.party2_angles()))
 
 
+def _threshold_tables(theta, angles: tuple[float, ...], n_lambda: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., k, n, 3) tables at the thresholds ``theta``, in ``out`` or
+    a new array: a float for one model's (k, n, 3), a (B, 1, 1) array for a
+    batch's (B, k, n, 3)."""
+    terms = _angle_terms(angles, n_lambda)
+    # Detected points answer +1 where cos 2d >= 0 and -1 elsewhere; every
+    # probability is 0 or 1.
+    detect = terms.abs_cos2d >= theta
+    if out is None:
+        out = np.empty(detect.shape + (3,))
+    np.logical_and(detect, terms.cos2d_nonneg, out=out[..., 0])
+    np.logical_and(detect, terms.cos2d_neg, out=out[..., 1])
+    np.logical_not(detect, out=out[..., 2])
+    return out
+
+
+def _threshold_response(params: np.ndarray, party: int, angles: tuple[float, ...],
+                        n_lambda: int, out: np.ndarray) -> None:
+    _threshold_tables(params[:, party - 1, None, None], angles, n_lambda, out)
+
+
 def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     theta1, theta2 = float(params[0]), float(params[1])
 
     def response(theta):
         def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-            terms = _angle_terms(tuple(angles.tolist()), n_lambda)
-            # Detected points answer +1 where cos 2d >= 0 and -1 elsewhere;
-            # every probability is 0 or 1.
-            detect = terms.abs_cos2d >= theta
-            out = np.empty(detect.shape + (3,))
-            np.logical_and(detect, terms.cos2d_nonneg, out=out[..., 0])
-            np.logical_and(detect, terms.cos2d_neg, out=out[..., 1])
-            np.logical_not(detect, out=out[..., 2])
-            return out
+            return _threshold_tables(theta, tuple(angles.tolist()), n_lambda)
         return fn
 
     model = SLHVModel(_grid(n_lambda),
@@ -231,21 +275,42 @@ def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     return model
 
 
+def _modulated_tables(c0, c1, shares, angles: tuple[float, ...], n_lambda: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., k, n, 3) tables at ``c0`` and ``c1`` with the Malus
+    ``shares`` (share, rest), in ``out`` or a new array: floats and (k, n)
+    arrays for one model's (k, n, 3), (B, 1, 1) and (B, k, n) arrays for a
+    batch's (B, k, n, 3)."""
+    share, rest = shares
+    cos2d = _angle_terms(angles, n_lambda).cos2d
+    # The ndarray method runs np.clip's ufunc without its wrapper.
+    p0 = (c0 + c1 * cos2d).clip(0.0, 1.0)
+    detect = 1.0 - p0
+    if out is None:
+        out = np.empty(p0.shape + (3,))
+    np.multiply(detect, share, out=out[..., 0])
+    np.multiply(detect, rest, out=out[..., 1])
+    out[..., 2] = p0
+    return out
+
+
+def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...],
+                        n_lambda: int, out: np.ndarray) -> None:
+    # Each sharpness's cached shares, stacked: a power with an array of
+    # exponents need not round as the power with one exponent does.
+    pairs = [_malus_shares(angles, n_lambda, s) for s in params[:, 2].tolist()]
+    shares = [np.stack([pair[i] for pair in pairs]) for i in (0, 1)]
+    _modulated_tables(params[:, 0, None, None], params[:, 1, None, None], shares,
+                      angles, n_lambda, out)
+
+
 def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
 
     def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
         key = tuple(angles.tolist())
-        cos2d = _angle_terms(key, n_lambda).cos2d
-        share, rest = _malus_shares(key, n_lambda, sharpness)
-        # The ndarray method runs np.clip's ufunc without its wrapper.
-        p0 = (c0 + c1 * cos2d).clip(0.0, 1.0)
-        detect = 1.0 - p0
-        out = np.empty(p0.shape + (3,))
-        np.multiply(detect, share, out=out[..., 0])
-        np.multiply(detect, rest, out=out[..., 1])
-        out[..., 2] = p0
-        return out
+        return _modulated_tables(c0, c1, _malus_shares(key, n_lambda, sharpness), key,
+                                 n_lambda)
 
     model = SLHVModel(_grid(n_lambda),
                       ResponseFunction.from_function(1, fn),
@@ -268,6 +333,7 @@ FAMILIES: dict[str, ParametricFamily] = {
         description="sign-of-cosine responder, detects only above a "
                     "per-party |cos| threshold",
         breakpoints=_threshold_breakpoints,
+        response=_threshold_response,
     ),
     "modulated-p0": ParametricFamily(
         name="modulated-p0",
@@ -277,6 +343,7 @@ FAMILIES: dict[str, ParametricFamily] = {
         builder=_modulated_builder,
         description="smoothed Malus-law responder with angle-modulated "
                     "non-detection probability",
+        response=_modulated_response,
     ),
 }
 
@@ -388,20 +455,75 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
 
     A value above the cap its premise proves for the same tables (the
     check behind ``effective_chsh``'s ``theorem_breach``) raises
-    TheoremViolationError.  ``search`` calls this for each distinct model,
-    so every distinct model a restart visits is checked once: a live test
-    of the bound against an active adversary.
+    TheoremViolationError.  This is ``search``'s evaluation of a batch of
+    one (see ``_abs_u_eff``): a search evaluates its points in batches
+    instead, with bit-identical values, and checks every distinct model a
+    restart visits once, a live test of the bound against an active
+    adversary.
     """
     q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
-    try:
-        value = abs(_u_eff(q, mode))
-    except DegenerateModelError:
-        return 0.0
-    if _breach(q, mode, value - 2.0):
+    return float(_abs_u_eff(q, mode, family, np.asarray(params, dtype=float)[None])[0])
+
+
+def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: ParametricFamily,
+               params: np.ndarray) -> np.ndarray:
+    """|U_eff| of each source of the batch ``q``, the family's models at the
+    (B, p) ``params``; 0 where a pair is degenerate.  A value above the cap
+    its premise proves raises TheoremViolationError, naming the first such
+    point."""
+    value, dead = q.e_eff(mode)
+    u = np.abs(chsh_sum(value))
+    u[dead.any(axis=1)] = 0.0
+    breach = _breach(q, mode, u - 2.0)
+    if breach.any():
+        b = int(np.argmax(breach))
         raise TheoremViolationError(
-            f"|U_eff| = {value!r} exceeds the cap the {mode.value} assumption "
-            f"proves (family {family.name!r}, params {list(params)})")
-    return value
+            f"|U_eff| = {float(u[b])!r} exceeds the cap the {mode.value} assumption "
+            f"proves (family {family.name!r}, params {params[b].tolist()})")
+    return u
+
+
+def _batch_rows(config: SearchConfig) -> int:
+    """The most points a batch evaluates: BATCH_TABLE_BYTES of tables at
+    ``config.n_lambda`` hidden points, and at least one."""
+    return max(1, BATCH_TABLE_BYTES // (_POINT_TABLE_BYTES * config.n_lambda))
+
+
+def _evaluate(config: SearchConfig, points: list[list[float]],
+              workspace: np.ndarray | None) -> list[float]:
+    """``objective`` at each full parameter vector of ``points``, in
+    batches of at most ``_batch_rows(config)`` points.
+
+    A family with ``response`` fills the first rows of ``workspace``, a
+    (rows, party, angle, n_lambda, 3) array with a row per point of a batch
+    that its caller reuses, with each batch's tables in one call per
+    party: a fresh array per batch would make the allocator return and
+    refetch its pages at every step.  Any other family has each point
+    instantiated and its tables stacked, and needs no workspace.
+    """
+    fam = config.family
+    angles = (config.quad.party1_angles(), config.quad.party2_angles())
+    rows = _batch_rows(config)
+    values = []
+    for start in range(0, len(points), rows):
+        params = np.array(points[start:start + rows])
+        if fam.response is not None:
+            w = _grid(config.n_lambda).weights[None]
+            t = workspace[:len(params)]
+            for party, angs in enumerate(angles, start=1):
+                fam.response(params, party, angs, config.n_lambda, t[:, party - 1])
+        else:
+            models = [fam.instantiate(p, n_lambda=config.n_lambda) for p in params]
+            if len({m.space.size for m in models}) > 1:
+                raise ValidationError(
+                    f"family {fam.name!r} builds models of different sizes at "
+                    f"n_lambda = {config.n_lambda}")
+            w = np.stack([m.space.weights for m in models])
+            t = np.stack([np.stack([m.tables(party, angs, validate=False) for m in models])
+                          for party, angs in enumerate(angles, start=1)], axis=1)
+        q = _QuadTables.from_tables(w, t, angles)
+        values += _abs_u_eff(q, config.mode, fam, params).tolist()
+    return values
 
 
 def _memo_key(breakpoints: tuple[Sequence[float] | None, ...] | None,
@@ -440,21 +562,24 @@ def _sort_by_value(sim: list[list[float]], fsim: list[float]
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
-                 lower: list[float], upper: list[float], maxfev: int
-                 ) -> tuple[list[float], float, int]:
-    """Minimize ``func`` over the box [lower, upper] by Nelder-Mead.
+def _nelder_mead(x0: Sequence[float], lower: list[float], upper: list[float],
+                 maxfev: int):
+    """Minimize over the box [lower, upper] by Nelder-Mead, as a generator.
 
-    Returns the best vertex, its value and the number of calls made; fewer
-    than ``maxfev`` calls means the simplex converged (``_XATOL``,
-    ``_FATOL``).  Every point passed to ``func`` lies in the box.
+    It yields each trial point and takes the point's value by ``send``;
+    it returns the best vertex, its value and the number of points
+    yielded.  Fewer than ``maxfev`` points means the simplex converged
+    (``_XATOL``, ``_FATOL``).  Every point yielded lies in the box.  A
+    caller drives it with ``x = steps.send(value)`` until StopIteration,
+    so several restarts can run side by side and have their points
+    evaluated together (``_lockstep``).
 
     The steps are scipy's bounded, non-adaptive Nelder-Mead
     (``scipy.optimize.minimize(method="Nelder-Mead", bounds=...)``, as of
     scipy 1.17) in every floating-point operation: the same initial simplex,
     reflection (1), expansion (2), contraction (0.5) and shrink (0.5)
     coefficients and arithmetic order, clipping of every trial point,
-    ``np.argsort`` ordering of the vertices, and a call past ``maxfev``
+    ``np.argsort`` ordering of the vertices, and a point past ``maxfev``
     abandoning the step in progress.  So it visits the same points in the
     same order and returns the same bits (Nelder & Mead, Comput. J. 7, 308
     (1965)).
@@ -462,12 +587,12 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
     n = len(x0)
     calls = 0
 
-    def f(x: list[float]) -> float:
+    def f(x: list[float]):
         nonlocal calls
         if calls >= maxfev:
             raise _BudgetExhausted
         calls += 1
-        return func(x)
+        return (yield x)
 
     x0 = _clip(x0, lower, upper)
     sim = [x0]
@@ -481,7 +606,7 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
     fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _BudgetExhausted:
         pass
     sim, fsim = _sort_by_value(sim, fsim)
@@ -507,11 +632,11 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
                 xbar.append(total / n)
             worst = sim[-1]
             xr = trial(2, xbar, -1, worst)
-            fxr = f(xr)
+            fxr = yield from f(xr)
             shrink = False
             if fxr < fsim[0]:
                 xe = trial(3, xbar, -2, worst)
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -520,91 +645,149 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: Sequence[float],
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:
                 xc = trial(1.5, xbar, -0.5, worst)
-                fxc = f(xc)
+                fxc = yield from f(xc)
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     shrink = True
             else:
                 xcc = trial(0.5, xbar, 0.5, worst)
-                fxcc = f(xcc)
+                fxcc = yield from f(xcc)
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     shrink = True
             if shrink:
-                # Each vertex moves before its call, so a call past the
-                # budget leaves it moved but with its old value.
+                # Each vertex moves before its point is yielded, so a point
+                # past the budget leaves it moved but with its old value.
                 for j in range(1, n + 1):
                     sim[j] = _clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])],
                                    lower, upper)
-                    fsim[j] = f(sim[j])
+                    fsim[j] = yield from f(sim[j])
         except _BudgetExhausted:
             pass
         sim, fsim = _sort_by_value(sim, fsim)
     return sim[0], fsim[0], calls
 
 
-def _run_restart(config: SearchConfig, k: int) -> RestartSummary:
-    """Restart ``k`` of the search: one bounded Nelder-Mead descent.
+class _Restart:
+    """Restart ``k`` of a search in flight: one bounded Nelder-Mead descent
+    (``_nelder_mead``) with its memo of values and its trajectory.
 
     Its start point is drawn from SeedSequence(entropy=config.seed,
-    spawn_key=(k,)) and the descent (``_nelder_mead``, which takes scipy's
-    bounded Nelder-Mead steps bit for bit) is deterministic, so the summary
-    depends on (config, k) alone and not on the process that computes it:
-    ``search`` runs it in whichever process claims ``k``.
-
-    Each evaluation is counted, but ``objective`` runs once per memo key
-    (see ``_memo_key``): points of one threshold cell, or the exact
-    repeats the box clipping produces, reuse the first point's value.
+    spawn_key=(k,)) and the descent is deterministic, so its summary
+    depends on (config, k) alone and not on the process that runs it or
+    on the restarts beside it.  Each point counts as an evaluation, but
+    each memo key (see ``_memo_key``) is evaluated once: points of one
+    threshold cell, or the exact repeats the box clipping produces, reuse
+    the first point's value.
     """
-    fam = config.family
-    names = fam.param_names
-    free = [i for i, n in enumerate(names) if n not in config.freeze]
-    lower = [float(fam.lower[i]) for i in free]
-    upper = [float(fam.upper[i]) for i in free]
-    frozen_full = [float(config.freeze.get(n, lo)) for n, lo in zip(names, fam.lower)]
 
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
-    x0 = [lo + r * (hi - lo)
-          for lo, hi, r in zip(lower, upper, rng.random(len(free)).tolist())]
-    breakpoints = (None if fam.breakpoints is None
-                   else fam.breakpoints(config.quad, config.n_lambda))
-    if breakpoints is not None:
-        if len(breakpoints) != len(names):
-            raise ValidationError(
-                f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
-                f"parameters, not {len(names)}")
-        breakpoints = tuple(None if b is None else np.asarray(b).tolist()
-                            for b in breakpoints)
-    memo: dict[Hashable, float] = {}
-    trajectory: list[float] = []
+    def __init__(self, config: SearchConfig, k: int, breakpoints):
+        fam = config.family
+        self.k, self.breakpoints, self.maxfev = k, breakpoints, config.max_evals
+        self.free = [i for i, n in enumerate(fam.param_names) if n not in config.freeze]
+        lower = [float(fam.lower[i]) for i in self.free]
+        upper = [float(fam.upper[i]) for i in self.free]
+        self.frozen_full = [float(config.freeze.get(n, lo))
+                            for n, lo in zip(fam.param_names, fam.lower)]
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
+        self.x0 = [lo + r * (hi - lo)
+                   for lo, hi, r in zip(lower, upper, rng.random(len(self.free)).tolist())]
+        self.steps = _nelder_mead(self.x0, lower, upper, config.max_evals)
+        self.memo: dict[Hashable, float] = {}
+        self.trajectory: list[float] = []
+        self.full: list[float] = []
+        self.key: Hashable = None
+        self.summary: RestartSummary | None = None
 
-    def expand(x: list[float]) -> list[float]:
-        full = frozen_full.copy()
-        for i, v in zip(free, x):
+    def expand(self, x: list[float]) -> list[float]:
+        full = self.frozen_full.copy()
+        for i, v in zip(self.free, x):
             full[i] = v
         return full
 
-    def neg_abs_ueff(x: list[float]) -> float:
-        full = expand(x)
-        key = _memo_key(breakpoints, full)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = objective(fam, full, config.quad, config.mode,
-                                          n_lambda=config.n_lambda)
-        if not trajectory or value > trajectory[-1]:
-            trajectory.append(value)
-        return -value
+    def advance(self, value: float | None = None) -> bool:
+        """Take ``value`` for the pending point (None to start) and run the
+        descent on, answering memo hits, to its next new point (``full``,
+        ``key``).  False once the descent has finished (``summary``)."""
+        while True:
+            try:
+                if value is None:
+                    x = next(self.steps)
+                else:
+                    if not self.trajectory or value > self.trajectory[-1]:
+                        self.trajectory.append(value)
+                    x = self.steps.send(-value)
+            except StopIteration as stop:
+                x_best, f_best, evals = stop.value
+                self.summary = RestartSummary(
+                    restart_index=self.k, start=tuple(self.x0),
+                    best_params=tuple(self.expand(x_best)), best_value=float(-f_best),
+                    evaluations=evals, converged=evals < self.maxfev,
+                    trajectory=tuple(self.trajectory))
+                return False
+            full = self.expand(x)
+            key = _memo_key(self.breakpoints, full)
+            value = self.memo.get(key)
+            if value is None:
+                self.full, self.key = full, key
+                return True
 
-    x_best, f_best, evals = _nelder_mead(neg_abs_ueff, x0, lower, upper,
-                                         config.max_evals)
-    return RestartSummary(restart_index=k, start=tuple(x0),
-                          best_params=tuple(expand(x_best)),
-                          best_value=float(-f_best), evaluations=evals,
-                          converged=evals < config.max_evals,
-                          trajectory=tuple(trajectory))
+
+def _breakpoints(config: SearchConfig) -> tuple[list[float] | None, ...] | None:
+    """The family's breakpoints at the config's quad and grid, as lists."""
+    fam = config.family
+    if fam.breakpoints is None:
+        return None
+    breakpoints = fam.breakpoints(config.quad, config.n_lambda)
+    if len(breakpoints) != len(fam.param_names):
+        raise ValidationError(
+            f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
+            f"parameters, not {len(fam.param_names)}")
+    return tuple(None if b is None else np.asarray(b).tolist() for b in breakpoints)
+
+
+def _lockstep(config: SearchConfig, claim: Callable[[], int | None],
+              slots: int) -> dict[int, RestartSummary]:
+    """Run the restarts ``claim`` hands out, up to ``slots`` of them at a
+    time, and return their summaries by index.
+
+    ``claim()`` returns the next restart index or None once there are no
+    more; a finished restart's slot is refilled by another claim.  The
+    restarts advance in lockstep: each step answers every restart's memo
+    hits inline until it reaches a new point, evaluates the new points of
+    all of them together (``_evaluate``), and sends each restart its
+    value.
+    """
+    breakpoints = _breakpoints(config)
+    workspace = None
+    if config.family.response is not None:
+        workspace = np.empty((min(slots, _batch_rows(config)), 2, 2, config.n_lambda, 3))
+    done: dict[int, RestartSummary] = {}
+    active: list[_Restart] = []
+    while True:
+        while len(active) < slots:
+            k = claim()
+            if k is None:
+                break
+            restart = _Restart(config, k, breakpoints)
+            if restart.advance():
+                active.append(restart)
+            else:
+                done[k] = restart.summary
+        if not active:
+            return done
+        values = _evaluate(config, [r.full for r in active], workspace)
+        running = []
+        for restart, value in zip(active, values):
+            restart.memo[restart.key] = value
+            if restart.advance(value):
+                running.append(restart)
+            else:
+                done[restart.k] = restart.summary
+        active = running
 
 
 def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
@@ -612,34 +795,37 @@ def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
     ``n_workers - 1`` forked children.
 
     All of them claim restart indices from one counter in shared memory
-    and run each claimed restart to the end.  A child sends the summaries
-    it computed, or the exception that stopped it, over its own pipe once
-    the counter runs out; an exception in any process also empties the
-    counter, so the others stop claiming.  Children are forked, so they
-    share ``config`` by memory and only summaries and exceptions are
-    pickled.  No child outlives this call.
+    and run up to ceil(restarts / n_workers) of them in lockstep
+    (``_lockstep``), claiming another whenever one finishes.  A child sends
+    the summaries it computed, or the exception that stopped it, over its
+    own pipe once the counter runs out; an exception in any process also
+    empties the counter, so the others stop claiming.  Children are
+    forked, so they share ``config`` by memory and only summaries and
+    exceptions are pickled.  No child outlives this call.
     """
+    slots = -(-config.restarts // n_workers)
     if n_workers == 1:
-        return [_run_restart(config, k) for k in range(config.restarts)]
+        indices = iter(range(config.restarts))
+        summaries = _lockstep(config, lambda: next(indices, None), slots)
+        return [summaries[k] for k in range(config.restarts)]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     next_index = ctx.Value("q", 0)
 
+    def claim() -> int | None:
+        with next_index.get_lock():
+            k = next_index.value
+            next_index.value = k + 1
+        return k if k < config.restarts else None
+
     def claim_and_run() -> dict[int, RestartSummary]:
-        done = {}
-        while True:
+        try:
+            return _lockstep(config, claim, slots)
+        except BaseException:
             with next_index.get_lock():
-                k = next_index.value
-                next_index.value = k + 1
-            if k >= config.restarts:
-                return done
-            try:
-                done[k] = _run_restart(config, k)
-            except BaseException:
-                with next_index.get_lock():
-                    next_index.value = config.restarts
-                raise
+                next_index.value = config.restarts
+            raise
 
     children, readers = [], []
     try:
@@ -693,18 +879,20 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     The simplex code is bellsim's own (``_nelder_mead``) and equals
     scipy's bounded, non-adaptive Nelder-Mead step for step.
     Deterministic given the seed: each restart depends only on the
-    config and its index (see ``_run_restart``), and the reduction takes
+    config and its index (see ``_Restart``), and the reduction takes
     the best value with ties broken by the lowest restart index, so the
     result is identical at any ``workers`` value >= 1.  Every distinct
-    model a restart visits is checked once by ``objective``; a point that
-    repeats one (same memo key, see ``_run_restart``) counts as an
-    evaluation and reuses its value.
+    model a restart visits is evaluated once, with the value and the
+    bound check of ``objective``; a point that repeats one (same memo
+    key, see ``_memo_key``) counts as an evaluation and reuses its value.
 
     The restarts run in this process beside ``n - 1`` forked worker
     processes, ``n = min(workers, restarts, CPU count)``, which claim
-    them one at a time from a shared counter (``_run_restarts``); with
-    ``n = 1`` no process is started.  An exception raised in any of them
-    reaches the caller, and no worker outlives the call.
+    them from a shared counter (``_run_restarts``); with ``n = 1`` no
+    process is started.  Each process keeps up to ceil(restarts / n)
+    restarts in flight and evaluates their new points together, one
+    batch per lockstep step (``_lockstep``).  An exception raised in any
+    process reaches the caller, and no worker outlives the call.
     """
     summaries = _run_restarts(config, _pool_size(workers, config.restarts))
     fam = config.family
@@ -716,7 +904,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     best_model = fam.instantiate(best_full, n_lambda=config.n_lambda)
     q = _QuadTables(best_model, config.quad)
     try:
-        signed = _u_eff(q, config.mode)
+        signed = _u_eff(q, config.mode)[0]
         degenerate = False
     except DegenerateModelError:
         signed = 0.0

@@ -3,11 +3,14 @@
 Everything here is a finite weighted sum over the hidden-variable
 points; no sampling.  A quad evaluates each party's two response
 tables in one call and forms the four setting pairs' 3x3 joint-outcome tables
-``t1^T . diag(w) . t2`` in one stacked product.  Every per-pair value
-is then a (4,) vector in PAIR_LABELS order: ``signed_sum`` gives E,
-``coincidence_sum`` the coincidence probability (the estimator applies
-both to count tables), and each mode its E_eff, NaN where the pair is
-degenerate.  The central objects:
+``t1^T . diag(w) . t2`` in one stacked product.  The tables carry a
+leading batch axis (``_QuadTables``): a batch holds several sources at
+one quad (the adversary search's points) or one model at several quads
+(``effective_chsh_values``), and a single model is a batch of one.
+Every per-pair value is then a (B, 4) array in PAIR_LABELS order:
+``signed_sum`` gives E, ``coincidence_sum`` the coincidence probability
+(the estimator applies both to count tables), and each mode its E_eff,
+NaN where the pair is degenerate.  The central objects:
 
 * ``u = x(y - y') + x'(y + y')``, the CHSH combination of the four
   single-party averages at one hidden point.  On the box
@@ -39,18 +42,21 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
     NORMALIZATION_TOL,
+    VALIDATOR_TOL,
     AssumptionError,
     AssumptionReport,
     DegenerateModelError,
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    _angle_ranges,
+    _lambda_ranges,
     _solution1_report,
     _solution2_report,
     _solution3_report,
@@ -77,6 +83,7 @@ __all__ = [
     "chsh_value",
     "effective_correlation",
     "effective_chsh_value",
+    "effective_chsh_values",
     "InequalityReport",
     "effective_chsh",
 ]
@@ -91,9 +98,13 @@ PAIR_LABELS = ("ab", "ab'", "a'b", "a'b'")
 PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 
-def chsh_sum(values) -> float:
+def chsh_sum(values):
     """v(ab) - v(ab') + v(a'b) + v(a'b') of per-pair values in PAIR_LABELS
-    order, summed left to right: U, U_eff and eps_total for every source."""
+    order, summed left to right from the integer 0 (so a zero sum is +0.0):
+    U, U_eff and eps_total for every source.  An array holds the four
+    values along its last axis and gives one sum per row."""
+    if isinstance(values, np.ndarray):
+        values = np.moveaxis(values, -1, 0)
     return sum(sign * v for sign, v in zip(PAIR_SIGNS, values))
 
 
@@ -221,38 +232,55 @@ def coincidence_sum(table):
 
 
 class _QuadTables:
-    """A model at a quad: one response call per party, over its two angles.
+    """A batch of B sources at a quad: one response call per party and
+    source, over its two angles, or over all angles of a batch of quads.
 
-    ``t1`` and ``t2`` are the two parties' (2, n, 3) tables as their
-    response calls returned them, and ``t`` stacks them as (party, angle,
-    n, 3) on first use.  Per-pair values are (4,) arrays in PAIR_LABELS
-    order, the (a, a') x (b, b') grid flattened: ``e`` and ``coin`` of the
-    four ``joints``, formed on first use, and ``e_eff(mode)``.
+    ``t`` holds the tables as (B, party, angle, n, 3) and ``w`` the
+    hidden-point weights, (1, n) when the batch shares them and (B, n) when
+    not.  A single model is a batch of one.  ``angles`` holds each party's
+    two canonical angles when the batch shares them (a validator report
+    names them), else None.  Per-pair values are (B, 4) arrays in
+    PAIR_LABELS order, the (a, a') x (b, b') grid flattened: ``e`` and
+    ``coin`` of the four ``joints``, formed on first use, and
+    ``e_eff(mode)``.
     """
 
     def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
-        self.w = model.space.weights
+        self.w = model.space.weights[None]
         self.angles = (quad.party1_angles(), quad.party2_angles())
-        self.t1, self.t2 = (model.tables(party, angles, validate)
-                            for party, angles in enumerate(self.angles, start=1))
+        self.t = np.stack([model.tables(party, angles, validate)
+                           for party, angles in enumerate(self.angles, start=1)])[None]
 
-    @cached_property
-    def t(self) -> np.ndarray:
-        return np.stack([self.t1, self.t2])
+    @classmethod
+    def from_tables(cls, w: np.ndarray, t: np.ndarray,
+                    angles: tuple[tuple[float, float], tuple[float, float]] | None = None
+                    ) -> "_QuadTables":
+        """A batch of tables already evaluated: ``w`` (1 or B, n) and ``t``
+        (B, party, angle, n, 3)."""
+        q = cls.__new__(cls)
+        q.w, q.t, q.angles = w, t, angles
+        return q
+
+    def __len__(self) -> int:
+        return len(self.t)
 
     @cached_property
     def joints(self) -> np.ndarray:
-        """The four joint-outcome tables t1^T . diag(w) . t2 in one matmul,
-        (2, 1, 3, n) @ (1, 2, n, 3).  The weights scale t1 in its transposed
-        (outcome, lambda) layout, a long inner loop over lambda."""
-        return ((self.t1.transpose(0, 2, 1) * self.w)[:, None]
-                @ self.t2[None]).reshape(4, 3, 3)
+        """The (B, 4, 3, 3) joint-outcome tables t1^T . diag(w) . t2 in one
+        matmul, (B, 2, 1, 3, n) @ (B, 1, 2, n, 3), with t1 and t2 the
+        parties' tables.  The weights, repeated over the three outcomes,
+        scale t1 in its own (n, 3) layout."""
+        b, _, k, n, _ = self.t.shape
+        scaled = (self.t[:, 0].reshape(b, k, 3 * n)
+                  * np.repeat(self.w, 3, axis=-1)[:, None]).reshape(b, k, n, 3)
+        return (scaled.transpose(0, 1, 3, 2)[:, :, None]
+                @ self.t[:, 1, None]).reshape(b, 4, 3, 3)
 
     @cached_property
     def detection(self) -> np.ndarray:
         """Each party's experimental detection probability 1 - sum(w p0) at
-        each of its angles, (party, angle)."""
-        return 1.0 - np.sum(self.w * self.t[..., 2], axis=2)
+        each of its angles, (B, party, angle)."""
+        return 1.0 - np.sum(self.w[:, None, None] * self.t[..., 2], axis=-1)
 
     @cached_property
     def e(self) -> np.ndarray:
@@ -262,9 +290,18 @@ class _QuadTables:
     def coin(self) -> np.ndarray:
         return coincidence_sum(self.joints)
 
-    def e_eff(self, mode: EffectiveCorrelationMode) -> tuple[np.ndarray, str | None]:
-        """The four coincidence-normalized correlations, NaN at a degenerate
-        pair, and why the first degenerate pair is one (None if none is).
+    def dead_at(self, mode: EffectiveCorrelationMode) -> np.ndarray:
+        """The (B, party, angle) rows that make a solution2 or solution3
+        pair degenerate: a party never detected at its setting (solution2),
+        or with a hidden point of zero detection probability (solution3)."""
+        if mode is EffectiveCorrelationMode.SOLUTION2:
+            return self.detection <= 0.0
+        t = self.t
+        return np.any(t[..., 0] + t[..., 1] <= 0.0, axis=-1)
+
+    def e_eff(self, mode: EffectiveCorrelationMode) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, 4) coincidence-normalized correlations, NaN at a
+        degenerate pair, and the (B, 4) mask of degenerate pairs.
 
         A pair is degenerate when its coincidence probability (solution1),
         a party's detection probability at its setting (solution2) or at
@@ -273,56 +310,86 @@ class _QuadTables:
         if mode is EffectiveCorrelationMode.SOLUTION1:
             dead = self.coin <= 0.0
             if not dead.any():
-                return self.e / self.coin, None
-            value = np.divide(self.e, self.coin, out=np.full(4, np.nan), where=~dead)
-            why = "zero coincidence probability"
-        elif mode is EffectiveCorrelationMode.SOLUTION2:
+                return self.e / self.coin, dead
+            return np.divide(self.e, self.coin, out=np.full(dead.shape, np.nan),
+                             where=~dead), dead
+        if mode not in (EffectiveCorrelationMode.SOLUTION2,
+                        EffectiveCorrelationMode.SOLUTION3):
+            raise ValidationError(f"unknown mode {mode!r}")
+        dead_at = self.dead_at(mode)
+        dead = (dead_at[:, 0, :, None] | dead_at[:, 1, None]).reshape(-1, 4)
+        if mode is EffectiveCorrelationMode.SOLUTION2:
             d = self.detection
-            dead_at = d <= 0.0
-            dead = (dead_at[0, :, None] | dead_at[1]).ravel()
-            value = np.divide(self.e, (d[0, :, None] * d[1]).ravel(),
-                              out=np.full(4, np.nan), where=~dead)
-            why = "is never detected at its setting"
-        elif mode is EffectiveCorrelationMode.SOLUTION3:
+            value = np.divide(self.e, (d[:, 0, :, None] * d[:, 1, None]).reshape(-1, 4),
+                              out=np.full(dead.shape, np.nan), where=~dead)
+        else:
             t = self.t
-            al = t[..., 0] + t[..., 1]
-            dead_at = np.any(al <= 0.0, axis=2)
-            dead = (dead_at[0, :, None] | dead_at[1]).ravel()
             # The ratio reads entries clamped at 0, so it stays in [-1, 1] for
             # entries down to -NORMALIZATION_TOL.  A dead (party, angle) row
             # stays NaN, and so do its pairs' sums.
             plus, minus = np.maximum(t[..., 0], 0.0), np.maximum(t[..., 1], 0.0)
-            eff = np.divide(plus - minus, plus + minus, out=np.full_like(al, np.nan),
+            eff = np.divide(plus - minus, plus + minus, out=np.full_like(plus, np.nan),
                             where=~dead_at[..., None])
-            value = np.sum(self.w * eff[0, :, None] * eff[1], axis=2).ravel()
-            why = "has a hidden point with zero detection probability"
+            value = np.sum(self.w[:, None, None] * eff[:, 0, :, None] * eff[:, 1, None],
+                           axis=-1).reshape(-1, 4)
+        return value, dead
+
+    def degenerate(self, mode: EffectiveCorrelationMode, dead: np.ndarray) -> str | None:
+        """Why the first degenerate pair of ``e_eff``'s mask ``dead`` is one,
+        over the batch in order; None if no pair is."""
+        b, k = divmod(int(np.argmax(dead)), 4)
+        if not dead[b, k]:
+            return None
+        if mode is EffectiveCorrelationMode.SOLUTION1:
+            why = "zero coincidence probability"
         else:
-            raise ValidationError(f"unknown mode {mode!r}")
-        k = int(np.argmax(dead))
-        if not dead[k]:
-            return value, None
-        if mode is not EffectiveCorrelationMode.SOLUTION1:
-            why = f"party {1 if dead_at[0, k // 2] else 2} {why}"
-        return value, f"{mode.value} E_eff undefined at pair {PAIR_LABELS[k]}: {why}"
+            party = 1 if self.dead_at(mode)[b, 0, k // 2] else 2
+            why = (f"party {party} is never detected at its setting"
+                   if mode is EffectiveCorrelationMode.SOLUTION2 else
+                   f"party {party} has a hidden point with zero detection probability")
+        return f"{mode.value} E_eff undefined at pair {PAIR_LABELS[k]}: {why}"
 
 
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
-    """The mode's assumption validator on tables already evaluated; the one
-    place a regime is mapped to its check.  It reads each party's (2, n)
-    non-detection rows as views of ``t1`` and ``t2``, so it never stacks
-    ``t``."""
-    p0 = (q.t1[..., 2], q.t2[..., 2])
+    """The mode's assumption validator on the tables of a batch of one
+    already evaluated; the one place a regime is mapped to its check.  It
+    reads each party's (2, n) non-detection rows as views of ``t``."""
+    p0 = tuple(q.t[0, ..., 2])
     if mode is EffectiveCorrelationMode.SOLUTION1:
         return _solution1_report(p0, q.angles)
     if mode is EffectiveCorrelationMode.SOLUTION2:
-        return _solution2_report(p0, q.angles, q.w)
+        return _solution2_report(p0, q.angles, q.w[0])
     return _solution3_report(p0, q.angles)
 
 
+# Each premise's score of one party's (..., k, n) non-detection rows, as its
+# validator computes it; the deviation is the largest score, floored at 0.
+_PREMISE_SCORES = {
+    EffectiveCorrelationMode.SOLUTION1: _angle_ranges,
+    EffectiveCorrelationMode.SOLUTION2: _lambda_ranges,
+    EffectiveCorrelationMode.SOLUTION3: lambda rows: rows,
+}
+
+
+def _premise_deviations(q: _QuadTables, mode: EffectiveCorrelationMode,
+                        rows: np.ndarray) -> list[float | None]:
+    """The ``max_deviation`` the mode's validator reports for each source
+    of ``rows`` (a (B,) mask), or None where the premise fails: one
+    reduction over the (B', party, angle, n) non-detection rows, with no
+    report built.  A validator passes at a deviation of at most
+    VALIDATOR_TOL (solution3: a largest p0 below 1)."""
+    scores = _PREMISE_SCORES[mode](q.t[rows, ..., 2])
+    dev = np.maximum(scores.reshape(len(scores), -1).max(axis=1), 0.0)
+    holds = dev < 1.0 if mode is EffectiveCorrelationMode.SOLUTION3 else dev <= VALIDATOR_TOL
+    return [d if h else None for d, h in zip(dev.tolist(), holds.tolist())]
+
+
 def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
-           report: AssumptionReport | None = None):
+           report: AssumptionReport | None = None, rows: np.ndarray | None = None):
     """How far above its ideal bound the premise of ``bound`` still caps
-    the tables ``q``, or None when that premise fails and proves nothing.
+    each source of the batch ``q``: a (B,) array, (B, n) for
+    ``"pointwise"``, NaN for a source whose premise fails and proves nothing
+    and for one outside the (B,) mask ``rows`` (None: every source).
 
     This is the one place that knows which premise proves which bound and
     how far the premise's tolerances stretch it.  The slack is the cap
@@ -341,8 +408,9 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
 
     Here nu = NORMALIZATION_TOL and delta = dev + 5nu, where
     dev = ``report.max_deviation`` <= VALIDATOR_TOL is the premise's
-    deviation (its validator's report, evaluated here when ``report`` is
-    None).  Rounding is left to BOUND_TOL.
+    deviation: ``report``, the validator's report of a batch of one, or
+    else each source's deviation from ``_premise_deviations``, with no
+    report built.  Rounding is left to BOUND_TOL.
 
     Proof.  Admitted tables hold entries in [-nu, 1 + nu] in rows summing to
     within nu of 1, and weights w >= 0 with W = sum(w) <= 1 + nu.  Write
@@ -375,52 +443,68 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
     """
     nu = NORMALIZATION_TOL
     if bound == "U":
-        return 2.0 * ((1.0 + 4.0 * nu) ** 2 - 1.0)
+        return np.full(len(q), 2.0 * ((1.0 + 4.0 * nu) ** 2 - 1.0))
     mode = bound if isinstance(bound, EffectiveCorrelationMode) \
         else EffectiveCorrelationMode.SOLUTION1
+    if rows is None:
+        rows = np.ones(len(q), dtype=bool)
     if report is None:
-        report = _mode_report(q, mode)
-    if not report.passed:
-        return None
-    delta = report.max_deviation + 5.0 * nu
-    if bound == "M":
-        return 2.0 * (2.0 * delta + delta ** 2)
-    if bound == "pointwise":
-        alpha, beta = q.t[:, 0, :, 0] + q.t[:, 0, :, 1]
-        return 2.0 * (delta * (alpha + beta) + delta ** 2)
-    if mode is EffectiveCorrelationMode.SOLUTION1:
-        return 6.0 * (2.0 * delta + delta ** 2) / float(np.min(q.coin))
-    if mode is EffectiveCorrelationMode.SOLUTION2:
-        d1, d2 = np.min(q.detection, axis=1).tolist()
-        return 2.0 * ((1.0 + delta / d1) * (1.0 + delta / d2) - 1.0)
-    return 2.0 * nu
+        deviations = _premise_deviations(q, mode, rows)
+    else:
+        deviations = [report.max_deviation if report.passed else None]
+    slack = np.full((len(q), q.t.shape[3]) if bound == "pointwise" else len(q), np.nan)
+    # Each cap is Python float arithmetic on its source's scalars: Python's
+    # ``** 2`` need not round as numpy's squaring does.
+    for b, dev in zip(np.flatnonzero(rows).tolist(), deviations):
+        if dev is None:
+            continue
+        delta = dev + 5.0 * nu
+        if bound == "M":
+            slack[b] = 2.0 * (2.0 * delta + delta ** 2)
+        elif bound == "pointwise":
+            alpha, beta = q.t[b, :, 0, :, 0] + q.t[b, :, 0, :, 1]
+            slack[b] = 2.0 * (delta * (alpha + beta) + delta ** 2)
+        elif mode is EffectiveCorrelationMode.SOLUTION1:
+            slack[b] = 6.0 * (2.0 * delta + delta ** 2) / float(np.min(q.coin[b]))
+        elif mode is EffectiveCorrelationMode.SOLUTION2:
+            d1, d2 = np.min(q.detection[b], axis=1).tolist()
+            slack[b] = 2.0 * ((1.0 + delta / d1) * (1.0 + delta / d2) - 1.0)
+        else:
+            slack[b] = 2.0 * nu
+    return slack
 
 
 def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess,
-            report: AssumptionReport | None = None) -> bool:
-    """Whether ``excess``, a value's distance above the ideal bound of
-    ``bound`` (see ``_slack``), passes the slack its premise proves by more
-    than BOUND_TOL: the one test behind every trip-wire.
+            report: AssumptionReport | None = None) -> np.ndarray:
+    """Which sources of the batch ``q`` hold a value whose ``excess``, its
+    distance above the ideal bound of ``bound`` (see ``_slack``), passes the
+    slack its premise proves by more than BOUND_TOL: (B,) bools, the one
+    test behind every trip-wire.
 
-    Every slack is at least 0, so an excess within BOUND_TOL decides
-    without evaluating the premise or the slack.  ``excess`` is a float, or
-    an (n,) array for ``"pointwise"``; it is never NaN.
+    ``excess`` holds one value per source, (B,), or (B, n) for
+    ``"pointwise"`` (a float or an (n,) array for a batch of one); it is
+    never NaN.  Every slack is at least 0, so a source whose excess stays
+    within BOUND_TOL is decided without its premise: only the others get a
+    deviation and a cap.
     """
-    worst = excess.max() if isinstance(excess, np.ndarray) else excess
-    if worst <= BOUND_TOL:
-        return False
-    slack = _slack(q, bound, report)
-    return slack is not None and bool(np.any(excess > slack + BOUND_TOL))
+    excess = np.reshape(excess, (len(q), -1))
+    over = np.any(excess > BOUND_TOL, axis=1)
+    if not over.any():
+        return over
+    slack = _slack(q, bound, report, rows=over)
+    if np.ndim(slack) == 1:
+        slack = slack[:, None]
+    return over & np.any(excess > slack + BOUND_TOL, axis=1)
 
 
 def correlation(model: SLHVModel, a: float, b: float) -> float:
     """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
-    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).e[0])
+    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).e[0, 0])
 
 
 def coincidence_probability(model: SLHVModel, a: float, b: float) -> float:
     """Probability that both photons are detected: weighted sum of alpha*beta."""
-    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).coin[0])
+    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).coin[0, 0])
 
 
 @dataclass(frozen=True)
@@ -451,11 +535,11 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
 
 def _pointwise(q: _QuadTables, report: AssumptionReport) -> PointwiseBoundReport:
     """The pointwise check under ``report``, a passing solution1 report."""
-    (x, xp), (y, yp) = q.t[..., 0] - q.t[..., 1]
-    alpha, beta = q.t[:, 0, :, 0] + q.t[:, 0, :, 1]
+    (x, xp), (y, yp) = q.t[0, ..., 0] - q.t[0, ..., 1]
+    alpha, beta = q.t[0, :, 0, :, 0] + q.t[0, :, 0, :, 1]
     excess = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(excess))
-    return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess, report),
+    return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess, report)[0],
                                 max_slack=float(excess[k]), worst_lambda=k, tol=BOUND_TOL)
 
 
@@ -476,12 +560,12 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     reachable state).
     """
     q = _QuadTables(model, quad)
-    u = chsh_sum(q.e.tolist())
-    m = 2.0 * float(q.coin[0])
-    if _breach(q, "U", abs(u) - 2.0):
+    u = chsh_sum(q.e[0].tolist())
+    m = 2.0 * float(q.coin[0, 0])
+    if _breach(q, "U", abs(u) - 2.0)[0]:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds 2 by more than any SLHV model can")
-    if _breach(q, "M", abs(u) - m):
+    if _breach(q, "M", abs(u) - m)[0]:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds M = {m!r} by more than angle-independent "
             "non-detection allows")
@@ -500,15 +584,15 @@ def effective_correlation(model: SLHVModel, a: float, b: float,
     raises AssumptionError (``effective_chsh`` reports such models).
     """
     q = _QuadTables(model, SettingsQuad(a, a, b, b))
-    value, why = q.e_eff(mode)
-    if why is not None:
-        raise DegenerateModelError(why)
+    value, dead = q.e_eff(mode)
+    if dead.any():
+        raise DegenerateModelError(q.degenerate(mode, dead))
     rep = _mode_report(q, mode)
     if not rep.passed:
         raise AssumptionError(
             f"validate_{mode.value} failed for mode {mode.value} "
             f"(max deviation {rep.max_deviation:.3e})")
-    return float(value[0])
+    return float(value[0, 0])
 
 
 def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
@@ -519,15 +603,32 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
     Lean path used in hot loops (property suites, adversarial search);
     no assumption checking, degenerate pairs raise.
     """
-    return _u_eff(_QuadTables(model, quad, validate), mode)
+    return float(_u_eff(_QuadTables(model, quad, validate), mode)[0])
 
 
-def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> float:
-    """Signed U_eff of tables already evaluated; degenerate pairs raise."""
-    value, why = q.e_eff(mode)
-    if why is not None:
-        raise DegenerateModelError(why)
-    return chsh_sum(value.tolist())
+def effective_chsh_values(model: SLHVModel, quads: Sequence[SettingsQuad],
+                          mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
+                          validate: bool = True) -> np.ndarray:
+    """``effective_chsh_value`` at each of ``quads``, a (q,) array, from one
+    response call per party over all 2q of its angles: the quads are the
+    batch axis of one ``_QuadTables``.  A degenerate pair at any quad
+    raises, naming the first."""
+    quads = list(quads)
+    n = model.space.size
+    t = np.stack([model.tables(party, [a for quad in quads for a in angles(quad)],
+                               validate).reshape(len(quads), 2, n, 3)
+                  for party, angles in ((1, SettingsQuad.party1_angles),
+                                        (2, SettingsQuad.party2_angles))], axis=1)
+    return _u_eff(_QuadTables.from_tables(model.space.weights[None], t), mode)
+
+
+def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> np.ndarray:
+    """Each source's signed U_eff, (B,), from tables already evaluated; a
+    degenerate pair raises."""
+    value, dead = q.e_eff(mode)
+    if dead.any():
+        raise DegenerateModelError(q.degenerate(mode, dead))
+    return chsh_sum(value)
 
 
 @dataclass(frozen=True)
@@ -623,9 +724,9 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     violating models (the adversarial workflow) still get their values.
     """
     q = _QuadTables(model, quad)
-    e = dict(zip(PAIR_LABELS, q.e.tolist()))
-    e_eff = dict(zip(PAIR_LABELS, q.e_eff(mode)[0].tolist()))
-    coin = dict(zip(PAIR_LABELS, q.coin.tolist()))
+    e = dict(zip(PAIR_LABELS, q.e[0].tolist()))
+    e_eff = dict(zip(PAIR_LABELS, q.e_eff(mode)[0][0].tolist()))
+    coin = dict(zip(PAIR_LABELS, q.coin[0].tolist()))
     # A degenerate pair's NaN carries into U_eff and fails its verdict.
     u = chsh_sum(e.values())
     u_eff = chsh_sum(e_eff.values())
@@ -644,11 +745,12 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
         "abs_u_eff_le_2": abs(u_eff) <= 2.0 + BOUND_TOL,
         "assumptions_passed": assumption.passed,
     }
-    u_eff_cap = 2.0 + _slack(q, mode, assumption) if bound_guaranteed else None
-    theorem_breach = bound_guaranteed and _breach(q, mode, abs(u_eff) - 2.0, assumption)
+    u_eff_cap = 2.0 + float(_slack(q, mode, assumption)[0]) if bound_guaranteed else None
+    theorem_breach = bound_guaranteed and bool(
+        _breach(q, mode, abs(u_eff) - 2.0, assumption)[0])
 
     extremes = {
-        "max_abs_local_average_a": float(np.max(np.abs(q.t1[0, :, 0] - q.t1[0, :, 1]))),
+        "max_abs_local_average_a": float(np.max(np.abs(q.t[0, 0, 0, :, 0] - q.t[0, 0, 0, :, 1]))),
         "min_coincidence_probability": min(coin.values()),
         "max_coincidence_probability": max(coin.values()),
     }

@@ -382,6 +382,18 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
     return p0, angles
 
 
+def _angle_ranges(rows: np.ndarray) -> np.ndarray:
+    """Solution1's score of one party's (..., k, n) non-detection rows: each
+    hidden point's range over the angles, (..., n)."""
+    return rows.max(axis=-2) - rows.min(axis=-2)
+
+
+def _lambda_ranges(rows: np.ndarray) -> np.ndarray:
+    """Solution2's score of one party's (..., k, n) non-detection rows: each
+    angle's range over the hidden points, (..., k)."""
+    return rows.max(axis=-1) - rows.min(axis=-1)
+
+
 def _first_peak(scores: Iterable[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
     """The largest entry of each party's scores, and its first (party, flat
     index); (0.0, None) when no entry is positive."""
@@ -414,7 +426,7 @@ def _solution1_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]
                       ) -> AssumptionReport:
     """validate_solution1 over each party's (k, n) non-detection rows
     ``p0[party - 1]`` at its canonical ``angles[party - 1]``."""
-    dev, at = _first_peak(rows.max(axis=0) - rows.min(axis=0) for rows in p0)
+    dev, at = _first_peak(map(_angle_ranges, p0))
     if dev <= VALIDATOR_TOL:
         return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL)
     party, k = at
@@ -444,7 +456,7 @@ def _solution2_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]
     deviation is a row's range over lambda, and a failing report names the
     first widest (party, angle) row and the first lambda index of its
     maximum."""
-    dev, at = _first_peak(rows.max(axis=1) - rows.min(axis=1) for rows in p0)
+    dev, at = _first_peak(map(_lambda_ranges, p0))
     if dev > VALIDATOR_TOL:
         party, j = at
         angle = angles[party - 1][j]

@@ -196,7 +196,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     pairs = plan.quad.pairs()
     if isinstance(source, SLHVModel):
         q = _QuadTables(source, plan.quad)
-        edges1, edges2 = ([_outcome_edges(t) for t in ts] for ts in (q.t1, q.t2))
+        edges1, edges2 = ([_outcome_edges(t) for t in ts] for ts in q.t[0])
         cdf = _lambda_cdf(source)
         # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
         kernels = [partial(_slhv_block, e1, e2, cdf) for e1 in edges1 for e2 in edges2]

@@ -273,8 +273,11 @@ class TestSearch:
     def test_soundness_check_fires_in_every_worker(self, monkeypatch, workers):
         # A cap of exactly 2 under every premise turns every |U_eff| > 2
         # into a theorem breach; forked workers inherit the patch, and the
-        # error must reach the caller from them.
-        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None: 0.0)
+        # error must reach the caller from them.  With two processes the
+        # caller runs nothing, so the breach is the worker's.
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None, rows=None: 0.0)
+        if workers == 2:
+            _split_restarts(monkeypatch, _one_restart, lambda *args: {})
         with pytest.raises(TheoremViolationError):
             search(self.small_config(restarts=2, max_evals=60, n_lambda=90),
                    workers=workers)
@@ -414,21 +417,28 @@ class TestSearch:
         assert len(doc["restarts"]) == 2
 
 
-def _split_restarts(monkeypatch, in_worker, in_caller=adversary._run_restart):
-    """Patch ``_run_restart`` so that a forked worker calls ``in_worker(k)``
-    and the caller ``in_caller(config, k)``, the caller only once it has
-    seen a worker claim a restart."""
+def _one_restart(config, k, _lockstep=adversary._lockstep):
+    """Restart ``k`` alone, through the search's own lockstep loop."""
+    return _lockstep(config, iter([k, None]).__next__, 1)[k]
+
+
+def _split_restarts(monkeypatch, in_worker, in_caller=adversary._lockstep):
+    """Patch ``_lockstep``, a search process's unit of work, so that a
+    forked worker claims one restart k and returns ``{k: in_worker(config,
+    k)}``, and the caller runs ``in_caller(config, claim, slots)`` once it
+    has seen a worker claim a restart."""
     caller = os.getpid()
     claimed = multiprocessing.get_context("fork").Event()
 
-    def patched(config, k):
+    def patched(config, claim, slots):
         if os.getpid() != caller:
+            k = claim()
             claimed.set()
-            return in_worker(k)
+            return {k: in_worker(config, k)}
         assert claimed.wait(60), "no worker claimed a restart"
-        return in_caller(config, k)
+        return in_caller(config, claim, slots)
 
-    monkeypatch.setattr(adversary, "_run_restart", patched)
+    monkeypatch.setattr(adversary, "_lockstep", patched)
 
 
 @contextlib.contextmanager
@@ -462,21 +472,21 @@ class TestWorkers:
 
     def test_error_in_the_caller_stops_the_workers(self, monkeypatch):
         # The worker would sleep far past the deadline: it must be stopped.
-        _split_restarts(monkeypatch, lambda k: time.sleep(600), self.breach)
+        _split_restarts(monkeypatch, lambda config, k: time.sleep(600), self.breach)
         with _deadline(60), pytest.raises(TheoremViolationError, match="breach in restart"):
             search(self.CONFIG, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_worker_exiting_without_report_raises(self, monkeypatch):
-        _split_restarts(monkeypatch, lambda k: os._exit(3))
+        _split_restarts(monkeypatch, lambda config, k: os._exit(3))
         with _deadline(60), pytest.raises(RuntimeError, match="code 3 without reporting"):
             search(self.CONFIG, workers=2)
         assert multiprocessing.active_children() == []
 
 
 class TestRestartMemo:
-    """A restart evaluates ``objective`` once per memo key, with no change
-    to the search's result."""
+    """A restart evaluates each memo key once, with no change to the
+    search's result."""
 
     THRESHOLD = get_family("threshold-detection")
     MODES = tuple(EffectiveCorrelationMode)
@@ -530,13 +540,12 @@ class TestRestartMemo:
     def test_objective_runs_once_per_key(self, monkeypatch, family):
         # The family without breakpoints repeats only bit-equal points, which
         # Nelder-Mead makes when the box clipping puts several on one face.
-        keys_per_restart, calls = [], []
-        run_restart, memo_key, inner = (adversary._run_restart, adversary._memo_key,
-                                        adversary.objective)
-
-        def counted_restart(config, k):
-            keys_per_restart.append(set())
-            return run_restart(config, k)
+        # The search evaluates exactly the points the per-point reference
+        # passes to ``objective``, one per distinct key of each restart, and
+        # never calls ``objective`` itself.
+        keys_per_restart, calls, evaluated = [], [], []
+        memo_key, inner, evaluate = (adversary._memo_key, adversary.objective,
+                                     adversary._evaluate)
 
         def recorded_key(breakpoints, full):
             key = memo_key(breakpoints, full)
@@ -547,15 +556,27 @@ class TestRestartMemo:
             calls.append(1)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(adversary, "_run_restart", counted_restart)
+        def recorded_evaluate(config, points, workspace):
+            evaluated.extend(map(tuple, points))
+            return evaluate(config, points, workspace)
+
         monkeypatch.setattr(adversary, "_memo_key", recorded_key)
         monkeypatch.setattr(adversary, "objective", counted_objective)
         config = SearchConfig(family=get_family(family), quad=QUAD, restarts=4,
                               max_evals=200, seed=12, n_lambda=360)
-        res = search(config, workers=1)
-        assert len(keys_per_restart) == config.restarts
+        reference = []
+        for k in range(config.restarts):
+            keys_per_restart.append(set())
+            reference.append(_run_restart(config, k))
         assert len(calls) == sum(map(len, keys_per_restart))
-        assert len(calls) < res.evaluation_count
+
+        monkeypatch.setattr(adversary, "_memo_key", memo_key)
+        monkeypatch.setattr(adversary, "_evaluate", recorded_evaluate)
+        calls.clear()
+        res = search(config, workers=1)
+        assert list(res.restarts) == reference
+        assert calls == []
+        assert len(evaluated) == sum(map(len, keys_per_restart)) < res.evaluation_count
 
     def test_breakpoints_need_one_entry_per_parameter(self):
         fam = dataclasses.replace(self.THRESHOLD, breakpoints=lambda quad, n: (None,))
@@ -634,10 +655,74 @@ def _scipy_run_restart(config, k, _memo_key=_scipy_memo_key, _expand=_scipy_expa
                           trajectory=tuple(trajectory))
 
 
+def _minimize(func, x0, lower, upper, maxfev):
+    """``_nelder_mead`` driven by a callback: ``func`` gives each point's value."""
+    steps = adversary._nelder_mead(x0, lower, upper, maxfev)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(func(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _run_restart(config, k):
+    """Restart ``k`` as the search ran it before its restarts ran in
+    lockstep: one descent calling ``objective`` at each new point.  The
+    body is kept as the per-point reference for the batched search."""
+    fam = config.family
+    names = fam.param_names
+    free = [i for i, n in enumerate(names) if n not in config.freeze]
+    lower = [float(fam.lower[i]) for i in free]
+    upper = [float(fam.upper[i]) for i in free]
+    frozen_full = [float(config.freeze.get(n, lo)) for n, lo in zip(names, fam.lower)]
+
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
+    x0 = [lo + r * (hi - lo)
+          for lo, hi, r in zip(lower, upper, rng.random(len(free)).tolist())]
+    breakpoints = (None if fam.breakpoints is None
+                   else fam.breakpoints(config.quad, config.n_lambda))
+    if breakpoints is not None:
+        if len(breakpoints) != len(names):
+            raise ValidationError(
+                f"family {fam.name!r} declares breakpoints for {len(breakpoints)} "
+                f"parameters, not {len(names)}")
+        breakpoints = tuple(None if b is None else np.asarray(b).tolist()
+                            for b in breakpoints)
+    memo = {}
+    trajectory = []
+
+    def expand(x):
+        full = frozen_full.copy()
+        for i, v in zip(free, x):
+            full[i] = v
+        return full
+
+    def neg_abs_ueff(x):
+        full = expand(x)
+        key = adversary._memo_key(breakpoints, full)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = adversary.objective(fam, full, config.quad, config.mode,
+                                                    n_lambda=config.n_lambda)
+        if not trajectory or value > trajectory[-1]:
+            trajectory.append(value)
+        return -value
+
+    x_best, f_best, evals = _minimize(neg_abs_ueff, x0, lower, upper, config.max_evals)
+    return RestartSummary(restart_index=k, start=tuple(x0),
+                          best_params=tuple(expand(x_best)),
+                          best_value=float(-f_best), evaluations=evals,
+                          converged=evals < config.max_evals,
+                          trajectory=tuple(trajectory))
+
+
 class TestNelderMeadReference:
     """``_nelder_mead`` takes scipy's bounded Nelder-Mead steps bit for bit:
     each restart visits the points the scipy-driven restart visited, in the
-    same order, and returns an equal summary."""
+    same order, and returns an equal summary.  The restart is the per-point
+    reference ``_run_restart``, which ``TestLockstep`` pins the search to."""
 
     @staticmethod
     def _bytes(points):
@@ -676,7 +761,7 @@ class TestNelderMeadReference:
             for k in range(config.restarts):
                 new_points.clear()
                 ref_points.clear()
-                summary = adversary._run_restart(config, k)
+                summary = _run_restart(config, k)
                 assert summary == _scipy_run_restart(config, k, _memo_key=recorded_ref_key)
                 assert self._bytes(new_points) == self._bytes(ref_points)
                 assert len(new_points) == summary.evaluations
@@ -698,7 +783,7 @@ class TestNelderMeadReference:
             return math.floor(sum((v - 0.3) ** 2 for v in x) / 0.01) * 0.01
 
         ours, theirs = [], []
-        x, fx, calls = adversary._nelder_mead(
+        x, fx, calls = _minimize(
             lambda x: ours.append(list(x)) or stepped(x), x0, lower, upper, maxfev)
         res = optimize.minimize(
             lambda x: theirs.append(x.tolist()) or stepped(x), np.array(x0),
@@ -708,6 +793,112 @@ class TestNelderMeadReference:
         assert all(0.0 <= v <= 1.0 for p in ours for v in p)
         assert np.asarray(x).tobytes() == res.x.tobytes()
         assert (fx, calls, calls < maxfev) == (res.fun, res.nfev, res.success)
+
+
+class TestLockstep:
+    """The search runs its restarts in lockstep and evaluates their new
+    points in batches; each restart's summary equals the per-point
+    reference ``_run_restart``'s, whatever the batches hold."""
+
+    BUDGETS = (10, 11, 13, 17, 60)
+
+    @staticmethod
+    def assert_matches_reference(config, workers=1):
+        reference = [_run_restart(config, k) for k in range(config.restarts)]
+        assert list(search(config, workers=workers).restarts) == reference
+
+    @pytest.mark.parametrize("family", ["threshold-detection", "modulated-p0"])
+    @pytest.mark.parametrize("mode", tuple(EffectiveCorrelationMode), ids=lambda m: m.value)
+    def test_summaries_match_per_point_reference(self, family, mode):
+        # The small budgets run out inside expansions, contractions and
+        # shrinks, with the restarts beside it still running.
+        for max_evals in self.BUDGETS:
+            self.assert_matches_reference(SearchConfig(
+                family=get_family(family), quad=QUAD, mode=mode, restarts=5,
+                max_evals=max_evals, seed=max_evals, n_lambda=90))
+
+    def test_builder_only_family_matches_reference(self):
+        for mode in EffectiveCorrelationMode:
+            config = SearchConfig(family=TWO_POINT, quad=QUAD, mode=mode, restarts=4,
+                                  max_evals=60, seed=5, n_lambda=2)
+            self.assert_matches_reference(config)
+            self.assert_matches_reference(config, workers=2)
+
+    def test_builder_family_needs_one_grid_size(self):
+        # Without a batched response the points' tables are stacked, so a
+        # builder whose grid size follows the parameter is rejected.
+        def sized_builder(params, n_lambda):
+            return adversary._threshold_builder([0.5, 0.5], 4 if params[0] < 0.5 else 5)
+
+        fam = ParametricFamily(name="sized", param_names=("x",), lower=(0.0,),
+                               upper=(1.0,), builder=sized_builder)
+        config = SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10, n_lambda=4)
+        with pytest.raises(ValidationError, match="different sizes"):
+            adversary._evaluate(config, [[0.2], [0.7]], None)
+
+    def test_tiny_batch_memory_matches_reference(self, monkeypatch):
+        # One point per batch, and three points per batch at n_lambda = 90.
+        for budget in (1, 3 * 96 * 90):
+            monkeypatch.setattr(adversary, "BATCH_TABLE_BYTES", budget)
+            for family in ("threshold-detection", "modulated-p0"):
+                self.assert_matches_reference(SearchConfig(
+                    family=get_family(family), quad=QUAD, restarts=5, max_evals=60,
+                    seed=4, n_lambda=90))
+
+    @pytest.mark.parametrize("mode", tuple(EffectiveCorrelationMode), ids=lambda m: m.value)
+    def test_batch_with_degenerate_rows_matches_objective(self, mode):
+        # theta = 0.999 leaves pairs with no coincidences or dead rows; the
+        # batch mixes them with ordinary points and repeats one.
+        cases = ((get_family("threshold-detection"),
+                  [[0.999, 0.999], [0.8, 0.8], [0.0, 0.999], [0.0, 0.0], [0.999, 0.3],
+                   [0.8, 0.8]]),
+                 (get_family("modulated-p0"),
+                  [[0.9, 0.5, 4.0], [0.0, -0.5, 0.25], [0.3, 0.0, 1.0]]))
+        for family, points in cases:
+            config = SearchConfig(family=family, quad=QUAD, mode=mode, restarts=1,
+                                  max_evals=10, n_lambda=90)
+            want = [objective(family, p, QUAD, mode, n_lambda=90) for p in points]
+            workspace = np.full((len(points), 2, 2, 90, 3), np.nan)
+            assert adversary._evaluate(config, points, workspace) == want
+            if family.name == "threshold-detection":
+                assert 0.0 in want and any(v > 0.0 for v in want)
+
+    def test_batched_tables_match_builder_tables(self):
+        # Each family's batched response returns, row for row, the bytes of
+        # the tables its builder's model returns.
+        rng = np.random.default_rng(31)
+        for fam in FAMILIES.values():
+            lo, hi = np.asarray(fam.lower), np.asarray(fam.upper)
+            params = lo + rng.random((7, lo.size)) * (hi - lo)
+            params[0] = lo
+            params[1] = hi
+            if fam.name == "modulated-p0":
+                # numpy's power takes fast paths at these scalar exponents.
+                params[2:5, 2] = (0.5, 1.0, 2.0)
+            for party, angles in ((1, QUAD.party1_angles()), (2, (0.3, 2.9, 1.1))):
+                # The search passes a strided view of its workspace.
+                batch = np.full((7, 2, len(angles), 90, 3), np.nan)[:, 1]
+                fam.response(params, party, angles, 90, batch)
+                for row, p in zip(batch, params):
+                    assert row.tobytes() == fam.instantiate(p, 90).tables(
+                        party, angles, validate=False).tobytes()
+
+    def test_restarts_in_flight_per_process(self, monkeypatch):
+        # One process holds every restart; two hold ceil(restarts / 2) each.
+        seen = []
+        lockstep = adversary._lockstep
+
+        def recorded(config, claim, slots):
+            seen.append(slots)
+            return lockstep(config, claim, slots)
+
+        monkeypatch.setattr(adversary, "_lockstep", recorded)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = SearchConfig(family=get_family("threshold-detection"), quad=QUAD,
+                              restarts=5, max_evals=60, n_lambda=90)
+        search(config, workers=1)
+        search(config, workers=2)  # the worker's call is recorded in its own memory
+        assert seen == [5, 3]
 
 
 def test_import_loads_no_scipy():

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from bellsim.bounds import (
     EffectiveCorrelationMode,
     SettingsQuad,
+    _breach,
+    _mode_report,
+    _premise_deviations,
     _QuadTables,
+    _slack,
     _u_eff,
     chsh_combination,
     chsh_value,
@@ -20,6 +24,7 @@ from bellsim.bounds import (
     correlation,
     effective_chsh,
     effective_chsh_value,
+    effective_chsh_values,
     effective_correlation,
     enumerate_vertices,
     optimal_quad,
@@ -195,10 +200,126 @@ class TestQuadTables:
                     tables = _QuadTables(m, quad)
                     for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
                         t1, t2 = m.triples(1, a), m.triples(2, b)
-                        assert np.array_equal(tables.t1[k // 2], t1)
-                        assert np.array_equal(tables.t2[k % 2], t2)
-                        assert np.array_equal(tables.joints[k],
+                        assert np.array_equal(tables.t[0, 0, k // 2], t1)
+                        assert np.array_equal(tables.t[0, 1, k % 2], t2)
+                        assert np.array_equal(tables.joints[0, k],
                                               _joint(m.space.weights, t1, t2))
+
+
+class TestBatchAxis:
+    """A batch of sources in one ``_QuadTables`` gives each row the bits of
+    that source as a batch of one, and the breach check reads each row's
+    premise without building a report."""
+
+    GENERATORS = ((random_angle_independent_model, MODE1),
+                  (random_lambda_independent_model, MODE2),
+                  (random_nondegenerate_model, MODE3))
+
+    @staticmethod
+    def stacked(singles):
+        w = np.concatenate([q.w for q in singles])
+        if all(np.array_equal(q.w, singles[0].w) for q in singles):
+            w = singles[0].w
+        return _QuadTables.from_tables(w, np.concatenate([q.t for q in singles]),
+                                       singles[0].angles)
+
+    def batches(self, rng):
+        """Batches of single models at one quad: random models of one size
+        (each with its own weights), the sign model on one grid, and models
+        whose premises fail."""
+        for n in (1, 5, 90):
+            quad = random_quad(rng)
+            models = [gen(rng, n) for gen, _mode in self.GENERATORS for _ in range(3)]
+            yield [_QuadTables(m, quad) for m in models]
+        quad = optimal_quad()
+        yield [_QuadTables(sign_model(t1, t2, n=90), quad)
+               for t1, t2 in ((0.0, 0.0), (0.9, 0.2), (0.999, 0.999), (0.5, 0.0))]
+
+    def test_rows_match_batches_of_one(self):
+        rng = np.random.default_rng(211)
+        for singles in self.batches(rng):
+            q = self.stacked(singles)
+            assert len(q) == len(singles)
+            for name in ("joints", "e", "coin", "detection"):
+                assert getattr(q, name).tobytes() == np.concatenate(
+                    [getattr(s, name) for s in singles]).tobytes(), name
+            for mode in EffectiveCorrelationMode:
+                value, dead = q.e_eff(mode)
+                rows = [s.e_eff(mode) for s in singles]
+                assert value.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+                assert np.array_equal(dead, np.concatenate([r[1] for r in rows]))
+
+    def test_breach_check_reads_each_rows_premise(self):
+        rng = np.random.default_rng(223)
+        for singles in self.batches(rng):
+            q = self.stacked(singles)
+            for mode in EffectiveCorrelationMode:
+                reports = [_mode_report(s, mode) for s in singles]
+                rows = np.ones(len(q), dtype=bool)
+                assert _premise_deviations(q, mode, rows) == [
+                    r.max_deviation if r.passed else None for r in reports]
+                slack = _slack(q, mode)
+                for b, (s, r) in enumerate(zip(singles, reports)):
+                    want = _slack(s, mode, r)
+                    assert slack[b:b + 1].tobytes() == want.tobytes()
+                    assert math.isnan(want[0]) != r.passed
+                # An excess at the cap plus BOUND_TOL is no breach, and one
+                # just past it is, on exactly the rows whose premise holds.
+                at_cap = np.where(np.isnan(slack), 5.0, slack + 1e-12)
+                assert not _breach(q, mode, at_cap).any()
+                assert np.array_equal(_breach(q, mode, np.nextafter(at_cap, 9.0) + 1e-9),
+                                      ~np.isnan(slack))
+
+    def test_caps_only_for_rows_past_the_tolerance(self):
+        singles = [_QuadTables(sign_model(t, 0.0, n=90), optimal_quad())
+                   for t in (0.0, 0.0, 0.0)]
+        q = self.stacked(singles)
+        rows = np.array([True, False, True])
+        slack = _slack(q, MODE1, rows=rows)
+        assert np.isnan(slack[1]) and not np.isnan(slack[[0, 2]]).any()
+
+
+class TestEffectiveChshValues:
+    """``effective_chsh_values`` is ``effective_chsh_value`` at each quad,
+    bit for bit, from one response call per party."""
+
+    def test_matches_per_quad_values_bitwise(self):
+        from bellsim.adversary import get_family
+
+        rng = np.random.default_rng(227)
+        models = [(gen(rng, n), mode) for n in (1, 4, 47, 720)
+                  for gen, mode in TestBatchAxis.GENERATORS]
+        models += [(get_family("modulated-p0").instantiate([0.3, 0.2, 2.5], 90), mode)
+                   for mode in EffectiveCorrelationMode]
+        models += [(tabulated_model([0.25, 0.75], [(0.5, 0.3, 0.2), (0.1, 0.8, 0.1)],
+                                    [(0.6, 0.2, 0.2), (0.3, 0.3, 0.4)]), MODE1)]
+        for model, mode in models:
+            quads = [random_quad(rng) for _ in range(7)] + [optimal_quad()]
+            quads.append(SettingsQuad(quads[0].a, quads[0].a, quads[0].b, quads[0].b))
+            want = [effective_chsh_value(model, quad, mode) for quad in quads]
+            got = effective_chsh_values(model, quads, mode)
+            assert got.shape == (len(quads),)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert effective_chsh_values(model, quads, mode, validate=False).tobytes() \
+                == got.tobytes()
+
+    def test_one_response_call_per_party(self):
+        calls = []
+        m = random_nondegenerate_model(np.random.default_rng(229), 8)
+        quads = [random_quad(np.random.default_rng(k)) for k in range(5)]
+        for party in (1, 2):
+            response = m._response(party)
+            fn = response._fn
+            response._fn = lambda a, v, fn=fn, party=party: calls.append((party, a.size)) \
+                or fn(a, v)
+        effective_chsh_values(m, quads, MODE3)
+        assert calls == [(1, 10), (2, 10)]
+
+    def test_degenerate_quad_raises(self):
+        m = sign_model(0.999, 0.999, n=90)
+        with pytest.raises(DegenerateModelError, match="pair"):
+            effective_chsh_values(m, [random_quad(np.random.default_rng(3)), optimal_quad()],
+                                  MODE1)
 
 
 class TestEvaluationForms:
@@ -215,11 +336,12 @@ class TestEvaluationForms:
 
     @staticmethod
     def assert_old_forms(q):
-        joints = ((q.t1 * q.w[:, None]).transpose(0, 2, 1)[:, None]
-                  @ q.t2[None]).reshape(4, 3, 3)
-        assert q.joints.tobytes() == joints.tobytes()
-        masked = np.divide(q.e, q.coin, out=np.full(4, np.nan), where=~(q.coin <= 0.0))
-        assert q.e_eff(MODE1)[0].tobytes() == masked.tobytes()
+        (t1, t2), w, e, coin = q.t[0], q.w[0], q.e[0], q.coin[0]
+        joints = ((t1 * w[:, None]).transpose(0, 2, 1)[:, None]
+                  @ t2[None]).reshape(4, 3, 3)
+        assert q.joints[0].tobytes() == joints.tobytes()
+        masked = np.divide(e, coin, out=np.full(4, np.nan), where=~(coin <= 0.0))
+        assert q.e_eff(MODE1)[0][0].tobytes() == masked.tobytes()
 
     def test_generators(self):
         rng = np.random.default_rng(113)

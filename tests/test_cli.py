@@ -96,6 +96,28 @@ class TestSimulateGolden:
         assert out.exists()
 
 
+class TestSearchGolden:
+    """The README's two searches print the committed JSON byte for byte at
+    1, 2 and 3 processes."""
+
+    SEARCHES = {
+        "adversary_threshold.json": ["--family", "threshold-detection", "--seed", "1"],
+        "adversary_modulated_c1_frozen.json": ["--family", "modulated-p0",
+                                               "--freeze", "c1=0", "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("golden", sorted(SEARCHES))
+    def test_reproduces_golden_search(self, golden, monkeypatch, capsys):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        want = (GOLDEN / golden).read_text(encoding="utf-8")
+        for workers in (1, 2, 3):
+            assert run(["adversary-search", *self.SEARCHES[golden],
+                        "--workers", str(workers)]) == 0
+            assert capsys.readouterr().out == want, workers
+
+
 class TestAnalyzeGolden:
     def test_reproduces_golden_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -409,7 +431,7 @@ class TestExitCodeContract:
         # check raise on the first |U_eff| above 2.
         from bellsim import bounds
 
-        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None: 0.0)
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None, rows=None: 0.0)
         assert run([*_SEARCH, "--n-lambda", "90", "--seed", "1"]) == 2
         assert "error: |U_eff|" in capsys.readouterr().err
 

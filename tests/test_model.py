@@ -238,19 +238,19 @@ class TestAverages:
 
 
 class TestJointProb:
-    """The four 3x3 joint-outcome tables of a quad (``_QuadTables.joints``),
-    rows and columns in OUTCOME_VALUES order."""
+    """The four 3x3 joint-outcome tables of a quad (``_QuadTables.joints``
+    of a batch of one), rows and columns in OUTCOME_VALUES order."""
 
     def test_deterministic_opposite_outcomes(self):
         m = constant_model((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         want = np.zeros((3, 3))
         want[0, 1] = 1.0
-        assert np.array_equal(_QuadTables(m, SettingsQuad(0.0, 0.0, 0.0, 0.0)).joints[0],
+        assert np.array_equal(_QuadTables(m, SettingsQuad(0.0, 0.0, 0.0, 0.0)).joints[0, 0],
                               want)
 
     def test_independent_fair_responses(self):
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
-        joints = _QuadTables(m, SettingsQuad(0.1, 0.1, 0.2, 0.2)).joints
+        joints = _QuadTables(m, SettingsQuad(0.1, 0.1, 0.2, 0.2)).joints[0]
         assert np.all(joints[:, :2, :2] == 0.25)
 
     def test_full_table_sums_to_one(self):
@@ -258,7 +258,7 @@ class TestJointProb:
         for _ in range(200):
             m = random_nondegenerate_model(rng, 6)
             quad = SettingsQuad(*(rng.random(4) * math.pi))
-            joints = _QuadTables(m, quad).joints
+            joints = _QuadTables(m, quad).joints[0]
             np.testing.assert_allclose(joints.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
     def test_factorization_is_exact(self):
@@ -268,7 +268,7 @@ class TestJointProb:
         for _ in range(20):
             m = random_nondegenerate_model(rng, 1)
             quad = SettingsQuad(0.3, 0.7, 1.1, 2.9)
-            joints = _QuadTables(m, quad).joints
+            joints = _QuadTables(m, quad).joints[0]
             for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
                 assert np.array_equal(joints[k],
                                       np.outer(m.triples(1, a)[0], m.triples(2, b)[0]))
