@@ -127,9 +127,10 @@ class ParametricFamily:
     through it into one buffer it reuses (see ``_evaluate``); without it,
     each point is instantiated and its tables are stacked, so every model
     a family builds at one ``n_lambda`` must then have the same number of
-    hidden points.  The built-in families' builders wrap their
-    ``response`` code at B = 1, so each family has one response
-    implementation.
+    hidden points.  A built-in family's builder is made from its
+    ``response`` (``_response_model``): the model answers each response
+    call through it at B = 1, so ``response`` is the family's one table
+    function.
 
     ``search`` hands the family to its worker processes by fork, never by
     pickling, so ``builder``, ``breakpoints`` and ``response`` may be any
@@ -237,61 +238,15 @@ def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[flo
         for angles in (quad.party1_angles(), quad.party2_angles()))
 
 
-def _threshold_tables(theta, angles: tuple[float, ...], n_lambda: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The (..., k, n, 3) tables at the thresholds ``theta``, in ``out`` or
-    a new array: a float for one model's (k, n, 3), a (B, 1, 1) array for a
-    batch's (B, k, n, 3)."""
+def _threshold_response(params: np.ndarray, party: int, angles: tuple[float, ...],
+                        n_lambda: int, out: np.ndarray) -> None:
     terms = _angle_terms(angles, n_lambda)
     # Detected points answer +1 where cos 2d >= 0 and -1 elsewhere; every
     # probability is 0 or 1.
-    detect = terms.abs_cos2d >= theta
-    if out is None:
-        out = np.empty(detect.shape + (3,))
+    detect = terms.abs_cos2d >= params[:, party - 1, None, None]
     np.logical_and(detect, terms.cos2d_nonneg, out=out[..., 0])
     np.logical_and(detect, terms.cos2d_neg, out=out[..., 1])
     np.logical_not(detect, out=out[..., 2])
-    return out
-
-
-def _threshold_response(params: np.ndarray, party: int, angles: tuple[float, ...],
-                        n_lambda: int, out: np.ndarray) -> None:
-    _threshold_tables(params[:, party - 1, None, None], angles, n_lambda, out)
-
-
-def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
-    theta1, theta2 = float(params[0]), float(params[1])
-
-    def response(theta):
-        def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-            return _threshold_tables(theta, tuple(angles.tolist()), n_lambda)
-        return fn
-
-    model = SLHVModel(_grid(n_lambda),
-                      ResponseFunction.from_function(1, response(theta1)),
-                      ResponseFunction.from_function(2, response(theta2)))
-    model.meta.update(family="threshold-detection", theta1=theta1, theta2=theta2,
-                      n_lambda=n_lambda, projection_active=False)
-    return model
-
-
-def _modulated_tables(c0, c1, shares, angles: tuple[float, ...], n_lambda: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """The (..., k, n, 3) tables at ``c0`` and ``c1`` with the Malus
-    ``shares`` (share, rest), in ``out`` or a new array: floats and (k, n)
-    arrays for one model's (k, n, 3), (B, 1, 1) and (B, k, n) arrays for a
-    batch's (B, k, n, 3)."""
-    share, rest = shares
-    cos2d = _angle_terms(angles, n_lambda).cos2d
-    # The ndarray method runs np.clip's ufunc without its wrapper.
-    p0 = (c0 + c1 * cos2d).clip(0.0, 1.0)
-    detect = 1.0 - p0
-    if out is None:
-        out = np.empty(p0.shape + (3,))
-    np.multiply(detect, share, out=out[..., 0])
-    np.multiply(detect, rest, out=out[..., 1])
-    out[..., 2] = p0
-    return out
 
 
 def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...],
@@ -299,28 +254,50 @@ def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...
     # Each sharpness's cached shares, stacked: a power with an array of
     # exponents need not round as the power with one exponent does.
     pairs = [_malus_shares(angles, n_lambda, s) for s in params[:, 2].tolist()]
-    shares = [np.stack([pair[i] for pair in pairs]) for i in (0, 1)]
-    _modulated_tables(params[:, 0, None, None], params[:, 1, None, None], shares,
-                      angles, n_lambda, out)
+    share, rest = (np.stack([pair[i] for pair in pairs]) for i in (0, 1))
+    cos2d = _angle_terms(angles, n_lambda).cos2d
+    # The ndarray method runs np.clip's ufunc without its wrapper.
+    p0 = (params[:, 0, None, None] + params[:, 1, None, None] * cos2d).clip(0.0, 1.0)
+    detect = 1.0 - p0
+    np.multiply(detect, share, out=out[..., 0])
+    np.multiply(detect, rest, out=out[..., 1])
+    out[..., 2] = p0
+
+
+def _response_model(response: Callable, params: np.ndarray, n_lambda: int,
+                    meta: dict) -> SLHVModel:
+    """The model at ``params`` on ``_grid(n_lambda)`` whose responses answer
+    each call through the family's batched ``response`` at B = 1, into a
+    fresh (k, n, 3) table; ``meta`` goes on the model."""
+    point = np.array(params, dtype=float)[None]  # a copy: the model is immutable
+
+    def party_fn(party: int):
+        def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+            out = np.empty((len(angles), n_lambda, 3))
+            response(point, party, tuple(angles.tolist()), n_lambda, out[None])
+            return out
+        return fn
+
+    model = SLHVModel(_grid(n_lambda), ResponseFunction.from_function(1, party_fn(1)),
+                      ResponseFunction.from_function(2, party_fn(2)))
+    model.meta.update(meta)
+    return model
+
+
+def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
+    theta1, theta2 = (float(v) for v in params)
+    return _response_model(_threshold_response, params, n_lambda, dict(
+        family="threshold-detection", theta1=theta1, theta2=theta2, n_lambda=n_lambda,
+        projection_active=False))
 
 
 def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
     c0, c1, sharpness = (float(v) for v in params)
-
-    def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        key = tuple(angles.tolist())
-        return _modulated_tables(c0, c1, _malus_shares(key, n_lambda, sharpness), key,
-                                 n_lambda)
-
-    model = SLHVModel(_grid(n_lambda),
-                      ResponseFunction.from_function(1, fn),
-                      ResponseFunction.from_function(2, fn))
     # c0 + c1*cos spans [c0 - |c1|, c0 + |c1|] over the angles, so the
     # clip into [0, 1] binds at some angle exactly when that range leaves it.
-    model.meta.update(family="modulated-p0", c0=c0, c1=c1, sharpness=sharpness,
-                      n_lambda=n_lambda,
-                      projection_active=c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0)
-    return model
+    return _response_model(_modulated_response, params, n_lambda, dict(
+        family="modulated-p0", c0=c0, c1=c1, sharpness=sharpness, n_lambda=n_lambda,
+        projection_active=c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0))
 
 
 FAMILIES: dict[str, ParametricFamily] = {

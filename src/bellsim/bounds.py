@@ -232,24 +232,28 @@ def coincidence_sum(table):
 
 
 class _QuadTables:
-    """A batch of B sources at a quad: one response call per party and
-    source, over its two angles, or over all angles of a batch of quads.
+    """A batch of B sources at a quad, or one model at B quads: one
+    response call per party over all of its angles.
 
     ``t`` holds the tables as (B, party, angle, n, 3) and ``w`` the
     hidden-point weights, (1, n) when the batch shares them and (B, n) when
-    not.  A single model is a batch of one.  ``angles`` holds each party's
-    two canonical angles when the batch shares them (a validator report
-    names them), else None.  Per-pair values are (B, 4) arrays in
-    PAIR_LABELS order, the (a, a') x (b, b') grid flattened: ``e`` and
-    ``coin`` of the four ``joints``, formed on first use, and
+    not.  A single model at one quad is a batch of one.  ``angles`` holds
+    each party's two canonical angles when the batch shares them (a
+    validator report names them), else None.  Per-pair values are (B, 4)
+    arrays in PAIR_LABELS order, the (a, a') x (b, b') grid flattened:
+    ``e`` and ``coin`` of the four ``joints``, formed on first use, and
     ``e_eff(mode)``.
     """
 
-    def __init__(self, model: SLHVModel, quad: SettingsQuad, validate: bool = True):
+    def __init__(self, model: SLHVModel, *quads: SettingsQuad, validate: bool = True):
+        n = model.space.size
         self.w = model.space.weights[None]
-        self.angles = (quad.party1_angles(), quad.party2_angles())
-        self.t = np.stack([model.tables(party, angles, validate)
-                           for party, angles in enumerate(self.angles, start=1)])[None]
+        self.angles = ((quads[0].party1_angles(), quads[0].party2_angles())
+                       if len(quads) == 1 else None)
+        self.t = np.stack([model.tables(party, [a for quad in quads for a in angles(quad)],
+                                        validate).reshape(len(quads), 2, n, 3)
+                           for party, angles in ((1, SettingsQuad.party1_angles),
+                                                 (2, SettingsQuad.party2_angles))], axis=1)
 
     @classmethod
     def from_tables(cls, w: np.ndarray, t: np.ndarray,
@@ -385,7 +389,7 @@ def _premise_deviations(q: _QuadTables, mode: EffectiveCorrelationMode,
 
 
 def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
-           report: AssumptionReport | None = None, rows: np.ndarray | None = None):
+           rows: np.ndarray | None = None):
     """How far above its ideal bound the premise of ``bound`` still caps
     each source of the batch ``q``: a (B,) array, (B, n) for
     ``"pointwise"``, NaN for a source whose premise fails and proves nothing
@@ -407,10 +411,9 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
       detection probability over its two angles.
 
     Here nu = NORMALIZATION_TOL and delta = dev + 5nu, where
-    dev = ``report.max_deviation`` <= VALIDATOR_TOL is the premise's
-    deviation: ``report``, the validator's report of a batch of one, or
-    else each source's deviation from ``_premise_deviations``, with no
-    report built.  Rounding is left to BOUND_TOL.
+    dev <= VALIDATOR_TOL is each source's premise deviation from
+    ``_premise_deviations``, the ``max_deviation`` its validator reports.
+    Rounding is left to BOUND_TOL.
 
     Proof.  Admitted tables hold entries in [-nu, 1 + nu] in rows summing to
     within nu of 1, and weights w >= 0 with W = sum(w) <= 1 + nu.  Write
@@ -448,10 +451,7 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
         else EffectiveCorrelationMode.SOLUTION1
     if rows is None:
         rows = np.ones(len(q), dtype=bool)
-    if report is None:
-        deviations = _premise_deviations(q, mode, rows)
-    else:
-        deviations = [report.max_deviation if report.passed else None]
+    deviations = _premise_deviations(q, mode, rows)
     slack = np.full((len(q), q.t.shape[3]) if bound == "pointwise" else len(q), np.nan)
     # Each cap is Python float arithmetic on its source's scalars: Python's
     # ``** 2`` need not round as numpy's squaring does.
@@ -474,8 +474,7 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
     return slack
 
 
-def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess,
-            report: AssumptionReport | None = None) -> np.ndarray:
+def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess) -> np.ndarray:
     """Which sources of the batch ``q`` hold a value whose ``excess``, its
     distance above the ideal bound of ``bound`` (see ``_slack``), passes the
     slack its premise proves by more than BOUND_TOL: (B,) bools, the one
@@ -491,7 +490,7 @@ def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess,
     over = np.any(excess > BOUND_TOL, axis=1)
     if not over.any():
         return over
-    slack = _slack(q, bound, report, rows=over)
+    slack = _slack(q, bound, rows=over)
     if np.ndim(slack) == 1:
         slack = slack[:, None]
     return over & np.any(excess > slack + BOUND_TOL, axis=1)
@@ -530,16 +529,16 @@ def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoun
         raise AssumptionError(
             "pointwise bound requires angle-independent non-detection; "
             f"validator failed with max deviation {rep.max_deviation:.3e}")
-    return _pointwise(q, rep)
+    return _pointwise(q)
 
 
-def _pointwise(q: _QuadTables, report: AssumptionReport) -> PointwiseBoundReport:
-    """The pointwise check under ``report``, a passing solution1 report."""
+def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
+    """The pointwise check of a batch of one whose solution1 premise holds."""
     (x, xp), (y, yp) = q.t[0, ..., 0] - q.t[0, ..., 1]
     alpha, beta = q.t[0, :, 0, :, 0] + q.t[0, :, 0, :, 1]
     excess = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(excess))
-    return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess, report)[0],
+    return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess)[0],
                                 max_slack=float(excess[k]), worst_lambda=k, tol=BOUND_TOL)
 
 
@@ -603,23 +602,17 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
     Lean path used in hot loops (property suites, adversarial search);
     no assumption checking, degenerate pairs raise.
     """
-    return float(_u_eff(_QuadTables(model, quad, validate), mode)[0])
+    return float(_u_eff(_QuadTables(model, quad, validate=validate), mode)[0])
 
 
 def effective_chsh_values(model: SLHVModel, quads: Sequence[SettingsQuad],
                           mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
                           validate: bool = True) -> np.ndarray:
-    """``effective_chsh_value`` at each of ``quads``, a (q,) array, from one
-    response call per party over all 2q of its angles: the quads are the
-    batch axis of one ``_QuadTables``.  A degenerate pair at any quad
-    raises, naming the first."""
-    quads = list(quads)
-    n = model.space.size
-    t = np.stack([model.tables(party, [a for quad in quads for a in angles(quad)],
-                               validate).reshape(len(quads), 2, n, 3)
-                  for party, angles in ((1, SettingsQuad.party1_angles),
-                                        (2, SettingsQuad.party2_angles))], axis=1)
-    return _u_eff(_QuadTables.from_tables(model.space.weights[None], t), mode)
+    """``effective_chsh_value`` at each of ``quads``, a (q,) array: the
+    quads are the batch axis of one ``_QuadTables``, so each party's
+    response is called once over all 2q of its angles.  A degenerate pair
+    at any quad raises, naming the first."""
+    return _u_eff(_QuadTables(model, *quads, validate=validate), mode)
 
 
 def _u_eff(q: _QuadTables, mode: EffectiveCorrelationMode) -> np.ndarray:
@@ -737,7 +730,7 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
 
     pointwise = None
     if mode is EffectiveCorrelationMode.SOLUTION1 and assumption.passed:
-        pointwise = _pointwise(q, assumption)
+        pointwise = _pointwise(q)
 
     verdicts = {
         "abs_u_le_2": abs(u) <= 2.0 + BOUND_TOL,
@@ -745,9 +738,8 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
         "abs_u_eff_le_2": abs(u_eff) <= 2.0 + BOUND_TOL,
         "assumptions_passed": assumption.passed,
     }
-    u_eff_cap = 2.0 + float(_slack(q, mode, assumption)[0]) if bound_guaranteed else None
-    theorem_breach = bound_guaranteed and bool(
-        _breach(q, mode, abs(u_eff) - 2.0, assumption)[0])
+    u_eff_cap = 2.0 + float(_slack(q, mode)[0]) if bound_guaranteed else None
+    theorem_breach = bound_guaranteed and bool(_breach(q, mode, abs(u_eff) - 2.0)[0])
 
     extremes = {
         "max_abs_local_average_a": float(np.max(np.abs(q.t[0, 0, 0, :, 0] - q.t[0, 0, 0, :, 1]))),

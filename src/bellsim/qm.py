@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import SettingsQuad, chsh_sum, optimal_quad
+from .bounds import BOUND_TOL, SettingsQuad, chsh_sum, optimal_quad
 from .model import ValidationError
 
 __all__ = [
@@ -141,4 +141,4 @@ def u_eff_cap(params: QMModelParams) -> float:
 def u_eff_cap_holds(params: QMModelParams) -> bool:
     """Whether the quantum prediction respects the 2/(eta^2 f12) cap,
     equivalently whether the full-sample CHSH value stays within 2."""
-    return math.sqrt(2.0) * params.F * params.eta12f12 <= 1.0 + 1e-12
+    return math.sqrt(2.0) * params.F * params.eta12f12 <= 1.0 + BOUND_TOL

@@ -275,7 +275,7 @@ class TestSearch:
         # into a theorem breach; forked workers inherit the patch, and the
         # error must reach the caller from them.  With two processes the
         # caller runs nothing, so the breach is the worker's.
-        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None, rows=None: 0.0)
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, rows=None: 0.0)
         if workers == 2:
             _split_restarts(monkeypatch, _one_restart, lambda *args: {})
         with pytest.raises(TheoremViolationError):

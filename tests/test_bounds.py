@@ -260,7 +260,7 @@ class TestBatchAxis:
                     r.max_deviation if r.passed else None for r in reports]
                 slack = _slack(q, mode)
                 for b, (s, r) in enumerate(zip(singles, reports)):
-                    want = _slack(s, mode, r)
+                    want = _slack(s, mode)
                     assert slack[b:b + 1].tobytes() == want.tobytes()
                     assert math.isnan(want[0]) != r.passed
                 # An excess at the cap plus BOUND_TOL is no breach, and one

@@ -66,6 +66,15 @@ class TestVerifyBounds:
         assert code == 0
         assert out["mode"] == "solution3"
 
+    @pytest.mark.parametrize("mode", ["solution1", "solution2", "solution3"])
+    @pytest.mark.parametrize("model", ["solution1_tabulated", "threshold_adversary"])
+    def test_reproduces_golden_report(self, model, mode, capsys):
+        # -vv pins every field: u_eff_cap, pointwise and per_lambda_extremes.
+        assert run(["verify-bounds", "-vv", "--model", str(MODELS / f"{model}.json"),
+                    "--mode", mode]) == 0
+        want = (GOLDEN / f"verify_bounds_{model}_{mode}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
+
 
 class TestSimulateGolden:
     ARGS = ["simulate", "--eta", "0.75", "--f", "0.9", "--F", "0.95",
@@ -78,6 +87,17 @@ class TestSimulateGolden:
         got = json.loads((tmp_path / "run.csv.run.json").read_text())
         want = json.loads((GOLDEN / "qm_run.csv.run.json").read_text())
         assert got == want
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reproduces_golden_slhv_run(self, workers, tmp_path):
+        # Pins the threshold family's tables and its model meta in the sidecar.
+        out = tmp_path / "threshold_run.csv"
+        assert run(["simulate", "--model", str(MODELS / "threshold_adversary.json"),
+                    "--trials", "200000", "--seed", "7", "--workers", workers,
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "threshold_run.csv").read_bytes()
+        assert (tmp_path / "threshold_run.csv.run.json").read_bytes() == \
+            (GOLDEN / "threshold_run.csv.run.json").read_bytes()
 
     def test_zero_trials_rejected(self, tmp_path):
         argv = ["simulate", "--eta", "0.75", "--f", "0.9", "--F", "0.95",
@@ -431,7 +451,7 @@ class TestExitCodeContract:
         # check raise on the first |U_eff| above 2.
         from bellsim import bounds
 
-        monkeypatch.setattr(bounds, "_slack", lambda q, bound, report=None, rows=None: 0.0)
+        monkeypatch.setattr(bounds, "_slack", lambda q, bound, rows=None: 0.0)
         assert run([*_SEARCH, "--n-lambda", "90", "--seed", "1"]) == 2
         assert "error: |U_eff|" in capsys.readouterr().err
 

@@ -1,16 +1,18 @@
 """The package's public names resolve, and removed surfaces stay removed:
-a model answers only in (k, n, 3) tables, and the validators have no
-worst-point scan."""
+a model answers only in (k, n, 3) tables, the validators have no
+worst-point scan, the breach check takes no report and each built-in
+family has one table function."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import bellsim
-from bellsim import bounds, model
+from bellsim import adversary, bounds, model
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
 
@@ -53,3 +55,12 @@ def test_validator_scan_removed():
     # angle-pair loop and its score callbacks are gone.
     for name in ("_worst_point", "_peak"):
         assert not hasattr(model, name), name
+
+
+def test_batch_of_one_side_paths_removed():
+    # Every breach check reads each source's premise from its tables, and a
+    # built-in family's tables come from its batched response alone.
+    for fn in (bounds._slack, bounds._breach, bounds._pointwise):
+        assert "report" not in inspect.signature(fn).parameters, fn.__name__
+    for name in ("_threshold_tables", "_modulated_tables"):
+        assert not hasattr(adversary, name), name
