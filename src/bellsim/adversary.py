@@ -96,55 +96,45 @@ _POINT_TABLE_BYTES = 2 * 2 * 3 * 8
 class ParametricFamily:
     """A named map from a small parameter box to SLHV models.
 
-    ``builder(params, n_lambda)`` returns a model whose responses follow
-    the broadcast protocol of ``bellsim.model`` (k angles in, (k, n, 3)
-    tables out).  It may set ``meta["projection_active"]`` on
-    the model it returns: True when clipping moved a response into [0, 1].
-    ``search`` reports it at the optimum, and a model without the key
-    counts as unclipped (False).
-
-    The responses may reuse read-only terms that depend only on the
-    angles and some of the parameters, cached across models, as the
-    built-in families do.  Each response call must still return a fresh
-    table, and equal inputs must give bit-identical tables whatever the
+    ``response(params, party, angles, n_lambda, out)`` is the family's one
+    table function.  ``params`` is a (B, p) array of points and ``angles``
+    a tuple of k canonical angles; it fills ``out``, a (B, k, n_lambda, 3)
+    float array that may be a strided view, with the party's tables on the
+    grid ``uniform_lambda_grid(n_lambda)``.  Row b depends on ``params[b]``
+    alone, so a point's tables are the same bits in any batch.  ``search``
+    fills its batches through it (``_evaluate``), and the model
+    ``instantiate`` builds answers each response call through it at B = 1.
+    It may reuse read-only terms cached across calls, as the built-in
+    families do, if equal inputs give bit-identical tables whatever the
     caches hold.
 
+    ``projection_active(params)``, if given, says whether clipping moves a
+    response of the model at the (p,) ``params`` into [0, 1]; without it
+    none is clipped.  ``instantiate`` records it in the model's meta, after
+    the family name, the parameters by name and ``n_lambda``, and
+    ``search`` reports it at the optimum.
+
     ``breakpoints(quad, n_lambda)``, if given, returns one entry per
-    parameter: the sorted values at which the tables instantiated at that
-    quad and ``n_lambda`` change, or None for a parameter they depend on
+    parameter: the sorted values at which the tables at that quad and
+    ``n_lambda`` change, or None for a parameter they depend on
     continuously.  A search keys each point on the count of breakpoints
     strictly below each such parameter (and on the exact value of every
     other one), and evaluates each key once per restart, so equal keys
     must mean bit-identical tables.
 
-    ``response(params, party, angles, n_lambda, out)``, if given, is the
-    batched form of the builder's responses: ``params`` is a (B, p) array
-    of points and ``angles`` a tuple of k canonical angles, and it fills
-    ``out``, a (B, k, n, 3) float array that may be a strided view, with
-    the party's tables on the grid ``uniform_lambda_grid(n_lambda)``, row b
-    bit-identical to the table the model ``builder(params[b], n_lambda)``
-    returns.  ``search`` evaluates the new points of a lockstep step
-    through it into one buffer it reuses (see ``_evaluate``); without it,
-    each point is instantiated and its tables are stacked, so every model
-    a family builds at one ``n_lambda`` must then have the same number of
-    hidden points.  A built-in family's builder is made from its
-    ``response`` (``_response_model``): the model answers each response
-    call through it at B = 1, so ``response`` is the family's one table
-    function.
-
     ``search`` hands the family to its worker processes by fork, never by
-    pickling, so ``builder``, ``breakpoints`` and ``response`` may be any
-    callables, lambdas and closures included.
+    pickling, so ``response``, ``breakpoints`` and ``projection_active``
+    may be any callables, lambdas and closures included.
     """
 
     name: str
     param_names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    builder: Callable[[np.ndarray, int], SLHVModel]
+    response: Callable[[np.ndarray, int, tuple[float, ...], int, np.ndarray], None]
     description: str = ""
     breakpoints: Callable[[SettingsQuad, int], tuple[Sequence[float] | None, ...]] | None = None
-    response: Callable[[np.ndarray, int, tuple[float, ...], int, np.ndarray], None] | None = None
+    projection_active: Callable[[np.ndarray], bool] | None = None
 
     def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
         p = np.asarray(params, dtype=float)
@@ -162,7 +152,10 @@ class ParametricFamily:
             raise ValidationError(
                 f"parameters {values} outside box "
                 f"[{self.lower}, {self.upper}] for family {self.name!r}")
-        return self.builder(p, n_lambda)
+        projection = self.projection_active is not None and bool(self.projection_active(p))
+        return _response_model(self.response, p, n_lambda, dict(
+            family=self.name, **self.params_dict(values), n_lambda=n_lambda,
+            projection_active=projection))
 
     def params_dict(self, params) -> dict[str, float]:
         return {n: float(v) for n, v in zip(self.param_names, params)}
@@ -232,7 +225,7 @@ def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> tuple[fl
 def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[float, ...], ...]:
     # A party's detection mask |cos 2d| >= theta changes only when theta
     # crosses one of its values.  The angles are reduced as the response
-    # call reduces them, so the values are those the builder compares.
+    # call reduces them, so the values are those the response compares.
     return tuple(
         _abs_cos2d_breakpoints(tuple(canonical_angle(a) for a in angles), n_lambda)
         for angles in (quad.party1_angles(), quad.party2_angles()))
@@ -267,8 +260,8 @@ def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...
 def _response_model(response: Callable, params: np.ndarray, n_lambda: int,
                     meta: dict) -> SLHVModel:
     """The model at ``params`` on ``_grid(n_lambda)`` whose responses answer
-    each call through the family's batched ``response`` at B = 1, into a
-    fresh (k, n, 3) table; ``meta`` goes on the model."""
+    each call through a family's ``response`` at B = 1, into a fresh
+    (k, n, 3) table; ``meta`` goes on the model."""
     point = np.array(params, dtype=float)[None]  # a copy: the model is immutable
 
     def party_fn(party: int):
@@ -284,20 +277,11 @@ def _response_model(response: Callable, params: np.ndarray, n_lambda: int,
     return model
 
 
-def _threshold_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
-    theta1, theta2 = (float(v) for v in params)
-    return _response_model(_threshold_response, params, n_lambda, dict(
-        family="threshold-detection", theta1=theta1, theta2=theta2, n_lambda=n_lambda,
-        projection_active=False))
-
-
-def _modulated_builder(params: np.ndarray, n_lambda: int) -> SLHVModel:
-    c0, c1, sharpness = (float(v) for v in params)
+def _modulated_projection(params: np.ndarray) -> bool:
     # c0 + c1*cos spans [c0 - |c1|, c0 + |c1|] over the angles, so the
     # clip into [0, 1] binds at some angle exactly when that range leaves it.
-    return _response_model(_modulated_response, params, n_lambda, dict(
-        family="modulated-p0", c0=c0, c1=c1, sharpness=sharpness, n_lambda=n_lambda,
-        projection_active=c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0))
+    c0, c1 = float(params[0]), abs(float(params[1]))
+    return c0 - c1 < 0.0 or c0 + c1 > 1.0
 
 
 FAMILIES: dict[str, ParametricFamily] = {
@@ -306,21 +290,20 @@ FAMILIES: dict[str, ParametricFamily] = {
         param_names=("theta1", "theta2"),
         lower=(0.0, 0.0),
         upper=(0.999, 0.999),
-        builder=_threshold_builder,
+        response=_threshold_response,
         description="sign-of-cosine responder, detects only above a "
                     "per-party |cos| threshold",
         breakpoints=_threshold_breakpoints,
-        response=_threshold_response,
     ),
     "modulated-p0": ParametricFamily(
         name="modulated-p0",
         param_names=("c0", "c1", "sharpness"),
         lower=(0.0, -0.5, 0.25),
         upper=(0.9, 0.5, 4.0),
-        builder=_modulated_builder,
+        response=_modulated_response,
         description="smoothed Malus-law responder with angle-modulated "
                     "non-detection probability",
-        response=_modulated_response,
+        projection_active=_modulated_projection,
     ),
 }
 
@@ -439,15 +422,15 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
     adversary.
     """
     q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
-    return float(_abs_u_eff(q, mode, family, np.asarray(params, dtype=float)[None])[0])
+    return float(_abs_u_eff(q, mode, family.name, np.asarray(params, dtype=float)[None])[0])
 
 
-def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: ParametricFamily,
+def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: str,
                params: np.ndarray) -> np.ndarray:
-    """|U_eff| of each source of the batch ``q``, the family's models at the
-    (B, p) ``params``; 0 where a pair is degenerate.  A value above the cap
-    its premise proves raises TheoremViolationError, naming the first such
-    point."""
+    """|U_eff| of each source of the batch ``q``, the models of the family
+    named ``family`` at the (B, p) ``params``; 0 where a pair is degenerate.
+    A value above the cap its premise proves raises TheoremViolationError,
+    naming the first such point."""
     value, dead = q.e_eff(mode)
     u = np.abs(chsh_sum(value))
     u[dead.any(axis=1)] = 0.0
@@ -456,7 +439,7 @@ def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: Parametri
         b = int(np.argmax(breach))
         raise TheoremViolationError(
             f"|U_eff| = {float(u[b])!r} exceeds the cap the {mode.value} assumption "
-            f"proves (family {family.name!r}, params {params[b].tolist()})")
+            f"proves (family {family!r}, params {params[b].tolist()})")
     return u
 
 
@@ -467,39 +450,28 @@ def _batch_rows(config: SearchConfig) -> int:
 
 
 def _evaluate(config: SearchConfig, points: list[list[float]],
-              workspace: np.ndarray | None) -> list[float]:
+              workspace: np.ndarray) -> list[float]:
     """``objective`` at each full parameter vector of ``points``, in
     batches of at most ``_batch_rows(config)`` points.
 
-    A family with ``response`` fills the first rows of ``workspace``, a
+    Each batch's tables fill the first rows of ``workspace``, a
     (rows, party, angle, n_lambda, 3) array with a row per point of a batch
-    that its caller reuses, with each batch's tables in one call per
-    party: a fresh array per batch would make the allocator return and
-    refetch its pages at every step.  Any other family has each point
-    instantiated and its tables stacked, and needs no workspace.
+    that its caller reuses, in one ``response`` call per party: a fresh
+    array per batch would make the allocator return and refetch its pages
+    at every step.
     """
     fam = config.family
     angles = (config.quad.party1_angles(), config.quad.party2_angles())
+    w = _grid(config.n_lambda).weights[None]
     rows = _batch_rows(config)
     values = []
     for start in range(0, len(points), rows):
         params = np.array(points[start:start + rows])
-        if fam.response is not None:
-            w = _grid(config.n_lambda).weights[None]
-            t = workspace[:len(params)]
-            for party, angs in enumerate(angles, start=1):
-                fam.response(params, party, angs, config.n_lambda, t[:, party - 1])
-        else:
-            models = [fam.instantiate(p, n_lambda=config.n_lambda) for p in params]
-            if len({m.space.size for m in models}) > 1:
-                raise ValidationError(
-                    f"family {fam.name!r} builds models of different sizes at "
-                    f"n_lambda = {config.n_lambda}")
-            w = np.stack([m.space.weights for m in models])
-            t = np.stack([np.stack([m.tables(party, angs, validate=False) for m in models])
-                          for party, angs in enumerate(angles, start=1)], axis=1)
+        t = workspace[:len(params)]
+        for party, angs in enumerate(angles, start=1):
+            fam.response(params, party, angs, config.n_lambda, t[:, party - 1])
         q = _QuadTables.from_tables(w, t, angles)
-        values += _abs_u_eff(q, config.mode, fam, params).tolist()
+        values += _abs_u_eff(q, config.mode, fam.name, params).tolist()
     return values
 
 
@@ -739,9 +711,7 @@ def _lockstep(config: SearchConfig, claim: Callable[[], int | None],
     value.
     """
     breakpoints = _breakpoints(config)
-    workspace = None
-    if config.family.response is not None:
-        workspace = np.empty((min(slots, _batch_rows(config)), 2, 2, config.n_lambda, 3))
+    workspace = np.empty((min(slots, _batch_rows(config)), 2, 2, config.n_lambda, 3))
     done: dict[int, RestartSummary] = {}
     active: list[_Restart] = []
     while True:
@@ -899,7 +869,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
         restarts=tuple(summaries),
         budget_exhausted=any(not s.converged for s in summaries),
         degenerate_best=degenerate,
-        projection_active_at_optimum=best_model.meta.get("projection_active", False),
+        projection_active_at_optimum=best_model.meta["projection_active"],
         config_summary={
             "family": fam.name,
             "quad_degrees": list(config.quad.to_degrees()),

@@ -33,9 +33,7 @@ from bellsim.bounds import (
     optimal_quad,
 )
 from bellsim.model import (
-    HiddenVariableSpace,
     ResponseFunction,
-    SLHVModel,
     TheoremViolationError,
     ValidationError,
     uniform_lambda_grid,
@@ -45,38 +43,22 @@ from bellsim.model import (
 QUAD = optimal_quad()
 
 
-def _two_point_builder(params, n_lambda):
-    """Sign-of-cos 2(angle - lambda) responders at two equally weighted
-    hidden points, detecting with probability 1 at the first and params[0]
-    at the second, at every angle: angle-independent non-detection that
-    varies across lambda."""
-    eta = np.array([1.0, params[0]])
-
-    def fn(angles, lam):
-        c = np.cos(2.0 * (angles[:, None] - lam))
-        detect = np.broadcast_to(eta, c.shape)
-        return np.stack([detect * (c >= 0.0), detect * (c < 0.0), 1.0 - detect], axis=-1)
-
-    model = SLHVModel(HiddenVariableSpace([0.5, 0.5], [0.0, math.pi / 2]),
-                      ResponseFunction.from_function(1, fn),
-                      ResponseFunction.from_function(2, fn))
-    model.meta["projection_active"] = False  # search reports this flag
-    return model
+def _two_point_response(params, party, angles, n_lambda, out):
+    """Sign-of-cos 2(angle - lambda) responders on the uniform grid,
+    detecting with probability 1 at even grid points and params[:, 0] at odd
+    ones, at every angle: angle-independent non-detection that varies
+    across lambda.  At n_lambda = 2 these are two equally weighted points."""
+    lam = uniform_lambda_grid(n_lambda).values
+    c = np.cos(2.0 * (np.asarray(angles)[:, None] - lam))
+    detect = np.ones((len(params), 1, n_lambda))
+    detect[..., 1::2] = params[:, :1, None]
+    out[..., 0] = detect * (c >= 0.0)
+    out[..., 1] = detect * (c < 0.0)
+    out[..., 2] = 1.0 - detect
 
 
 TWO_POINT = ParametricFamily(name="two-point", param_names=("eta",), lower=(0.0,),
-                             upper=(1.0,), builder=_two_point_builder)
-
-
-def _bare_meta_builder(params, n_lambda):
-    """The two-point model with no meta at all, so no projection flag."""
-    model = _two_point_builder(params, n_lambda)
-    model.meta.clear()
-    return model
-
-
-BARE_META = ParametricFamily(name="bare-meta", param_names=("eta",), lower=(0.0,),
-                             upper=(1.0,), builder=_bare_meta_builder)
+                             upper=(1.0,), response=_two_point_response)
 
 
 class TestFamilies:
@@ -116,6 +98,27 @@ class TestFamilies:
         m2.triples(1, 0.3)
         assert not m2.meta["projection_active"]
         assert fam.instantiate([0.2, -0.3, 1.0], n_lambda=60).meta["projection_active"]
+
+    @pytest.mark.parametrize("name, params, want", [
+        pytest.param("threshold-detection", [0.8, 0.7], {
+            "family": "threshold-detection", "theta1": 0.8, "theta2": 0.7, "n_lambda": 60,
+            "projection_active": False}, id="threshold"),
+        pytest.param("modulated-p0", [0.3, 0.1, 1.5], {
+            "family": "modulated-p0", "c0": 0.3, "c1": 0.1, "sharpness": 1.5, "n_lambda": 60,
+            "projection_active": False}, id="modulated-unclipped"),
+        pytest.param("modulated-p0", [0.9, 0.5, 1.0], {
+            "family": "modulated-p0", "c0": 0.9, "c1": 0.5, "sharpness": 1.0, "n_lambda": 60,
+            "projection_active": True}, id="modulated-clipped-above-1"),
+        pytest.param("modulated-p0", [0.2, -0.3, 1.0], {
+            "family": "modulated-p0", "c0": 0.2, "c1": -0.3, "sharpness": 1.0, "n_lambda": 60,
+            "projection_active": True}, id="modulated-clipped-below-0"),
+    ])
+    def test_instantiated_meta(self, name, params, want):
+        # The family, each parameter by name, n_lambda and the clip flag, in
+        # that order: the keys and values a run's sidecar records.
+        meta = get_family(name).instantiate(params, n_lambda=60).meta
+        assert list(meta.items()) == list(want.items())
+        assert meta["projection_active"] is want["projection_active"]
 
     def test_cached_malus_shares_are_read_only(self):
         adversary._malus_shares.cache_clear()
@@ -168,10 +171,10 @@ class TestObjective:
         # Solution1's validator passes for this model, solution2's does not,
         # so its solution2 value may exceed 2 without breaching a theorem.
         mode = EffectiveCorrelationMode
-        v = objective(TWO_POINT, [0.05], QUAD, mode=mode.SOLUTION2)
+        v = objective(TWO_POINT, [0.05], QUAD, mode=mode.SOLUTION2, n_lambda=2)
         assert v == pytest.approx(3.6371882086, abs=1e-9)
         for m in (mode.SOLUTION1, mode.SOLUTION3):
-            assert objective(TWO_POINT, [0.05], QUAD, mode=m) <= 2.0 + 1e-9
+            assert objective(TWO_POINT, [0.05], QUAD, mode=m, n_lambda=2) <= 2.0 + 1e-9
 
     def test_one_table_evaluation_per_point(self, monkeypatch):
         # One response call per party, the two together covering the quad's
@@ -224,13 +227,6 @@ class TestSearch:
                                       n_lambda=2)
         assert search(two_point, workers=2) == search(two_point, workers=1)
 
-    def test_family_without_projection_flag(self):
-        config = self.small_config(family=BARE_META, mode=EffectiveCorrelationMode.SOLUTION2,
-                                   n_lambda=2)
-        res = search(config, workers=1)
-        assert res.projection_active_at_optimum is False
-        assert search(config, workers=2) == res
-
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # The caller runs restarts too, so min(workers, restarts, CPU count)
         # processes means one forked child fewer.
@@ -264,7 +260,7 @@ class TestSearch:
         # Workers are forked, so a family that cannot pickle reaches them.
         fam = dataclasses.replace(
             get_family("threshold-detection"),
-            builder=lambda params, n: adversary._threshold_builder(params, n),
+            response=lambda *args: adversary._threshold_response(*args),
             breakpoints=lambda quad, n: adversary._threshold_breakpoints(quad, n))
         config = self.small_config(family=fam)
         assert search(config, workers=2) == search(config, workers=1)
@@ -325,20 +321,12 @@ class TestSearch:
 
         builtin = get_family("modulated-p0")
 
-        def stacked_builder(params, n_lambda):
-            c0, c1, sharpness = (float(v) for v in params)
+        def stacked_response(params, party, angles, n_lambda, out):
+            lam = uniform_lambda_grid(n_lambda).values
+            for row, (c0, c1, sharpness) in zip(out, params.tolist()):
+                row[...] = [_one_angle_modulated(c0, c1, sharpness, a, lam) for a in angles]
 
-            def fn(angles, lam):
-                return np.stack([_one_angle_modulated(c0, c1, sharpness, a, lam)
-                                 for a in angles])
-
-            model = SLHVModel(uniform_lambda_grid(n_lambda),
-                              ResponseFunction.from_function(1, fn),
-                              ResponseFunction.from_function(2, fn))
-            model.meta["projection_active"] = c0 - abs(c1) < 0.0 or c0 + abs(c1) > 1.0
-            return model
-
-        stacked = dataclasses.replace(builtin, builder=stacked_builder)
+        stacked = dataclasses.replace(builtin, response=stacked_response)
         docs = [search(SearchConfig(family=fam, quad=QUAD, restarts=4, max_evals=200,
                                     seed=21, n_lambda=90, freeze={"c1": 0.0}),
                        workers=workers).to_json_dict()
@@ -824,18 +812,6 @@ class TestLockstep:
             self.assert_matches_reference(config)
             self.assert_matches_reference(config, workers=2)
 
-    def test_builder_family_needs_one_grid_size(self):
-        # Without a batched response the points' tables are stacked, so a
-        # builder whose grid size follows the parameter is rejected.
-        def sized_builder(params, n_lambda):
-            return adversary._threshold_builder([0.5, 0.5], 4 if params[0] < 0.5 else 5)
-
-        fam = ParametricFamily(name="sized", param_names=("x",), lower=(0.0,),
-                               upper=(1.0,), builder=sized_builder)
-        config = SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10, n_lambda=4)
-        with pytest.raises(ValidationError, match="different sizes"):
-            adversary._evaluate(config, [[0.2], [0.7]], None)
-
     def test_tiny_batch_memory_matches_reference(self, monkeypatch):
         # One point per batch, and three points per batch at n_lambda = 90.
         for budget in (1, 3 * 96 * 90):
@@ -864,8 +840,8 @@ class TestLockstep:
                 assert 0.0 in want and any(v > 0.0 for v in want)
 
     def test_batched_tables_match_builder_tables(self):
-        # Each family's batched response returns, row for row, the bytes of
-        # the tables its builder's model returns.
+        # Each family's response fills a B-row batch, row for row, with the
+        # bytes of B calls at B = 1, which are the instantiated model's.
         rng = np.random.default_rng(31)
         for fam in FAMILIES.values():
             lo, hi = np.asarray(fam.lower), np.asarray(fam.upper)
@@ -880,7 +856,9 @@ class TestLockstep:
                 batch = np.full((7, 2, len(angles), 90, 3), np.nan)[:, 1]
                 fam.response(params, party, angles, 90, batch)
                 for row, p in zip(batch, params):
-                    assert row.tobytes() == fam.instantiate(p, 90).tables(
+                    one = np.empty((1, len(angles), 90, 3))
+                    fam.response(p[None], party, angles, 90, one)
+                    assert row.tobytes() == one.tobytes() == fam.instantiate(p, 90).tables(
                         party, angles, validate=False).tobytes()
 
     def test_restarts_in_flight_per_process(self, monkeypatch):

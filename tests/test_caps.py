@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import bounds
-from bellsim.adversary import ParametricFamily, _threshold_builder, objective
+from bellsim.adversary import ParametricFamily, _abs_u_eff, _threshold_response, objective
 from bellsim.bounds import (
     BOUND_TOL,
     EffectiveCorrelationMode,
+    _QuadTables,
     chsh_value,
     effective_chsh,
     optimal_quad,
@@ -55,10 +56,18 @@ def _as_document(model: SLHVModel) -> dict:
     return _tabulated(model.space.weights.tolist(), *tables)
 
 
-def _constant_family(doc: dict) -> ParametricFamily:
+def _family_case(family: ParametricFamily, params, n_lambda: int):
+    """The family's model at ``params`` and ``objective`` on it."""
+    return (family.instantiate(params, n_lambda=n_lambda),
+            lambda mode: objective(family, params, QUAD, mode, n_lambda=n_lambda))
+
+
+def _tabulated_case(doc: dict):
+    """The tabulated model and the check ``objective`` runs on it: |U_eff|
+    from its tables, raising TheoremViolationError above the proven cap."""
     model = model_from_dict(doc)
-    return ParametricFamily("constant", ("unused",), (0.0,), (1.0,),
-                            lambda params, n_lambda: model)
+    return model, lambda mode: float(_abs_u_eff(
+        _QuadTables(model, QUAD, validate=False), mode, "tabulated", np.empty((1, 0)))[0])
 
 
 def _scaled_threshold(scale: float) -> ParametricFamily:
@@ -66,24 +75,16 @@ def _scaled_threshold(scale: float) -> ParametricFamily:
     U_eff does not change, but the validators' absolute tolerance admits
     its angle-dependent non-detection."""
 
-    def build(params, n_lambda):
-        base = _threshold_builder(params, n_lambda)
-
-        def scaled(response):
-            def fn(angles, lam):
-                t = response.tables(angles, lam)
-                t[..., :2] *= scale
-                t[..., 2] = 1.0 - t[..., 0] - t[..., 1]
-                return t
-            return ResponseFunction.from_function(response.party, fn)
-
-        return SLHVModel(base.space, scaled(base.response1), scaled(base.response2))
+    def response(params, party, angles, n_lambda, out):
+        _threshold_response(params, party, angles, n_lambda, out)
+        out[..., :2] *= scale
+        out[..., 2] = 1.0 - out[..., 0] - out[..., 1]
 
     return ParametricFamily("scaled-threshold", ("theta1", "theta2"),
-                            (0.0, 0.0), (0.999, 0.999), build)
+                            (0.0, 0.0), (0.999, 0.999), response)
 
 
-def _five_point(w5: float) -> ParametricFamily:
+def _five_point(w5: float):
     """Party 2 always detects, deterministically.  At four points party 1
     detects with probability 9e-11 at one angle and never at the other,
     within VALIDATOR_TOL of angle-independent; the fifth point, of weight
@@ -91,7 +92,7 @@ def _five_point(w5: float) -> ParametricFamily:
     d = 9e-11
     up, down, never = [d, 0.0, 1.0 - d], [0.0, d, 1.0 - d], [0.0, 0.0, 1.0]
     w = (1.0 - w5) / 4
-    return _constant_family(_tabulated(
+    return _tabulated_case(_tabulated(
         [w] * 4 + [w5],
         ([up, down, never, never, PLUS], [never, never, up, down, PLUS]),
         ([PLUS, MINUS, PLUS, MINUS, PLUS], [MINUS, PLUS, PLUS, MINUS, PLUS])))
@@ -105,32 +106,31 @@ UP = [1.0 + 1e-12, -1e-12, 0.0]
 DOWN = [-1e-12, 1.0 + 1e-12, 0.0]
 HALF_UP = 0.5 + 4.5e-13
 
-# (family, parameters, n_lambda), with the values each case reached before
-# the trip-wires compared against the caps (all with a passing premise).
+# (model, the objective's check on it), with the values each case reached
+# before the trip-wires compared against the caps (all with a passing premise).
 CASES = {
     # verify-bounds exited 2 on U_eff = 2.00000000009; |U| - M = 4.5e-11.
-    "five-point-w0.5": (_five_point(0.5), (0.0,), 720),
+    "five-point-w0.5": _five_point(0.5),
     # U_eff - 2 = 8.9e-9, past the search's old 1e-9 tolerance too.
-    "five-point-w0.01": (_five_point(0.01), (0.0,), 720),
+    "five-point-w0.01": _five_point(0.01),
     # U_eff = 4.0 (solution1) and 3.9963 (solution2).
-    "scaled-threshold-0.9": (_scaled_threshold(5e-11), (0.9, 0.9), 720),
-    "scaled-threshold-0.69": (_scaled_threshold(5e-11), (0.69, 0.69), 180),
+    "scaled-threshold-0.9": _family_case(_scaled_threshold(5e-11), (0.9, 0.9), 720),
+    "scaled-threshold-0.69": _family_case(_scaled_threshold(5e-11), (0.69, 0.69), 180),
     # One point, deterministic signs, detection probabilities 4.8e-8 to
     # 0.028: 1 - sum(w p0) cancels, and solution2 gave U_eff = 2.0000000010.
-    "cancelling-denominator": (_constant_family(_tabulated(
+    "cancelling-denominator": _tabulated_case(_tabulated(
         [1.0], (_row(4.78429e-8, 1), _row(8.95643e-7, 1)),
-        (_row(0.0282110, 1), _row(0.0189492, -1)))), (0.0,), 720),
+        (_row(0.0282110, 1), _row(0.0189492, -1)))),
     # Entries at -NORMALIZATION_TOL: U = 2.000000000008.
-    "negative-entries": (_constant_family(_tabulated(
-        [1.0], ([UP], [UP]), ([UP], [DOWN]))), (0.0,), 720),
+    "negative-entries": _tabulated_case(_tabulated(
+        [1.0], ([UP], [UP]), ([UP], [DOWN]))),
     # solution3's detected-subset average read 3.0, and U_eff 6.0.
-    "subset-average-above-one": (_constant_family(_tabulated(
+    "subset-average-above-one": _tabulated_case(_tabulated(
         [1.0], ([[2e-12, -1e-12, 1.0 - 1e-12]], [PLUS]), ([PLUS], [MINUS]))),
-        (0.0,), 720),
     # Weights summing to 1 + 9e-13: U and U_eff = 2.0000000000018.
-    "weights-above-one": (_constant_family(_tabulated(
+    "weights-above-one": _tabulated_case(_tabulated(
         [HALF_UP, HALF_UP], ([PLUS, MINUS], [PLUS, MINUS]),
-        ([PLUS, MINUS], [MINUS, PLUS]))), (0.0,), 720),
+        ([PLUS, MINUS], [MINUS, PLUS]))),
 }
 
 CASE_MODES = [
@@ -150,8 +150,7 @@ CASE_MODES = [
 
 @pytest.mark.parametrize("case, mode", CASE_MODES, ids=[f"{c}-{m}" for c, m in CASE_MODES])
 def test_valid_model_is_no_breach(case, mode, tmp_path, capsys):
-    family, params, n_lambda = CASES[case]
-    model = family.instantiate(params, n_lambda=n_lambda)
+    model, objective_check = CASES[case]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_as_document(model)), encoding="utf-8")
 
@@ -161,7 +160,7 @@ def test_valid_model_is_no_breach(case, mode, tmp_path, capsys):
     assert not out["theorem_breach"]
     assert code == 0
     chsh_value(model, QUAD)
-    objective(family, params, QUAD, EffectiveCorrelationMode(mode), n_lambda=n_lambda)
+    objective_check(EffectiveCorrelationMode(mode))
 
 
 @pytest.mark.parametrize("mode", ["solution1", "solution2"])
@@ -170,11 +169,11 @@ def test_real_breach_still_trips(mode, monkeypatch, tmp_path, capsys):
     # no deviation, every coincidence probability 0.25 and U_eff = 2.
     half_up, half_down = [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]
     doc = _tabulated([1.0], ([half_up], [half_up]), ([half_up], [half_down]))
-    family = _constant_family(doc)
+    _, objective_check = _tabulated_case(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     m = EffectiveCorrelationMode(mode)
-    assert objective(family, (0.0,), QUAD, m) == 2.0
+    assert objective_check(m) == 2.0
 
     # Every E 5e-9 relatively too large puts U_eff 1e-8 above 2.
     monkeypatch.setattr(bounds._QuadTables, "e",
@@ -183,7 +182,7 @@ def test_real_breach_still_trips(mode, monkeypatch, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["theorem_breach"] and out["U_eff"] == pytest.approx(2.0 + 1e-8, abs=1e-15)
     with pytest.raises(TheoremViolationError):
-        objective(family, (0.0,), QUAD, m)
+        objective_check(m)
 
 
 def _premise_deviation(p0, mode) -> float:

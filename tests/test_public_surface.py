@@ -1,9 +1,10 @@
 """The package's public names resolve, and removed surfaces stay removed:
 a model answers only in (k, n, 3) tables, the validators have no
-worst-point scan, the breach check takes no report and each built-in
-family has one table function."""
+worst-point scan, the breach check takes no report and every family is
+its batched ``response``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -63,4 +64,15 @@ def test_batch_of_one_side_paths_removed():
     for fn in (bounds._slack, bounds._breach, bounds._pointwise):
         assert "report" not in inspect.signature(fn).parameters, fn.__name__
     for name in ("_threshold_tables", "_modulated_tables"):
+        assert not hasattr(adversary, name), name
+
+
+def test_one_family_protocol():
+    # A family's one table function is its batched response, which it must
+    # give; no family builds its models itself.
+    fields = {f.name: f for f in dataclasses.fields(adversary.ParametricFamily)}
+    assert "builder" not in fields
+    assert fields["response"].default is dataclasses.MISSING
+    assert len(fields) == 8
+    for name in ("_threshold_builder", "_modulated_builder"):
         assert not hasattr(adversary, name), name
