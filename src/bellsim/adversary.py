@@ -470,7 +470,7 @@ def _evaluate(config: SearchConfig, points: list[list[float]],
         t = workspace[:len(params)]
         for party, angs in enumerate(angles, start=1):
             fam.response(params, party, angs, config.n_lambda, t[:, party - 1])
-        q = _QuadTables.from_tables(w, t, angles)
+        q = _QuadTables.from_tables(w, t)
         values += _abs_u_eff(q, config.mode, fam.name, params).tolist()
     return values
 

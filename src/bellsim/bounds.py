@@ -48,18 +48,14 @@ import numpy as np
 
 from .model import (
     NORMALIZATION_TOL,
-    VALIDATOR_TOL,
     AssumptionError,
     AssumptionReport,
     DegenerateModelError,
     SLHVModel,
     TheoremViolationError,
     ValidationError,
-    _angle_ranges,
-    _lambda_ranges,
-    _solution1_report,
-    _solution2_report,
-    _solution3_report,
+    _PREMISES,
+    _premise_report,
     canonical_angle,
 )
 
@@ -238,8 +234,8 @@ class _QuadTables:
     ``t`` holds the tables as (B, party, angle, n, 3) and ``w`` the
     hidden-point weights, (1, n) when the batch shares them and (B, n) when
     not.  A single model at one quad is a batch of one.  ``angles`` holds
-    each party's two canonical angles when the batch shares them (a
-    validator report names them), else None.  Per-pair values are (B, 4)
+    each party's two canonical angles for a single quad (a validator
+    report names them), else None.  Per-pair values are (B, 4)
     arrays in PAIR_LABELS order, the (a, a') x (b, b') grid flattened:
     ``e`` and ``coin`` of the four ``joints``, formed on first use, and
     ``e_eff(mode)``.
@@ -256,13 +252,11 @@ class _QuadTables:
                                                  (2, SettingsQuad.party2_angles))], axis=1)
 
     @classmethod
-    def from_tables(cls, w: np.ndarray, t: np.ndarray,
-                    angles: tuple[tuple[float, float], tuple[float, float]] | None = None
-                    ) -> "_QuadTables":
+    def from_tables(cls, w: np.ndarray, t: np.ndarray) -> "_QuadTables":
         """A batch of tables already evaluated: ``w`` (1 or B, n) and ``t``
-        (B, party, angle, n, 3)."""
+        (B, party, angle, n, 3).  It names no angles, so no report reads it."""
         q = cls.__new__(cls)
-        q.w, q.t, q.angles = w, t, angles
+        q.w, q.t, q.angles = w, t, None
         return q
 
     def __len__(self) -> int:
@@ -355,36 +349,22 @@ class _QuadTables:
 
 
 def _mode_report(q: _QuadTables, mode: EffectiveCorrelationMode) -> AssumptionReport:
-    """The mode's assumption validator on the tables of a batch of one
-    already evaluated; the one place a regime is mapped to its check.  It
-    reads each party's (2, n) non-detection rows as views of ``t``."""
-    p0 = tuple(q.t[0, ..., 2])
-    if mode is EffectiveCorrelationMode.SOLUTION1:
-        return _solution1_report(p0, q.angles)
-    if mode is EffectiveCorrelationMode.SOLUTION2:
-        return _solution2_report(p0, q.angles, q.w[0])
-    return _solution3_report(p0, q.angles)
-
-
-# Each premise's score of one party's (..., k, n) non-detection rows, as its
-# validator computes it; the deviation is the largest score, floored at 0.
-_PREMISE_SCORES = {
-    EffectiveCorrelationMode.SOLUTION1: _angle_ranges,
-    EffectiveCorrelationMode.SOLUTION2: _lambda_ranges,
-    EffectiveCorrelationMode.SOLUTION3: lambda rows: rows,
-}
+    """The report of the mode's premise (``model._PREMISES``) on a batch of
+    one built from a model at one quad, from each party's (2, n)
+    non-detection rows as views of ``t``."""
+    return _premise_report(mode.value, tuple(q.t[0, ..., 2]), q.angles, q.w[0])
 
 
 def _premise_deviations(q: _QuadTables, mode: EffectiveCorrelationMode,
                         rows: np.ndarray) -> list[float | None]:
-    """The ``max_deviation`` the mode's validator reports for each source
-    of ``rows`` (a (B,) mask), or None where the premise fails: one
-    reduction over the (B', party, angle, n) non-detection rows, with no
-    report built.  A validator passes at a deviation of at most
-    VALIDATOR_TOL (solution3: a largest p0 below 1)."""
-    scores = _PREMISE_SCORES[mode](q.t[rows, ..., 2])
+    """The ``max_deviation`` that ``_mode_report`` gives each source of
+    ``rows`` (a (B,) mask), or None where the premise fails: the score and
+    pass rule of ``model._PREMISES`` in one reduction over the
+    (B', party, angle, n) non-detection rows, with no report built."""
+    premise = _PREMISES[mode.value]
+    scores = premise.score(q.t[rows, ..., 2])
     dev = np.maximum(scores.reshape(len(scores), -1).max(axis=1), 0.0)
-    holds = dev < 1.0 if mode is EffectiveCorrelationMode.SOLUTION3 else dev <= VALIDATOR_TOL
+    holds = premise.passes(dev, premise.tol)
     return [d if h else None for d, h in zip(dev.tolist(), holds.tolist())]
 
 

@@ -126,13 +126,8 @@ def u_eff_from_counts(recs) -> tuple[float, float]:
     quadrature.
     """
     ordered = _ordered(recs)
-    return _chsh_with_stderr([e_eff_from_counts(r) for r in ordered],
-                             [e_eff_stderr(r) for r in ordered])
-
-
-def _chsh_with_stderr(e_eff, stderr) -> tuple[float, float]:
-    """U_eff of four per-pair values and its error from theirs, in quadrature."""
-    return float(chsh_sum(e_eff)), math.sqrt(sum(s ** 2 for s in stderr))
+    return (float(chsh_sum([e_eff_from_counts(r) for r in ordered])),
+            math.sqrt(sum(e_eff_stderr(r) ** 2 for r in ordered)))
 
 
 @dataclass(frozen=True)
@@ -283,8 +278,7 @@ def analysis_report(recs) -> dict:
         }
         for rec in ordered
     }
-    u_eff, stderr = _chsh_with_stderr([p["E_eff"] for p in per_pair.values()],
-                                      [p["stderr"] for p in per_pair.values()])
+    u_eff, stderr = u_eff_from_counts(ordered)
     report: dict = {
         "schema_version": 1,
         "per_pair": per_pair,

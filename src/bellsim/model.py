@@ -33,14 +33,23 @@ Conventions used throughout, as functions of a table's columns
   magnitude whenever the photon is detectable at all.  The bounds module
   reads it with negative entries clamped at 0, so the rounding-level
   negatives a table may hold (down to -NORMALIZATION_TOL) keep it there.
+
+The three premises that make the detection-robust CHSH bound provable
+(solution1: non-detection independent of the angle; solution2:
+independent of the hidden point; solution3: no dead hidden point) are
+defined once, in ``_PREMISES``: each regime's score of the non-detection
+rows, its tolerance, its pass rule and its worst-point locator.  The
+validators' reports (``_premise_report``) and the bounds module's
+trip-wire caps both read that table.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -382,27 +391,67 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
     return p0, angles
 
 
-def _angle_ranges(rows: np.ndarray) -> np.ndarray:
-    """Solution1's score of one party's (..., k, n) non-detection rows: each
-    hidden point's range over the angles, (..., n)."""
-    return rows.max(axis=-2) - rows.min(axis=-2)
+class _Premise(NamedTuple):
+    """One regime's premise over a party's (..., k, n) non-detection rows.
+
+    The deviation is the largest entry of ``score(rows)``, floored at 0;
+    the premise holds when ``passes(deviation, tol)``.  ``locate(rows,
+    flat)`` turns the flat index of a failing party's peak score into
+    (lambda index, angle index, angle index).
+    """
+
+    score: Callable[[np.ndarray], np.ndarray]
+    tol: float
+    passes: Callable
+    locate: Callable[[np.ndarray, int], tuple[int, int, int]]
 
 
-def _lambda_ranges(rows: np.ndarray) -> np.ndarray:
-    """Solution2's score of one party's (..., k, n) non-detection rows: each
-    angle's range over the hidden points, (..., k)."""
-    return rows.max(axis=-1) - rows.min(axis=-1)
+# The three premises under which |U_eff| <= 2 is provable, by regime name:
+# the one definition that the validators' reports and the trip-wires' caps read.
+_PREMISES = {
+    # Non-detection independent of the angle: each hidden point's range over
+    # its party's angles, located at the point's first minimum and first
+    # maximum, in index order.
+    "solution1": _Premise(
+        lambda rows: rows.max(axis=-2) - rows.min(axis=-2), VALIDATOR_TOL, operator.le,
+        lambda rows, k: (k, *sorted((int(np.argmin(rows[:, k])),
+                                     int(np.argmax(rows[:, k])))))),
+    # Non-detection independent of lambda: each angle's range over the
+    # hidden points, located at the first maximum of the widest row.
+    "solution2": _Premise(
+        lambda rows: rows.max(axis=-1) - rows.min(axis=-1), VALIDATOR_TOL, operator.le,
+        lambda rows, j: (int(np.argmax(rows[j])), j, j)),
+    # No dead hidden point: every p0 below 1, located at the first largest.
+    "solution3": _Premise(lambda rows: rows, 1.0, operator.lt, lambda rows, flat: (
+        flat % rows.shape[1], flat // rows.shape[1], flat // rows.shape[1])),
+}
 
 
-def _first_peak(scores: Iterable[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
-    """The largest entry of each party's scores, and its first (party, flat
-    index); (0.0, None) when no entry is positive."""
-    peak, at = 0.0, None
-    for party, s in enumerate(scores, start=1):
-        k = int(np.argmax(s))
-        if s.flat[k] > peak:
-            peak, at = float(s.flat[k]), (party, k)
-    return peak, at
+def _premise_report(regime: str, p0: Sequence[np.ndarray],
+                    angles: Sequence[Sequence[float]], weights: np.ndarray
+                    ) -> AssumptionReport:
+    """The report of ``_PREMISES[regime]`` on each party's (k, n)
+    non-detection rows ``p0[party - 1]`` at its canonical angles
+    ``angles[party - 1]``.  A failing report names the first party and
+    entry where the deviation peaks; a passing solution2 report carries
+    the implied experimental non-detection probability per (party,
+    angle), the ``weights``-mean of its row."""
+    premise = _PREMISES[regime]
+    scores = [premise.score(rows) for rows in p0]
+    peaks = [float(s.max()) for s in scores]
+    dev = max(0.0, *peaks)
+    if not premise.passes(dev, premise.tol):
+        party = peaks.index(dev)
+        lam, i, j = premise.locate(p0[party], int(np.argmax(scores[party])))
+        return AssumptionReport(passed=False, max_deviation=dev, tol=premise.tol,
+                                worst=(party + 1, lam, (angles[party][i], angles[party][j])))
+    implied = None
+    if regime == "solution2":
+        # The mean equals the common constant, since the check passed.
+        implied = {party: dict(zip(angs, np.sum(weights * rows, axis=1).tolist()))
+                   for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
+    return AssumptionReport(passed=True, max_deviation=dev, tol=premise.tol,
+                            implied_p0=implied)
 
 
 def validate_solution1(model: SLHVModel, angles1: Sequence[float],
@@ -419,21 +468,8 @@ def validate_solution1(model: SLHVModel, angles1: Sequence[float],
     names the first (party, lambda index) where it peaks, with the angles
     of the first minimum and the first maximum there, in index order.
     """
-    return _solution1_report(*_nondetect_rows(model, angles1, angles2))
-
-
-def _solution1_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
-                      ) -> AssumptionReport:
-    """validate_solution1 over each party's (k, n) non-detection rows
-    ``p0[party - 1]`` at its canonical ``angles[party - 1]``."""
-    dev, at = _first_peak(map(_angle_ranges, p0))
-    if dev <= VALIDATOR_TOL:
-        return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL)
-    party, k = at
-    column, angs = p0[party - 1][:, k], angles[party - 1]
-    i, j = sorted((int(np.argmin(column)), int(np.argmax(column))))
-    return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
-                            worst=(party, k, (angs[i], angs[j])))
+    return _premise_report("solution1", *_nondetect_rows(model, angles1, angles2),
+                           model.space.weights)
 
 
 def validate_solution2(model: SLHVModel, angles1: Sequence[float],
@@ -444,44 +480,9 @@ def validate_solution2(model: SLHVModel, angles1: Sequence[float],
     probabilities to equal the experimental ones.  On success the report
     carries the implied experimental non-detection probability per
     (party, angle); it is reported, never asserted against external data.
-    Each party's response is called once, over all of its angles.
+    Each party's response is called once, over all of its angles.  A
+    failing report names the first widest (party, angle) row and the
+    first lambda index of its maximum.
     """
-    return _solution2_report(*_nondetect_rows(model, angles1, angles2),
-                             model.space.weights)
-
-
-def _solution2_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]],
-                      weights: np.ndarray) -> AssumptionReport:
-    """validate_solution2 over each party's (k, n) non-detection rows: the
-    deviation is a row's range over lambda, and a failing report names the
-    first widest (party, angle) row and the first lambda index of its
-    maximum."""
-    dev, at = _first_peak(map(_lambda_ranges, p0))
-    if dev > VALIDATOR_TOL:
-        party, j = at
-        angle = angles[party - 1][j]
-        return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
-                                worst=(party, int(np.argmax(p0[party - 1][j])),
-                                       (angle, angle)))
-    # The weighted mean is the implied experimental value; it equals the
-    # common constant, since the check passed.
-    implied = {party: dict(zip(angs, np.sum(weights * rows, axis=1).tolist()))
-               for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
-    return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
-                            implied_p0=implied)
-
-
-def _solution3_report(p0: Sequence[np.ndarray], angles: Sequence[Sequence[float]]
-                      ) -> AssumptionReport:
-    """Solution3 nondegeneracy over each party's (k, n) non-detection rows:
-    no point has p0 = 1.  The deviation is the largest p0 (0.0 if none is
-    positive), and a failing report names its first (party, angle, lambda
-    index)."""
-    worst_p0, at = _first_peak(p0)
-    if worst_p0 < 1.0:
-        return AssumptionReport(passed=True, max_deviation=worst_p0, tol=1.0)
-    party, flat = at
-    j, k = divmod(flat, p0[party - 1].shape[1])
-    angle = angles[party - 1][j]
-    return AssumptionReport(passed=False, max_deviation=worst_p0, tol=1.0,
-                            worst=(party, k, (angle, angle)))
+    return _premise_report("solution2", *_nondetect_rows(model, angles1, angles2),
+                           model.space.weights)

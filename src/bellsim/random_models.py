@@ -71,17 +71,19 @@ def _ideal_share(m, psi, angles):
     return 0.5 * (1.0 + m * np.cos(2.0 * (angles[:, None] - psi)))
 
 
-def random_angle_independent_model(rng: np.random.Generator,
-                                   n_lambda: int = 32) -> SLHVModel:
-    """Non-detection depends on the hidden point but never on the angle."""
+def _lossy_model(rng: np.random.Generator, n_lambda: int, efficiency) -> SLHVModel:
+    """Each party's ideal response detected with efficiency eta: the
+    (k,) angles map to eta, (n,) or (k, 1), through ``efficiency()``, which
+    draws its parameters once per party."""
     space = _random_space(rng, n_lambda)
     ideal1, ideal2 = _pair_ideal_params(rng, n_lambda)
 
     def make_response(party, ideal):
         m, psi = ideal
-        eta = rng.uniform(0.0, 1.0, size=n_lambda)
+        eta_at = efficiency()
 
         def fn(angles, lam):
+            eta = eta_at(angles)
             share = _ideal_share(m, psi, angles)
             plus = eta * share
             minus = eta * (1.0 - share)
@@ -90,32 +92,30 @@ def random_angle_independent_model(rng: np.random.Generator,
         return ResponseFunction.from_function(party, fn)
 
     return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
+
+
+def random_angle_independent_model(rng: np.random.Generator,
+                                   n_lambda: int = 32) -> SLHVModel:
+    """Non-detection depends on the hidden point but never on the angle."""
+    def efficiency():
+        eta = rng.uniform(0.0, 1.0, size=n_lambda)
+        return lambda angles: eta
+
+    return _lossy_model(rng, n_lambda, efficiency)
 
 
 def random_lambda_independent_model(rng: np.random.Generator,
                                     n_lambda: int = 32) -> SLHVModel:
     """Non-detection depends on the angle but is shared by all hidden points."""
-    space = _random_space(rng, n_lambda)
-    ideal1, ideal2 = _pair_ideal_params(rng, n_lambda)
-
-    def make_response(party, ideal):
-        m, psi = ideal
+    def efficiency():
         e0 = rng.uniform(0.3, 0.9)
         e1 = rng.uniform(0.0, min(e0, 1.0 - e0))
         chi = rng.random() * math.pi
+        # One math.cos per angle: np.cos need not round like it.
+        return lambda angles: np.array([e0 + e1 * math.cos(2.0 * (a - chi))
+                                        for a in angles.tolist()])[:, None]
 
-        def fn(angles, lam):
-            # One math.cos per angle: np.cos need not round like it.
-            eta = np.array([e0 + e1 * math.cos(2.0 * (a - chi))
-                            for a in angles.tolist()])[:, None]
-            share = _ideal_share(m, psi, angles)
-            plus = eta * share
-            minus = eta * (1.0 - share)
-            return np.stack([plus, minus, 1.0 - plus - minus], axis=-1)
-
-        return ResponseFunction.from_function(party, fn)
-
-    return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
+    return _lossy_model(rng, n_lambda, efficiency)
 
 
 def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32) -> SLHVModel:

@@ -220,8 +220,7 @@ class TestBatchAxis:
         w = np.concatenate([q.w for q in singles])
         if all(np.array_equal(q.w, singles[0].w) for q in singles):
             w = singles[0].w
-        return _QuadTables.from_tables(w, np.concatenate([q.t for q in singles]),
-                                       singles[0].angles)
+        return _QuadTables.from_tables(w, np.concatenate([q.t for q in singles]))
 
     def batches(self, rng):
         """Batches of single models at one quad: random models of one size

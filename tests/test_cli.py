@@ -75,6 +75,17 @@ class TestVerifyBounds:
         want = (GOLDEN / f"verify_bounds_{model}_{mode}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
 
+    def test_reproduces_golden_passing_solution2_report(self, capsys):
+        # A model whose non-detection is constant over lambda passes
+        # solution2, so its report carries implied_p0.
+        assert run(["verify-bounds", "-vv", "--model",
+                    str(GOLDEN / "modulated_p0_c1_zero.json"), "--mode", "solution2"]) == 0
+        want = (GOLDEN / "verify_bounds_modulated_p0_c1_zero_solution2.json").read_text(
+            encoding="utf-8")
+        out = capsys.readouterr().out
+        assert out == want
+        assert "implied_p0" in json.loads(out)["assumptions"]
+
 
 class TestSimulateGolden:
     ARGS = ["simulate", "--eta", "0.75", "--f", "0.9", "--F", "0.95",

@@ -25,9 +25,7 @@ from bellsim.model import (
     SLHVModel,
     ValidationError,
     _nondetect_rows,
-    _solution1_report,
-    _solution2_report,
-    _solution3_report,
+    _premise_report,
     canonical_angle,
     uniform_lambda_grid,
     validate_solution1,
@@ -405,7 +403,9 @@ class TestWorstPoint:
     def test_solution3(self):
         # Both parties have a point with p0 = 1; party 1's (every point at
         # 30 degrees, the first at lambda 0) comes first.
-        rep = _solution3_report(*_nondetect_rows(self.MODEL, self.ANGLES1, self.ANGLES2))
+        rep = _premise_report("solution3",
+                              *_nondetect_rows(self.MODEL, self.ANGLES1, self.ANGLES2),
+                              self.MODEL.space.weights)
         assert not rep.passed and rep.max_deviation == 1.0
         assert rep.worst == (1, 0, (self.at(30), self.at(30)))
 
@@ -521,10 +521,12 @@ class TestReferenceReports:
     def reports(model, angles1, angles2):
         p0, angles = _nondetect_rows(model, angles1, angles2)
         w = model.space.weights
-        return ((_solution1_report(p0, angles), _reference_solution1_report(p0, angles)),
-                (_solution2_report(p0, angles, w),
+        return ((_premise_report("solution1", p0, angles, w),
+                 _reference_solution1_report(p0, angles)),
+                (_premise_report("solution2", p0, angles, w),
                  _reference_solution2_report(p0, angles, w)),
-                (_solution3_report(p0, angles), _reference_solution3_report(p0, angles)))
+                (_premise_report("solution3", p0, angles, w),
+                 _reference_solution3_report(p0, angles)))
 
     @staticmethod
     def fields(rep, worst=True):

@@ -1,7 +1,7 @@
 """The package's public names resolve, and removed surfaces stay removed:
 a model answers only in (k, n, 3) tables, the validators have no
-worst-point scan, the breach check takes no report and every family is
-its batched ``response``."""
+worst-point scan, the breach check takes no report, every family is
+its batched ``response`` and each premise is defined once."""
 
 import ast
 import dataclasses
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import bellsim
-from bellsim import adversary, bounds, model
+from bellsim import adversary, bounds, estimator, model
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
 
@@ -76,3 +76,15 @@ def test_one_family_protocol():
     assert len(fields) == 8
     for name in ("_threshold_builder", "_modulated_builder"):
         assert not hasattr(adversary, name), name
+
+
+def test_one_premise_table():
+    # Each premise's score, tolerance and pass rule live in model._PREMISES
+    # alone: one report function reads it, and so do the trip-wires.
+    assert sorted(model._PREMISES) == ["solution1", "solution2", "solution3"]
+    for name in ("_solution1_report", "_solution2_report", "_solution3_report",
+                 "_first_peak"):
+        assert not hasattr(model, name), name
+    assert not hasattr(bounds, "_PREMISE_SCORES")
+    assert not hasattr(estimator, "_chsh_with_stderr")
+    assert "angles" not in inspect.signature(bounds._QuadTables.from_tables).parameters
