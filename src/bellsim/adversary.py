@@ -27,11 +27,12 @@ search needs no scipy at run time.
 
 Nelder-Mead is sequential within a restart, so the restarts a process
 holds are the batch a search shares its per-evaluation overhead over.
-Each process runs its restarts in lockstep (``_lockstep``): every
-restart's next new point goes into one batched evaluation
-(``_evaluate``), whose tables carry the batch axis of
-``bounds._QuadTables``.  Each restart still takes exactly the steps it
-would take alone, so no result depends on which restarts share a batch.
+Each search process runs a fixed share of the restarts, every n-th
+index, in lockstep (``_lockstep``): every restart's next new point goes
+into one batched evaluation (``_evaluate``), whose tables carry the
+batch axis of ``bounds._QuadTables``.  Each restart still takes exactly
+the steps it would take alone, so no result depends on which restarts
+share a batch.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numbers
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -658,9 +659,12 @@ class _Restart:
         return full
 
     def advance(self, value: float | None = None) -> bool:
-        """Take ``value`` for the pending point (None to start) and run the
-        descent on, answering memo hits, to its next new point (``full``,
-        ``key``).  False once the descent has finished (``summary``)."""
+        """Take ``value`` for the pending point (None to start), store it in
+        the memo, and run the descent on, answering memo hits, to its next
+        new point (``full``, ``key``).  False once the descent has finished
+        (``summary``)."""
+        if value is not None:
+            self.memo[self.key] = value
         while True:
             try:
                 if value is None:
@@ -698,94 +702,54 @@ def _breakpoints(config: SearchConfig) -> tuple[list[float] | None, ...] | None:
     return tuple(None if b is None else np.asarray(b).tolist() for b in breakpoints)
 
 
-def _lockstep(config: SearchConfig, claim: Callable[[], int | None],
-              slots: int) -> dict[int, RestartSummary]:
-    """Run the restarts ``claim`` hands out, up to ``slots`` of them at a
-    time, and return their summaries by index.
+def _lockstep(config: SearchConfig, indices: Sequence[int]) -> dict[int, RestartSummary]:
+    """Run the restarts ``indices`` in lockstep and return their summaries
+    by index.
 
-    ``claim()`` returns the next restart index or None once there are no
-    more; a finished restart's slot is refilled by another claim.  The
-    restarts advance in lockstep: each step answers every restart's memo
-    hits inline until it reaches a new point, evaluates the new points of
-    all of them together (``_evaluate``), and sends each restart its
-    value.
+    Each step answers every active restart's memo hits inline until it
+    reaches a new point, evaluates the new points of all of them together
+    (``_evaluate``), and sends each restart its value, until every restart
+    has finished.
     """
     breakpoints = _breakpoints(config)
-    workspace = np.empty((min(slots, _batch_rows(config)), 2, 2, config.n_lambda, 3))
-    done: dict[int, RestartSummary] = {}
-    active: list[_Restart] = []
-    while True:
-        while len(active) < slots:
-            k = claim()
-            if k is None:
-                break
-            restart = _Restart(config, k, breakpoints)
-            if restart.advance():
-                active.append(restart)
-            else:
-                done[k] = restart.summary
-        if not active:
-            return done
+    restarts = [_Restart(config, k, breakpoints) for k in indices]
+    rows = min(len(restarts), _batch_rows(config))
+    workspace = np.empty((rows, 2, 2, config.n_lambda, 3))
+    active = [r for r in restarts if r.advance()]
+    while active:
         values = _evaluate(config, [r.full for r in active], workspace)
-        running = []
-        for restart, value in zip(active, values):
-            restart.memo[restart.key] = value
-            if restart.advance(value):
-                running.append(restart)
-            else:
-                done[restart.k] = restart.summary
-        active = running
+        active = [r for r, value in zip(active, values) if r.advance(value)]
+    return {r.k: r.summary for r in restarts}
 
 
 def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
     """Every restart's summary, in index order, from this process and
     ``n_workers - 1`` forked children.
 
-    All of them claim restart indices from one counter in shared memory
-    and run up to ceil(restarts / n_workers) of them in lockstep
-    (``_lockstep``), claiming another whenever one finishes.  A child sends
-    the summaries it computed, or the exception that stopped it, over its
-    own pipe once the counter runs out; an exception in any process also
-    empties the counter, so the others stop claiming.  Children are
-    forked, so they share ``config`` by memory and only summaries and
-    exceptions are pickled.  No child outlives this call.
+    Process i runs the fixed share ``range(i, restarts, n_workers)`` in
+    lockstep (``_lockstep``); this process is process 0.  A child sends
+    the summaries of its share, or the exception that stopped it, over its
+    own pipe.  Children are forked, so they share ``config`` by memory and
+    only summaries and exceptions are pickled.  An exception in any
+    process reaches the caller, and no child outlives this call.
     """
-    slots = -(-config.restarts // n_workers)
-    if n_workers == 1:
-        indices = iter(range(config.restarts))
-        summaries = _lockstep(config, lambda: next(indices, None), slots)
-        return [summaries[k] for k in range(config.restarts)]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    next_index = ctx.Value("q", 0)
-
-    def claim() -> int | None:
-        with next_index.get_lock():
-            k = next_index.value
-            next_index.value = k + 1
-        return k if k < config.restarts else None
-
-    def claim_and_run() -> dict[int, RestartSummary]:
-        try:
-            return _lockstep(config, claim, slots)
-        except BaseException:
-            with next_index.get_lock():
-                next_index.value = config.restarts
-            raise
-
+    shares = [range(i, config.restarts, n_workers) for i in range(n_workers)]
     children, readers = [], []
     try:
-        for _ in range(n_workers - 1):
+        for share in shares[1:]:
+            import multiprocessing  # only a search that forks loads it
+
+            ctx = multiprocessing.get_context("fork")
             reader, writer = ctx.Pipe(duplex=False)
             readers.append(reader)
-            child = ctx.Process(target=_report, args=(claim_and_run, writer), daemon=True)
+            child = ctx.Process(target=_report, daemon=True,
+                                args=(partial(_lockstep, config, share), writer))
             try:
                 child.start()
             finally:
                 writer.close()  # the child's copy stays open until it reports
             children.append(child)
-        summaries = claim_and_run()
+        summaries = _lockstep(config, shares[0])
         for child, reader in zip(children, readers):
             try:
                 ok, payload = reader.recv()
@@ -834,12 +798,12 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     key, see ``_memo_key``) counts as an evaluation and reuses its value.
 
     The restarts run in this process beside ``n - 1`` forked worker
-    processes, ``n = min(workers, restarts, CPU count)``, which claim
-    them from a shared counter (``_run_restarts``); with ``n = 1`` no
-    process is started.  Each process keeps up to ceil(restarts / n)
-    restarts in flight and evaluates their new points together, one
-    batch per lockstep step (``_lockstep``).  An exception raised in any
-    process reaches the caller, and no worker outlives the call.
+    processes, ``n = min(workers, restarts, CPU count)``: process i runs
+    restarts i, i + n, i + 2n, ... (``_run_restarts``), and with
+    ``n = 1`` no process is started.  Each process runs its share in
+    lockstep and evaluates the new points of its restarts together, one
+    batch per step (``_lockstep``).  An exception raised in any process reaches
+    the caller, and no worker outlives the call.
     """
     summaries = _run_restarts(config, _pool_size(workers, config.restarts))
     fam = config.family

@@ -103,14 +103,14 @@ def _qm_params_from_args(args) -> QMModelParams:
     return QMModelParams(eta1=args.eta, eta2=eta2, f1=args.f, f2=f2, F=args.F)
 
 
-def _add_qm_flags(p):
-    p.add_argument("--eta", type=float, required=True,
+def _add_qm_flags(p, required=True):
+    p.add_argument("--eta", type=float, required=required,
                    help="detector efficiency (photon 1; photon 2 too unless --eta2)")
-    p.add_argument("--eta2", type=float, default=None)
-    p.add_argument("--f", type=float, required=True,
+    p.add_argument("--eta2", type=float, default=None, help="detector efficiency of photon 2")
+    p.add_argument("--f", type=float, required=required,
                    help="collimator factor (photon 1; photon 2 too unless --f2)")
-    p.add_argument("--f2", type=float, default=None)
-    p.add_argument("--F", type=float, required=True, help="source correlation strength")
+    p.add_argument("--f2", type=float, default=None, help="collimator factor of photon 2")
+    p.add_argument("--F", type=float, required=required, help="source correlation strength")
 
 
 def cmd_verify_bounds(args) -> int:
@@ -127,6 +127,12 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.model:
+        given = [f"--{flag}" for flag in ("eta", "eta2", "f", "f2", "F")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValidationError(
+                f"simulate takes --model FILE or the QM flags, not both; "
+                f"got --model with {' '.join(given)}")
         source = load_model(args.model)
     else:
         for flag in ("eta", "f", "F"):
@@ -320,12 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("simulate", help="Monte Carlo run producing a counts CSV")
-    p.add_argument("--model", default=None, help="SLHV model JSON file")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eta2", type=float, default=None)
-    p.add_argument("--f", type=float, default=None)
-    p.add_argument("--f2", type=float, default=None)
-    p.add_argument("--F", type=float, default=None)
+    p.add_argument("--model", default=None,
+                   help="SLHV model JSON file, in place of the QM flags")
+    _add_qm_flags(p, required=False)
     p.add_argument("--quad", default="0,45,22.5,67.5")
     p.add_argument("--trials", type=int, required=True,
                    help="emitted pairs per setting pair")

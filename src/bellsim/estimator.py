@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PAIR_LABELS, chsh_sum, coincidence_sum, signed_sum
-from .model import _OUTCOME_INDEX, NoDataError, ValidationError
+from .model import _OUTCOME_INDEX, NoDataError, ValidationError, _check_integer
 from .qm import QMModelParams
 
 __all__ = [
@@ -70,24 +70,29 @@ class CountsRecord:
     nondetect_split_known: bool = True
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
-        if t.shape != (3, 3):
+        # Each cell as its own Python object, so that a bool, a float or a
+        # string is rejected rather than cast to int64.
+        cells = np.asarray(self.table, dtype=object)
+        if cells.shape != (3, 3):
             raise ValidationError(
-                f"counts table must be 3x3, got shape {t.shape}")
-        if np.any(t < 0):
-            raise ValidationError("counts must be nonnegative")
-        if sum(int(c) for c in t.flat) > _MAX_COUNT:
+                f"counts table must be 3x3, got shape {cells.shape}")
+        counts = [_check_integer(c, f"each count for pair {self.label!r}", 0)
+                  for c in cells.flat]
+        if sum(counts) > _MAX_COUNT:
             raise ValidationError(
                 f"counts for pair {self.label!r} total more than int64 holds")
+        t = np.array(counts, dtype=np.int64).reshape(3, 3)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         if self.emitted_total is not None:
+            emitted = _check_integer(
+                self.emitted_total, f"emitted_total for pair {self.label!r}", 0)
             total = int(t.sum())
-            if total != int(self.emitted_total):
+            if total != emitted:
                 raise ValidationError(
-                    f"table sum {total} != emitted_total {self.emitted_total} "
+                    f"table sum {total} != emitted_total {emitted} "
                     f"for pair {self.label!r}")
-            object.__setattr__(self, "emitted_total", int(self.emitted_total))
+            object.__setattr__(self, "emitted_total", emitted)
 
 
 def coincidence_count(rec: CountsRecord) -> int:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import json
 import math
 import multiprocessing
 import multiprocessing.context
@@ -407,24 +408,20 @@ class TestSearch:
 
 def _one_restart(config, k, _lockstep=adversary._lockstep):
     """Restart ``k`` alone, through the search's own lockstep loop."""
-    return _lockstep(config, iter([k, None]).__next__, 1)[k]
+    return _lockstep(config, [k])[k]
 
 
 def _split_restarts(monkeypatch, in_worker, in_caller=adversary._lockstep):
     """Patch ``_lockstep``, a search process's unit of work, so that a
-    forked worker claims one restart k and returns ``{k: in_worker(config,
-    k)}``, and the caller runs ``in_caller(config, claim, slots)`` once it
-    has seen a worker claim a restart."""
+    forked worker returns ``{k: in_worker(config, k)}`` for each restart k
+    of its share, and the caller runs ``in_caller(config, indices)`` on
+    its own share."""
     caller = os.getpid()
-    claimed = multiprocessing.get_context("fork").Event()
 
-    def patched(config, claim, slots):
+    def patched(config, indices):
         if os.getpid() != caller:
-            k = claim()
-            claimed.set()
-            return {k: in_worker(config, k)}
-        assert claimed.wait(60), "no worker claimed a restart"
-        return in_caller(config, claim, slots)
+            return {k: in_worker(config, k) for k in indices}
+        return in_caller(config, indices)
 
     monkeypatch.setattr(adversary, "_lockstep", patched)
 
@@ -861,22 +858,32 @@ class TestLockstep:
                     assert row.tobytes() == one.tobytes() == fam.instantiate(p, 90).tables(
                         party, angles, validate=False).tobytes()
 
-    def test_restarts_in_flight_per_process(self, monkeypatch):
-        # One process holds every restart; two hold ceil(restarts / 2) each.
-        seen = []
+    def test_each_process_runs_a_fixed_share(self, monkeypatch, tmp_path):
+        # Every process appends its pid and share to one file, since a
+        # forked worker's memory is lost when it exits.  The shares split
+        # the restarts evenly, and no output depends on the split.
+        log = tmp_path / "shares.jsonl"
         lockstep = adversary._lockstep
 
-        def recorded(config, claim, slots):
-            seen.append(slots)
-            return lockstep(config, claim, slots)
+        def recorded(config, indices):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), list(indices)]) + "\n")
+            return lockstep(config, indices)
 
         monkeypatch.setattr(adversary, "_lockstep", recorded)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         config = SearchConfig(family=get_family("threshold-detection"), quad=QUAD,
                               restarts=5, max_evals=60, n_lambda=90)
-        search(config, workers=1)
-        search(config, workers=2)  # the worker's call is recorded in its own memory
-        assert seen == [5, 3]
+        want = json.dumps(search(config).to_json_dict())
+        for workers in (1, 2, 3, 4):
+            log.write_text("", encoding="utf-8")
+            assert json.dumps(search(config, workers=workers).to_json_dict()) == want
+            entries = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+            shares = [indices for _pid, indices in entries]
+            assert len({pid for pid, _indices in entries}) == len(shares) == workers
+            assert sorted(k for share in shares for k in share) == list(range(5))
+            sizes = [len(share) for share in shares]
+            assert max(sizes) - min(sizes) <= 1
 
 
 def test_import_loads_no_scipy():

@@ -317,6 +317,11 @@ BAD_ARGV = {
     "simulate-negative-seed": lambda tmp: [
         "simulate", *_QM_FLAGS, "--trials", "10", "--seed", "-1",
         "--out", str(tmp / "run.csv")],
+    # A model file fixes the source, so the QM flags would be ignored.
+    **{f"simulate-model-with-{flags[0]}": (lambda tmp, flags=flags: [
+        "simulate", "--model", str(MODELS / "threshold_adversary.json"), *flags,
+        "--trials", "10", "--out", str(tmp / "run.csv")])
+       for flags in (_QM_FLAGS, ["--eta2", "0.5"], ["--f2", "0.5"])},
     "sweep-negative-seed": lambda tmp: [
         *_SWEEP, "--seed", "-2", "--min-coincidences", "1", "--out", str(tmp / "s.csv")],
     "search-negative-seed": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--seed", "-3"],

@@ -69,6 +69,45 @@ class TestEffectiveCorrelationFromCounts:
         assert e_eff_stderr(rec) == pytest.approx(math.sqrt((1 - e * e) / 100))
 
 
+def _table_with(cell):
+    return [[cell, 0, 0], [0, 4, 0], [0, 0, 0]]
+
+
+class TestCountsRecordInputs:
+    """A record takes integer counts and an integer emitted total only;
+    nothing is cast to int64 on the way in."""
+
+    @pytest.mark.parametrize("table", [
+        _table_with(0.5), _table_with(1.7), _table_with(True), _table_with("3"),
+        _table_with(math.nan), _table_with(2**63), _table_with(-1),
+        np.zeros((3, 3)), np.ones((3, 3), dtype=bool),
+    ], ids=["half", "fraction", "bool", "string", "nan", "past-int64", "negative",
+            "float-dtype", "bool-dtype"])
+    def test_non_integer_cell_rejected(self, table):
+        with pytest.raises(ValidationError, match="pair 'ab'"):
+            CountsRecord(label="ab", table=table)
+
+    @pytest.mark.parametrize("total", [5.0, 5.5, True, "5", -5],
+                             ids=["whole-float", "fraction", "bool", "string", "negative"])
+    def test_non_integer_emitted_total_rejected(self, total):
+        with pytest.raises(ValidationError, match="emitted_total"):
+            CountsRecord(label="ab", table=_table_with(1), emitted_total=total)
+
+    def test_integer_inputs_accepted(self):
+        for table in (_table_with(1), np.array(_table_with(1), dtype=np.uint8)):
+            rec = CountsRecord(label="ab", table=table, emitted_total=np.int64(5))
+            assert rec.table.dtype == np.int64 and rec.table.tolist() == _table_with(1)
+            assert type(rec.emitted_total) is int and rec.emitted_total == 5
+
+    def test_table_is_a_copy(self):
+        # The caller's array stays writable, and a later write to it cannot
+        # reach the record.
+        counts = np.array([_table_with(1)] * 2)
+        rec = CountsRecord(label="ab", table=counts[0], emitted_total=5)
+        counts[0, 2, 2] = 7
+        assert rec.table.tolist() == _table_with(1) and rec.emitted_total == 5
+
+
 class TestUEffFromCounts:
     def test_identical_records_give_twice_single_value(self):
         recs = four_identical(40, 10, 10, 40)
