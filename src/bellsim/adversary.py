@@ -133,7 +133,6 @@ class ParametricFamily:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     response: Callable[[np.ndarray, int, tuple[float, ...], int, np.ndarray], None]
-    description: str = ""
     breakpoints: Callable[[SettingsQuad, int], tuple[Sequence[float] | None, ...]] | None = None
     projection_active: Callable[[np.ndarray], bool] | None = None
 
@@ -286,24 +285,22 @@ def _modulated_projection(params: np.ndarray) -> bool:
 
 
 FAMILIES: dict[str, ParametricFamily] = {
+    # Sign-of-cosine responder, detects only above a per-party |cos| threshold.
     "threshold-detection": ParametricFamily(
         name="threshold-detection",
         param_names=("theta1", "theta2"),
         lower=(0.0, 0.0),
         upper=(0.999, 0.999),
         response=_threshold_response,
-        description="sign-of-cosine responder, detects only above a "
-                    "per-party |cos| threshold",
         breakpoints=_threshold_breakpoints,
     ),
+    # Smoothed Malus-law responder with angle-modulated non-detection probability.
     "modulated-p0": ParametricFamily(
         name="modulated-p0",
         param_names=("c0", "c1", "sharpness"),
         lower=(0.0, -0.5, 0.25),
         upper=(0.9, 0.5, 4.0),
         response=_modulated_response,
-        description="smoothed Malus-law responder with angle-modulated "
-                    "non-detection probability",
         projection_active=_modulated_projection,
     ),
 }

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,13 +198,14 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
     values, in which case the unobserved remainder is lumped into the
     (0, 0) cell and ``nondetect_split_known`` is False.  A repeated
-    (pair_label, r, q) row, a non-integer emitted total and a count or
-    total past int64 are rejected.
+    (pair_label, r, q) row, a non-integer emitted total, a count or total
+    past int64, a total for a pair the file does not hold and a total
+    that differs from the table sum of a pair with non-detection rows
+    are rejected.
     """
-    for label, total in (emitted_totals or {}).items():
-        if isinstance(total, bool) or not isinstance(total, numbers.Integral):
-            raise ValidationError(
-                f"emitted total for pair {label!r} must be an integer, got {total!r}")
+    totals = emitted_totals or {}
+    for label, total in totals.items():
+        _check_integer(total, f"emitted total for pair {label!r}", 0)
         if total > _MAX_COUNT:
             raise ValidationError(
                 f"emitted total for pair {label!r} exceeds int64, got {total!r}")
@@ -245,14 +245,19 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
                 saw_nondetect[label] = True
     if not tables:
         raise ValidationError(f"counts CSV {path!r} contains no data rows")
+    unknown = sorted(set(totals) - set(tables))
+    if unknown:
+        raise ValidationError(
+            f"emitted totals name pairs that counts CSV {path!r} does not hold: {unknown}")
 
     records = []
     for label, t in tables.items():
         if saw_nondetect.get(label, False):
+            # The table counts every trial, so a supplied total must equal its sum.
             records.append(CountsRecord(label=label, table=t,
-                                        emitted_total=int(t.sum())))
-        elif emitted_totals is not None and label in emitted_totals:
-            total = int(emitted_totals[label])
+                                        emitted_total=totals.get(label, int(t.sum()))))
+        elif label in totals:
+            total = int(totals[label])
             n_obs = int(t.sum())
             if total < n_obs:
                 raise ValidationError(

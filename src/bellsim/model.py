@@ -215,12 +215,6 @@ def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
     return HiddenVariableSpace(np.full(n, 1.0 / n), values)
 
 
-def _check_callable(fn, name: str) -> None:
-    if not callable(fn):
-        raise ValidationError(
-            f"response {name} must be callable, got {type(fn).__name__}")
-
-
 class ResponseFunction:
     """Per-party outcome law: (angles, hidden points) -> probability triples.
 
@@ -229,20 +223,20 @@ class ResponseFunction:
     of the hidden points, and row ``[j, i]`` of the result is the triple
     (p_plus, p_minus, p_zero) at ``angles[j]`` and hidden point i.
 
-    Three construction routes:
+    Construction routes:
 
-    * :meth:`from_function` wraps such an ``fn`` directly.
+    * the constructor, ``ResponseFunction(party, fn)``, and its alias
+      :meth:`from_function` wrap such an ``fn`` directly.
     * :meth:`from_table` holds explicit (n, 3) triples for a fixed set of
       angles and rejects any other angle.
-    * :meth:`from_split` composes an ideal two-outcome law with per-channel
-      detection efficiencies: ``p_r = p_ideal_r * eff_r`` for r in {+1, -1}
-      and ``p_zero`` is the remainder.
     """
 
     def __init__(self, party: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         if party not in (1, 2):
             raise ValidationError(f"party must be 1 or 2, got {party!r}")
-        _check_callable(fn, "fn")
+        if not callable(fn):
+            raise ValidationError(
+                f"response fn must be callable, got {type(fn).__name__}")
         self.party = party
         self._fn = fn
 
@@ -274,41 +268,6 @@ class ResponseFunction:
             return stacked[nearest]
 
         return cls(party, lookup)
-
-    @classmethod
-    def from_split(cls, party: int,
-                   ideal_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   efficiency_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-                   ) -> "ResponseFunction":
-        """Compose ideal responses with (possibly channel-dependent) efficiencies.
-
-        ``ideal_fn(angles, values)`` returns a (k, n, 2) table over the two
-        detected channels, each row summing to 1.  ``efficiency_fn(angles,
-        values, r)`` returns (k, n) per-point detection efficiencies in
-        [0, 1] for channel r (+1 or -1).
-        """
-        _check_callable(ideal_fn, "ideal_fn")
-        _check_callable(efficiency_fn, "efficiency_fn")
-
-        def composed(angles: np.ndarray, values: np.ndarray) -> np.ndarray:
-            ideal = np.asarray(ideal_fn(angles, values), dtype=float)
-            if ideal.shape != (angles.size, values.size, 2):
-                raise ValidationError(
-                    f"ideal response for party {party} must have shape "
-                    f"(k, n, 2) = {(angles.size, values.size, 2)}, got {ideal.shape}")
-            dev = np.abs(ideal.sum(axis=2) - 1.0) > NORMALIZATION_TOL
-            if np.any(dev):
-                j = int(np.argwhere(dev)[0, 0])
-                raise ValidationError(
-                    f"ideal response rows must sum to 1 (party {party}, "
-                    f"angle {angles[j]:.6g})")
-            eff_plus = np.asarray(efficiency_fn(angles, values, +1), dtype=float)
-            eff_minus = np.asarray(efficiency_fn(angles, values, -1), dtype=float)
-            p_plus = ideal[..., 0] * eff_plus
-            p_minus = ideal[..., 1] * eff_minus
-            return np.stack([p_plus, p_minus, 1.0 - p_plus - p_minus], axis=-1)
-
-        return cls(party, composed)
 
     def tables(self, angles: Sequence[float], values: np.ndarray) -> np.ndarray:
         """The (k, n, 3) tables at ``angles``, each reduced to [0, pi) first."""

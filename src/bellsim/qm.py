@@ -19,6 +19,7 @@ of the detectors used.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .bounds import BOUND_TOL, SettingsQuad, chsh_sum, optimal_quad
@@ -54,12 +55,15 @@ class QMModelParams:
     F: float
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "f1", "f2"):
+        for name in ("eta1", "eta2", "f1", "f2", "F"):
             v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {v!r}")
+            if name == "F" and not (0.0 <= v <= 1.0):
+                raise ValidationError(f"F must lie in [0, 1], got {v!r}")
+            if name != "F" and not (0.0 < v <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1], got {v!r}")
-        if not (0.0 <= self.F <= 1.0):
-            raise ValidationError(f"F must lie in [0, 1], got {self.F!r}")
+            object.__setattr__(self, name, float(v))
         if self.eta12f12 == 0.0:
             raise ValidationError(
                 "eta1*eta2*f1*f2 underflows to 0: no pair is ever detected")

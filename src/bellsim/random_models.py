@@ -6,13 +6,17 @@ ideal two-channel response of party k at hidden point i is
     p_plus = (1 + m_i * cos 2(angle - psi_i)) / 2
 
 with per-point modulation m_i in [-1, 1] and phase psi_i, which is a
-proper distribution at any angle.  The three constructors differ only
-in the shape of the detection efficiency applied on top:
+proper distribution at any angle.  Each detected channel keeps its share
+with its own efficiency, ``p_plus * eta_plus`` and ``(1 - p_plus) *
+eta_minus``, and the rest is non-detection.  One body (``_lossy_model``)
+builds every model; each generator supplies only the per-channel
+efficiencies:
 
-* angle-independent: eta depends on the hidden point only, so the
-  non-detection probability never reacts to the analyzer setting;
-* lambda-independent: eta depends on the analyzer angle only, shared by
-  every hidden point;
+* angle-independent: eta depends on the hidden point only, the same in
+  both channels, so the non-detection probability never reacts to the
+  analyzer setting;
+* lambda-independent: eta depends on the analyzer angle only, the same
+  in both channels and shared by every hidden point;
 * unconstrained (nondegenerate): eta varies with both and per detected
   channel, floored away from zero so no hidden point is dead.
 """
@@ -72,9 +76,10 @@ def _ideal_share(m, psi, angles):
 
 
 def _lossy_model(rng: np.random.Generator, n_lambda: int, efficiency) -> SLHVModel:
-    """Each party's ideal response detected with efficiency eta: the
-    (k,) angles map to eta, (n,) or (k, 1), through ``efficiency()``, which
-    draws its parameters once per party."""
+    """Each party's ideal response detected channel by channel:
+    ``efficiency()`` draws its parameters once per party and returns
+    ``eta_at``, which maps the (k,) angles to the (eta_plus, eta_minus)
+    efficiencies, each (n,), (k, 1) or (k, n)."""
     space = _random_space(rng, n_lambda)
     ideal1, ideal2 = _pair_ideal_params(rng, n_lambda)
 
@@ -83,10 +88,10 @@ def _lossy_model(rng: np.random.Generator, n_lambda: int, efficiency) -> SLHVMod
         eta_at = efficiency()
 
         def fn(angles, lam):
-            eta = eta_at(angles)
+            eta_plus, eta_minus = eta_at(angles)
             share = _ideal_share(m, psi, angles)
-            plus = eta * share
-            minus = eta * (1.0 - share)
+            plus = eta_plus * share
+            minus = eta_minus * (1.0 - share)
             return np.stack([plus, minus, 1.0 - plus - minus], axis=-1)
 
         return ResponseFunction.from_function(party, fn)
@@ -99,7 +104,7 @@ def random_angle_independent_model(rng: np.random.Generator,
     """Non-detection depends on the hidden point but never on the angle."""
     def efficiency():
         eta = rng.uniform(0.0, 1.0, size=n_lambda)
-        return lambda angles: eta
+        return lambda angles: (eta, eta)
 
     return _lossy_model(rng, n_lambda, efficiency)
 
@@ -111,40 +116,29 @@ def random_lambda_independent_model(rng: np.random.Generator,
         e0 = rng.uniform(0.3, 0.9)
         e1 = rng.uniform(0.0, min(e0, 1.0 - e0))
         chi = rng.random() * math.pi
-        # One math.cos per angle: np.cos need not round like it.
-        return lambda angles: np.array([e0 + e1 * math.cos(2.0 * (a - chi))
-                                        for a in angles.tolist()])[:, None]
+
+        def eta_at(angles):
+            # One math.cos per angle: np.cos need not round like it.
+            eta = np.array([e0 + e1 * math.cos(2.0 * (a - chi))
+                            for a in angles.tolist()])[:, None]
+            return eta, eta
+
+        return eta_at
 
     return _lossy_model(rng, n_lambda, efficiency)
 
 
 def random_nondegenerate_model(rng: np.random.Generator, n_lambda: int = 32) -> SLHVModel:
     """Fully setting- and point-dependent losses; every point detectable."""
-    space = _random_space(rng, n_lambda)
     lo = 0.05
-    ideal1, ideal2 = _pair_ideal_params(rng, n_lambda)
 
-    def make_response(party, ideal_p):
-        m, psi = ideal_p
+    def efficiency():
+        # (me, pe) of the +1 channel, then of the -1 channel: the draw order
+        # that the seeded models rest on.
+        channels = [(rng.uniform(-1.0, 1.0, size=n_lambda), rng.random(n_lambda) * math.pi)
+                    for _ in range(2)]
+        return lambda angles: tuple(
+            lo + (1.0 - lo) * 0.5 * (1.0 + me * np.cos(2.0 * (angles[:, None] - pe)))
+            for me, pe in channels)
 
-        def eff_params():
-            me = rng.uniform(-1.0, 1.0, size=n_lambda)
-            pe = rng.random(n_lambda) * math.pi
-            return me, pe
-
-        me_plus, pe_plus = eff_params()
-        me_minus, pe_minus = eff_params()
-
-        def ideal(angles, lam):
-            share = _ideal_share(m, psi, angles)
-            return np.stack([share, 1.0 - share], axis=-1)
-
-        def efficiency(angles, lam, r):
-            me, pe = (me_plus, pe_plus) if r == 1 else (me_minus, pe_minus)
-            c = np.cos(2.0 * (angles[:, None] - pe))
-            return lo + (1.0 - lo) * 0.5 * (1.0 + me * c)
-
-        return ResponseFunction.from_split(party, ideal, efficiency)
-
-    return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
-
+    return _lossy_model(rng, n_lambda, efficiency)

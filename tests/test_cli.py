@@ -337,6 +337,14 @@ BAD_ARGV = {
     "analyze-totals-float": lambda tmp: [
         "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
         "--emitted-totals", _json_file(tmp / "t.json", _FRACTIONAL_TOTALS)],
+    "analyze-totals-unknown-pair": lambda tmp: [
+        "analyze", "--counts", _coincidence_only_csv(tmp / "c.csv"),
+        "--emitted-totals", _json_file(tmp / "t.json", {
+            **{lab: 100 for lab in ("ab", "ab'", "a'b", "a'b'")}, "zz": 100})],
+    # Each pair of this file counts 90 trials, non-detections included.
+    "analyze-totals-disagree-with-table": lambda tmp: [
+        "analyze", "--counts", _full_csv(tmp / "c.csv", {}),
+        "--emitted-totals", _json_file(tmp / "t.json", {"ab": 5})],
     "search-freeze-nan": lambda tmp: [
         *_SEARCH, "--n-lambda", "36", "--freeze", "theta1=nan"],
     "search-freeze-twice": lambda tmp: [

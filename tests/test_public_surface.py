@@ -45,8 +45,7 @@ def test_per_point_surface_removed():
                  "effective_local_average", "joint_prob", "_check_index",
                  "detection_probs", "nondetect_probs"):
         assert not hasattr(model.SLHVModel, name), name
-    fn = model.ResponseFunction.from_split(1, lambda a, v: None, lambda a, v, r: None)
-    assert not hasattr(fn, "ideal_fn") and not hasattr(fn, "efficiency_fn")
+    assert not hasattr(model.ResponseFunction, "from_split")
     assert not hasattr(bounds._QuadTables, "p0")
     assert not hasattr(bounds, "_joint")
 
@@ -71,9 +70,9 @@ def test_one_family_protocol():
     # A family's one table function is its batched response, which it must
     # give; no family builds its models itself.
     fields = {f.name: f for f in dataclasses.fields(adversary.ParametricFamily)}
-    assert "builder" not in fields
+    assert "builder" not in fields and "description" not in fields
     assert fields["response"].default is dataclasses.MISSING
-    assert len(fields) == 8
+    assert len(fields) == 7
     for name in ("_threshold_builder", "_modulated_builder"):
         assert not hasattr(adversary, name), name
 

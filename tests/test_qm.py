@@ -23,6 +23,20 @@ class TestParams:
         with pytest.raises(ValidationError):
             QMModelParams(1, 1, 1, 1, 1.1)
 
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5]])
+    @pytest.mark.parametrize("field", range(5))
+    def test_rejects_non_numbers(self, field, bad):
+        values = [0.5, 0.5, 0.5, 0.5, 0.5]
+        values[field] = bad
+        with pytest.raises(ValidationError, match="must be a real number"):
+            QMModelParams(*values)
+
+    def test_fields_are_floats(self):
+        p = QMModelParams(1, np.float64(0.5), 1, 1, 1)
+        assert all(type(getattr(p, name)) is float
+                   for name in ("eta1", "eta2", "f1", "f2", "F"))
+        assert (p.eta1, p.eta2, p.F) == (1.0, 0.5, 1.0)
+
     def test_products(self):
         p = QMModelParams(0.5, 0.8, 0.9, 0.7, 0.95)
         assert p.f12 == pytest.approx(0.63)
