@@ -195,24 +195,24 @@ def _angle_terms(angles: tuple[float, ...], n_lambda: int) -> _AngleTerms:
 
 # On the c1 = 0 slice U_eff does not depend on c0 and the optimum lies on
 # the sharpness box top, so a search there evaluates most points at a
-# sharpness it has just used.  Each entry holds two (k, n_lambda) arrays.
+# sharpness it has just used.  Each entry holds one (2, k, n_lambda) array.
 _MALUS_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_MALUS_CACHE_SIZE)
-def _malus_shares(angles: tuple[float, ...], n_lambda: int,
-                  sharpness: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Malus shares cos^2s d / (cos^2s d + sin^2s d) and one minus them."""
+def _malus_shares(angles: tuple[float, ...], n_lambda: int, sharpness: float) -> np.ndarray:
+    """The Malus shares cos^2s d / (cos^2s d + sin^2s d) and one minus them,
+    stacked in outcome order, (2, k, n_lambda)."""
     terms = _angle_terms(angles, n_lambda)
     w_plus, w_minus = terms.cos_sq, terms.sin_sq
     if sharpness != 1.0:
         w_plus = w_plus ** sharpness
         w_minus = w_minus ** sharpness
-    share = w_plus / (w_plus + w_minus)
-    rest = 1.0 - share
-    share.setflags(write=False)
-    rest.setflags(write=False)
-    return share, rest
+    shares = np.empty((2, *w_plus.shape))
+    np.divide(w_plus, w_plus + w_minus, out=shares[0])
+    np.subtract(1.0, shares[0], out=shares[1])
+    shares.setflags(write=False)
+    return shares
 
 
 @lru_cache(maxsize=64)
@@ -244,16 +244,19 @@ def _threshold_response(params: np.ndarray, party: int, angles: tuple[float, ...
 
 def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...],
                         n_lambda: int, out: np.ndarray) -> None:
-    # Each sharpness's cached shares, stacked: a power with an array of
-    # exponents need not round as the power with one exponent does.
-    pairs = [_malus_shares(angles, n_lambda, s) for s in params[:, 2].tolist()]
-    share, rest = (np.stack([pair[i] for pair in pairs]) for i in (0, 1))
     cos2d = _angle_terms(angles, n_lambda).cos2d
-    # The ndarray method runs np.clip's ufunc without its wrapper.
+    # The ndarray method runs np.clip's ufunc without its wrapper.  Not
+    # np.maximum and np.minimum: clip keeps a -0.0 that np.maximum(p0, 0.0)
+    # turns into +0.0, which would change the tables' bytes.
     p0 = (params[:, 0, None, None] + params[:, 1, None, None] * cos2d).clip(0.0, 1.0)
     detect = 1.0 - p0
-    np.multiply(detect, share, out=out[..., 0])
-    np.multiply(detect, rest, out=out[..., 1])
+    # Each row's detection times its own sharpness's cached shares, in one
+    # product straight into the row's two detected columns: a power with an
+    # array of exponents need not round as the power with one exponent
+    # does, and no batch-wide copy of the shares is made.
+    detected = out[..., :2].transpose(0, 3, 1, 2)
+    for b, sharpness in enumerate(params[:, 2].tolist()):
+        np.multiply(detect[b], _malus_shares(angles, n_lambda, sharpness), out=detected[b])
     out[..., 2] = p0
 
 
@@ -431,7 +434,8 @@ def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: str,
     naming the first such point."""
     value, dead = q.e_eff(mode)
     u = np.abs(chsh_sum(value))
-    u[dead.any(axis=1)] = 0.0
+    if dead.any():
+        u[dead.any(axis=1)] = 0.0
     breach = _breach(q, mode, u - 2.0)
     if breach.any():
         b = int(np.argmax(breach))
@@ -503,9 +507,9 @@ def _clip(x: Sequence[float], lower: list[float], upper: list[float]) -> list[fl
 
 def _sort_by_value(sim: list[list[float]], fsim: list[float]
                    ) -> tuple[list[list[float]], list[float]]:
-    # np.argsort, not sorted(): its order among equal values decides the
-    # later steps on a plateau.
-    order = np.argsort(fsim).tolist()
+    # numpy's argsort, not sorted(): its order among equal values, which is
+    # not a stable sort's, decides the later steps on a plateau.
+    order = np.array(fsim).argsort().tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 

@@ -2,11 +2,12 @@
 
 Everything here is a finite weighted sum over the hidden-variable
 points; no sampling.  A quad evaluates each party's two response
-tables in one call and forms the four setting pairs' 3x3 joint-outcome tables
-``t1^T . diag(w) . t2`` in one stacked product.  The tables carry a
-leading batch axis (``_QuadTables``): a batch holds several sources at
-one quad (the adversary search's points) or one model at several quads
-(``effective_chsh_values``), and a single model is a batch of one.
+tables in one call and forms the both-detected cells of the four setting
+pairs' 3x3 joint-outcome tables ``t1^T . diag(w) . t2`` in one stacked
+product.  The tables carry a leading batch axis (``_QuadTables``): a
+batch holds several sources at one quad (the adversary search's points)
+or one model at several quads (``effective_chsh_values``), and a single
+model is a batch of one.
 Every per-pair value is then a (B, 4) array in PAIR_LABELS order:
 ``signed_sum`` gives E, ``coincidence_sum`` the coincidence probability
 (the estimator applies both to count tables), and each mode its E_eff,
@@ -98,9 +99,11 @@ def chsh_sum(values):
     """v(ab) - v(ab') + v(a'b) + v(a'b') of per-pair values in PAIR_LABELS
     order, summed left to right from the integer 0 (so a zero sum is +0.0):
     U, U_eff and eps_total for every source.  An array holds the four
-    values along its last axis and gives one sum per row."""
+    values along its last axis and gives one sum per row, in the same
+    order and so to the same bits: ((v0 + 0.0) - v1) + v2 + v3, since
+    x + (-1.0 * y) == x - y."""
     if isinstance(values, np.ndarray):
-        values = np.moveaxis(values, -1, 0)
+        return ((values[..., 0] + 0.0) - values[..., 1]) + values[..., 2] + values[..., 3]
     return sum(sign * v for sign, v in zip(PAIR_SIGNS, values))
 
 
@@ -217,13 +220,14 @@ def enumerate_vertices(alpha, beta) -> list[VertexRow]:
 
 
 def signed_sum(table):
-    """Sum of r*q*table[..., r, q] over 3x3 joint tables: E of probability
-    tables, the exact signed coincidence count of integer count tables."""
+    """Sum of r*q*table[..., r, q] over joint tables, 3x3 or their 2x2
+    both-detected block: E of probability tables, the exact signed
+    coincidence count of integer count tables."""
     return table[..., 0, 0] - table[..., 0, 1] - table[..., 1, 0] + table[..., 1, 1]
 
 
 def coincidence_sum(table):
-    """Mass of the four both-detected cells of 3x3 joint tables."""
+    """Mass of the four both-detected cells of joint tables, 3x3 or 2x2."""
     return table[..., 0, 0] + table[..., 0, 1] + table[..., 1, 0] + table[..., 1, 1]
 
 
@@ -236,9 +240,13 @@ class _QuadTables:
     not.  A single model at one quad is a batch of one.  ``angles`` holds
     each party's two canonical angles for a single quad (a validator
     report names them), else None.  Per-pair values are (B, 4)
-    arrays in PAIR_LABELS order, the (a, a') x (b, b') grid flattened:
-    ``e`` and ``coin`` of the four ``joints``, formed on first use, and
-    ``e_eff(mode)``.
+    arrays in PAIR_LABELS order, the (a, a') x (b, b') grid flattened,
+    each formed on first use: ``e`` and ``coin`` read only the
+    both-detected block ``detected`` of the four joint tables, and
+    ``e_eff(mode)`` reads those (solution1), ``e`` and ``detection``
+    (solution2) or ``t`` alone (solution3).  ``joints``, the full 3x3
+    tables, hold the same four cells bit for bit (``tests/test_bounds.py``
+    checks it) beside the non-detection cells; no per-pair value reads them.
     """
 
     def __init__(self, model: SLHVModel, *quads: SettingsQuad, validate: bool = True):
@@ -262,17 +270,30 @@ class _QuadTables:
     def __len__(self) -> int:
         return len(self.t)
 
-    @cached_property
-    def joints(self) -> np.ndarray:
-        """The (B, 4, 3, 3) joint-outcome tables t1^T . diag(w) . t2 in one
-        matmul, (B, 2, 1, 3, n) @ (B, 1, 2, n, 3), with t1 and t2 the
-        parties' tables.  The weights, repeated over the three outcomes,
-        scale t1 in its own (n, 3) layout."""
+    def _joint_block(self, outcomes: slice) -> np.ndarray:
+        """The ``outcomes`` x ``outcomes`` block of the four joint tables
+        t1^T . diag(w) . t2 in one matmul, (B, 2, 1, o, n) @ (B, 1, 2, n, o),
+        with t1 and t2 the parties' tables.  The weights, repeated over the
+        three outcomes, scale t1 in its own (n, 3) layout, and the block's
+        columns are sliced from that."""
         b, _, k, n, _ = self.t.shape
         scaled = (self.t[:, 0].reshape(b, k, 3 * n)
                   * np.repeat(self.w, 3, axis=-1)[:, None]).reshape(b, k, n, 3)
-        return (scaled.transpose(0, 1, 3, 2)[:, :, None]
-                @ self.t[:, 1, None]).reshape(b, 4, 3, 3)
+        block = (scaled[..., outcomes].transpose(0, 1, 3, 2)[:, :, None]
+                 @ self.t[:, 1, None, ..., outcomes])
+        return block.reshape(b, 4, *block.shape[-2:])
+
+    @cached_property
+    def joints(self) -> np.ndarray:
+        """The (B, 4, 3, 3) joint-outcome tables."""
+        return self._joint_block(slice(None))
+
+    @cached_property
+    def detected(self) -> np.ndarray:
+        """The (B, 4, 2, 2) both-detected cells of ``joints``, from a product
+        over the two detected columns alone: each cell is the same dot
+        product over the same scaled rows as in ``joints``."""
+        return self._joint_block(slice(2))
 
     @cached_property
     def detection(self) -> np.ndarray:
@@ -282,11 +303,11 @@ class _QuadTables:
 
     @cached_property
     def e(self) -> np.ndarray:
-        return signed_sum(self.joints)
+        return signed_sum(self.detected)
 
     @cached_property
     def coin(self) -> np.ndarray:
-        return coincidence_sum(self.joints)
+        return coincidence_sum(self.detected)
 
     def dead_at(self, mode: EffectiveCorrelationMode) -> np.ndarray:
         """The (B, party, angle) rows that make a solution2 or solution3
@@ -435,7 +456,7 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
     slack = np.full((len(q), q.t.shape[3]) if bound == "pointwise" else len(q), np.nan)
     # Each cap is Python float arithmetic on its source's scalars: Python's
     # ``** 2`` need not round as numpy's squaring does.
-    for b, dev in zip(np.flatnonzero(rows).tolist(), deviations):
+    for b, dev in zip(rows.nonzero()[0].tolist(), deviations):
         if dev is None:
             continue
         delta = dev + 5.0 * nu
@@ -445,9 +466,9 @@ def _slack(q: _QuadTables, bound: str | EffectiveCorrelationMode,
             alpha, beta = q.t[b, :, 0, :, 0] + q.t[b, :, 0, :, 1]
             slack[b] = 2.0 * (delta * (alpha + beta) + delta ** 2)
         elif mode is EffectiveCorrelationMode.SOLUTION1:
-            slack[b] = 6.0 * (2.0 * delta + delta ** 2) / float(np.min(q.coin[b]))
+            slack[b] = 6.0 * (2.0 * delta + delta ** 2) / float(q.coin[b].min())
         elif mode is EffectiveCorrelationMode.SOLUTION2:
-            d1, d2 = np.min(q.detection[b], axis=1).tolist()
+            d1, d2 = q.detection[b].min(axis=1).tolist()
             slack[b] = 2.0 * ((1.0 + delta / d1) * (1.0 + delta / d2) - 1.0)
         else:
             slack[b] = 2.0 * nu
@@ -467,13 +488,13 @@ def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess) -> np
     deviation and a cap.
     """
     excess = np.reshape(excess, (len(q), -1))
-    over = np.any(excess > BOUND_TOL, axis=1)
+    over = (excess > BOUND_TOL).any(axis=1)
     if not over.any():
         return over
     slack = _slack(q, bound, rows=over)
     if np.ndim(slack) == 1:
         slack = slack[:, None]
-    return over & np.any(excess > slack + BOUND_TOL, axis=1)
+    return over & (excess > slack + BOUND_TOL).any(axis=1)
 
 
 def correlation(model: SLHVModel, a: float, b: float) -> float:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -884,6 +885,34 @@ class TestLockstep:
             assert sorted(k for share in shares for k in share) == list(range(5))
             sizes = [len(share) for share in shares]
             assert max(sizes) - min(sizes) <= 1
+
+
+# SHA-256 over the search JSONs of ``test_search_bits_pinned``: every family
+# and slice, in every mode, at the optimal quad and a skewed one, each at
+# workers 1 and 2.
+SEARCH_QUADS = (QUAD, SettingsQuad.from_degrees(3, 41, 17, 80))
+SEARCH_CASES = (("threshold-detection", {}), ("modulated-p0", {}),
+                ("modulated-p0", {"c1": 0.0}))
+SEARCH_DIGEST = "3434b6bd2d1feb125ec1eccbb3e9aff88a519e306e22cfed899e392fed2e6ceb"
+
+
+def test_search_bits_pinned(monkeypatch):
+    # A faster evaluation of the objective must keep every value, and so
+    # every step of every restart, to the bit.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    digest = hashlib.sha256()
+    for family, freeze in SEARCH_CASES:
+        for mode in EffectiveCorrelationMode:
+            for quad in SEARCH_QUADS:
+                config = SearchConfig(family=get_family(family), quad=quad, mode=mode,
+                                      restarts=5, max_evals=200, seed=12, n_lambda=720,
+                                      freeze=freeze)
+                texts = [json.dumps(search(config, workers=w).to_json_dict())
+                         for w in (1, 2)]
+                assert texts[0] == texts[1]
+                for text in texts:
+                    digest.update(text.encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
 
 
 def test_import_loads_no_scipy():

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
+    PAIR_SIGNS,
     EffectiveCorrelationMode,
     SettingsQuad,
     _breach,
@@ -19,8 +20,10 @@ from bellsim.bounds import (
     _slack,
     _u_eff,
     chsh_combination,
+    chsh_sum,
     chsh_value,
     coincidence_probability,
+    coincidence_sum,
     correlation,
     effective_chsh,
     effective_chsh_value,
@@ -29,6 +32,7 @@ from bellsim.bounds import (
     enumerate_vertices,
     optimal_quad,
     pointwise_bound_check,
+    signed_sum,
 )
 from bellsim.model import (
     AssumptionError,
@@ -97,6 +101,36 @@ class TestChshCombination:
                              Fraction(2, 5), Fraction(1, 2))
         assert u == Fraction(1, 3) * (Fraction(2, 5) - Fraction(1, 2)) + \
             Fraction(-1, 7) * (Fraction(2, 5) + Fraction(1, 2))
+
+
+class TestChshSum:
+    VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 0.1, math.nan, -math.nan, math.inf, -math.inf)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        """Byte for byte, a NaN compared as NaN: which of two NaNs that meet
+        survives, with its sign, differs between numpy's loops, numpy's
+        scalars and Python floats."""
+        got, want = np.asarray(got), np.asarray(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_array_path_matches_list_path_bytewise(self):
+        # Every row of four from the pool: signed zeros, NaNs of both signs,
+        # infinities and sums that cancel to zero, as (4,), (B, 4) and
+        # (B, k, 4).  The (B, 4) sums also equal, NaN bits included, the
+        # signed sum of the four columns in numpy's own loops.
+        rows = np.array(list(itertools.product(self.VALUES, repeat=4)))
+        want = np.array([chsh_sum(row) for row in rows.tolist()])
+        assert want.size == 10 ** 4 and np.any(want == 0.0) and np.any(np.isnan(want))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = chsh_sum(rows)
+            signed = sum(sign * v for sign, v in zip(PAIR_SIGNS, np.moveaxis(rows, -1, 0)))
+            assert got.tobytes() == signed.tobytes()
+            assert chsh_sum(rows.reshape(100, 100, 4)).tobytes() == got.tobytes()
+            self.assert_same_bits(got, want)
+            self.assert_same_bits([chsh_sum(row) for row in rows], want)
 
 
 class TestVertexEnumeration:
@@ -176,14 +210,44 @@ class TestCorrelation:
 
 class TestQuadTables:
     def test_joints_formed_on_first_use(self):
-        # Solution3 reads only the response tables; the joint tables, E and
-        # the coincidence probabilities are formed when a mode needs them.
+        # Solution3 reads only the response tables; the both-detected block,
+        # E and the coincidence probabilities are formed when a mode needs
+        # them, and no mode forms the full joint tables.
         m = random_nondegenerate_model(np.random.default_rng(101), 16)
         q = _QuadTables(m, optimal_quad())
         _u_eff(q, MODE3)
-        assert not {"joints", "e", "coin"} & set(vars(q))
+        assert not {"joints", "detected", "e", "coin"} & set(vars(q))
         _u_eff(q, MODE1)
-        assert {"joints", "e", "coin"} <= set(vars(q))
+        assert {"detected", "e", "coin"} <= set(vars(q))
+        assert "joints" not in vars(q)
+
+    @staticmethod
+    def assert_block_matches_joints(q):
+        assert q.detected.tobytes() == q.joints[..., :2, :2].tobytes()
+        assert q.e.tobytes() == signed_sum(q.joints).tobytes()
+        assert q.coin.tobytes() == coincidence_sum(q.joints).tobytes()
+
+    def test_detected_block_matches_joints_bitwise(self):
+        # E and the coincidence probability read a product over the two
+        # detected columns alone; its dot products are the joint tables'.
+        rng = np.random.default_rng(109)
+        generators = (random_angle_independent_model, random_lambda_independent_model,
+                      random_nondegenerate_model)
+        for n in (1, 2, 7, 90, 720, 5000):
+            for gen in generators:
+                m = gen(rng, n)
+                for b in (1, 2, 60):
+                    self.assert_block_matches_joints(
+                        _QuadTables(m, *(random_quad(rng) for _ in range(b))))
+            for b in (1, 3, 60):
+                for kind in ("random", "0/1", "negative"):
+                    t = rng.random((b, 2, 2, n, 3))
+                    if kind == "0/1":
+                        t = np.round(t)
+                    elif kind == "negative":
+                        t -= 1e-13 * rng.random(t.shape)
+                    for w in (rng.random((1, n)), rng.random((b, n))):
+                        self.assert_block_matches_joints(_QuadTables.from_tables(w / n, t))
 
     def test_stacked_joints_match_per_pair_products_bitwise(self):
         # _QuadTables forms all four joint tables in one stacked matmul;
