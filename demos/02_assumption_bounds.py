@@ -35,7 +35,7 @@ def saturating_model():
         def fn(angles, lam):
             c = np.cos(2.0 * (angles[:, None] - lam))
             return np.stack([(c >= 0) * 1.0, (c < 0) * 1.0, np.zeros_like(c)], axis=-1)
-        return ResponseFunction.from_function(party, fn)
+        return ResponseFunction(party, fn)
 
     return SLHVModel(space, resp(1), resp(2))
 

@@ -38,12 +38,11 @@ share a batch.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from .model import (
     TheoremViolationError,
     ValidationError,
     _check_integer,
-    canonical_angle,
+    _check_real,
     uniform_lambda_grid,
 )
 from .sampler import _pool_size
@@ -126,6 +125,9 @@ class ParametricFamily:
     ``search`` hands the family to its worker processes by fork, never by
     pickling, so ``response``, ``breakpoints`` and ``projection_active``
     may be any callables, lambdas and closures included.
+
+    ``point`` checks every parameter vector or mapping that enters:
+    ``instantiate``'s, a ``SearchConfig``'s ``freeze`` and a model file's.
     """
 
     name: str
@@ -136,29 +138,55 @@ class ParametricFamily:
     breakpoints: Callable[[SettingsQuad, int], tuple[Sequence[float] | None, ...]] | None = None
     projection_active: Callable[[np.ndarray], bool] | None = None
 
-    def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
-        p = np.asarray(params, dtype=float)
-        if p.shape != (len(self.param_names),):
-            raise ValidationError(
-                f"family {self.name!r} takes {len(self.param_names)} parameters "
-                f"{self.param_names}, got shape {p.shape}")
-        values = p.tolist()
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(
-                f"family {self.name!r} parameters must be finite, got {values}")
-        n_lambda = _check_integer(n_lambda, "n_lambda", 1)
-        if not all(lo - _BOX_TOL <= v <= hi + _BOX_TOL
-                   for v, lo, hi in zip(values, self.lower, self.upper)):
-            raise ValidationError(
-                f"parameters {values} outside box "
-                f"[{self.lower}, {self.upper}] for family {self.name!r}")
-        projection = self.projection_active is not None and bool(self.projection_active(p))
-        return _response_model(self.response, p, n_lambda, dict(
-            family=self.name, **self.params_dict(values), n_lambda=n_lambda,
-            projection_active=projection))
+    def point(self, params, subset: bool = False,
+              what: str = "parameter") -> dict[str, float]:
+        """The floats of a (p,) vector or a mapping by name, by name in
+        ``param_names`` order: every name the family's, all given unless
+        ``subset``, each a real number (``model._check_real``) inside the
+        box within ``_BOX_TOL``.  Errors call a value ``what`` and its name."""
+        names = self.param_names
+        if not isinstance(params, Mapping):
+            vector = np.asarray(params, dtype=object)
+            if vector.shape != (len(names),):
+                raise ValidationError(f"family {self.name!r} takes {len(names)} parameters "
+                                      f"{names}, got shape {vector.shape}")
+            params = dict(zip(names, vector.tolist()))
+        unknown = [n for n in params if n not in names]
+        if unknown:
+            raise ValidationError(f"family {self.name!r} does not take parameters {unknown}")
+        missing = [n for n in names if n not in params]
+        if missing and not subset:
+            raise ValidationError(f"family {self.name!r} is missing parameters {missing}")
+        point = {}
+        for name, lo, hi in zip(names, self.lower, self.upper):
+            if name in params:
+                v = point[name] = _check_real(params[name], f"{what} {name!r}")
+                if not lo - _BOX_TOL <= v <= hi + _BOX_TOL:
+                    raise ValidationError(f"{what} {name!r} = {v!r} is outside the box "
+                                          f"[{lo}, {hi}] of family {self.name!r}")
+        return point
 
-    def params_dict(self, params) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.param_names, params)}
+    def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
+        """The model at ``params``, a (p,) vector or a mapping by name that
+        ``point`` checks, on the grid ``uniform_lambda_grid(n_lambda)``.  Its
+        responses answer each call through ``response`` at B = 1, into a
+        fresh (k, n, 3) table."""
+        point = self.point(params)
+        n_lambda = _check_integer(n_lambda, "n_lambda", 1)
+        p = np.array([list(point.values())])
+
+        def party_fn(party: int):
+            def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
+                out = np.empty((len(angles), n_lambda, 3))
+                self.response(p, party, tuple(angles.tolist()), n_lambda, out[None])
+                return out
+            return fn
+
+        model = SLHVModel(_grid(n_lambda), ResponseFunction(1, party_fn(1)),
+                          ResponseFunction(2, party_fn(2)))
+        model.meta.update(family=self.name, **point, n_lambda=n_lambda, projection_active=(
+            self.projection_active is not None and bool(self.projection_active(p[0]))))
+        return model
 
 
 # A search instantiates thousands of models on one grid at one quad.  The
@@ -224,11 +252,10 @@ def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> tuple[fl
 
 def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[float, ...], ...]:
     # A party's detection mask |cos 2d| >= theta changes only when theta
-    # crosses one of its values.  The angles are reduced as the response
-    # call reduces them, so the values are those the response compares.
-    return tuple(
-        _abs_cos2d_breakpoints(tuple(canonical_angle(a) for a in angles), n_lambda)
-        for angles in (quad.party1_angles(), quad.party2_angles()))
+    # crosses one of its values.  The quad holds its angles reduced, as the
+    # response call reduces them, so the values are those the response compares.
+    return tuple(_abs_cos2d_breakpoints(angles, n_lambda)
+                 for angles in (quad.party1_angles(), quad.party2_angles()))
 
 
 def _threshold_response(params: np.ndarray, party: int, angles: tuple[float, ...],
@@ -258,26 +285,6 @@ def _modulated_response(params: np.ndarray, party: int, angles: tuple[float, ...
     for b, sharpness in enumerate(params[:, 2].tolist()):
         np.multiply(detect[b], _malus_shares(angles, n_lambda, sharpness), out=detected[b])
     out[..., 2] = p0
-
-
-def _response_model(response: Callable, params: np.ndarray, n_lambda: int,
-                    meta: dict) -> SLHVModel:
-    """The model at ``params`` on ``_grid(n_lambda)`` whose responses answer
-    each call through a family's ``response`` at B = 1, into a fresh
-    (k, n, 3) table; ``meta`` goes on the model."""
-    point = np.array(params, dtype=float)[None]  # a copy: the model is immutable
-
-    def party_fn(party: int):
-        def fn(angles: np.ndarray, lam: np.ndarray) -> np.ndarray:
-            out = np.empty((len(angles), n_lambda, 3))
-            response(point, party, tuple(angles.tolist()), n_lambda, out[None])
-            return out
-        return fn
-
-    model = SLHVModel(_grid(n_lambda), ResponseFunction.from_function(1, party_fn(1)),
-                      ResponseFunction.from_function(2, party_fn(2)))
-    model.meta.update(meta)
-    return model
 
 
 def _modulated_projection(params: np.ndarray) -> bool:
@@ -319,6 +326,10 @@ def get_family(name: str) -> ParametricFamily:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search's family, quad, mode, budget and seed.  Each count is an
+    integer with a minimum, and ``freeze`` holds the floats that
+    ``ParametricFamily.point`` gives for it, leaving some parameter free."""
+
     family: ParametricFamily
     quad: SettingsQuad
     mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1
@@ -333,21 +344,8 @@ class SearchConfig:
                               ("n_lambda", 1)):
             object.__setattr__(self, name,
                                _check_integer(getattr(self, name), name, minimum))
-        fam = self.family
-        unknown = set(self.freeze) - set(fam.param_names)
-        if unknown:
-            raise ValidationError(
-                f"cannot freeze unknown parameters {sorted(unknown)}")
-        for name, v in self.freeze.items():
-            i = fam.param_names.index(name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                    or not math.isfinite(v):
-                raise ValidationError(
-                    f"frozen parameter {name!r} must be a finite number, got {v!r}")
-            if not fam.lower[i] - _BOX_TOL <= v <= fam.upper[i] + _BOX_TOL:
-                raise ValidationError(
-                    f"frozen parameter {name!r} = {v!r} is outside the box "
-                    f"[{fam.lower[i]}, {fam.upper[i]}] of family {fam.name!r}")
+        object.__setattr__(self, "freeze", self.family.point(
+            self.freeze, subset=True, what="frozen parameter"))
         if len(self.freeze) == len(self.family.param_names):
             raise ValidationError("at least one parameter must remain free")
 
@@ -422,8 +420,10 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
     restart visits once, a live test of the bound against an active
     adversary.
     """
-    q = _QuadTables(family.instantiate(params, n_lambda=n_lambda), quad, validate=False)
-    return float(_abs_u_eff(q, mode, family.name, np.asarray(params, dtype=float)[None])[0])
+    model = family.instantiate(params, n_lambda=n_lambda)
+    q = _QuadTables(model, quad, validate=False)
+    point = np.array([[model.meta[name] for name in family.param_names]])
+    return float(_abs_u_eff(q, mode, family.name, point)[0])
 
 
 def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: str,
@@ -809,11 +809,10 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     summaries = _run_restarts(config, _pool_size(workers, config.restarts))
     fam = config.family
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))
-    best_full = np.asarray(best.best_params)
 
     # Re-derive everything at the reported optimum from validated tables
     # so the stored parameters alone reproduce the result.
-    best_model = fam.instantiate(best_full, n_lambda=config.n_lambda)
+    best_model = fam.instantiate(best.best_params, n_lambda=config.n_lambda)
     q = _QuadTables(best_model, config.quad)
     try:
         signed = _u_eff(q, config.mode)[0]
@@ -825,7 +824,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     sol2 = _mode_report(q, EffectiveCorrelationMode.SOLUTION2).passed
 
     return SearchResult(
-        best_parameters=fam.params_dict(best_full),
+        best_parameters={name: best_model.meta[name] for name in fam.param_names},
         best_u_eff=abs(float(signed)),
         best_u_eff_signed=float(signed),
         assumption_solution1=sol1,

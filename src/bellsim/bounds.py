@@ -56,6 +56,7 @@ from .model import (
     TheoremViolationError,
     ValidationError,
     _PREMISES,
+    _check_real,
     _premise_report,
     canonical_angle,
 )
@@ -109,7 +110,8 @@ def chsh_sum(values):
 
 @dataclass(frozen=True)
 class SettingsQuad:
-    """The four analyzer angles (a, a', b, b') of a CHSH run, radians."""
+    """The four analyzer angles (a, a', b, b') of a CHSH run, radians: real
+    numbers (``model._check_real``), stored reduced by ``canonical_angle``."""
 
     a: float
     a_prime: float
@@ -122,7 +124,8 @@ class SettingsQuad:
 
     @classmethod
     def from_degrees(cls, a, a_prime, b, b_prime) -> "SettingsQuad":
-        return cls(*(math.radians(float(x)) for x in (a, a_prime, b, b_prime)))
+        return cls(*(math.radians(_check_real(x, "angle"))
+                     for x in (a, a_prime, b, b_prime)))
 
     def to_degrees(self) -> tuple[float, float, float, float]:
         return tuple(math.degrees(x) for x in

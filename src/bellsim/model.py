@@ -114,12 +114,23 @@ class NoDataError(BellSimError):
     """A counts record contains no coincidences to estimate from."""
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float: a finite real number, not a bool or a string.
+    The package's one number check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of range for a float") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def canonical_angle(angle: float) -> float:
     """Reduce a polarizer angle (radians) to the canonical range [0, pi)."""
-    a = float(angle)
-    if not math.isfinite(a):
-        raise ValidationError(f"angle must be finite, got {angle!r}")
-    r = a % math.pi
+    r = _check_real(angle, "angle") % math.pi
     # (-tiny) % pi can round up to exactly pi; fold it back to 0.
     return 0.0 if r >= math.pi else r
 
@@ -167,27 +178,26 @@ def _distinct_angles(keys: Sequence, angles: Sequence[float], what: str) -> None
 class HiddenVariableSpace:
     """Discrete hidden-variable space: points with a normalized weight each.
 
-    ``values`` carries a float label per point.  For grid-discretized
-    models the label is the hidden angle itself; for tabulated models it
-    is just the point index and response functions ignore it.
+    Weights and labels are real numbers (``_check_real``).  ``values``
+    carries a float label per point.  For grid-discretized models the label
+    is the hidden angle itself; for tabulated models it is just the point
+    index and response functions ignore it.
     """
 
     weights: np.ndarray
     values: np.ndarray
 
     def __init__(self, weights: Iterable[float], values: Iterable[float] | None = None):
-        w = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                       dtype=float)
-        if w.ndim != 1 or w.size == 0:
+        w = np.array([_check_real(x, "hidden-variable weight") for x in weights])
+        if w.size == 0:
             raise ValidationError("hidden-variable space needs at least one point")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValidationError("hidden-variable weights must be finite and >= 0")
+        if np.any(w < 0):
+            raise ValidationError("hidden-variable weights must be >= 0")
         if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(
                 f"hidden-variable weights must sum to 1 (got {w.sum()!r})")
         v = (np.arange(w.size, dtype=float) if values is None
-             else np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                             dtype=float))
+             else np.array([_check_real(x, "hidden-point value") for x in values]))
         if v.shape != w.shape:
             raise ValidationError("values must have the same length as weights")
         w.setflags(write=False)
@@ -225,10 +235,13 @@ class ResponseFunction:
 
     Construction routes:
 
-    * the constructor, ``ResponseFunction(party, fn)``, and its alias
-      :meth:`from_function` wrap such an ``fn`` directly.
+    * the constructor, ``ResponseFunction(party, fn)``, wraps such an
+      ``fn`` directly.
     * :meth:`from_table` holds explicit (n, 3) triples for a fixed set of
       angles and rejects any other angle.
+
+    Every angle, a table key included, is a real number (``_check_real``)
+    reduced by ``canonical_angle``.
     """
 
     def __init__(self, party: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
@@ -239,12 +252,6 @@ class ResponseFunction:
                 f"response fn must be callable, got {type(fn).__name__}")
         self.party = party
         self._fn = fn
-
-    @classmethod
-    def from_function(cls, party: int,
-                      fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                      ) -> "ResponseFunction":
-        return cls(party, fn)
 
     @classmethod
     def from_table(cls, party: int, tables: dict[float, np.ndarray]) -> "ResponseFunction":

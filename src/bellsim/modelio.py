@@ -28,6 +28,12 @@ Two forms:
       "parameters": {"theta1": 0.9, "theta2": 0.9},
       "n_lambda": 720
     }
+
+  The parameters are checked by ``ParametricFamily.point``: every one of
+  the family's names, no other, each inside the family's box.
+
+Every weight, table entry and parameter is a finite JSON number, not a
+string, a boolean or null (``model._check_real``).
 """
 
 from __future__ import annotations
@@ -44,21 +50,12 @@ from .model import (
     ResponseFunction,
     SLHVModel,
     ValidationError,
+    _check_real,
     _distinct_angles,
     canonical_angle,
 )
 
 __all__ = ["load_model", "model_from_dict", "save_model"]
-
-
-def _number(x, what: str) -> float:
-    """A JSON number as a float; strings, booleans and nulls are input errors."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValidationError(f"{what} is out of range: {x}") from None
 
 
 def _table(rows, n: int, what: str) -> np.ndarray:
@@ -69,7 +66,7 @@ def _table(rows, n: int, what: str) -> np.ndarray:
     if len(lengths) > 1:
         raise ValidationError(
             f"{what} must have shape ({n}, 3), got rows of lengths {lengths}")
-    arr = np.array([[_number(x, f"{what} entry") for x in r] for r in rows], dtype=float)
+    arr = np.array([[_check_real(x, f"{what} entry") for x in r] for r in rows], dtype=float)
     if arr.shape != (n, 3):
         raise ValidationError(f"{what} must have shape ({n}, 3), got {arr.shape}")
     return arr
@@ -85,7 +82,7 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
         raise ValidationError("'lambda_weights' must be a list of numbers")
     if not isinstance(responses, dict):
         raise ValidationError("'responses' must be an object keyed by party")
-    space = HiddenVariableSpace([_number(w, "lambda weight") for w in weights])
+    space = HiddenVariableSpace(weights)
     parts = {}
     for party in (1, 2):
         key = str(party)
@@ -123,21 +120,10 @@ def model_from_dict(doc: dict) -> SLHVModel:
         name = doc.get("family")
         if not isinstance(name, str):
             raise ValidationError("family model needs a 'family' name")
-        family = get_family(name)
-        params_by_name = doc.get("parameters")
-        if not isinstance(params_by_name, dict):
+        params = doc.get("parameters")
+        if not isinstance(params, dict):
             raise ValidationError("family model needs a 'parameters' object")
-        missing = [n for n in family.param_names if n not in params_by_name]
-        if missing:
-            raise ValidationError(
-                f"family {name!r} is missing parameters {missing}")
-        extra = [n for n in params_by_name if n not in family.param_names]
-        if extra:
-            raise ValidationError(
-                f"family {name!r} does not take parameters {extra}")
-        vector = [_number(params_by_name[n], f"parameter {n!r}")
-                  for n in family.param_names]
-        return family.instantiate(vector, n_lambda=doc.get("n_lambda", 720))
+        return get_family(name).instantiate(params, n_lambda=doc.get("n_lambda", 720))
     raise ValidationError(
         f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
 

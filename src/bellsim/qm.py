@@ -19,11 +19,10 @@ of the detectors used.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .bounds import BOUND_TOL, SettingsQuad, chsh_sum, optimal_quad
-from .model import ValidationError
+from .model import ValidationError, _check_real
 
 __all__ = [
     "QMModelParams",
@@ -56,14 +55,12 @@ class QMModelParams:
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "f1", "f2", "F"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {v!r}")
+            v = _check_real(getattr(self, name), name)
             if name == "F" and not (0.0 <= v <= 1.0):
                 raise ValidationError(f"F must lie in [0, 1], got {v!r}")
             if name != "F" and not (0.0 < v <= 1.0):
                 raise ValidationError(f"{name} must lie in (0, 1], got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         if self.eta12f12 == 0.0:
             raise ValidationError(
                 "eta1*eta2*f1*f2 underflows to 0: no pair is ever detected")

@@ -94,7 +94,7 @@ def _lossy_model(rng: np.random.Generator, n_lambda: int, efficiency) -> SLHVMod
             minus = eta_minus * (1.0 - share)
             return np.stack([plus, minus, 1.0 - plus - minus], axis=-1)
 
-        return ResponseFunction.from_function(party, fn)
+        return ResponseFunction(party, fn)
 
     return SLHVModel(space, make_response(1, ideal1), make_response(2, ideal2))
 

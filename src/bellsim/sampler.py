@@ -134,8 +134,8 @@ def _categorical(edges: tuple[np.ndarray, np.ndarray], lam: np.ndarray,
 def _slhv_block(e1: tuple[np.ndarray, np.ndarray], e2: tuple[np.ndarray, np.ndarray],
                 cdf: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     """3x3 outcome counts for n trials; e1/e2 are each party's outcome edges."""
+    # _lambda_cdf makes cdf[-1] >= 1 > u, so no index reaches cdf.size.
     lam = np.searchsorted(cdf, rng.random(n), side="right")
-    np.clip(lam, 0, cdf.size - 1, out=lam)
     r_idx = _categorical(e1, lam, rng.random(n))
     q_idx = _categorical(e2, lam, rng.random(n))
     counts = np.bincount(r_idx * 3 + q_idx, minlength=9)

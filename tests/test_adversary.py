@@ -89,6 +89,45 @@ class TestFamilies:
         with pytest.raises(ValidationError):
             fam.instantiate([0.1])
 
+    @pytest.mark.parametrize("params", [
+        ["0.5", "0.2"], ["0.8", "0.8"], [0.5, True], [None, 0.5], [math.nan, 0.5],
+        [0.5, -math.inf], {"theta1": "0.5", "theta2": 0.2}],
+        ids=["strings", "strings-at-4", "bool", "none", "nan", "inf", "string-by-name"])
+    def test_search_point_is_checked_reals(self, params):
+        # A point enters as real numbers: a string or a bool is rejected, not
+        # coerced, by the model and by the objective alike.
+        fam = get_family("threshold-detection")
+        with pytest.raises(ValidationError, match="parameter 'theta[12]'"):
+            fam.instantiate(params)
+        with pytest.raises(ValidationError, match="parameter 'theta[12]'"):
+            objective(fam, params, QUAD)
+
+    def test_point_takes_a_vector_or_a_mapping(self):
+        # Both forms give each parameter's float by name in the family's
+        # order, with the bits of the value given (the sign of a zero too).
+        fam = get_family("modulated-p0")
+        want = {"c0": -0.0, "c1": -0.1, "sharpness": 2.0}
+        for params in ([-0.0, -0.1, 2], np.array([-0.0, -0.1, 2.0]),
+                       {"sharpness": np.int64(2), "c1": -0.1, "c0": -0.0}):
+            point = fam.point(params)
+            assert list(point.items()) == list(want.items())
+            assert all(type(v) is float for v in point.values())
+            assert math.copysign(1.0, point["c0"]) == -1.0
+        assert fam.instantiate(want, n_lambda=60).meta == \
+            fam.instantiate([-0.0, -0.1, 2.0], n_lambda=60).meta
+        assert fam.point({"c1": 0}, subset=True) == {"c1": 0.0}
+
+    @pytest.mark.parametrize("params, match", [
+        ({"c0": 0.3}, "missing parameters \\['c1', 'sharpness'\\]"),
+        ({"c0": 0.3, "c1": 0.0, "sharpness": 1.0, "x": 1.0}, "does not take parameters \\['x'\\]"),
+        ({"c0": 0.3, "c1": 0.6, "sharpness": 1.0}, "parameter 'c1' = 0.6 is outside the box"),
+        ([0.3, 0.0], "takes 3 parameters"),
+        ([[0.3, 0.0, 1.0]], "got shape \\(1, 3\\)"),
+    ], ids=["missing", "unknown", "outside-box", "short-vector", "matrix"])
+    def test_point_rejects(self, params, match):
+        with pytest.raises(ValidationError, match=match):
+            get_family("modulated-p0").point(params)
+
     def test_modulated_projection_flag(self):
         fam = get_family("modulated-p0")
         m = fam.instantiate([0.9, 0.5, 1.0], n_lambda=60)
@@ -361,10 +400,13 @@ class TestSearch:
                          restarts=1, max_evals=10, freeze={"c1": value})
 
     def test_freeze_box_edges_accepted(self):
+        # The config holds the checked floats.
         fam = get_family("modulated-p0")
         for c1 in (fam.lower[1], fam.upper[1], 0):
-            SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
-                         freeze={"c1": c1})
+            config = SearchConfig(family=fam, quad=QUAD, restarts=1, max_evals=10,
+                                  freeze={"c1": c1})
+            assert config.freeze == {"c1": float(c1)}
+            assert type(config.freeze["c1"]) is float
 
     @pytest.mark.parametrize("name, value", [
         *(pytest.param("n_lambda", v, id=str(v)) for v in (True, 0, -1, 36.7, "36")),

@@ -67,8 +67,8 @@ def tabulated_model(weights, triples1, triples2):
     t2 = np.asarray(triples2, dtype=float)
     return SLHVModel(
         space,
-        ResponseFunction.from_function(1, lambda a, lam: np.tile(t1, (a.size, 1, 1))),
-        ResponseFunction.from_function(2, lambda a, lam: np.tile(t2, (a.size, 1, 1))),
+        ResponseFunction(1, lambda a, lam: np.tile(t1, (a.size, 1, 1))),
+        ResponseFunction(2, lambda a, lam: np.tile(t2, (a.size, 1, 1))),
     )
 
 
@@ -81,7 +81,7 @@ def sign_model(theta1=0.0, theta2=0.0, n=720):
             c = np.cos(2.0 * (angles[:, None] - lam))
             det = (np.abs(c) >= theta).astype(float)
             return np.stack([det * (c >= 0), det * (c < 0), 1.0 - det], axis=-1)
-        return ResponseFunction.from_function(party, fn)
+        return ResponseFunction(party, fn)
 
     return SLHVModel(space, resp(1, theta1), resp(2, theta2))
 
@@ -556,8 +556,8 @@ class TestEffectiveCorrelation:
             share = 0.5 * (1 + m_arr * np.cos(2 * (angles[:, None] - psi)))
             return np.stack([share, 1 - share, np.zeros_like(share)], axis=-1)
 
-        m = SLHVModel(space, ResponseFunction.from_function(1, fn),
-                      ResponseFunction.from_function(2, fn))
+        m = SLHVModel(space, ResponseFunction(1, fn),
+                      ResponseFunction(2, fn))
         e = correlation(m, 0.3, 0.8)
         for mode in (MODE1, MODE2, MODE3):
             assert effective_correlation(m, 0.3, 0.8, mode) == pytest.approx(
@@ -630,7 +630,7 @@ class TestEffectiveChsh:
                 share = 0.5 * (1 + m_arr * np.cos(2 * (angles[:, None] - psi)))
                 return np.stack([eta * share, eta * (1 - share),
                                  np.full_like(share, 1 - eta)], axis=-1)
-            return ResponseFunction.from_function(party, fn)
+            return ResponseFunction(party, fn)
 
         m = SLHVModel(space, make(1, 0.8), make(2, 0.6))
         quad = random_quad(rng)
@@ -701,6 +701,15 @@ class TestSettingsQuad:
     def test_degree_round_trip(self):
         q = SettingsQuad.from_degrees(0, 45, 22.5, 67.5)
         assert q.to_degrees() == pytest.approx((0, 45, 22.5, 67.5))
+
+    @pytest.mark.parametrize("build", [
+        lambda: SettingsQuad("0", 0, 0, 0),
+        lambda: SettingsQuad(0, True, 0.3, 0.4),
+        lambda: SettingsQuad.from_degrees(0, 45, "22.5", 67.5),
+    ], ids=["string", "bool", "string-degrees"])
+    def test_rejects_non_real_angles(self, build):
+        with pytest.raises(ValidationError, match="angle must be a real number"):
+            build()
 
     def test_canonicalizes(self):
         q = SettingsQuad(math.pi + 0.1, -0.2, 0.0, 2 * math.pi)

@@ -256,3 +256,44 @@ def test_caps_hold_near_the_premise(mode, data):
     assert report.u_eff_cap == pytest.approx(cap, rel=1e-3)
     assert report.pointwise is None or report.pointwise.passed
     chsh_value(model, QUAD)
+
+
+# The rounding room of every trip-wire, written out here rather than read
+# from bounds.BOUND_TOL, so that a change to that constant fails a test.
+ROOM = 1e-12
+# The M cap's premise deviation is 0 on the batch below, so delta = 5nu.
+_DELTA = 5 * NU
+
+
+def _solution1_batch(shift: float = 0.0):
+    """A ``from_tables`` batch of two equal sources on two equally weighted
+    points.  Each point's non-detection probability is the same at both
+    angles of each party, so solution1 holds with deviation 0, unless
+    ``shift`` moves it at party 1's second angle."""
+    p0 = np.array([0.2, 0.4])
+    t = np.zeros((2, 2, 2, 2, 3))  # (B, party, angle, n, outcome)
+    t[..., 0], t[..., 2] = 1.0 - p0, p0
+    t[:, 0, 1, :, 0] -= shift
+    t[:, 0, 1, :, 2] += shift
+    return _QuadTables.from_tables(np.array([[0.5, 0.5]]), t)
+
+
+@pytest.mark.parametrize("bound, cap", [
+    ("U", 2.0 * ((1.0 + 4.0 * NU) ** 2 - 1.0)),
+    ("M", 2.0 * (2.0 * _DELTA + _DELTA ** 2)),
+    (EffectiveCorrelationMode.SOLUTION3, 2.0 * NU),
+], ids=["U", "M", "solution3"])
+def test_breach_fires_just_past_each_cap(bound, cap):
+    # Each excess above the ideal bound is its proven slack (the cap of
+    # ``bounds._slack``'s docstring, from nu and delta alone) plus half the
+    # rounding room, which is no breach, or plus one and a half, which is.
+    q = _solution1_batch()
+    excess = np.array([cap + 0.5 * ROOM, cap + 1.5 * ROOM])
+    assert bounds._breach(q, bound, excess).tolist() == [False, True]
+
+
+def test_failed_premise_proves_no_m_cap():
+    # A solution1 deviation of 5e-9 is above VALIDATOR_TOL (1e-10): the
+    # premise fails, so no M cap holds and no excess is a breach.
+    q = _solution1_batch(shift=5e-9)
+    assert bounds._breach(q, "M", np.array([1e-6, 1.0])).tolist() == [False, False]

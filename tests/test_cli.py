@@ -365,6 +365,10 @@ BAD_ARGV = {
        for v in ("x", None, False)},
     "family-file-parameter-overflow": lambda tmp: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(theta1=10**400))],
+    "family-file-parameter-outside-box": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(theta1=1.5))],
+    "family-file-unknown-parameter": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(x=0.5))],
     **{f"family-file-n-lambda-{v!r}": (lambda tmp, v=v: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(n_lambda=v))])
        for v in ("many", None, 36.7, True)},
@@ -512,6 +516,16 @@ class TestModelIo:
         with pytest.raises(ValidationError, match="missing parameters"):
             model_from_dict({"type": "family", "family": "modulated-p0",
                              "parameters": {"c0": 0.1}})
+
+    @pytest.mark.parametrize("value, match", [
+        ("0.5", "parameter 'theta1' must be a real number, got '0.5'"),
+        (True, "parameter 'theta1' must be a real number, got True"),
+        (1.5, "parameter 'theta1' = 1.5 is outside the box"),
+    ], ids=["string", "bool", "outside-box"])
+    def test_family_parameters_checked_as_search_points(self, value, match):
+        # A family file's parameters pass the check a search point passes.
+        with pytest.raises(ValidationError, match=match):
+            model_from_dict(_family_doc(theta1=value))
 
     def test_tabulated_angles_in_degrees(self):
         doc = {

@@ -50,7 +50,7 @@ def constant_model(triple1, triple2, n=4, weights=None):
         def fn(angles, lam):
             return np.tile(t, (angles.size, lam.size, 1))
 
-        return ResponseFunction.from_function(party, fn)
+        return ResponseFunction(party, fn)
 
     return SLHVModel(space, resp(1, triple1), resp(2, triple2))
 
@@ -66,6 +66,17 @@ class TestCanonicalAngle:
         with pytest.raises(ValidationError):
             canonical_angle(float("nan"))
 
+    @pytest.mark.parametrize("angle", ["0", True, None, [0.1]])
+    def test_rejects_non_real(self, angle):
+        # An angle is a real number; a string or a bool is not coerced.
+        with pytest.raises(ValidationError, match="angle must be a real number"):
+            canonical_angle(angle)
+
+    def test_rejects_integer_past_float_range(self):
+        # Too large for a float, and too long for Python to print.
+        with pytest.raises(ValidationError, match="angle is out of range for a float"):
+            canonical_angle(10**5000)
+
 
 class TestHiddenVariableSpace:
     def test_rejects_unnormalized_weights(self):
@@ -79,6 +90,15 @@ class TestHiddenVariableSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             HiddenVariableSpace([])
+
+    @pytest.mark.parametrize("weights, values", [
+        (["0.5", "0.5"], None), ([True, False], None), (np.array([True, False]), None),
+        ([0.5, 0.5], ["0", "1"]), ([0.5, 0.5], [0.0, False])],
+        ids=["string-weights", "bool-weights", "bool-array-weights", "string-values",
+             "bool-value"])
+    def test_rejects_non_real_points(self, weights, values):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            HiddenVariableSpace(weights, values)
 
     def test_uniform_grid(self):
         g = uniform_lambda_grid(360)
@@ -101,15 +121,15 @@ class TestResponse:
         def bad(angles, lam):
             return np.array([[[0.5, 0.5, 0.5]]])
 
-        m = SLHVModel(space, ResponseFunction.from_function(1, bad),
-                      ResponseFunction.from_function(2, bad))
+        m = SLHVModel(space, ResponseFunction(1, bad),
+                      ResponseFunction(2, bad))
         with pytest.raises(ValidationError, match="party 1"):
             m.triples(1, 0.25)
 
     @pytest.mark.parametrize("build, name", [
-        (lambda: ResponseFunction.from_function(1, 5), "fn"),
+        (lambda: ResponseFunction(1, 5), "fn"),
         (lambda: ResponseFunction(2, None), "fn"),
-    ], ids=["from_function", "constructor"])
+    ], ids=["int", "none"])
     def test_non_callable_rejected_at_construction(self, build, name):
         with pytest.raises(ValidationError, match=f"response {name} must be callable"):
             build()
@@ -244,8 +264,8 @@ class TestValidators:
             share = np.full_like(p0, 0.5)
             return np.stack([(1 - p0) * share, (1 - p0) * (1 - share), p0], axis=-1)
 
-        m = SLHVModel(space, ResponseFunction.from_function(1, fn),
-                      ResponseFunction.from_function(2, fn))
+        m = SLHVModel(space, ResponseFunction(1, fn),
+                      ResponseFunction(2, fn))
         rep = validate_solution1(m, [0.0, math.pi / 4], [0.0, math.pi / 4])
         assert not rep.passed
         assert rep.max_deviation > 0.01
@@ -273,8 +293,8 @@ class TestValidators:
             p0 = np.tile([0.2, 0.3], (angles.size, 1))
             return np.stack([(1 - p0) / 2, (1 - p0) / 2, p0], axis=-1)
 
-        m = SLHVModel(space, ResponseFunction.from_function(1, fn),
-                      ResponseFunction.from_function(2, fn))
+        m = SLHVModel(space, ResponseFunction(1, fn),
+                      ResponseFunction(2, fn))
         rep = validate_solution2(m, [0.0], [0.0])
         assert not rep.passed
         assert rep.implied_p0 is None
@@ -299,7 +319,7 @@ class TestValidators:
                 calls[party] += 1
                 return np.tile([0.25, 0.25, 0.5], (angles.size, lam.size, 1))
 
-            return ResponseFunction.from_function(party, fn)
+            return ResponseFunction(party, fn)
 
         m = SLHVModel(uniform_lambda_grid(8), counting(1), counting(2))
         for validate in (validate_solution1, validate_solution2):
@@ -642,8 +662,8 @@ class TestBroadcastProtocol:
     def test_one_angle_table_rejected(self):
         t = np.array([[0.5, 0.5, 0.0]])
         m = SLHVModel(HiddenVariableSpace([1.0]),
-                      ResponseFunction.from_function(1, lambda angles, lam: t),
-                      ResponseFunction.from_function(2, lambda angles, lam: t))
+                      ResponseFunction(1, lambda angles, lam: t),
+                      ResponseFunction(2, lambda angles, lam: t))
         with pytest.raises(ValidationError, match=r"shape \(k, n, 3\)"):
             m.tables(1, [0.0, 1.0], validate=False)
 
@@ -687,7 +707,7 @@ def test_arbitrary_valid_triple_roundtrip(p1, p2, p3):
         return
     t = np.array([[p1 / total, p2 / total, p3 / total]])
     fn = lambda angles, lam: np.tile(t, (angles.size, 1, 1))  # noqa: E731
-    m = SLHVModel(HiddenVariableSpace([1.0]), ResponseFunction.from_function(1, fn),
-                  ResponseFunction.from_function(2, fn))
+    m = SLHVModel(HiddenVariableSpace([1.0]), ResponseFunction(1, fn),
+                  ResponseFunction(2, fn))
     trip = m.triples(1, 0.0)[0]
     assert trip[0] + trip[1] + trip[2] == pytest.approx(1.0, abs=1e-9)

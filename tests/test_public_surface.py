@@ -8,12 +8,13 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import bellsim
-from bellsim import adversary, bounds, estimator, model
+from bellsim import adversary, bounds, estimator, model, modelio
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
 
@@ -46,6 +47,7 @@ def test_per_point_surface_removed():
                  "detection_probs", "nondetect_probs"):
         assert not hasattr(model.SLHVModel, name), name
     assert not hasattr(model.ResponseFunction, "from_split")
+    assert not hasattr(model.ResponseFunction, "from_function")
     assert not hasattr(bounds._QuadTables, "p0")
     assert not hasattr(bounds, "_joint")
 
@@ -87,3 +89,16 @@ def test_one_premise_table():
     assert not hasattr(bounds, "_PREMISE_SCORES")
     assert not hasattr(estimator, "_chsh_with_stderr")
     assert "angles" not in inspect.signature(bounds._QuadTables.from_tables).parameters
+
+
+def test_one_input_contract():
+    # The number rules live in model.py (``_check_real``, ``_check_integer``)
+    # and a family's names and box in ``ParametricFamily.point``: no other
+    # module tests for numbers itself, and the helpers they replaced are gone.
+    src = Path(bellsim.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "model.py":
+            assert not re.search(r"\bnumbers\.[A-Z]", path.read_text(encoding="utf-8")), \
+                path.name
+    assert not hasattr(adversary.ParametricFamily, "params_dict")
+    assert not hasattr(modelio, "_number")

@@ -44,8 +44,8 @@ def constant_model(triple1, triple2):
     t1 = np.asarray([triple1], dtype=float)
     t2 = np.asarray([triple2], dtype=float)
     return SLHVModel(HiddenVariableSpace([1.0]),
-                     ResponseFunction.from_function(1, angle_blind(t1)),
-                     ResponseFunction.from_function(2, angle_blind(t2)))
+                     ResponseFunction(1, angle_blind(t1)),
+                     ResponseFunction(2, angle_blind(t2)))
 
 
 class TestPlan:
@@ -377,8 +377,8 @@ class TestFrozenReference:
         models.append(constant_model((0.6, 0.0, 0.4), (0.25, 0.0, 0.75)))
         t_neg = np.array([[0.5, -5e-13, 0.5 + 5e-13], [0.3, 0.2, 0.5]])
         models.append(SLHVModel(HiddenVariableSpace([0.5, 0.5]),
-                                ResponseFunction.from_function(1, angle_blind(t_neg)),
-                                ResponseFunction.from_function(2, angle_blind(t_neg))))
+                                ResponseFunction(1, angle_blind(t_neg)),
+                                ResponseFunction(2, angle_blind(t_neg))))
         cases = 0
         for m_index, model in enumerate(models):
             cdf = _lambda_cdf(model)
