@@ -2,6 +2,9 @@
 
 Subcommands: verify-bounds, simulate, analyze, qm-predict,
 adversary-search, sweep.  Angles on the command line are degrees.
+Every number on the command line (a numeric flag, a ``--quad`` angle, a
+sweep list entry, a ``--freeze`` value) is read by
+``model._parse_number``: ASCII decimal, no ``_`` separators, finite.
 Every command that writes an output also writes a manifest JSON
 (``<out>.manifest.json``) recording the exact argument vector, seeds
 and tool version; re-running the stored argv reproduces all outputs
@@ -34,8 +37,8 @@ from .bounds import (
     effective_chsh,
 )
 from .estimator import analysis_report, qm_epsilon_identity, read_counts_csv
-from .model import BellSimError, TheoremViolationError, ValidationError
-from .modelio import load_model
+from .model import BellSimError, TheoremViolationError, ValidationError, _parse_number
+from .modelio import load_model, read_json
 from .qm import (
     QMModelParams,
     u_eff_cap,
@@ -50,22 +53,26 @@ EXIT_INPUT_ERROR = 1
 EXIT_THEOREM_BREACH = 2
 
 
+def real(text: str) -> float:
+    """argparse type of a real-valued flag (``model._parse_number``)."""
+    return _parse_number(text, "value")
+
+
+def integer(text: str) -> int:
+    """argparse type of an integer flag (``model._parse_number``)."""
+    return _parse_number(text, "value", integer=True)
+
+
 def _parse_quad(s: str) -> SettingsQuad:
-    parts = [p.strip() for p in s.split(",")]
+    parts = s.split(",")
     if len(parts) != 4:
         raise ValidationError(
             f"--quad needs four comma-separated degrees \"a,a',b,b'\", got {s!r}")
-    try:
-        return SettingsQuad.from_degrees(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise ValidationError(f"bad --quad value {s!r}: {exc}") from exc
+    return SettingsQuad.from_degrees(*(_parse_number(p, "--quad angle") for p in parts))
 
 
-def _parse_values(s: str) -> list[float]:
-    try:
-        vals = [float(p) for p in s.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"bad numeric list {s!r}") from exc
+def _parse_values(s: str, flag: str) -> list[float]:
+    vals = [_parse_number(p, f"{flag} entry") for p in s.split(",") if p.strip() != ""]
     if not vals:
         raise ValidationError(f"empty numeric list {s!r}")
     return vals
@@ -104,13 +111,13 @@ def _qm_params_from_args(args) -> QMModelParams:
 
 
 def _add_qm_flags(p, required=True):
-    p.add_argument("--eta", type=float, required=required,
+    p.add_argument("--eta", type=real, required=required,
                    help="detector efficiency (photon 1; photon 2 too unless --eta2)")
-    p.add_argument("--eta2", type=float, default=None, help="detector efficiency of photon 2")
-    p.add_argument("--f", type=float, required=required,
+    p.add_argument("--eta2", type=real, default=None, help="detector efficiency of photon 2")
+    p.add_argument("--f", type=real, required=required,
                    help="collimator factor (photon 1; photon 2 too unless --f2)")
-    p.add_argument("--f2", type=float, default=None, help="collimator factor of photon 2")
-    p.add_argument("--F", type=float, required=required, help="source correlation strength")
+    p.add_argument("--f2", type=real, default=None, help="collimator factor of photon 2")
+    p.add_argument("--F", type=real, required=required, help="source correlation strength")
 
 
 def cmd_verify_bounds(args) -> int:
@@ -163,16 +170,7 @@ def _analysis_csv(report: dict) -> str:
 def cmd_analyze(args) -> int:
     totals = None
     if args.emitted_totals:
-        path = Path(args.emitted_totals)
-        try:
-            totals = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(
-                f"--emitted-totals file {path} is not UTF-8 text: {exc}") from exc
-        except ValueError as exc:
-            # JSONDecodeError, or an integer literal past Python's digit limit.
-            raise ValidationError(
-                f"--emitted-totals file {path} is not valid JSON: {exc}") from exc
+        totals = read_json(args.emitted_totals, "--emitted-totals file")
         if not isinstance(totals, dict):
             raise ValidationError(
                 "--emitted-totals must hold a JSON object mapping pair labels "
@@ -232,10 +230,7 @@ def cmd_adversary_search(args) -> int:
         name = name.strip()
         if name in freeze:
             raise ValidationError(f"--freeze names {name!r} more than once")
-        try:
-            freeze[name] = float(value)
-        except ValueError as exc:
-            raise ValidationError(f"bad --freeze value {item!r}") from exc
+        freeze[name] = _parse_number(value, f"--freeze value of {name!r}")
     config = SearchConfig(
         family=family, quad=_parse_quad(args.quad),
         mode=EffectiveCorrelationMode.from_string(args.mode),
@@ -247,14 +242,14 @@ def cmd_adversary_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    etas = _parse_values(args.eta_values)
-    f12s = _parse_values(args.f12_values)
+    etas = _parse_values(args.eta_values, "--eta-values")
+    f12s = _parse_values(args.f12_values, "--f12-values")
     quad = _parse_quad(args.quad)
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    if not (math.isfinite(args.min_coincidences) and args.min_coincidences > 0):
+    if not args.min_coincidences > 0:
         raise ValidationError(
-            f"--min-coincidences must be finite and > 0, got {args.min_coincidences!r}")
+            f"--min-coincidences must be > 0, got {args.min_coincidences!r}")
 
     lines = ["eta,f12,F,n_pairs,u_eff_exact,u_eff_sampled,u_eff_stderr,"
              "u_sampled,epsilon_qm,u_eff_cap"]
@@ -306,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with imperfect detection")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [m.value for m in EffectiveCorrelationMode]
 
     def common(p, needs_out=False, formats=False):
         p.add_argument("-v", "--verbose", action="count", default=0)
@@ -320,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact bound verification for a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--quad", default="0,45,22.5,67.5")
-    p.add_argument("--mode", default="solution1",
-                   choices=["solution1", "solution2", "solution3"])
+    p.add_argument("--mode", default="solution1", choices=modes)
     common(p)
     p.set_defaults(func=cmd_verify_bounds)
 
@@ -330,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SLHV model JSON file, in place of the QM flags")
     _add_qm_flags(p, required=False)
     p.add_argument("--quad", default="0,45,22.5,67.5")
-    p.add_argument("--trials", type=int, required=True,
+    p.add_argument("--trials", type=integer, required=True,
                    help="emitted pairs per setting pair")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--workers", type=integer, default=1)
     common(p, needs_out=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -355,16 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derivative-free search for |U_eff| > 2 models")
     p.add_argument("--family", required=True)
     p.add_argument("--quad", default="0,45,22.5,67.5")
-    p.add_argument("--mode", default="solution1",
-                   choices=["solution1", "solution2", "solution3"])
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-evals", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-lambda", type=int, default=720)
+    p.add_argument("--mode", default="solution1", choices=modes)
+    p.add_argument("--restarts", type=integer, default=20)
+    p.add_argument("--max-evals", type=integer, default=2000)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--n-lambda", type=integer, default=720)
     p.add_argument("--freeze", action="append", default=None,
                    metavar="NAME=VALUE",
                    help="hold a parameter at VALUE; repeatable, once per name")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=integer, default=1,
                    help="processes the restarts run on (>= 1): this one and "
                         "N - 1 forked workers; the output is the same at any value")
     common(p)
@@ -375,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-values", required=True, help="comma-separated")
     p.add_argument("--f12-values", required=True,
                    help="comma-separated products f1*f2 (applied as f1=f12, f2=1)")
-    p.add_argument("--F", type=float, required=True)
+    p.add_argument("--F", type=real, required=True)
     p.add_argument("--quad", default="0,45,22.5,67.5")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-coincidences", type=float, default=1e4)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--min-coincidences", type=real, default=1e4)
+    p.add_argument("--workers", type=integer, default=1)
     common(p, needs_out=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PAIR_LABELS, chsh_sum, coincidence_sum, signed_sum
-from .model import _OUTCOME_INDEX, NoDataError, ValidationError, _check_integer
+from .model import _OUTCOME_INDEX, NoDataError, ValidationError, _check_integer, _parse_number
 from .qm import QMModelParams
 
 __all__ = [
@@ -197,11 +197,13 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     ``emitted_total`` set to the table sum.  Coincidence-only files get
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
     values, in which case the unobserved remainder is lumped into the
-    (0, 0) cell and ``nondetect_split_known`` is False.  A repeated
-    (pair_label, r, q) row, a non-integer emitted total, a count or total
-    past int64, a total for a pair the file does not hold and a total
-    that differs from the table sum of a pair with non-detection rows
-    are rejected.
+    (0, 0) cell and ``nondetect_split_known`` is False.  Each ``r``,
+    ``q`` and ``count`` cell is an integer read by ``model._parse_number``
+    (ASCII decimal, no ``_`` separator).  A row with more or fewer fields
+    than the header, a repeated (pair_label, r, q) row, a non-integer
+    emitted total, a count or total past int64, a total for a pair the
+    file does not hold and a total that differs from the table sum of a
+    pair with non-detection rows are rejected.
     """
     totals = emitted_totals or {}
     for label, total in totals.items():
@@ -217,32 +219,37 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"counts CSV {path!r} is not UTF-8 text: {exc}") from exc
-        reader = csv.DictReader(lines)
-        required = {"pair_label", "r", "q", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    required = {"pair_label", "r", "q", "count"}
+    if header is None or not required.issubset(header):
+        raise ValidationError(
+            f"counts CSV must have header columns {sorted(required)}, got {header}")
+    # A column named twice is read from its last place.
+    column = {name: i for i, name in enumerate(header)}
+    i_label, i_r, i_q, i_count = (column[k] for k in ("pair_label", "r", "q", "count"))
+    for row in rows:
+        if not row:
+            continue  # a blank line
+        if len(row) != len(header):
             raise ValidationError(
-                f"counts CSV must have header columns {sorted(required)}, "
-                f"got {reader.fieldnames}")
-        for row in reader:
-            label = row["pair_label"].strip()
-            try:
-                r = int(row["r"])
-                q = int(row["q"])
-                c = int(row["count"])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad counts row {row!r}") from exc
-            if r not in _OUTCOME_INDEX or q not in _OUTCOME_INDEX:
-                raise ValidationError(
-                    f"outcomes must be in (+1, -1, 0), got {(r, q)}")
-            if not 0 <= c <= _MAX_COUNT:
-                raise ValidationError(f"count outside [0, int64 max] in row {row!r}")
-            if (label, r, q) in seen:
-                raise ValidationError(f"repeated counts row for {(label, r, q)}")
-            seen.add((label, r, q))
-            t = tables.setdefault(label, np.zeros((3, 3), dtype=np.int64))
-            t[_OUTCOME_INDEX[r], _OUTCOME_INDEX[q]] = c
-            if r == 0 or q == 0:
-                saw_nondetect[label] = True
+                f"counts row {row!r} has {len(row)} fields where the header has {len(header)}")
+        label = row[i_label].strip()
+        r = _parse_number(row[i_r], "counts column 'r'", integer=True)
+        q = _parse_number(row[i_q], "counts column 'q'", integer=True)
+        c = _parse_number(row[i_count], "counts column 'count'", integer=True)
+        if r not in _OUTCOME_INDEX or q not in _OUTCOME_INDEX:
+            raise ValidationError(
+                f"outcomes must be in (+1, -1, 0), got {(r, q)}")
+        if not 0 <= c <= _MAX_COUNT:
+            raise ValidationError(f"count outside [0, int64 max] in row {row!r}")
+        if (label, r, q) in seen:
+            raise ValidationError(f"repeated counts row for {(label, r, q)}")
+        seen.add((label, r, q))
+        t = tables.setdefault(label, np.zeros((3, 3), dtype=np.int64))
+        t[_OUTCOME_INDEX[r], _OUTCOME_INDEX[q]] = c
+        if r == 0 or q == 0:
+            saw_nondetect[label] = True
     if not tables:
         raise ValidationError(f"counts CSV {path!r} contains no data rows")
     unknown = sorted(set(totals) - set(tables))

@@ -128,6 +128,21 @@ def _check_real(value, name: str) -> float:
     return x
 
 
+def _parse_number(text, name: str, integer: bool = False):
+    """``text`` read as an int, or as a float through ``_check_real``.
+    The package's one text-to-number rule: ASCII decimal as ``int()`` or
+    ``float()`` reads it, with no ``_`` separator, and a real is finite."""
+    if isinstance(text, str) and text.isascii() and "_" not in text:
+        try:
+            x = int(text) if integer else float(text)
+        except ValueError:
+            pass
+        else:
+            return x if integer else _check_real(x, name)
+    kind = "an integer" if integer else "a real number"
+    raise ValidationError(f"{name} must be {kind}, got {text!r}")
+
+
 def canonical_angle(angle: float) -> float:
     """Reduce a polarizer angle (radians) to the canonical range [0, pi)."""
     r = _check_real(angle, "angle") % math.pi

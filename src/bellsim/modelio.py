@@ -14,10 +14,10 @@ Two forms:
       }
     }
 
-  Angle keys are degrees (converted to radians and reduced mod 180 on
-  load); each angle maps to one (p_plus, p_minus, p_nondetect) triple
-  per hidden point.  Two keys that name one polarizer (``"0"`` and
-  ``"180"``) are rejected.
+  Angle keys are degrees written as text numbers (``model._parse_number``),
+  converted to radians and reduced mod 180 on load; each angle maps to
+  one (p_plus, p_minus, p_nondetect) triple per hidden point.  Two keys
+  that name one polarizer (``"0"`` and ``"180"``) are rejected.
 
 * parametric family::
 
@@ -52,10 +52,11 @@ from .model import (
     ValidationError,
     _check_real,
     _distinct_angles,
+    _parse_number,
     canonical_angle,
 )
 
-__all__ = ["load_model", "model_from_dict", "save_model"]
+__all__ = ["load_model", "model_from_dict", "read_json", "save_model"]
 
 
 def _table(rows, n: int, what: str) -> np.ndarray:
@@ -93,11 +94,8 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
                 f"responses of party {key!r} must be an object keyed by angle")
         angles, tables = [], []
         for angle_deg, rows in responses[key].items():
-            try:
-                angles.append(canonical_angle(math.radians(float(angle_deg))))
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"bad angle key {angle_deg!r} (expected degrees)") from None
+            degrees = _parse_number(angle_deg, f"party {party} angle key (degrees)")
+            angles.append(canonical_angle(math.radians(degrees)))
             tables.append(_table(rows, space.size,
                                  f"party {party} table at {angle_deg} deg"))
         if not tables:
@@ -128,18 +126,23 @@ def model_from_dict(doc: dict) -> SLHVModel:
         f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
 
 
-def load_model(path) -> SLHVModel:
+def read_json(path, what: str):
+    """The JSON document in the UTF-8 file at ``path``; ``what`` names the
+    file in the error raised for an unreadable, non-UTF-8 or non-JSON one."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ValidationError(f"cannot read model file {p}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"model file {p} is not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{what} {p} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:
         # JSONDecodeError, or an integer literal past Python's digit limit.
-        raise ValidationError(f"model file {p} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+        raise ValidationError(f"{what} {p} is not valid JSON: {exc}") from exc
+
+
+def load_model(path) -> SLHVModel:
+    return model_from_dict(read_json(path, "model file"))
 
 
 def save_model(doc: dict, path) -> None:

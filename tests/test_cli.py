@@ -75,6 +75,14 @@ class TestVerifyBounds:
         want = (GOLDEN / f"verify_bounds_{model}_{mode}.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
 
+    def test_quad_spellings_keep_their_values(self, capsys):
+        # Whitespace, a sign, an exponent and a trailing zero read as before.
+        assert run(["verify-bounds", "-vv", "--model", str(MODELS / "threshold_adversary.json"),
+                    "--quad", " 0,+45,22.5e0,67.50"]) == 0
+        want = (GOLDEN / "verify_bounds_threshold_adversary_solution1.json").read_text(
+            encoding="utf-8")
+        assert capsys.readouterr().out == want
+
     def test_reproduces_golden_passing_solution2_report(self, capsys):
         # A model whose non-detection is constant over lambda passes
         # solution2, so its report carries implied_p0.
@@ -427,6 +435,33 @@ BAD_ARGV = {
     "usage-missing-required": lambda tmp: ["simulate", *_QM_FLAGS, "--trials", "10"],
     "usage-unknown-flag": lambda tmp: ["qm-predict", *_QM_FLAGS, "--bogus"],
     "usage-unknown-subcommand": lambda tmp: ["no-such-command"],
+    # Text numbers with a PEP 515 underscore or a non-ASCII digit, which
+    # Python's int() and float() alone would read ("22_5" as 225 degrees).
+    "verify-bounds-quad-underscore": lambda tmp: [
+        "verify-bounds", "--model", str(MODELS / "threshold_adversary.json"),
+        "--quad", "0,45,22_5,67.5"],
+    **{f"simulate-trials-{v}": (lambda tmp, v=v: [
+        "simulate", *_QM_FLAGS, "--trials", v, "--out", str(tmp / "run.csv")])
+       for v in ("1_000", "\u0661\u0660")},
+    "qm-predict-eta-underscore": lambda tmp: [
+        "qm-predict", "--eta", "0.7_5", "--f", "1", "--F", "0.95"],
+    "search-freeze-underscore": lambda tmp: [
+        "adversary-search", "--family", "modulated-p0", "--restarts", "1",
+        "--max-evals", "10", "--n-lambda", "36", "--freeze", "c1=0_0"],
+    "sweep-eta-values-underscore": lambda tmp: [
+        "sweep", "--eta-values", "0.5,0.7_5", "--f12-values", "1", "--F", "0.95",
+        "--min-coincidences", "10", "--out", str(tmp / "s.csv")],
+    "tabulated-file-angle-key-underscore": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
+            responses={"1": {"0": [[1, 0, 0]], "4_5": [[1, 0, 0]]},
+                       "2": {"22.5": [[1, 0, 0]], "67.5": [[1, 0, 0]]}}))],
+    "analyze-count-underscore": lambda tmp: [
+        "analyze", "--counts", _full_csv(tmp / "c.csv", {("ab", 1, 1): "1_0"})],
+    # A row with fewer or more fields than the header.
+    "analyze-counts-row-short": lambda tmp: [
+        "analyze", "--counts", _raw_file(tmp / "c.csv", b"r,q,count,pair_label\n1,1,5\n")],
+    "analyze-counts-row-long": lambda tmp: [
+        "analyze", "--counts", _full_csv(tmp / "c.csv", {("ab", 1, 1): "10,7"})],
     "analyze-counts-total-past-int64": lambda tmp: [
         "analyze", "--counts", _full_csv(tmp / "c.csv", {
             ("ab", r, q): 2**62 for r, q in ((1, 0), (0, 1), (0, 0))})],

@@ -26,6 +26,7 @@ from bellsim.model import (
     SLHVModel,
     ValidationError,
     _nondetect_rows,
+    _parse_number,
     _premise_report,
     canonical_angle,
     uniform_lambda_grid,
@@ -53,6 +54,40 @@ def constant_model(triple1, triple2, n=4, weights=None):
         return ResponseFunction(party, fn)
 
     return SLHVModel(space, resp(1, triple1), resp(2, triple2))
+
+
+_DIGITS_5000 = "1" * 5000  # past Python's digit limit for int parsing
+
+
+class TestParseNumber:
+    # (text, integer, value): what int() or float() reads, bits included.
+    ACCEPTED = [
+        ("+1", False, 1.0), ("+1", True, 1),
+        (" 5 ", False, 5.0), (" 5 ", True, 5),
+        ("1e3", False, 1000.0),
+        (".5", False, 0.5),
+        ("-0.0", False, -0.0),
+    ]
+    REJECTED = [
+        ("nan", False), ("inf", False), ("-inf", False),
+        ("1_0", False), ("1_0", True),
+        ("\u0663", False), ("\u0663", True),
+        (_DIGITS_5000, False), (_DIGITS_5000, True),
+        ("1e3", True), (".5", True), ("", False), ("x", True),
+        (5, False), (None, True),
+    ]
+
+    @pytest.mark.parametrize("text, integer, value", ACCEPTED)
+    def test_accepts(self, text, integer, value):
+        got = _parse_number(text, "x", integer=integer)
+        assert type(got) is type(value)
+        assert got == value and math.copysign(1, got) == math.copysign(1, value)
+
+    @pytest.mark.parametrize("text, integer", REJECTED,
+                             ids=lambda v: "5000-digits" if v == _DIGITS_5000 else None)
+    def test_rejects(self, text, integer):
+        with pytest.raises(ValidationError, match=r"^the value must be"):
+            _parse_number(text, "the value", integer=integer)
 
 
 class TestCanonicalAngle:

@@ -3,6 +3,7 @@ a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
 its batched ``response`` and each premise is defined once."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import bellsim
-from bellsim import adversary, bounds, estimator, model, modelio
+from bellsim import adversary, bounds, cli, estimator, model, modelio
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
 
@@ -102,3 +103,12 @@ def test_one_input_contract():
                 path.name
     assert not hasattr(adversary.ParametricFamily, "params_dict")
     assert not hasattr(modelio, "_number")
+
+
+def test_one_text_number_rule():
+    # Every numeric flag is read by model._parse_number, through cli.real
+    # or cli.integer, never by argparse's float or int.
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    types = {action.type for p in subparsers.choices.values() for action in p._actions}
+    assert types == {None, cli.real, cli.integer}
