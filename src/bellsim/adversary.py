@@ -27,12 +27,14 @@ search needs no scipy at run time.
 
 Nelder-Mead is sequential within a restart, so the restarts a process
 holds are the batch a search shares its per-evaluation overhead over.
+Each restart is a generator (``_restart``) that yields the new points of
+its descent, takes their values by ``send`` and returns its summary.
 Each search process runs a fixed share of the restarts, every n-th
 index, in lockstep (``_lockstep``): every restart's next new point goes
 into one batched evaluation (``_evaluate``), whose tables carry the
-batch axis of ``bounds._QuadTables``.  Each restart still takes exactly
-the steps it would take alone, so no result depends on which restarts
-share a batch.
+batch axis of ``bounds._QuadTables``, and each restart is sent its
+value.  Each restart still takes exactly the steps it would take alone,
+so no result depends on which restarts share a batch.
 """
 
 from __future__ import annotations
@@ -621,73 +623,59 @@ def _nelder_mead(x0: Sequence[float], lower: list[float], upper: list[float],
     return sim[0], fsim[0], calls
 
 
-class _Restart:
-    """Restart ``k`` of a search in flight: one bounded Nelder-Mead descent
-    (``_nelder_mead``) with its memo of values and its trajectory.
+def _restart(config: SearchConfig, k: int,
+             breakpoints: tuple[list[float] | None, ...] | None):
+    """Restart ``k`` of a search as a generator: one bounded Nelder-Mead
+    descent (``_nelder_mead``) that yields each new full parameter vector,
+    takes its value by ``send``, and returns its RestartSummary.
 
     Its start point is drawn from SeedSequence(entropy=config.seed,
     spawn_key=(k,)) and the descent is deterministic, so its summary
     depends on (config, k) alone and not on the process that runs it or
     on the restarts beside it.  Each point counts as an evaluation, but
-    each memo key (see ``_memo_key``) is evaluated once: points of one
+    each memo key (see ``_memo_key``) is yielded once: points of one
     threshold cell, or the exact repeats the box clipping produces, reuse
     the first point's value.
     """
+    fam = config.family
+    names = fam.param_names
+    free = [i for i, n in enumerate(names) if n not in config.freeze]
+    lower = [float(fam.lower[i]) for i in free]
+    upper = [float(fam.upper[i]) for i in free]
+    frozen_full = [float(config.freeze.get(n, lo)) for n, lo in zip(names, fam.lower)]
 
-    def __init__(self, config: SearchConfig, k: int, breakpoints):
-        fam = config.family
-        self.k, self.breakpoints, self.maxfev = k, breakpoints, config.max_evals
-        self.free = [i for i, n in enumerate(fam.param_names) if n not in config.freeze]
-        lower = [float(fam.lower[i]) for i in self.free]
-        upper = [float(fam.upper[i]) for i in self.free]
-        self.frozen_full = [float(config.freeze.get(n, lo))
-                            for n, lo in zip(fam.param_names, fam.lower)]
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
-        self.x0 = [lo + r * (hi - lo)
-                   for lo, hi, r in zip(lower, upper, rng.random(len(self.free)).tolist())]
-        self.steps = _nelder_mead(self.x0, lower, upper, config.max_evals)
-        self.memo: dict[Hashable, float] = {}
-        self.trajectory: list[float] = []
-        self.full: list[float] = []
-        self.key: Hashable = None
-        self.summary: RestartSummary | None = None
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(k,))))
+    x0 = [lo + r * (hi - lo)
+          for lo, hi, r in zip(lower, upper, rng.random(len(free)).tolist())]
+    memo: dict[Hashable, float] = {}
+    trajectory: list[float] = []
 
-    def expand(self, x: list[float]) -> list[float]:
-        full = self.frozen_full.copy()
-        for i, v in zip(self.free, x):
+    def expand(x: list[float]) -> list[float]:
+        full = frozen_full.copy()
+        for i, v in zip(free, x):
             full[i] = v
         return full
 
-    def advance(self, value: float | None = None) -> bool:
-        """Take ``value`` for the pending point (None to start), store it in
-        the memo, and run the descent on, answering memo hits, to its next
-        new point (``full``, ``key``).  False once the descent has finished
-        (``summary``)."""
-        if value is not None:
-            self.memo[self.key] = value
+    steps = _nelder_mead(x0, lower, upper, config.max_evals)
+    try:
+        x = next(steps)
         while True:
-            try:
-                if value is None:
-                    x = next(self.steps)
-                else:
-                    if not self.trajectory or value > self.trajectory[-1]:
-                        self.trajectory.append(value)
-                    x = self.steps.send(-value)
-            except StopIteration as stop:
-                x_best, f_best, evals = stop.value
-                self.summary = RestartSummary(
-                    restart_index=self.k, start=tuple(self.x0),
-                    best_params=tuple(self.expand(x_best)), best_value=float(-f_best),
-                    evaluations=evals, converged=evals < self.maxfev,
-                    trajectory=tuple(self.trajectory))
-                return False
-            full = self.expand(x)
-            key = _memo_key(self.breakpoints, full)
-            value = self.memo.get(key)
+            full = expand(x)
+            key = _memo_key(breakpoints, full)
+            value = memo.get(key)
             if value is None:
-                self.full, self.key = full, key
-                return True
+                value = memo[key] = yield full
+            if not trajectory or value > trajectory[-1]:
+                trajectory.append(value)
+            x = steps.send(-value)
+    except StopIteration as stop:
+        x_best, f_best, evals = stop.value
+    return RestartSummary(restart_index=k, start=tuple(x0),
+                          best_params=tuple(expand(x_best)),
+                          best_value=float(-f_best), evaluations=evals,
+                          converged=evals < config.max_evals,
+                          trajectory=tuple(trajectory))
 
 
 def _breakpoints(config: SearchConfig) -> tuple[list[float] | None, ...] | None:
@@ -704,23 +692,31 @@ def _breakpoints(config: SearchConfig) -> tuple[list[float] | None, ...] | None:
 
 
 def _lockstep(config: SearchConfig, indices: Sequence[int]) -> dict[int, RestartSummary]:
-    """Run the restarts ``indices`` in lockstep and return their summaries
-    by index.
+    """Run the restarts ``indices`` (``_restart``) in lockstep and return
+    their summaries by index.
 
-    Each step answers every active restart's memo hits inline until it
-    reaches a new point, evaluates the new points of all of them together
-    (``_evaluate``), and sends each restart its value, until every restart
-    has finished.
+    Each step sends every unfinished restart the value of its pending point
+    (None to start it), which runs it on, past its memo hits, to its next
+    new point or to its summary; then it evaluates the new points of all of
+    them together, in the order of ``indices`` (``_evaluate``), until
+    every restart has finished.
     """
     breakpoints = _breakpoints(config)
-    restarts = [_Restart(config, k, breakpoints) for k in indices]
+    restarts = {k: _restart(config, k, breakpoints) for k in indices}
     rows = min(len(restarts), _batch_rows(config))
     workspace = np.empty((rows, 2, 2, config.n_lambda, 3))
-    active = [r for r in restarts if r.advance()]
-    while active:
-        values = _evaluate(config, [r.full for r in active], workspace)
-        active = [r for r, value in zip(active, values) if r.advance(value)]
-    return {r.k: r.summary for r in restarts}
+    summaries: dict[int, RestartSummary] = {}
+    values = dict.fromkeys(restarts)  # None starts each restart
+    while True:
+        points = {}
+        for k, value in values.items():
+            try:
+                points[k] = restarts[k].send(value)
+            except StopIteration as stop:
+                summaries[k] = stop.value
+        if not points:
+            return summaries
+        values = dict(zip(points, _evaluate(config, list(points.values()), workspace)))
 
 
 def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
@@ -791,7 +787,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     The simplex code is bellsim's own (``_nelder_mead``) and equals
     scipy's bounded, non-adaptive Nelder-Mead step for step.
     Deterministic given the seed: each restart depends only on the
-    config and its index (see ``_Restart``), and the reduction takes
+    config and its index (see ``_restart``), and the reduction takes
     the best value with ties broken by the lowest restart index, so the
     result is identical at any ``workers`` value >= 1.  Every distinct
     model a restart visits is evaluated once, with the value and the

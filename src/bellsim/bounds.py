@@ -562,7 +562,13 @@ def chsh_value(model: SLHVModel, quad: SettingsQuad) -> ChshValues:
     ``_slack``) raises TheoremViolationError (a bug tripwire, not a
     reachable state).
     """
-    q = _QuadTables(model, quad)
+    return _chsh_values(_QuadTables(model, quad))
+
+
+def _chsh_values(q: _QuadTables) -> ChshValues:
+    """U and M of the batch of one ``q``, and their trip-wires: a |U| past
+    the cap of ``"U"`` or ``"M"`` (see ``_slack``) raises
+    TheoremViolationError."""
     u = chsh_sum(q.e[0].tolist())
     m = 2.0 * float(q.coin[0, 0])
     if _breach(q, "U", abs(u) - 2.0)[0]:
@@ -719,15 +725,16 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     Always computes; when the mode's assumptions fail the report flags
     the bound as not guaranteed instead of refusing, so assumption-
     violating models (the adversarial workflow) still get their values.
+    U and M carry ``chsh_value``'s trip-wires: a |U| past its cap raises
+    TheoremViolationError.
     """
     q = _QuadTables(model, quad)
     e = dict(zip(PAIR_LABELS, q.e[0].tolist()))
     e_eff = dict(zip(PAIR_LABELS, q.e_eff(mode)[0][0].tolist()))
     coin = dict(zip(PAIR_LABELS, q.coin[0].tolist()))
+    u, m = _chsh_values(q)
     # A degenerate pair's NaN carries into U_eff and fails its verdict.
-    u = chsh_sum(e.values())
     u_eff = chsh_sum(e_eff.values())
-    m = 2.0 * coin["ab"]
 
     assumption = _mode_report(q, mode)
     bound_guaranteed = assumption.passed and not math.isnan(u_eff)
@@ -752,7 +759,7 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     }
     return InequalityReport(
         quad_degrees=quad.to_degrees(), mode=mode, e=e, e_eff=e_eff,
-        coincidence=coin, u=float(u), m=float(m), u_eff=float(u_eff),
+        coincidence=coin, u=u, m=m, u_eff=float(u_eff),
         assumption_report=assumption, bound_guaranteed=bound_guaranteed,
         verdicts=verdicts, theorem_breach=theorem_breach,
         pointwise=pointwise, per_lambda_extremes=extremes, u_eff_cap=u_eff_cap)

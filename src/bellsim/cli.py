@@ -72,10 +72,7 @@ def _parse_quad(s: str) -> SettingsQuad:
 
 
 def _parse_values(s: str, flag: str) -> list[float]:
-    vals = [_parse_number(p, f"{flag} entry") for p in s.split(",") if p.strip() != ""]
-    if not vals:
-        raise ValidationError(f"empty numeric list {s!r}")
-    return vals
+    return [_parse_number(p, f"{flag} entry") for p in s.split(",")]
 
 
 def _json_dump(obj) -> str:

@@ -199,11 +199,12 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     values, in which case the unobserved remainder is lumped into the
     (0, 0) cell and ``nondetect_split_known`` is False.  Each ``r``,
     ``q`` and ``count`` cell is an integer read by ``model._parse_number``
-    (ASCII decimal, no ``_`` separator).  A row with more or fewer fields
-    than the header, a repeated (pair_label, r, q) row, a non-integer
-    emitted total, a count or total past int64, a total for a pair the
-    file does not hold and a total that differs from the table sum of a
-    pair with non-detection rows are rejected.
+    (ASCII decimal, no ``_`` separator).  A header that names a column
+    twice, a row with more or fewer fields than the header, a repeated
+    (pair_label, r, q) row, a non-integer emitted total, a count or total
+    past int64, a total for a pair the file does not hold and a total that
+    differs from the table sum of a pair with non-detection rows are
+    rejected.
     """
     totals = emitted_totals or {}
     for label, total in totals.items():
@@ -225,8 +226,11 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     if header is None or not required.issubset(header):
         raise ValidationError(
             f"counts CSV must have header columns {sorted(required)}, got {header}")
-    # A column named twice is read from its last place.
-    column = {name: i for i, name in enumerate(header)}
+    column: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in column:
+            raise ValidationError(f"counts CSV header names column {name!r} twice")
+        column[name] = i
     i_label, i_r, i_q, i_count = (column[k] for k in ("pair_label", "r", "q", "count"))
     for row in rows:
         if not row:

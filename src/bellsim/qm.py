@@ -121,8 +121,10 @@ def violation_lhs(F: float, phi: float) -> float:
     effective correlation: a quad with adjacent physical separations
     phi/2 (and 3*phi/2 between the outer pair) yields this combination.
     At phi = pi/4 (physical separations pi/8) the bracket is 2*sqrt(2),
-    so any F > 1/sqrt(2) violates the bound of 2.
+    so any F > 1/sqrt(2) violates the bound of 2.  Both arguments are
+    real numbers (``model._check_real``), F in [0, 1].
     """
+    F, phi = _check_real(F, "F"), _check_real(phi, "phi")
     if not (0.0 <= F <= 1.0):
         raise ValidationError(f"F must lie in [0, 1], got {F!r}")
     return F * abs(3.0 * math.cos(phi) - math.cos(3.0 * phi))

@@ -175,14 +175,46 @@ def test_real_breach_still_trips(mode, monkeypatch, tmp_path, capsys):
     m = EffectiveCorrelationMode(mode)
     assert objective_check(m) == 2.0
 
-    # Every E 5e-9 relatively too large puts U_eff 1e-8 above 2.
-    monkeypatch.setattr(bounds._QuadTables, "e",
-                        property(lambda q: signed_sum(q.joints) * (1.0 + 5e-9)))
+    # Every E_eff 5e-9 relatively too large puts U_eff 1e-8 above 2, with
+    # U and M as they are: the report flags the breach.
+    e_eff = bounds._QuadTables.e_eff
+
+    def inflated(q, mode):
+        value, dead = e_eff(q, mode)
+        return value * (1.0 + 5e-9), dead
+
+    monkeypatch.setattr(bounds._QuadTables, "e_eff", inflated)
     assert main(["verify-bounds", "--model", str(path), "--mode", mode]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["theorem_breach"] and out["U_eff"] == pytest.approx(2.0 + 1e-8, abs=1e-15)
     with pytest.raises(TheoremViolationError):
         objective_check(m)
+
+    # Every E 5e-9 relatively too large also puts |U| = M = 0.5 past M's
+    # cap, whose trip-wire raises before any report is written.
+    monkeypatch.setattr(bounds._QuadTables, "e",
+                        property(lambda q: signed_sum(q.joints) * (1.0 + 5e-9)))
+    assert main(["verify-bounds", "--model", str(path), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds M = 0.5" in captured.err
+
+
+@pytest.mark.parametrize("bound", ["U", "M"])
+def test_u_and_m_trip_wires_reach_verify_bounds(bound, monkeypatch, tmp_path, capsys):
+    # effective_chsh, behind verify-bounds, runs chsh_value's trip-wires on
+    # U and M: a breach of either raises, and the CLI exits 2 on it.
+    doc = _tabulated([1.0], ([PLUS], [PLUS]), ([PLUS], [MINUS]))
+    model = model_from_dict(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    breach = bounds._breach
+    monkeypatch.setattr(bounds, "_breach", lambda q, b, excess: (
+        np.ones(len(q), dtype=bool) if b == bound else breach(q, b, excess)))
+    for check in (chsh_value, effective_chsh):
+        with pytest.raises(TheoremViolationError, match=r"^\|U\| = "):
+            check(model, QUAD)
+    assert main(["verify-bounds", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: |U| = ")
 
 
 def _premise_deviation(p0, mode) -> float:

@@ -457,6 +457,16 @@ BAD_ARGV = {
                        "2": {"22.5": [[1, 0, 0]], "67.5": [[1, 0, 0]]}}))],
     "analyze-count-underscore": lambda tmp: [
         "analyze", "--counts", _full_csv(tmp / "c.csv", {("ab", 1, 1): "1_0"})],
+    # An empty entry of a sweep list, as a malformed --quad is rejected.
+    **{f"sweep-eta-values-{name}": (lambda tmp, v=v: [
+        "sweep", "--eta-values", v, "--f12-values", "1", "--F", "0.95",
+        "--min-coincidences", "10", "--out", str(tmp / "s.csv")])
+       for name, v in (("empty-entry", "0.5,,1"), ("trailing-comma", "0.5,1,"),
+                       ("blank-entry", "0.5, ,1"))},
+    # A header that names a column twice, here with two disagreeing counts.
+    "analyze-counts-header-repeated-column": lambda tmp: [
+        "analyze", "--counts", _raw_file(
+            tmp / "c.csv", b"pair_label,r,q,count,count\nab,+1,+1,5,28\n")],
     # A row with fewer or more fields than the header.
     "analyze-counts-row-short": lambda tmp: [
         "analyze", "--counts", _raw_file(tmp / "c.csv", b"r,q,count,pair_label\n1,1,5\n")],

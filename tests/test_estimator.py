@@ -287,6 +287,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="repeated"):
             read_counts_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        # The file's two count columns disagree: neither is read.
+        path = tmp_path / "twice.csv"
+        path.write_text("pair_label,r,q,count,count\nab,+1,+1,5,28\n")
+        with pytest.raises(ValidationError, match="column 'count' twice"):
+            read_counts_csv(path)
+
     def test_bad_outcome_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("pair_label,r,q,count\nab,+2,+1,40\n")

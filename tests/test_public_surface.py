@@ -1,7 +1,8 @@
 """The package's public names resolve, and removed surfaces stay removed:
 a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
-its batched ``response`` and each premise is defined once."""
+its batched ``response``, each premise is defined once and a search
+restart is one generator."""
 
 import argparse
 import ast
@@ -112,3 +113,18 @@ def test_one_text_number_rule():
                       if isinstance(a, argparse._SubParsersAction))
     types = {action.type for p in subparsers.choices.values() for action in p._actions}
     assert types == {None, cli.real, cli.integer}
+
+
+def test_one_restart_generator():
+    # A search restart is the generator ``_restart``, driven only by
+    # ``_lockstep``; the stateful restart class and its advance protocol
+    # are gone.
+    assert not hasattr(adversary, "_Restart")
+    assert inspect.isgeneratorfunction(adversary._restart)
+    tree = ast.parse(Path(adversary.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "advance" not in {node.name for node in functions}
+    callers = [node.name for node in functions
+               if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_restart"
+                      for call in ast.walk(node))]
+    assert callers == ["_lockstep"]

@@ -127,6 +127,16 @@ class TestViolationThreshold:
         # 3cos(0) - cos(0) = 2: boundary even at F = 1.
         assert qm.violation_lhs(1.0, 0.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("F, phi, match", [
+        (True, math.pi / 4, "real number"), ("1", math.pi / 4, "real number"),
+        (math.nan, math.pi / 4, "finite"), (1.5, math.pi / 4, r"\[0, 1\]"),
+        (1.0, False, "real number"), (1.0, "0.7", "real number"),
+        (1.0, math.nan, "finite"), (1.0, math.inf, "finite"),
+    ])
+    def test_arguments_are_checked(self, F, phi, match):
+        with pytest.raises(ValidationError, match=match):
+            qm.violation_lhs(F, phi)
+
 
 class TestEffectiveChsh:
     def test_optimal_quad_reaches_tsirelson_scaling(self):
