@@ -65,9 +65,9 @@ from .model import (
     ValidationError,
     _check_integer,
     _check_real,
+    _pool_size,
     uniform_lambda_grid,
 )
-from .sampler import _pool_size
 
 __all__ = [
     "ParametricFamily",
@@ -92,6 +92,9 @@ BATCH_TABLE_BYTES = 1 << 22
 # The bytes of one point's tables per hidden point: two parties at two
 # angles, three float64 outcomes each.
 _POINT_TABLE_BYTES = 2 * 2 * 3 * 8
+# The largest grid at which one point's tables fit in BATCH_TABLE_BYTES,
+# 43690 points, fixed at import: a search or a model is refused past it.
+_MAX_N_LAMBDA = BATCH_TABLE_BYTES // _POINT_TABLE_BYTES
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class ParametricFamily:
         responses answer each call through ``response`` at B = 1, into a
         fresh (k, n, 3) table."""
         point = self.point(params)
-        n_lambda = _check_integer(n_lambda, "n_lambda", 1)
+        n_lambda = _check_integer(n_lambda, "n_lambda", 1, _MAX_N_LAMBDA)
         p = np.array([list(point.values())])
 
         def party_fn(party: int):
@@ -342,10 +345,10 @@ class SearchConfig:
     freeze: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, minimum in (("restarts", 1), ("max_evals", 10), ("seed", 0),
-                              ("n_lambda", 1)):
-            object.__setattr__(self, name,
-                               _check_integer(getattr(self, name), name, minimum))
+        for name, minimum, maximum in (("restarts", 1, None), ("max_evals", 10, None),
+                                       ("seed", 0, None), ("n_lambda", 1, _MAX_N_LAMBDA)):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name,
+                                                          minimum, maximum))
         object.__setattr__(self, "freeze", self.family.point(
             self.freeze, subset=True, what="frozen parameter"))
         if len(self.freeze) == len(self.family.param_names):

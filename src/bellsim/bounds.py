@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -515,7 +515,6 @@ class PointwiseBoundReport:
     passed: bool
     max_slack: float
     worst_lambda: int
-    tol: float
 
 
 def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoundReport:
@@ -543,7 +542,7 @@ def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
     excess = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
     k = int(np.argmax(excess))
     return PointwiseBoundReport(passed=not _breach(q, "pointwise", excess)[0],
-                                max_slack=float(excess[k]), worst_lambda=k, tol=BOUND_TOL)
+                                max_slack=float(excess[k]), worst_lambda=k)
 
 
 class ChshValues(NamedTuple):
@@ -707,11 +706,7 @@ class InequalityReport:
         if verbosity >= 1:
             d["assumptions"]["u_eff_cap"] = self.u_eff_cap
         if verbosity >= 1 and self.pointwise is not None:
-            d["pointwise"] = {
-                "passed": self.pointwise.passed,
-                "max_slack": self.pointwise.max_slack,
-                "worst_lambda": self.pointwise.worst_lambda,
-            }
+            d["pointwise"] = asdict(self.pointwise)
         if verbosity >= 2 and self.per_lambda_extremes is not None:
             d["per_lambda_extremes"] = dict(self.per_lambda_extremes)
         return d

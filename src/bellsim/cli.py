@@ -21,7 +21,6 @@ a correct core).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -38,7 +37,7 @@ from .bounds import (
 )
 from .estimator import analysis_report, qm_epsilon_identity, read_counts_csv
 from .model import BellSimError, TheoremViolationError, ValidationError, _parse_number
-from .modelio import load_model, read_json
+from .modelio import json_text, load_model, read_json, write_json
 from .qm import (
     QMModelParams,
     u_eff_cap,
@@ -51,6 +50,8 @@ from .sampler import ExperimentPlan, run_experiment, write_counts_csv, write_run
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_THEOREM_BREACH = 2
+
+_DEFAULT_QUAD = "0,45,22.5,67.5"
 
 
 def real(text: str) -> float:
@@ -75,21 +76,15 @@ def _parse_values(s: str, flag: str) -> list[float]:
     return [_parse_number(p, f"{flag} entry") for p in s.split(",")]
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _write_manifest(args, out_path: Path, outputs: list[str]) -> None:
-    doc = {
+    write_json(str(out_path) + ".manifest.json", {
         "schema_version": 1,
         "tool": "bellsim",
         "version": __version__,
         "numpy_version": np.__version__,
         "argv": args._argv,
         "outputs": outputs,
-    }
-    manifest_path = Path(str(out_path) + ".manifest.json")
-    manifest_path.write_text(_json_dump(doc), encoding="utf-8")
+    })
 
 
 def _emit(args, text: str) -> None:
@@ -125,7 +120,7 @@ def cmd_verify_bounds(args) -> int:
     doc = report.to_json_dict(verbosity=args.verbose)
     if not report.bound_guaranteed:
         doc["note"] = "assumptions violated; bound not guaranteed"
-    _emit(args, _json_dump(doc))
+    _emit(args, json_text(doc))
     return EXIT_THEOREM_BREACH if report.theorem_breach else EXIT_OK
 
 
@@ -174,7 +169,7 @@ def cmd_analyze(args) -> int:
                 f"to integers, got {type(totals).__name__}")
     recs = read_counts_csv(args.counts, emitted_totals=totals)
     report = analysis_report(recs)
-    text = _analysis_csv(report) if args.format == "csv" else _json_dump(report)
+    text = _analysis_csv(report) if args.format == "csv" else json_text(report)
     _emit(args, text)
     return EXIT_OK
 
@@ -212,7 +207,7 @@ def cmd_qm_predict(args) -> int:
         lines.append(f"U_eff,,{doc['U_eff']!r}")
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_dump(doc)
+        text = json_text(doc)
     _emit(args, text)
     return EXIT_OK
 
@@ -234,7 +229,7 @@ def cmd_adversary_search(args) -> int:
         restarts=args.restarts, max_evals=args.max_evals, seed=args.seed,
         n_lambda=args.n_lambda, freeze=freeze)
     result = search(config, workers=args.workers)
-    _emit(args, _json_dump(result.to_json_dict()))
+    _emit(args, json_text(result.to_json_dict()))
     return EXIT_OK
 
 
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bounds",
                        help="exact bound verification for a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--quad", default="0,45,22.5,67.5")
+    p.add_argument("--quad", default=_DEFAULT_QUAD)
     p.add_argument("--mode", default="solution1", choices=modes)
     common(p)
     p.set_defaults(func=cmd_verify_bounds)
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None,
                    help="SLHV model JSON file, in place of the QM flags")
     _add_qm_flags(p, required=False)
-    p.add_argument("--quad", default="0,45,22.5,67.5")
+    p.add_argument("--quad", default=_DEFAULT_QUAD)
     p.add_argument("--trials", type=integer, required=True,
                    help="emitted pairs per setting pair")
     p.add_argument("--seed", type=integer, default=0)
@@ -339,14 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm-predict", help="exact QM quantities for one quad")
     _add_qm_flags(p)
-    p.add_argument("--quad", default="0,45,22.5,67.5")
+    p.add_argument("--quad", default=_DEFAULT_QUAD)
     common(p, formats=True)
     p.set_defaults(func=cmd_qm_predict)
 
     p = sub.add_parser("adversary-search",
                        help="derivative-free search for |U_eff| > 2 models")
     p.add_argument("--family", required=True)
-    p.add_argument("--quad", default="0,45,22.5,67.5")
+    p.add_argument("--quad", default=_DEFAULT_QUAD)
     p.add_argument("--mode", default="solution1", choices=modes)
     p.add_argument("--restarts", type=integer, default=20)
     p.add_argument("--max-evals", type=integer, default=2000)
@@ -367,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f12-values", required=True,
                    help="comma-separated products f1*f2 (applied as f1=f12, f2=1)")
     p.add_argument("--F", type=real, required=True)
-    p.add_argument("--quad", default="0,45,22.5,67.5")
+    p.add_argument("--quad", default=_DEFAULT_QUAD)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--min-coincidences", type=real, default=1e4)
     p.add_argument("--workers", type=integer, default=1)

@@ -35,6 +35,7 @@ from .model import _OUTCOME_INDEX, NoDataError, ValidationError, _check_integer,
 from .qm import QMModelParams
 
 __all__ = [
+    "COUNTS_COLUMNS",
     "CountsRecord",
     "coincidence_count",
     "e_eff_from_counts",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # the largest count a table cell holds
+# The counts CSV columns, in the order the sampler writes them.
+COUNTS_COLUMNS = ("pair_label", "r", "q", "count")
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class CountsRecord:
 
     label: str
     table: np.ndarray
-    angles: tuple[float, float] | None = None
     emitted_total: int | None = None
     nondetect_split_known: bool = True
 
@@ -148,7 +150,6 @@ class EpsilonReport:
     eps_total: float
     e: dict[str, float]
     e_eff: dict[str, float]
-    coincidence_fraction: dict[str, float]
     u: float
     u_eff: float
     interval: tuple[float, float]
@@ -175,8 +176,7 @@ def epsilon_decomposition(recs) -> EpsilonReport:
     u, u_eff, eps_total = (chsh_sum(d.values()) for d in (e, e_eff, eps))
     interval = (-2.0 + eps_total, 2.0 + eps_total)
     return EpsilonReport(eps=eps, eps_total=float(eps_total), e=e, e_eff=e_eff,
-                         coincidence_fraction=frac, u=float(u),
-                         u_eff=float(u_eff), interval=interval,
+                         u=float(u), u_eff=float(u_eff), interval=interval,
                          u_eff_in_interval=interval[0] <= u_eff <= interval[1])
 
 
@@ -208,10 +208,7 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     """
     totals = emitted_totals or {}
     for label, total in totals.items():
-        _check_integer(total, f"emitted total for pair {label!r}", 0)
-        if total > _MAX_COUNT:
-            raise ValidationError(
-                f"emitted total for pair {label!r} exceeds int64, got {total!r}")
+        _check_integer(total, f"emitted total for pair {label!r}", 0, _MAX_COUNT)
     tables: dict[str, np.ndarray] = {}
     saw_nondetect: dict[str, bool] = {}
     seen: set[tuple[str, int, int]] = set()
@@ -222,16 +219,15 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
             raise ValidationError(f"counts CSV {path!r} is not UTF-8 text: {exc}") from exc
     rows = csv.reader(lines)
     header = next(rows, None)
-    required = {"pair_label", "r", "q", "count"}
-    if header is None or not required.issubset(header):
+    if header is None or not set(COUNTS_COLUMNS).issubset(header):
         raise ValidationError(
-            f"counts CSV must have header columns {sorted(required)}, got {header}")
+            f"counts CSV must have header columns {sorted(COUNTS_COLUMNS)}, got {header}")
     column: dict[str, int] = {}
     for i, name in enumerate(header):
         if name in column:
             raise ValidationError(f"counts CSV header names column {name!r} twice")
         column[name] = i
-    i_label, i_r, i_q, i_count = (column[k] for k in ("pair_label", "r", "q", "count"))
+    i_label, i_r, i_q, i_count = (column[k] for k in COUNTS_COLUMNS)
     for row in rows:
         if not row:
             continue  # a blank line

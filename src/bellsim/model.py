@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -225,12 +226,20 @@ class HiddenVariableSpace:
         return int(self.weights.size)
 
 
-def _check_integer(value, name: str, minimum: int) -> int:
-    """``value`` as an int: an integer (not a bool) of at least ``minimum``."""
+def _check_integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int: an integer (not a bool) >= ``minimum`` and <= ``maximum``, if any."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
+    count and the CPU count.  No output of this package depends on it."""
+    return min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
 
 
 def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:

@@ -56,7 +56,8 @@ from .model import (
     canonical_angle,
 )
 
-__all__ = ["load_model", "model_from_dict", "read_json", "save_model"]
+__all__ = ["json_text", "load_model", "model_from_dict", "read_json", "save_model",
+           "write_json"]
 
 
 def _table(rows, n: int, what: str) -> np.ndarray:
@@ -141,10 +142,20 @@ def read_json(path, what: str):
         raise ValidationError(f"{what} {p} is not valid JSON: {exc}") from exc
 
 
+def json_text(obj) -> str:
+    """``obj`` as the package's one JSON layout: two-space indent, sorted
+    keys, non-ASCII characters as ``\\uXXXX`` escapes, one trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """Write ``json_text(obj)`` to the file at ``path`` as UTF-8."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
+
+
 def load_model(path) -> SLHVModel:
     return model_from_dict(read_json(path, "model file"))
 
 
 def save_model(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, doc)

@@ -30,7 +30,7 @@ point, computed once per (party, angle).
 
 One path runs at every worker count: each setting pair's kernel is
 chosen once, and the blocks run on a thread pool of ``workers`` threads,
-capped at the block count and the CPU count (``_pool_size``), in chunks
+capped at the block count and the CPU count (``model._pool_size``), in chunks
 of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
 chunk are added into the pair totals as soon as the chunk finishes, so
 memory does not grow with the number of trials, and integer sums are
@@ -39,8 +39,6 @@ exact in any order.
 
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -49,14 +47,16 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import PAIR_LABELS, SettingsQuad, _QuadTables
-from .estimator import _MAX_COUNT, CountsRecord
+from .estimator import _MAX_COUNT, COUNTS_COLUMNS, CountsRecord
 from .model import (
     _OUTCOME_INDEX,
     OUTCOME_VALUES,
     SLHVModel,
     ValidationError,
     _check_integer,
+    _pool_size,
 )
+from .modelio import write_json
 from .qm import QMModelParams
 
 __all__ = [
@@ -71,12 +71,6 @@ __all__ = [
 
 BLOCK_SIZE = 1 << 16
 _MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
-    count and the CPU count.  No output of this package depends on it."""
-    return min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -219,19 +213,18 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
             for pair_index, table in list(pool.map(block_counts, chunk)):
                 counts[pair_index] += table
 
-    records = tuple(CountsRecord(label=label, angles=(a, b), table=counts[i],
-                                 emitted_total=n)
-                    for i, (label, a, b, _sign) in enumerate(pairs))
+    records = tuple(CountsRecord(label=label, table=counts[i], emitted_total=n)
+                    for i, (label, _a, _b, _sign) in enumerate(pairs))
     return ExperimentResult(records=records, plan=plan,
                             source_summary=_source_summary(source))
 
 
 def write_counts_csv(records, path) -> None:
-    """Fixed-order CSV: pair_label,r,q,count with all nine cells per pair."""
+    """Fixed-order CSV: a ``COUNTS_COLUMNS`` header, then nine cells per pair."""
     def fmt(v: int) -> str:
         return f"{v:+d}" if v != 0 else "0"
 
-    lines = ["pair_label,r,q,count"]
+    lines = [",".join(COUNTS_COLUMNS)]
     for rec in records:
         for r in OUTCOME_VALUES:
             for q in OUTCOME_VALUES:
@@ -242,7 +235,7 @@ def write_counts_csv(records, path) -> None:
 
 def write_run_sidecar(result: ExperimentResult, path) -> None:
     """JSON sidecar documenting the plan, seed and substream scheme."""
-    doc = {
+    write_json(path, {
         "schema_version": 1,
         "quad_degrees": list(result.plan.quad.to_degrees()),
         "pair_labels": list(PAIR_LABELS),
@@ -254,6 +247,4 @@ def write_run_sidecar(result: ExperimentResult, path) -> None:
             "block_size": BLOCK_SIZE,
             "substream": "SeedSequence(entropy=seed, spawn_key=(pair_index, block_index))",
         },
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    })

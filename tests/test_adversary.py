@@ -287,6 +287,18 @@ class TestSearch:
             assert search(config, workers=workers) == search(config)
             assert len(started) == children
 
+    def test_n_lambda_past_batch_budget_rejected(self):
+        # At n_lambda = 43691 one point's tables pass BATCH_TABLE_BYTES; a
+        # search or a model that large is refused before any grid is built.
+        limit = adversary.BATCH_TABLE_BYTES // adversary._POINT_TABLE_BYTES
+        assert limit == 43690
+        assert self.small_config(n_lambda=limit).n_lambda == limit
+        for n in (limit + 1, 10**9):
+            with pytest.raises(ValidationError, match="n_lambda must be at most 43690"):
+                self.small_config(n_lambda=n)
+            with pytest.raises(ValidationError, match="n_lambda must be at most 43690"):
+                get_family("threshold-detection").instantiate([0.5, 0.5], n_lambda=n)
+
     def test_workers_below_one_rejected(self):
         for workers in (0, -1):
             with pytest.raises(ValidationError, match="workers"):

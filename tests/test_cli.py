@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main
-from bellsim.modelio import load_model, model_from_dict, save_model
+from bellsim.modelio import json_text, load_model, model_from_dict, save_model, write_json
 from bellsim.model import ValidationError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -360,6 +360,11 @@ BAD_ARGV = {
         "--max-evals", "10", "--n-lambda", "36", "--freeze", "c1=0", "--freeze", "c1=0.3"],
     "search-n-lambda-zero": lambda tmp: [*_SEARCH, "--n-lambda", "0"],
     "search-workers-zero": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--workers", "0"],
+    # A grid whose one point's tables would take 96 GB, far past the batch
+    # budget: refused before the grid is built, not killed building it.
+    "search-n-lambda-past-batch-budget": lambda tmp: [*_SEARCH, "--n-lambda", "1000000000"],
+    "family-file-n-lambda-past-batch-budget": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _family_doc(n_lambda=10**9))],
     "family-file-n-lambda-zero": lambda tmp: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", {
             "schema_version": 1, "type": "family", "family": "threshold-detection",
@@ -546,6 +551,21 @@ class TestManifests:
 
 
 class TestModelIo:
+    def test_json_layout(self, tmp_path):
+        # Two-space indent, sorted keys at every depth, \uXXXX escapes and
+        # one trailing newline: json.dumps(obj, indent=2, sort_keys=True) + "\n".
+        doc = {"z": {"y": [1, 2.5], "b": None}, "a": "\u00e9t\u00e9 \u03b7", "m": True}
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert json_text(doc) == want
+        assert want == ('{\n  "a": "\\u00e9t\\u00e9 \\u03b7",\n  "m": true,\n'
+                        '  "z": {\n    "b": null,\n    "y": [\n      1,\n      2.5\n    ]\n'
+                        '  }\n}\n')
+        path = tmp_path / "doc.json"
+        write_json(path, doc)
+        assert path.read_bytes() == want.encode("ascii")
+        save_model(doc, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+
     def test_family_reference_file(self, tmp_path):
         doc = {"schema_version": 1, "type": "family",
                "family": "threshold-detection",

@@ -1,8 +1,8 @@
 """The package's public names resolve, and removed surfaces stay removed:
 a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
-its batched ``response``, each premise is defined once and a search
-restart is one generator."""
+its batched ``response``, each premise is defined once, a search
+restart is one generator and each file format is spelled once."""
 
 import argparse
 import ast
@@ -128,3 +128,36 @@ def test_one_restart_generator():
                if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_restart"
                       for call in ast.walk(node))]
     assert callers == ["_lockstep"]
+
+
+def test_one_file_format():
+    # The JSON layout is modelio.json_text alone, the counts-CSV columns are
+    # estimator.COUNTS_COLUMNS alone, and the one pool-size rule lives in
+    # model beside the integer check it calls.
+    src = Path(bellsim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    dumps = [name for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "dumps"]
+    assert dumps == ["modelio.py"]
+    assert not hasattr(cli, "_json_dump")
+    assert estimator.COUNTS_COLUMNS == ("pair_label", "r", "q", "count")
+    columns = [name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and (node.value == "pair_label" or "pair_label,r" in node.value)]
+    assert columns == ["estimator.py"]
+    pool_sizes = [name for name, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_pool_size"]
+    assert pool_sizes == ["model.py"]
+    imports = {node.module for node in ast.walk(trees["adversary.py"])
+               if isinstance(node, ast.ImportFrom)}
+    assert "sampler" not in imports
+
+
+def test_unread_record_fields_removed():
+    # Fields that nothing read or emitted: a counts record's angles, the
+    # eps report's coincidence fractions and the pointwise report's tol.
+    for cls, name in ((estimator.CountsRecord, "angles"),
+                      (estimator.EpsilonReport, "coincidence_fraction"),
+                      (bounds.PointwiseBoundReport, "tol")):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
