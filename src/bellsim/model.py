@@ -172,7 +172,7 @@ def _check_tables(t: np.ndarray, party: int, angles: Sequence[float]) -> np.ndar
         j, i = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
             f"outcome probabilities do not sum to 1 ({where(j, i)}, "
-            f"sum {sums[j, i]!r})")
+            f"sum {float(sums[j, i])!r})")
     return t
 
 
@@ -211,7 +211,7 @@ class HiddenVariableSpace:
             raise ValidationError("hidden-variable weights must be >= 0")
         if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(
-                f"hidden-variable weights must sum to 1 (got {w.sum()!r})")
+                f"hidden-variable weights must sum to 1 (got {float(w.sum())!r})")
         v = (np.arange(w.size, dtype=float) if values is None
              else np.array([_check_real(x, "hidden-point value") for x in values]))
         if v.shape != w.shape:

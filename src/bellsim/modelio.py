@@ -33,7 +33,9 @@ Two forms:
   the family's names, no other, each inside the family's box.
 
 Every weight, table entry and parameter is a finite JSON number, not a
-string, a boolean or null (``model._check_real``).
+string, a boolean or null (``model._check_real``).  A document holds the
+keys of its form and no other, ``responses`` the parties ``"1"`` and
+``"2"`` alone, and ``schema_version``, when given, is the integer 1.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
         raise ValidationError("'lambda_weights' must be a list of numbers")
     if not isinstance(responses, dict):
         raise ValidationError("'responses' must be an object keyed by party")
+    others = [k for k in responses if k not in ("1", "2")]
+    if others:
+        raise ValidationError(f"responses name parties other than '1' and '2': {others}")
     space = HiddenVariableSpace(weights)
     parts = {}
     for party in (1, 2):
@@ -109,22 +114,32 @@ def _tabulated_from_dict(doc: dict) -> SLHVModel:
     return model
 
 
+_KEYS = {"tabulated": ("schema_version", "type", "lambda_weights", "responses"),
+         "family": ("schema_version", "type", "family", "parameters", "n_lambda")}
+
+
 def model_from_dict(doc: dict) -> SLHVModel:
     if not isinstance(doc, dict):
         raise ValidationError("model document must be a JSON object")
+    version = doc.get("schema_version", 1)
+    if type(version) is not int or version != 1:
+        raise ValidationError(f"model 'schema_version' must be 1, got {version!r}")
     kind = doc.get("type")
+    if not (isinstance(kind, str) and kind in _KEYS):
+        raise ValidationError(
+            f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
+    unknown = [k for k in doc if k not in _KEYS[kind]]
+    if unknown:
+        raise ValidationError(f"{kind} model has unknown keys {unknown}")
     if kind == "tabulated":
         return _tabulated_from_dict(doc)
-    if kind == "family":
-        name = doc.get("family")
-        if not isinstance(name, str):
-            raise ValidationError("family model needs a 'family' name")
-        params = doc.get("parameters")
-        if not isinstance(params, dict):
-            raise ValidationError("family model needs a 'parameters' object")
-        return get_family(name).instantiate(params, n_lambda=doc.get("n_lambda", 720))
-    raise ValidationError(
-        f"model 'type' must be 'tabulated' or 'family', got {kind!r}")
+    name = doc.get("family")
+    if not isinstance(name, str):
+        raise ValidationError("family model needs a 'family' name")
+    params = doc.get("parameters")
+    if not isinstance(params, dict):
+        raise ValidationError("family model needs a 'parameters' object")
+    return get_family(name).instantiate(params, n_lambda=doc.get("n_lambda", 720))
 
 
 def read_json(path, what: str):

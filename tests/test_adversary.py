@@ -9,10 +9,7 @@ import multiprocessing
 import multiprocessing.context
 import os
 import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -968,25 +965,3 @@ def test_search_bits_pinned(monkeypatch):
                     digest.update(text.encode())
     assert digest.hexdigest() == SEARCH_DIGEST
 
-
-def test_import_loads_no_scipy():
-    # Nor multiprocessing: the search imports it when it forks workers.  A
-    # search, serial or on workers, never loads scipy, a process pool or
-    # numpy.ma (which the first np.unique call imports, with numpy.ma.core).
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
-    code = ("import sys, bellsim; print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))\n"
-            "from bellsim import adversary, bounds\n"
-            "config = adversary.SearchConfig(adversary.get_family('threshold-detection'), "
-            "bounds.optimal_quad(), restarts=2, max_evals=30, n_lambda=36)\n"
-            "for workers in (1, 2):\n"
-            "    adversary.search(config, workers=workers)\n"
-            "    print(sorted(m for m in sys.modules if m.startswith("
-            "('scipy', 'concurrent.futures.process', 'numpy.ma.'))))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["[]"] * 3

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
@@ -87,6 +87,7 @@ def sign_model(theta1=0.0, theta2=0.0, n=720):
 
 
 class TestChshCombination:
+    @settings(derandomize=True, database=None)
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
     def test_never_exceeds_two_on_unit_box(self, x, xp, y, yp):
         assert abs(chsh_combination(x, xp, y, yp)) <= 2.0 + 1e-12

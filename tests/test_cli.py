@@ -304,6 +304,13 @@ def _tabulated_doc(**keys) -> dict:
             "responses": {"1": {"0": [[1, 0, 0]]}, "2": {"0": [[1, 0, 0]]}}, **keys}
 
 
+def _demo_tabulated_doc(edit=lambda doc: None) -> dict:
+    """The demo tabulated model, which verify-bounds passes, after ``edit``."""
+    doc = json.loads((MODELS / "solution1_tabulated.json").read_text())
+    edit(doc)
+    return doc
+
+
 def _raw_file(path: Path, data: bytes) -> str:
     path.write_bytes(data)
     return str(path)
@@ -404,6 +411,20 @@ BAD_ARGV = {
     "tabulated-file-party-list": lambda tmp: [
         "verify-bounds", "--model", _json_file(tmp / "m.json", _tabulated_doc(
             responses={"1": [[1, 0, 0]], "2": {"0": [[1, 0, 0]]}}))],
+    # Keys that would be ignored: another schema version, a third party,
+    # a misspelt key beside the right one and a key no family file has.
+    **{f"{kind}-file-schema-version-{v!r}": (lambda tmp, doc=doc, v=v: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", {**doc(), "schema_version": v})])
+       for kind, doc in (("tabulated", _demo_tabulated_doc), ("family", _family_doc))
+       for v in (2, 9, True, 1.0)},
+    "tabulated-file-party-3": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _demo_tabulated_doc(
+            lambda doc: doc["responses"].update({"3": doc["responses"]["1"]})))],
+    "tabulated-file-misspelt-key": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", _demo_tabulated_doc(
+            lambda doc: doc.update(lambda_wieghts=doc["lambda_weights"])))],
+    "family-file-unknown-key": lambda tmp: [
+        "verify-bounds", "--model", _json_file(tmp / "m.json", {**_family_doc(), "bogus": 1})],
     "model-file-not-utf8": lambda tmp: [
         "verify-bounds", "--model", _raw_file(tmp / "m.json", _NOT_UTF8)],
     "model-file-5000-digit-integer": lambda tmp: [

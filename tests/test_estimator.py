@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import PAIR_LABELS, optimal_quad
@@ -51,6 +51,7 @@ class TestEffectiveCorrelationFromCounts:
         with pytest.raises(NoDataError):
             e_eff_from_counts(rec)
 
+    @settings(derandomize=True, database=None)
     @given(st.integers(1, 20), st.tuples(st.integers(0, 50), st.integers(0, 50),
                                          st.integers(0, 50), st.integers(0, 50)))
     def test_invariant_under_uniform_scaling(self, k, cells):

@@ -91,6 +91,7 @@ class TestParseNumber:
 
 
 class TestCanonicalAngle:
+    @settings(derandomize=True, database=None)
     @given(st.floats(-100.0, 100.0))
     def test_range_and_periodicity(self, x):
         a = canonical_angle(x)
@@ -115,7 +116,8 @@ class TestCanonicalAngle:
 
 class TestHiddenVariableSpace:
     def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValidationError):
+        # The sum prints as a plain float, not as np.float64(1.1).
+        with pytest.raises(ValidationError, match=r"must sum to 1 \(got 1\.1\)$"):
             HiddenVariableSpace([0.5, 0.6])
 
     def test_rejects_negative_weights(self):
@@ -158,7 +160,7 @@ class TestResponse:
 
         m = SLHVModel(space, ResponseFunction(1, bad),
                       ResponseFunction(2, bad))
-        with pytest.raises(ValidationError, match="party 1"):
+        with pytest.raises(ValidationError, match=r"party 1, .*, sum 1\.5\)$"):
             m.triples(1, 0.25)
 
     @pytest.mark.parametrize("build, name", [
@@ -734,7 +736,7 @@ def test_generator_bits_pinned():
     assert digest.hexdigest() == GENERATOR_DIGEST
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True, database=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 def test_arbitrary_valid_triple_roundtrip(p1, p2, p3):
     total = p1 + p2 + p3
