@@ -63,6 +63,7 @@ from .model import (
     SLHVModel,
     TheoremViolationError,
     ValidationError,
+    _check_instance,
     _check_integer,
     _check_real,
     _pool_size,
@@ -95,6 +96,8 @@ _POINT_TABLE_BYTES = 2 * 2 * 3 * 8
 # The largest grid at which one point's tables fit in BATCH_TABLE_BYTES,
 # 43690 points, fixed at import: a search or a model is refused past it.
 _MAX_N_LAMBDA = BATCH_TABLE_BYTES // _POINT_TABLE_BYTES
+# The grid of a family model, a search and --n-lambda when none is given.
+_DEFAULT_N_LAMBDA = 720
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ class ParametricFamily:
                                           f"[{lo}, {hi}] of family {self.name!r}")
         return point
 
-    def instantiate(self, params, n_lambda: int = 720) -> SLHVModel:
+    def instantiate(self, params, n_lambda: int = _DEFAULT_N_LAMBDA) -> SLHVModel:
         """The model at ``params``, a (p,) vector or a mapping by name that
         ``point`` checks, on the grid ``uniform_lambda_grid(n_lambda)``.  Its
         responses answer each call through ``response`` at B = 1, into a
@@ -341,10 +344,13 @@ class SearchConfig:
     restarts: int = 20
     max_evals: int = 2000
     seed: int = 0
-    n_lambda: int = 720
+    n_lambda: int = _DEFAULT_N_LAMBDA
     freeze: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, cls in (("family", ParametricFamily), ("quad", SettingsQuad),
+                          ("mode", EffectiveCorrelationMode)):
+            _check_instance(getattr(self, name), cls, name)
         for name, minimum, maximum in (("restarts", 1, None), ("max_evals", 10, None),
                                        ("seed", 0, None), ("n_lambda", 1, _MAX_N_LAMBDA)):
             object.__setattr__(self, name, _check_integer(getattr(self, name), name,
@@ -414,7 +420,7 @@ class SearchResult:
 
 def objective(family: ParametricFamily, params, quad: SettingsQuad,
               mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
-              n_lambda: int = 720) -> float:
+              n_lambda: int = _DEFAULT_N_LAMBDA) -> float:
     """|U_eff| of the instantiated model, exactly; 0 for degenerate points.
 
     A value above the cap its premise proves for the same tables (the

@@ -157,15 +157,6 @@ class EffectiveCorrelationMode(enum.Enum):
     SOLUTION2 = "solution2"
     SOLUTION3 = "solution3"
 
-    @classmethod
-    def from_string(cls, s: str) -> "EffectiveCorrelationMode":
-        try:
-            return cls(s.lower())
-        except ValueError:
-            raise ValidationError(
-                f"unknown mode {s!r}; expected one of "
-                f"{[m.value for m in cls]}") from None
-
 
 def chsh_combination(x, x_prime, y, y_prime):
     """The CHSH combination x(y - y') + x'(y + y') of four averages.

@@ -21,6 +21,7 @@ a correct core).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversary import SearchConfig, get_family, search
+from .adversary import _DEFAULT_N_LAMBDA, SearchConfig, get_family, search
 from .bounds import (
     PAIR_LABELS,
     EffectiveCorrelationMode,
@@ -37,7 +38,7 @@ from .bounds import (
 )
 from .estimator import analysis_report, qm_epsilon_identity, read_counts_csv
 from .model import BellSimError, TheoremViolationError, ValidationError, _parse_number
-from .modelio import json_text, load_model, read_json, write_json
+from .modelio import csv_text, json_text, load_model, read_json, write_json, write_text
 from .qm import (
     QMModelParams,
     u_eff_cap,
@@ -92,7 +93,7 @@ def _emit(args, text: str) -> None:
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
+        write_text(out, text)
         _write_manifest(args, out, [out.name])
 
 
@@ -115,8 +116,7 @@ def _add_qm_flags(p, required=True):
 def cmd_verify_bounds(args) -> int:
     model = load_model(args.model)
     quad = _parse_quad(args.quad)
-    mode = EffectiveCorrelationMode.from_string(args.mode)
-    report = effective_chsh(model, quad, mode)
+    report = effective_chsh(model, quad, EffectiveCorrelationMode(args.mode))
     doc = report.to_json_dict(verbosity=args.verbose)
     if not report.bound_guaranteed:
         doc["note"] = "assumptions violated; bound not guaranteed"
@@ -151,22 +151,17 @@ def cmd_simulate(args) -> int:
 
 
 def _analysis_csv(report: dict) -> str:
-    lines = ["label,E_eff,stderr,coincidences"]
-    for label in PAIR_LABELS:
-        e = report["per_pair"][label]
-        lines.append(f"{label},{e['E_eff']!r},{e['stderr']!r},{e['coincidences']}")
-    lines.append(f"U_eff,{report['U_eff']!r},{report['stderr']!r},")
-    return "\n".join(lines) + "\n"
+    columns = ("E_eff", "stderr", "coincidences")
+    per_pair = report["per_pair"]
+    return csv_text([("label", *columns),
+                     *((label, *(per_pair[label][c] for c in columns)) for label in PAIR_LABELS),
+                     ("U_eff", report["U_eff"], report["stderr"], "")])
 
 
 def cmd_analyze(args) -> int:
     totals = None
     if args.emitted_totals:
         totals = read_json(args.emitted_totals, "--emitted-totals file")
-        if not isinstance(totals, dict):
-            raise ValidationError(
-                "--emitted-totals must hold a JSON object mapping pair labels "
-                f"to integers, got {type(totals).__name__}")
     recs = read_counts_csv(args.counts, emitted_totals=totals)
     report = analysis_report(recs)
     text = _analysis_csv(report) if args.format == "csv" else json_text(report)
@@ -187,8 +182,7 @@ def cmd_qm_predict(args) -> int:
         }
     doc = {
         "schema_version": 1,
-        "params": {"eta1": params.eta1, "eta2": params.eta2,
-                   "f1": params.f1, "f2": params.f2, "F": params.F},
+        "params": dataclasses.asdict(params),
         "quad_degrees": list(quad.to_degrees()),
         "coincidence_probability": qm.coincidence_probability(params),
         "per_pair": per_pair,
@@ -199,13 +193,10 @@ def cmd_qm_predict(args) -> int:
         "u_eff_cap_holds": u_eff_cap_holds(params),
     }
     if args.format == "csv":
-        lines = ["label,E,E_eff"]
-        for label in PAIR_LABELS:
-            e = per_pair[label]
-            lines.append(f"{label},{e['E']!r},{e['E_eff']!r}")
-        lines.append(f"U,{doc['U']!r},")
-        lines.append(f"U_eff,,{doc['U_eff']!r}")
-        text = "\n".join(lines) + "\n"
+        text = csv_text([("label", "E", "E_eff"),
+                         *((label, per_pair[label]["E"], per_pair[label]["E_eff"])
+                           for label in PAIR_LABELS),
+                         ("U", doc["U"], ""), ("U_eff", "", doc["U_eff"])])
     else:
         text = json_text(doc)
     _emit(args, text)
@@ -225,7 +216,7 @@ def cmd_adversary_search(args) -> int:
         freeze[name] = _parse_number(value, f"--freeze value of {name!r}")
     config = SearchConfig(
         family=family, quad=_parse_quad(args.quad),
-        mode=EffectiveCorrelationMode.from_string(args.mode),
+        mode=EffectiveCorrelationMode(args.mode),
         restarts=args.restarts, max_evals=args.max_evals, seed=args.seed,
         n_lambda=args.n_lambda, freeze=freeze)
     result = search(config, workers=args.workers)
@@ -243,8 +234,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--min-coincidences must be > 0, got {args.min_coincidences!r}")
 
-    lines = ["eta,f12,F,n_pairs,u_eff_exact,u_eff_sampled,u_eff_stderr,"
-             "u_sampled,epsilon_qm,u_eff_cap"]
+    rows = [("eta", "f12", "F", "n_pairs", "u_eff_exact", "u_eff_sampled", "u_eff_stderr",
+             "u_sampled", "epsilon_qm", "u_eff_cap")]
     point_index = 0
     for eta in etas:
         for f12 in f12s:
@@ -264,15 +255,12 @@ def cmd_sweep(args) -> int:
                                   seed=point_seed)
             result = run_experiment(params, plan, workers=args.workers)
             report = analysis_report(result.records)
-            u_sampled = report["epsilon"]["U"]
-            lines.append(
-                f"{eta:.10g},{f12:.10g},{args.F:.10g},{n_pairs},"
-                f"{exact!r},{report['U_eff']!r},{report['stderr']!r},"
-                f"{u_sampled!r},{qm_epsilon_identity(params, exact)!r},"
-                f"{u_eff_cap(params)!r}")
+            rows.append((f"{eta:.10g}", f"{f12:.10g}", f"{args.F:.10g}", n_pairs, exact,
+                         report["U_eff"], report["stderr"], report["epsilon"]["U"],
+                         qm_epsilon_identity(params, exact), u_eff_cap(params)))
             point_index += 1
     out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out, csv_text(rows))
     _write_manifest(args, out, [out.name])
     return EXIT_OK
 
@@ -346,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=integer, default=20)
     p.add_argument("--max-evals", type=integer, default=2000)
     p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--n-lambda", type=integer, default=720)
+    p.add_argument("--n-lambda", type=integer, default=_DEFAULT_N_LAMBDA)
     p.add_argument("--freeze", action="append", default=None,
                    metavar="NAME=VALUE",
                    help="hold a parameter at VALUE; repeatable, once per name")

@@ -196,8 +196,9 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     Files with non-detection rows (r or q equal to 0) yield records with
     ``emitted_total`` set to the table sum.  Coincidence-only files get
     ``emitted_total=None`` unless ``emitted_totals`` supplies per-pair
-    values, in which case the unobserved remainder is lumped into the
-    (0, 0) cell and ``nondetect_split_known`` is False.  Each ``r``,
+    values (a dict of pair label to integer), in which case the
+    unobserved remainder is lumped into the (0, 0) cell and
+    ``nondetect_split_known`` is False.  Each ``r``,
     ``q`` and ``count`` cell is an integer read by ``model._parse_number``
     (ASCII decimal, no ``_`` separator).  A header that names a column
     twice, a row with more or fewer fields than the header, a repeated
@@ -206,7 +207,11 @@ def read_counts_csv(path, emitted_totals: dict[str, int] | None = None
     differs from the table sum of a pair with non-detection rows are
     rejected.
     """
-    totals = emitted_totals or {}
+    totals = {} if emitted_totals is None else emitted_totals
+    if not isinstance(totals, dict):
+        raise ValidationError(
+            "emitted totals must map pair labels to integers (a JSON object), "
+            f"got {type(totals).__name__}")
     for label, total in totals.items():
         _check_integer(total, f"emitted total for pair {label!r}", 0, _MAX_COUNT)
     tables: dict[str, np.ndarray] = {}

@@ -236,6 +236,14 @@ def _check_integer(value, name: str, minimum: int, maximum: int | None = None) -
     return int(value)
 
 
+def _check_instance(value, cls, name: str) -> None:
+    """Reject a ``value`` that is not an instance of ``cls``, a class or a
+    tuple of classes, before a later attribute lookup fails on it."""
+    if not isinstance(value, cls):
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValidationError(f"{name} must be of type {names}, got {type(value).__name__}")
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
     count and the CPU count.  No output of this package depends on it."""

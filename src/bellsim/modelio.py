@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import get_family
+from .adversary import _DEFAULT_N_LAMBDA, get_family
 from .model import (
     HiddenVariableSpace,
     ResponseFunction,
@@ -58,8 +58,8 @@ from .model import (
     canonical_angle,
 )
 
-__all__ = ["json_text", "load_model", "model_from_dict", "read_json", "save_model",
-           "write_json"]
+__all__ = ["csv_text", "json_text", "load_model", "model_from_dict", "read_json",
+           "save_model", "write_json", "write_text"]
 
 
 def _table(rows, n: int, what: str) -> np.ndarray:
@@ -139,7 +139,8 @@ def model_from_dict(doc: dict) -> SLHVModel:
     params = doc.get("parameters")
     if not isinstance(params, dict):
         raise ValidationError("family model needs a 'parameters' object")
-    return get_family(name).instantiate(params, n_lambda=doc.get("n_lambda", 720))
+    return get_family(name).instantiate(
+        params, n_lambda=doc.get("n_lambda", _DEFAULT_N_LAMBDA))
 
 
 def read_json(path, what: str):
@@ -163,9 +164,20 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def csv_text(rows) -> str:
+    """``rows`` as the package's one CSV layout: each cell written by ``str``
+    (a float as its repr), cells joined by ``,``, one ``\\n`` per row."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path`` as UTF-8."""
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def write_json(path, obj) -> None:
     """Write ``json_text(obj)`` to the file at ``path`` as UTF-8."""
-    Path(path).write_text(json_text(obj), encoding="utf-8")
+    write_text(path, json_text(obj))
 
 
 def load_model(path) -> SLHVModel:

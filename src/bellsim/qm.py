@@ -34,6 +34,7 @@ __all__ = [
     "effective_chsh_value",
     "violation_lhs",
     "u_eff_cap",
+    "u_eff_cap_holds",
     "optimal_quad",
 ]
 

@@ -40,23 +40,22 @@ exact in any order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from .bounds import PAIR_LABELS, SettingsQuad, _QuadTables
 from .estimator import _MAX_COUNT, COUNTS_COLUMNS, CountsRecord
 from .model import (
-    _OUTCOME_INDEX,
     OUTCOME_VALUES,
     SLHVModel,
     ValidationError,
+    _check_instance,
     _check_integer,
     _pool_size,
 )
-from .modelio import write_json
+from .modelio import csv_text, write_json, write_text
 from .qm import QMModelParams
 
 __all__ = [
@@ -82,6 +81,7 @@ class ExperimentPlan:
     seed: int
 
     def __post_init__(self):
+        _check_instance(self.quad, SettingsQuad, "quad")
         for name, minimum in (("trials_per_pair", 1), ("seed", 0)):
             object.__setattr__(self, name,
                                _check_integer(getattr(self, name), name, minimum))
@@ -168,8 +168,7 @@ def _qm_block(params: QMModelParams, a: float, b: float,
 
 def _source_summary(source) -> dict:
     if isinstance(source, QMModelParams):
-        return {"kind": "qm", "eta1": source.eta1, "eta2": source.eta2,
-                "f1": source.f1, "f2": source.f2, "F": source.F}
+        return {"kind": "qm", **asdict(source)}
     return {"kind": "slhv", "n_lambda": source.space.size,
             **{k: v for k, v in source.meta.items()
                if isinstance(v, (str, int, float, bool))}}
@@ -182,6 +181,8 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     The result is bit-identical for any ``workers`` value >= 1; see the
     module docstring for the substream derivation.
     """
+    _check_instance(source, (SLHVModel, QMModelParams), "source")
+    _check_instance(plan, ExperimentPlan, "plan")
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_tasks = 4 * n_blocks
@@ -221,16 +222,11 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
 
 def write_counts_csv(records, path) -> None:
     """Fixed-order CSV: a ``COUNTS_COLUMNS`` header, then nine cells per pair."""
-    def fmt(v: int) -> str:
-        return f"{v:+d}" if v != 0 else "0"
-
-    lines = [",".join(COUNTS_COLUMNS)]
-    for rec in records:
-        for r in OUTCOME_VALUES:
-            for q in OUTCOME_VALUES:
-                c = int(rec.table[_OUTCOME_INDEX[r], _OUTCOME_INDEX[q]])
-                lines.append(f"{rec.label},{fmt(r)},{fmt(q)},{c}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # A table's rows and columns run over OUTCOME_VALUES in order.
+    signs = [f"{v:+d}" if v else "0" for v in OUTCOME_VALUES]
+    rows = [(rec.label, signs[i], signs[j], count) for rec in records
+            for i, counts in enumerate(rec.table.tolist()) for j, count in enumerate(counts)]
+    write_text(path, csv_text([COUNTS_COLUMNS, *rows]))
 
 
 def write_run_sidecar(result: ExperimentResult, path) -> None:

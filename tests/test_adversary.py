@@ -396,6 +396,16 @@ class TestSearch:
         assert res.projection_active_at_optimum is False
         assert res.to_json_dict()["projection_active_at_optimum"] is False
 
+    @pytest.mark.parametrize("name, value", [
+        ("family", "threshold-detection"),
+        ("quad", (0, 1, 2, 3)),
+        ("mode", "solution1"),
+    ])
+    def test_config_rejects_wrong_types(self, name, value):
+        # Rejected at the config, not by an AttributeError inside the search.
+        with pytest.raises(ValidationError, match=f"{name} must be of type"):
+            self.small_config(**{name: value})
+
     def test_freeze_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):
             SearchConfig(family=get_family("modulated-p0"), quad=QUAD,

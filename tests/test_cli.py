@@ -210,6 +210,12 @@ class TestAnalyzeGolden:
         assert lines[0] == "label,E_eff,stderr,coincidences"
         assert len(lines) == 6  # four pairs + combined row
 
+    def test_reproduces_golden_csv_report(self, capsys):
+        assert run(["analyze", "--counts", str(GOLDEN / "qm_run.csv"),
+                    "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "qm_run_report.csv").read_text(
+            encoding="utf-8")
+
 
 class TestQmPredict:
     def test_downconversion_prediction(self, capsys):
@@ -237,6 +243,15 @@ class TestQmPredict:
         assert out.startswith("label,E,E_eff")
         assert out.strip().splitlines()[-1].startswith("U_eff,")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reproduces_golden_prediction(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"predict.{fmt}"
+        assert run(["qm-predict", "--eta", "0.75", "--f", "0.9", "--F", "0.95",
+                    "--format", fmt, "--out", str(out)]) == 0
+        want = (GOLDEN / f"qm_predict.{fmt}").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == want
+        assert out.read_bytes() == want
+
 
 class TestSweep:
     def test_exact_column_constant_and_sampled_consistent(self, tmp_path):
@@ -256,6 +271,13 @@ class TestSweep:
             pull = ((float(d["u_eff_sampled"]) - float(d["u_eff_exact"]))
                     / float(d["u_eff_stderr"]))
             assert abs(pull) <= 4.0
+
+    def test_reproduces_golden_table(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--eta-values", "0.5,1", "--f12-values", "0.5,1",
+                    "--F", "0.95", "--seed", "7", "--min-coincidences", "200",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
 
     def test_empty_range_rejected(self, tmp_path):
         assert run(["sweep", "--eta-values", "", "--f12-values", "1",

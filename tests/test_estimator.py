@@ -301,6 +301,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             read_counts_csv(path)
 
+    @pytest.mark.parametrize("totals", [[1, 2], [], "ab=10", 200], ids=repr)
+    def test_totals_must_be_a_mapping(self, totals, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("pair_label,r,q,count\nab,+1,+1,40\n")
+        with pytest.raises(ValidationError, match="emitted totals must map pair labels"):
+            read_counts_csv(path, emitted_totals=totals)
+
 
 class TestAnalysisReport:
     def test_full_report_structure(self):

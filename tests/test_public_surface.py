@@ -2,7 +2,7 @@
 a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
 its batched ``response``, each premise is defined once, a search
-restart is one generator and each file format is spelled once."""
+restart is one generator and each file format is spelled once, in modelio."""
 
 import argparse
 import ast
@@ -131,15 +131,29 @@ def test_one_restart_generator():
 
 
 def test_one_file_format():
-    # The JSON layout is modelio.json_text alone, the counts-CSV columns are
-    # estimator.COUNTS_COLUMNS alone, and the one pool-size rule lives in
+    # The JSON layout is modelio.json_text alone, the CSV layout
+    # modelio.csv_text alone and the file encoding modelio.write_text alone;
+    # a QM parameter set is spelled by its dataclass, the counts-CSV columns
+    # are estimator.COUNTS_COLUMNS alone, and the one pool-size rule lives in
     # model beside the integer check it calls.
     src = Path(bellsim.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    dumps = [name for name, tree in trees.items() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "dumps"]
-    assert dumps == ["modelio.py"]
+    for attr in ("dumps", "write_text"):
+        sites = [name for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == attr]
+        assert sites == ["modelio.py"], attr
+    comma_joins = [name for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "join"
+                   and isinstance(node.value, ast.Constant) and node.value.value == ","]
+    assert comma_joins == ["modelio.py"]
+    qm_dicts = [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Dict)
+                and any(isinstance(k, ast.Constant) and k.value == "eta1" for k in node.keys)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+                and any(k.arg == "eta1" for k in node.keywords)]
+    assert qm_dicts == []
+    assert not hasattr(bounds.EffectiveCorrelationMode, "from_string")
     assert not hasattr(cli, "_json_dump")
     assert estimator.COUNTS_COLUMNS == ("pair_label", "r", "q", "count")
     columns = [name for name, tree in trees.items() for node in ast.walk(tree)

@@ -77,6 +77,22 @@ class TestPlan:
         assert (plan.trials_per_pair, plan.seed) == (1000, 4)
         assert type(plan.trials_per_pair) is int and type(plan.seed) is int
 
+    def test_rejects_a_quad_of_another_type(self):
+        with pytest.raises(ValidationError, match="quad must be of type SettingsQuad, got tuple"):
+            ExperimentPlan((0, 1, 2, 3), 10, 0)
+
+    @pytest.mark.parametrize("source", ["x", None, (0.8, 0.8, 0.9, 0.9, 0.95)], ids=repr)
+    def test_rejects_an_unknown_source(self, source):
+        plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
+        with pytest.raises(ValidationError,
+                           match="source must be of type SLHVModel or QMModelParams"):
+            run_experiment(source, plan)
+
+    def test_rejects_a_plan_of_another_type(self):
+        params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+        with pytest.raises(ValidationError, match="plan must be of type ExperimentPlan"):
+            run_experiment(params, (optimal_quad(), 10, 1))
+
     def test_rejects_workers_below_one(self):
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
         params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)

@@ -64,7 +64,9 @@ def check_surface(out: Path) -> None:
     cli("simulate", *qm, "--trials", "10000", "--seed", "42", "--workers", "2",
         "--out", out / "run.csv")
     cli("analyze", "--counts", out / "run.csv", "--out", out / "report.json")
+    cli("analyze", "--counts", out / "run.csv", "--format", "csv")
     cli("qm-predict", *qm)
+    cli("qm-predict", *qm, "--format", "csv")
     cli("sweep", "--eta-values", "0.75", "--f12-values", "1.0", "--F", "0.95", "--seed", "7",
         "--min-coincidences", "1000", "--workers", "2", "--out", out / "sweep.csv")
 
