@@ -9,8 +9,8 @@ bookkeeping connecting the full-sample CHSH value to the effective one.
 
 from bellsim import qm
 from bellsim.bounds import optimal_quad
-from bellsim.estimator import analysis_report, epsilon_decomposition, qm_epsilon_identity
-from bellsim.qm import QMModelParams
+from bellsim.estimator import analysis_report, epsilon_decomposition
+from bellsim.qm import QMModelParams, qm_epsilon_identity
 from bellsim.sampler import ExperimentPlan, run_experiment
 
 

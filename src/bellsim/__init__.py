@@ -38,14 +38,13 @@ from .bounds import (  # noqa: F401
     optimal_quad,
     pointwise_bound_check,
 )
-from .qm import QMModelParams, u_eff_cap, violation_lhs  # noqa: F401
+from .qm import QMModelParams, qm_epsilon_identity, u_eff_cap, violation_lhs  # noqa: F401
 from .sampler import ExperimentPlan, ExperimentResult, run_experiment  # noqa: F401
 from .estimator import (  # noqa: F401
     CountsRecord,
     EpsilonReport,
     e_eff_from_counts,
     epsilon_decomposition,
-    qm_epsilon_identity,
     u_eff_from_counts,
 )
 from .adversary import FAMILIES, SearchConfig, SearchResult, search  # noqa: F401

@@ -811,6 +811,7 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     batch per step (``_lockstep``).  An exception raised in any process reaches
     the caller, and no worker outlives the call.
     """
+    _check_instance(config, SearchConfig, "config")
     summaries = _run_restarts(config, _pool_size(workers, config.restarts))
     fam = config.family
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))

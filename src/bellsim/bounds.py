@@ -56,6 +56,7 @@ from .model import (
     TheoremViolationError,
     ValidationError,
     _PREMISES,
+    _check_instance,
     _check_real,
     _premise_report,
     canonical_angle,
@@ -98,14 +99,12 @@ PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 def chsh_sum(values):
     """v(ab) - v(ab') + v(a'b) + v(a'b') of per-pair values in PAIR_LABELS
-    order, summed left to right from the integer 0 (so a zero sum is +0.0):
-    U, U_eff and eps_total for every source.  An array holds the four
-    values along its last axis and gives one sum per row, in the same
-    order and so to the same bits: ((v0 + 0.0) - v1) + v2 + v3, since
-    x + (-1.0 * y) == x - y."""
-    if isinstance(values, np.ndarray):
-        return ((values[..., 0] + 0.0) - values[..., 1]) + values[..., 2] + values[..., 3]
-    return sum(sign * v for sign, v in zip(PAIR_SIGNS, values))
+    order: U, U_eff and eps_total for every source.  ``values`` is read as
+    a float array holding the four values along its last axis (a list or
+    a row of four gives a numpy scalar), and each row is summed left to
+    right as ((v0 + 0.0) - v1) + v2 + v3, so a zero sum is +0.0."""
+    v = np.asarray(values, dtype=float)
+    return ((v[..., 0] + 0.0) - v[..., 1]) + v[..., 2] + v[..., 3]
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,9 @@ class _QuadTables:
     """
 
     def __init__(self, model: SLHVModel, *quads: SettingsQuad, validate: bool = True):
+        _check_instance(model, SLHVModel, "model")
+        for quad in quads:
+            _check_instance(quad, SettingsQuad, "quad")
         n = model.space.size
         self.w = model.space.weights[None]
         self.angles = ((quads[0].party1_angles(), quads[0].party2_angles())
@@ -320,15 +322,13 @@ class _QuadTables:
         a party's detection probability at its setting (solution2) or at
         some hidden point (solution3) is not positive.
         """
+        _check_instance(mode, EffectiveCorrelationMode, "mode")
         if mode is EffectiveCorrelationMode.SOLUTION1:
             dead = self.coin <= 0.0
             if not dead.any():
                 return self.e / self.coin, dead
             return np.divide(self.e, self.coin, out=np.full(dead.shape, np.nan),
                              where=~dead), dead
-        if mode not in (EffectiveCorrelationMode.SOLUTION2,
-                        EffectiveCorrelationMode.SOLUTION3):
-            raise ValidationError(f"unknown mode {mode!r}")
         dead_at = self.dead_at(mode)
         dead = (dead_at[:, 0, :, None] | dead_at[:, 1, None]).reshape(-1, 4)
         if mode is EffectiveCorrelationMode.SOLUTION2:
@@ -559,7 +559,7 @@ def _chsh_values(q: _QuadTables) -> ChshValues:
     """U and M of the batch of one ``q``, and their trip-wires: a |U| past
     the cap of ``"U"`` or ``"M"`` (see ``_slack``) raises
     TheoremViolationError."""
-    u = chsh_sum(q.e[0].tolist())
+    u = float(chsh_sum(q.e[0]))
     m = 2.0 * float(q.coin[0, 0])
     if _breach(q, "U", abs(u) - 2.0)[0]:
         raise TheoremViolationError(
@@ -568,7 +568,7 @@ def _chsh_values(q: _QuadTables) -> ChshValues:
         raise TheoremViolationError(
             f"|U| = {abs(u)!r} exceeds M = {m!r} by more than angle-independent "
             "non-detection allows")
-    return ChshValues(float(u), float(m))
+    return ChshValues(u, m)
 
 
 def effective_correlation(model: SLHVModel, a: float, b: float,
@@ -715,12 +715,11 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     TheoremViolationError.
     """
     q = _QuadTables(model, quad)
-    e = dict(zip(PAIR_LABELS, q.e[0].tolist()))
-    e_eff = dict(zip(PAIR_LABELS, q.e_eff(mode)[0][0].tolist()))
-    coin = dict(zip(PAIR_LABELS, q.coin[0].tolist()))
+    value = q.e_eff(mode)[0]
+    e, e_eff, coin = (dict(zip(PAIR_LABELS, v[0].tolist())) for v in (q.e, value, q.coin))
     u, m = _chsh_values(q)
     # A degenerate pair's NaN carries into U_eff and fails its verdict.
-    u_eff = chsh_sum(e_eff.values())
+    u_eff = float(chsh_sum(value[0]))
 
     assumption = _mode_report(q, mode)
     bound_guaranteed = assumption.passed and not math.isnan(u_eff)
@@ -745,7 +744,7 @@ def effective_chsh(model: SLHVModel, quad: SettingsQuad,
     }
     return InequalityReport(
         quad_degrees=quad.to_degrees(), mode=mode, e=e, e_eff=e_eff,
-        coincidence=coin, u=u, m=m, u_eff=float(u_eff),
+        coincidence=coin, u=u, m=m, u_eff=u_eff,
         assumption_report=assumption, bound_guaranteed=bound_guaranteed,
         verdicts=verdicts, theorem_breach=theorem_breach,
         pointwise=pointwise, per_lambda_extremes=extremes, u_eff_cap=u_eff_cap)

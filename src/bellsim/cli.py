@@ -36,7 +36,7 @@ from .bounds import (
     SettingsQuad,
     effective_chsh,
 )
-from .estimator import analysis_report, qm_epsilon_identity, read_counts_csv
+from .estimator import analysis_report, read_counts_csv
 from .model import BellSimError, TheoremViolationError, ValidationError, _parse_number
 from .modelio import csv_text, json_text, load_model, read_json, write_json, write_text
 from .qm import (
@@ -257,7 +257,7 @@ def cmd_sweep(args) -> int:
             report = analysis_report(result.records)
             rows.append((f"{eta:.10g}", f"{f12:.10g}", f"{args.F:.10g}", n_pairs, exact,
                          report["U_eff"], report["stderr"], report["epsilon"]["U"],
-                         qm_epsilon_identity(params, exact), u_eff_cap(params)))
+                         qm.qm_epsilon_identity(params, exact), u_eff_cap(params)))
             point_index += 1
     out = Path(args.out)
     write_text(out, csv_text(rows))

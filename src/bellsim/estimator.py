@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PAIR_LABELS, chsh_sum, coincidence_sum, signed_sum
-from .model import _OUTCOME_INDEX, NoDataError, ValidationError, _check_integer, _parse_number
-from .qm import QMModelParams
+from .model import (_OUTCOME_INDEX, NoDataError, ValidationError, _check_instance,
+                    _check_integer, _parse_number)
 
 __all__ = [
     "COUNTS_COLUMNS",
@@ -43,7 +43,6 @@ __all__ = [
     "u_eff_from_counts",
     "EpsilonReport",
     "epsilon_decomposition",
-    "qm_epsilon_identity",
     "read_counts_csv",
     "analysis_report",
 ]
@@ -117,6 +116,8 @@ def e_eff_stderr(rec: CountsRecord) -> float:
 
 def _ordered(recs) -> list[CountsRecord]:
     recs = list(recs)
+    for r in recs:
+        _check_instance(r, CountsRecord, "each counts record")
     by_label = {r.label: r for r in recs}
     if sorted(by_label) != sorted(PAIR_LABELS) or len(recs) != 4:
         raise ValidationError(
@@ -173,20 +174,11 @@ def epsilon_decomposition(recs) -> EpsilonReport:
     frac = {r.label: coincidence_count(r) / r.emitted_total for r in ordered}
     e = {r.label: int(signed_sum(r.table)) / r.emitted_total for r in ordered}
     eps = {lab: e[lab] * (1.0 - sp) / sp for lab, sp in frac.items()}
-    u, u_eff, eps_total = (chsh_sum(d.values()) for d in (e, e_eff, eps))
+    u, u_eff, eps_total = (float(chsh_sum(list(d.values()))) for d in (e, e_eff, eps))
     interval = (-2.0 + eps_total, 2.0 + eps_total)
-    return EpsilonReport(eps=eps, eps_total=float(eps_total), e=e, e_eff=e_eff,
-                         u=float(u), u_eff=float(u_eff), interval=interval,
+    return EpsilonReport(eps=eps, eps_total=eps_total, e=e, e_eff=e_eff,
+                         u=u, u_eff=u_eff, interval=interval,
                          u_eff_in_interval=interval[0] <= u_eff <= interval[1])
-
-
-def qm_epsilon_identity(params: QMModelParams, u_eff: float) -> float:
-    """The discrepancy the QM model predicts: (1 - eta1*eta2*f12) * u_eff.
-
-    Equivalently, the full-sample CHSH value is eta1*eta2*f12 * u_eff,
-    which stays within 2 whenever sqrt(2)*F*eta1*eta2*f12 <= 1.
-    """
-    return (1.0 - params.eta12f12) * u_eff
 
 
 def read_counts_csv(path, emitted_totals: dict[str, int] | None = None

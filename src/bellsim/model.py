@@ -381,6 +381,7 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
                     ) -> tuple[tuple[np.ndarray, ...], tuple[list[float], ...]]:
     """Each party's (k, n) non-detection rows at its canonical angles, from
     one response call per party, and those angles."""
+    _check_instance(model, SLHVModel, "model")
     angles = tuple([canonical_angle(a) for a in angs] for angs in (angles1, angles2))
     if not all(angles):
         raise ValidationError("angle lists must be non-empty")

@@ -8,7 +8,9 @@ The joint probability of detecting outcomes (r, q) at analyzer angles
 with per-photon detector efficiencies ``eta_k``, collimator/transmission
 factors ``f_k``, and source correlation strength ``F`` (about 0.95 for
 parametric down-conversion sources).  Analyzer losses are folded into
-eta*f; there is no separate analyzer-imperfection term.
+eta*f; there is no separate analyzer-imperfection term.  The same law,
+spelled once in ``_pair_law``, is what the sampler draws QM trials from,
+and ``qm_epsilon_identity`` gives the eps it predicts.
 
 The coincidence-normalized correlation F*cos 2(a - b) carries no
 efficiency dependence at all, which is why the coincidence-normalized
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import BOUND_TOL, SettingsQuad, chsh_sum, optimal_quad
-from .model import ValidationError, _check_real
+from .model import ValidationError, _check_instance, _check_real
 
 __all__ = [
     "QMModelParams",
@@ -35,6 +37,7 @@ __all__ = [
     "violation_lhs",
     "u_eff_cap",
     "u_eff_cap_holds",
+    "qm_epsilon_identity",
     "optimal_quad",
 ]
 
@@ -81,7 +84,8 @@ def joint_probability(params: QMModelParams, a: float, b: float,
     """Probability of coincident outcomes (r, q) in {+1, -1}^2."""
     if r not in (1, -1) or q not in (1, -1):
         raise ValidationError(f"r and q must be +1 or -1, got {(r, q)}")
-    return 0.25 * params.eta12f12 * (1.0 + r * q * params.F * math.cos(2.0 * (a - b)))
+    # The pair law's cells are (equal-sign, opposite-sign).
+    return params.eta12f12 * _pair_law(params, a, b)[1][r != q]
 
 
 def coincidence_probability(params: QMModelParams) -> float:
@@ -104,15 +108,27 @@ def effective_correlation(params: QMModelParams, a: float, b: float) -> float:
     return params.F * math.cos(2.0 * (a - b))
 
 
+def _pair_law(params: QMModelParams, a: float, b: float) -> tuple[tuple, tuple]:
+    """The law of one pair at (a, b): each photon's detection probability
+    eta_k*f_k (the two independent), and, given both detected, the
+    probability of each equal-sign cell and of each opposite-sign cell,
+    (1 +- F cos 2(a - b))/4.  The sampler draws every QM trial from it."""
+    fc = effective_correlation(params, a, b)
+    return ((params.eta1 * params.f1, params.eta2 * params.f2),
+            (0.25 * (1.0 + fc), 0.25 * (1.0 - fc)))
+
+
 def chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Full-ensemble CHSH combination of the four correlations."""
-    return chsh_sum(correlation(params, x, y) for _, x, y, _ in quad.pairs())
+    _check_instance(quad, SettingsQuad, "quad")
+    return float(chsh_sum([correlation(params, x, y) for _, x, y, _ in quad.pairs()]))
 
 
 def effective_chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Coincidence-normalized CHSH combination; equals 2*sqrt(2)*F at the
     pi/8-separation quad and never depends on eta or f."""
-    return chsh_sum(effective_correlation(params, x, y) for _, x, y, _ in quad.pairs())
+    _check_instance(quad, SettingsQuad, "quad")
+    return float(chsh_sum([effective_correlation(params, x, y) for _, x, y, _ in quad.pairs()]))
 
 
 def violation_lhs(F: float, phi: float) -> float:
@@ -129,6 +145,15 @@ def violation_lhs(F: float, phi: float) -> float:
     if not (0.0 <= F <= 1.0):
         raise ValidationError(f"F must lie in [0, 1], got {F!r}")
     return F * abs(3.0 * math.cos(phi) - math.cos(3.0 * phi))
+
+
+def qm_epsilon_identity(params: QMModelParams, u_eff: float) -> float:
+    """The discrepancy the QM model predicts: (1 - eta1*eta2*f12) * u_eff.
+
+    Equivalently, the full-sample CHSH value is eta1*eta2*f12 * u_eff,
+    which stays within 2 whenever sqrt(2)*F*eta1*eta2*f12 <= 1.
+    """
+    return (1.0 - params.eta12f12) * u_eff
 
 
 def u_eff_cap(params: QMModelParams) -> float:

@@ -22,11 +22,14 @@ in the order above; that draw order and those per-array calls are part
 of the contract.  Only ``Generator.random`` is used, keeping the mapping
 from bit stream to outcomes entirely in this module.
 
-A block is tallied straight from its uniform arrays.  The QM kernel
-counts each 3x3 cell from boolean masks over them, with no per-trial
-index arrays; the SLHV kernel compares each trial's outcome uniforms
-with the cumulative outcome edges ``(p+, p+ + p-)`` at its hidden
-point, computed once per (party, angle).
+A block is tallied straight from its uniform arrays.  Each setting
+pair's kernel arguments are computed once per run, not per block: the
+SLHV kernel's cumulative outcome edges ``(p+, p+ + p-)`` come from the
+model's response tables, once per (party, angle), and the QM kernel's
+detection probabilities and joint-cell edges from ``qm._pair_law``.
+The QM kernel counts each 3x3 cell from boolean masks over the
+uniforms, with no per-trial index arrays; the SLHV kernel compares each
+trial's outcome uniforms with the edges at its hidden point.
 
 One path runs at every worker count: each setting pair's kernel is
 chosen once, and the blocks run on a thread pool of ``workers`` threads,
@@ -56,7 +59,7 @@ from .model import (
     _pool_size,
 )
 from .modelio import csv_text, write_json, write_text
-from .qm import QMModelParams
+from .qm import QMModelParams, _pair_law
 
 __all__ = [
     "BLOCK_SIZE",
@@ -136,20 +139,16 @@ def _slhv_block(e1: tuple[np.ndarray, np.ndarray], e2: tuple[np.ndarray, np.ndar
     return counts.reshape(3, 3)
 
 
-def _qm_block(params: QMModelParams, a: float, b: float,
+def _qm_block(detect: tuple[float, float], edges: np.ndarray,
               rng: np.random.Generator, n: int) -> np.ndarray:
-    d1 = rng.random(n) < params.eta1 * params.f1
-    d2 = rng.random(n) < params.eta2 * params.f2
+    """3x3 outcome counts for n trials; ``detect`` holds each photon's
+    detection probability and ``edges`` the cumulative joint cells."""
+    d1 = rng.random(n) < detect[0]
+    d2 = rng.random(n) < detect[1]
     u1 = rng.random(n)
     u2 = rng.random(n)
 
-    fc = params.F * np.cos(2.0 * (a - b))
-    p_same = 0.25 * (1.0 + fc)   # (+,+) and (-,-) given both detected
-    p_diff = 0.25 * (1.0 - fc)
-    # Joint cells in order (+,+), (+,-), (-,+), (-,-); a both-detected
-    # trial lands in the cell of the first edge above u1.
-    edges = np.cumsum([p_same, p_diff, p_diff])
-
+    # A both-detected trial lands in the cell of the first edge above u1.
     both = d1 & d2
     n_both = np.count_nonzero(both)
     ge0, ge1, ge2 = (np.count_nonzero(both & (u1 >= e)) for e in edges)
@@ -196,7 +195,10 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
         kernels = [partial(_slhv_block, e1, e2, cdf) for e1 in edges1 for e2 in edges2]
     else:
-        kernels = [partial(_qm_block, source, a, b) for _label, a, b, _sign in pairs]
+        # Joint cells in order (+,+), (+,-), (-,+), (-,-).
+        laws = [_pair_law(source, a, b) for _label, a, b, _sign in pairs]
+        kernels = [partial(_qm_block, detect, np.cumsum([same, diff, diff]))
+                   for detect, (same, diff) in laws]
 
     def block_counts(task: int) -> tuple[int, np.ndarray]:
         pair_index, block_index = divmod(task, n_blocks)

@@ -32,10 +32,9 @@ from bellsim.bounds import (
 from bellsim.cli import main as cli_main
 from bellsim.estimator import (
     epsilon_decomposition,
-    qm_epsilon_identity,
     u_eff_from_counts,
 )
-from bellsim.qm import QMModelParams
+from bellsim.qm import QMModelParams, qm_epsilon_identity
 from bellsim.random_models import (
     random_angle_independent_model,
     random_lambda_independent_model,

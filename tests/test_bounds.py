@@ -117,13 +117,19 @@ class TestChshSum:
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
+    @staticmethod
+    def list_sum(row):
+        """The reference: Python floats times their signs, summed left to
+        right from the integer 0."""
+        return sum(sign * v for sign, v in zip(PAIR_SIGNS, row))
+
     def test_array_path_matches_list_path_bytewise(self):
         # Every row of four from the pool: signed zeros, NaNs of both signs,
         # infinities and sums that cancel to zero, as (4,), (B, 4) and
-        # (B, k, 4).  The (B, 4) sums also equal, NaN bits included, the
-        # signed sum of the four columns in numpy's own loops.
+        # (B, k, 4), and as lists.  The (B, 4) sums also equal, NaN bits
+        # included, the signed sum of the four columns in numpy's own loops.
         rows = np.array(list(itertools.product(self.VALUES, repeat=4)))
-        want = np.array([chsh_sum(row) for row in rows.tolist()])
+        want = np.array([self.list_sum(row) for row in rows.tolist()])
         assert want.size == 10 ** 4 and np.any(want == 0.0) and np.any(np.isnan(want))
         with np.errstate(invalid="ignore"):  # inf - inf
             got = chsh_sum(rows)
@@ -132,6 +138,7 @@ class TestChshSum:
             assert chsh_sum(rows.reshape(100, 100, 4)).tobytes() == got.tobytes()
             self.assert_same_bits(got, want)
             self.assert_same_bits([chsh_sum(row) for row in rows], want)
+            self.assert_same_bits([chsh_sum(row) for row in rows.tolist()], want)
 
 
 class TestVertexEnumeration:
@@ -651,6 +658,10 @@ class TestEffectiveChsh:
         assert rep.verdicts["abs_u_le_m"] == (abs(rep.u) <= rep.m + 1e-12)
         combo = rep.e_eff["ab"] - rep.e_eff["ab'"] + rep.e_eff["a'b"] + rep.e_eff["a'b'"]
         assert rep.u_eff == pytest.approx(combo, abs=1e-12)
+        # The sums are Python floats and the verdicts Python bools, not numpy
+        # scalars, so the report serializes as it reads.
+        assert all(type(x) is float for x in (rep.u, rep.m, rep.u_eff))
+        assert all(type(v) is bool for v in rep.verdicts.values())
 
     def test_report_flags_assumption_violating_model(self):
         m = sign_model(theta1=0.7, theta2=0.7)

@@ -15,12 +15,11 @@ from bellsim.estimator import (
     e_eff_from_counts,
     e_eff_stderr,
     epsilon_decomposition,
-    qm_epsilon_identity,
     read_counts_csv,
     u_eff_from_counts,
 )
 from bellsim.model import NoDataError, ValidationError
-from bellsim.qm import QMModelParams
+from bellsim.qm import QMModelParams, qm_epsilon_identity
 from bellsim import qm
 from bellsim.sampler import ExperimentPlan, run_experiment, write_counts_csv
 
@@ -147,6 +146,8 @@ class TestEpsilonDecomposition:
         rep = epsilon_decomposition(res.records)
         assert rep.u == pytest.approx(rep.u_eff - rep.eps_total, abs=1e-12)
         assert rep.u_eff_in_interval == (abs(rep.u) <= 2.0)
+        assert all(type(x) is float for x in (rep.u, rep.u_eff, rep.eps_total, *rep.interval))
+        assert type(rep.u_eff_in_interval) is bool
 
     def test_zero_effective_correlations_give_zero_eps(self):
         recs = four_identical(25, 25, 25, 25, zz=100)

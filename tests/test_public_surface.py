@@ -2,7 +2,9 @@
 a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
 its batched ``response``, each premise is defined once, a search
-restart is one generator and each file format is spelled once, in modelio."""
+restart is one generator, each file format is spelled once, in modelio,
+and the QM source's law once, in qm.  A wrong-typed argument is rejected
+with a ValidationError at the entry its calls share."""
 
 import argparse
 import ast
@@ -13,10 +15,13 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellsim
-from bellsim import adversary, bounds, cli, estimator, model, modelio
+from bellsim import adversary, bounds, cli, estimator, model, modelio, qm
+from bellsim.model import ValidationError
+from bellsim.random_models import random_nondegenerate_model
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(bellsim.__path__))
 
@@ -175,3 +180,80 @@ def test_unread_record_fields_removed():
                       (estimator.EpsilonReport, "coincidence_fraction"),
                       (bounds.PointwiseBoundReport, "tol")):
         assert name not in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
+
+
+def test_one_qm_law():
+    # The QM source's law (each photon's detection probability and the
+    # joint cells) and its predicted eps live in qm alone: the sampler and
+    # the estimator compute no cosine and read no QM parameter.  chsh_sum
+    # has one path, the float array.
+    src = Path(bellsim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    for name in ("sampler.py", "estimator.py"):
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert callee != "cos", name
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("eta1", "eta2", "f1", "f2", "F"), (name, node.attr)
+    imports = {node.module for node in ast.walk(trees["estimator.py"])
+               if isinstance(node, ast.ImportFrom)}
+    assert "qm" not in imports
+    definitions = [name for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "qm_epsilon_identity"]
+    assert definitions == ["qm.py"]
+    assert bellsim.qm_epsilon_identity is qm.qm_epsilon_identity
+    assert not hasattr(estimator, "qm_epsilon_identity")
+    chsh_sum = next(node for node in ast.walk(trees["bounds.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "chsh_sum")
+    assert not any(isinstance(node, ast.Name) and node.id == "isinstance"
+                   for node in ast.walk(chsh_sum))
+
+
+SLHV = random_nondegenerate_model(np.random.default_rng(0), 4)
+QUAD = bounds.optimal_quad()
+THRESHOLD = adversary.get_family("threshold-detection")
+ANGLES = (0.0, 0.5, 0.25, 0.75)  # four angles, not a SettingsQuad
+QM = qm.QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bounds.effective_chsh(SLHV, QUAD, "solution1"),
+    lambda: bounds.effective_chsh_value(SLHV, QUAD, "solution3"),
+    lambda: adversary.objective(THRESHOLD, [0.0, 0.0], QUAD, "solution1"),
+], ids=["effective_chsh", "effective_chsh_value", "objective"])
+def test_string_mode_rejected_by_type(call):
+    # A mode's name is not a mode: the error asks for the enum instead of
+    # calling a valid mode unknown.
+    with pytest.raises(ValidationError,
+                       match="^mode must be of type EffectiveCorrelationMode, got str$"):
+        call()
+
+
+WRONG_TYPES = {
+    "effective_chsh-quad": (lambda: bounds.effective_chsh(SLHV, ANGLES), "quad"),
+    "effective_chsh-model": (lambda: bounds.effective_chsh("m", QUAD), "model"),
+    "chsh_value": (lambda: bounds.chsh_value(SLHV, ANGLES), "quad"),
+    "pointwise_bound_check": (lambda: bounds.pointwise_bound_check(SLHV, ANGLES), "quad"),
+    "effective_chsh_values": (lambda: bounds.effective_chsh_values(SLHV, [ANGLES]), "quad"),
+    "objective": (lambda: adversary.objective(THRESHOLD, [0.0, 0.0], ANGLES), "quad"),
+    "qm.chsh_value": (lambda: qm.chsh_value(QM, ANGLES), "quad"),
+    "qm.effective_chsh_value": (lambda: qm.effective_chsh_value(QM, ANGLES), "quad"),
+    "analysis_report": (lambda: estimator.analysis_report("abcd"), "each counts record"),
+    "epsilon_decomposition": (lambda: estimator.epsilon_decomposition("abcd"),
+                              "each counts record"),
+    "u_eff_from_counts": (lambda: estimator.u_eff_from_counts([1, 2, 3, 4]),
+                          "each counts record"),
+    "search": (lambda: adversary.search("x"), "config"),
+    "validate_solution1": (lambda: model.validate_solution1("m", [0], [0]), "model"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_TYPES))
+def test_wrong_type_rejected(call):
+    # Each type is checked once, at the entry these calls share, before an
+    # attribute lookup can fail on it.
+    fn, name = WRONG_TYPES[call]
+    with pytest.raises(ValidationError, match=f"^{name} must be of type"):
+        fn()

@@ -71,6 +71,28 @@ class TestJointProbability:
                 for q in (1, -1):
                     assert qm.joint_probability(p, sep, 0.0, r, q) >= -1e-15
 
+    def test_bits_pinned_to_closed_form(self):
+        # The probability is eta12f12 times the pair law's cell; scaling by
+        # 0.25 is exact, so it keeps the bits of the closed form
+        # 0.25 * eta12f12 * (1 + r*q*F*cos 2(a - b)).
+        rng = np.random.default_rng(7)
+        checked = 0
+        for k in range(60):
+            eta1, eta2, f1, f2 = rng.uniform(0.01, 1.0, size=4)
+            F = (0.0, 1.0, rng.random())[k % 3]
+            a = rng.uniform(-math.pi, math.pi)
+            sep = (0.0, math.pi / 4, math.pi / 2, rng.uniform(-math.pi, math.pi))[k % 4]
+            p = QMModelParams(eta1, eta2, f1, f2, F)
+            for b in (a - sep, a + sep):
+                for r in (1, -1):
+                    for q in (1, -1):
+                        want = 0.25 * p.eta12f12 * (1.0 + r * q * F * math.cos(2.0 * (a - b)))
+                        got = qm.joint_probability(p, a, b, r, q)
+                        assert type(got) is float
+                        assert got.hex() == want.hex(), (k, a, b, r, q)
+                        checked += 1
+        assert checked == 480
+
 
 class TestCorrelation:
     def test_perfect_aligned(self):
@@ -162,6 +184,8 @@ class TestEffectiveChsh:
         quad = SettingsQuad.from_degrees(10, 55, 32.5, 77.5)
         assert qm.chsh_value(p, quad) == pytest.approx(
             p.eta12f12 * qm.effective_chsh_value(p, quad), abs=1e-14)
+        assert type(qm.chsh_value(p, quad)) is float
+        assert type(qm.effective_chsh_value(p, quad)) is float
 
 
 class TestUEffCap:

@@ -16,7 +16,7 @@ from bellsim.model import (
     SLHVModel,
     ValidationError,
 )
-from bellsim.qm import QMModelParams
+from bellsim.qm import QMModelParams, _pair_law
 from bellsim import qm
 from bellsim.random_models import random_nondegenerate_model
 from bellsim.random_models import (
@@ -378,9 +378,11 @@ class TestFrozenReference:
             b = (a, a + math.pi / 4, a + math.pi / 2, rng.random() * math.pi)[seed % 4]
             params = QMModelParams(eta1, eta2, f1, f2, F)
             case = (seed, n, params, a, b)
-            self.assert_same(_qm_block(params, a, b, substream(seed, seed % 4, seed % 3), n),
-                             _reference_qm_block(params, a, b,
-                                                 substream(seed, seed % 4, seed % 3), n),
+            detect, (same, diff) = _pair_law(params, a, b)
+            got = _qm_block(detect, np.cumsum([same, diff, diff]),
+                            substream(seed, seed % 4, seed % 3), n)
+            self.assert_same(got, _reference_qm_block(params, a, b,
+                                                      substream(seed, seed % 4, seed % 3), n),
                              case)
 
     def test_slhv_block_matches_reference(self):
