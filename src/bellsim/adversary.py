@@ -252,17 +252,14 @@ def _malus_shares(angles: tuple[float, ...], n_lambda: int, sharpness: float) ->
 
 
 @lru_cache(maxsize=64)
-def _abs_cos2d_breakpoints(angles: tuple[float, ...], n_lambda: int) -> tuple[float, ...]:
-    """The distinct values of |cos 2d| at ``angles`` over the grid, sorted."""
-    # Not np.unique, whose first call imports numpy.ma.
-    return tuple(sorted(set(_angle_terms(angles, n_lambda).abs_cos2d.ravel().tolist())))
-
-
 def _threshold_breakpoints(quad: SettingsQuad, n_lambda: int) -> tuple[tuple[float, ...], ...]:
+    """Each party's distinct values of |cos 2d| at its quad angles over the
+    grid, sorted."""
     # A party's detection mask |cos 2d| >= theta changes only when theta
     # crosses one of its values.  The quad holds its angles reduced, as the
-    # response call reduces them, so the values are those the response compares.
-    return tuple(_abs_cos2d_breakpoints(angles, n_lambda)
+    # response call reduces them, so the values are those the response
+    # compares.  Not np.unique, whose first call imports numpy.ma.
+    return tuple(tuple(sorted(set(_angle_terms(angles, n_lambda).abs_cos2d.ravel().tolist())))
                  for angles in (quad.party1_angles(), quad.party2_angles()))
 
 

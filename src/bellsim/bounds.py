@@ -65,7 +65,6 @@ from .model import (
 __all__ = [
     "BOUND_TOL",
     "PAIR_LABELS",
-    "PAIR_SIGNS",
     "chsh_sum",
     "SettingsQuad",
     "EffectiveCorrelationMode",
@@ -91,18 +90,17 @@ __all__ = [
 # rounding room every verdict and trip-wire allows on top of its bound.
 BOUND_TOL = 1e-12
 
-# The four setting pairs of a CHSH run, with the sign each correlation
-# carries in the combination: E(a,b) - E(a,b') + E(a',b) + E(a',b').
+# The four setting pairs of a CHSH run, in the order ``chsh_sum`` reads them.
 PAIR_LABELS = ("ab", "ab'", "a'b", "a'b'")
-PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 
 def chsh_sum(values):
     """v(ab) - v(ab') + v(a'b) + v(a'b') of per-pair values in PAIR_LABELS
-    order: U, U_eff and eps_total for every source.  ``values`` is read as
-    a float array holding the four values along its last axis (a list or
-    a row of four gives a numpy scalar), and each row is summed left to
-    right as ((v0 + 0.0) - v1) + v2 + v3, so a zero sum is +0.0."""
+    order: U, U_eff and eps_total for every source, and the one place the
+    CHSH signs are written.  ``values`` is read as a float array holding
+    the four values along its last axis (a list or a row of four gives a
+    numpy scalar), and each row is summed left to right as
+    ((v0 + 0.0) - v1) + v2 + v3, so a zero sum is +0.0."""
     v = np.asarray(values, dtype=float)
     return ((v[..., 0] + 0.0) - v[..., 1]) + v[..., 2] + v[..., 3]
 
@@ -130,12 +128,13 @@ class SettingsQuad:
         return tuple(math.degrees(x) for x in
                      (self.a, self.a_prime, self.b, self.b_prime))
 
-    def pairs(self) -> tuple[tuple[str, float, float, float], ...]:
-        """(label, angle1, angle2, sign) for the four setting pairs, in order."""
+    def pairs(self) -> tuple[tuple[str, float, float], ...]:
+        """(label, angle1, angle2) for the four setting pairs in PAIR_LABELS
+        order: (a, b), (a, b'), (a', b), (a', b').  ``chsh_sum`` combines
+        per-pair values in this order."""
         return tuple(zip(PAIR_LABELS,
                          (self.a, self.a, self.a_prime, self.a_prime),
-                         (self.b, self.b_prime, self.b, self.b_prime),
-                         PAIR_SIGNS))
+                         (self.b, self.b_prime, self.b, self.b_prime)))
 
     def party1_angles(self) -> tuple[float, float]:
         return (self.a, self.a_prime)
@@ -599,8 +598,9 @@ def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
                          validate: bool = True) -> float:
     """The CHSH combination of the four coincidence-normalized correlations.
 
-    Lean path used in hot loops (property suites, adversarial search);
-    no assumption checking, degenerate pairs raise.
+    Lean path: no assumption checking, degenerate pairs raise.  The
+    adversarial search does not call it; it evaluates a batch of points
+    per step through ``adversary._evaluate``.
     """
     return float(_u_eff(_QuadTables(model, quad, validate=validate), mode)[0])
 

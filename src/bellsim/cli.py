@@ -173,7 +173,7 @@ def cmd_qm_predict(args) -> int:
     params = _qm_params_from_args(args)
     quad = _parse_quad(args.quad)
     per_pair = {}
-    for label, x, y, _sign in quad.pairs():
+    for label, x, y in quad.pairs():
         per_pair[label] = {
             "E": qm.correlation(params, x, y),
             "E_eff": qm.effective_correlation(params, x, y),
@@ -371,10 +371,7 @@ def main(argv=None) -> int:
         # adversary-search's live check of every model it visits.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THEOREM_BREACH
-    except BellSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (BellSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

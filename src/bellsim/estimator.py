@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,7 @@ def e_eff_stderr(rec: CountsRecord) -> float:
 
 
 def _ordered(recs) -> list[CountsRecord]:
+    _check_instance(recs, Iterable, "counts records")
     recs = list(recs)
     for r in recs:
         _check_instance(r, CountsRecord, "each counts record")

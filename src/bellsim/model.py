@@ -260,10 +260,13 @@ def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
 class ResponseFunction:
     """Per-party outcome law: (angles, hidden points) -> probability triples.
 
-    Every route evaluates ``fn(angles, values) -> (k, n, 3)``: ``angles``
-    is a (k,) float array of canonical angles, ``values`` the (n,) labels
-    of the hidden points, and row ``[j, i]`` of the result is the triple
-    (p_plus, p_minus, p_zero) at ``angles[j]`` and hidden point i.
+    It holds a party number, 1 or 2 (``_check_integer``; a bool or a
+    float is rejected), and one ``fn(angles, values) -> (k, n, 3)``:
+    ``angles`` is a (k,) float array of canonical angles, ``values`` the
+    (n,) labels of the hidden points, and row ``[j, i]`` of the result is
+    the triple (p_plus, p_minus, p_zero) at ``angles[j]`` and hidden
+    point i.  ``SLHVModel.tables`` is the one caller of ``fn``: it
+    reduces the angles, checks the shape and validates the triples.
 
     Construction routes:
 
@@ -277,8 +280,7 @@ class ResponseFunction:
     """
 
     def __init__(self, party: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        if party not in (1, 2):
-            raise ValidationError(f"party must be 1 or 2, got {party!r}")
+        party = _check_integer(party, "party", 1, 2)
         if not callable(fn):
             raise ValidationError(
                 f"response fn must be callable, got {type(fn).__name__}")
@@ -308,16 +310,6 @@ class ResponseFunction:
 
         return cls(party, lookup)
 
-    def tables(self, angles: Sequence[float], values: np.ndarray) -> np.ndarray:
-        """The (k, n, 3) tables at ``angles``, each reduced to [0, pi) first."""
-        a = np.array([canonical_angle(x) for x in angles], dtype=float)
-        t = np.asarray(self._fn(a, values), dtype=float)
-        if t.shape != (a.size, values.size, 3):
-            raise ValidationError(
-                f"response for party {self.party} must have shape (k, n, 3) = "
-                f"{(a.size, values.size, 3)}, got {t.shape}")
-        return t
-
 
 @dataclass(frozen=True)
 class SLHVModel:
@@ -336,18 +328,18 @@ class SLHVModel:
         if self.response1.party != 1 or self.response2.party != 2:
             raise ValidationError("response functions must be for parties 1 and 2")
 
-    def _response(self, party: int) -> ResponseFunction:
-        if party == 1:
-            return self.response1
-        if party == 2:
-            return self.response2
-        raise ValidationError(f"party must be 1 or 2, got {party!r}")
-
     def tables(self, party: int, angles: Sequence[float],
                validate: bool = True) -> np.ndarray:
-        """Outcome probability tables at k angles in one response call,
-        shape (k, n, 3), columns (+1, -1, 0)."""
-        t = self._response(party).tables(angles, self.space.values)
+        """Outcome probability tables at k angles, each reduced to [0, pi)
+        first, in one response call: shape (k, n, 3), columns (+1, -1, 0)."""
+        party = _check_integer(party, "party", 1, 2)
+        a = np.array([canonical_angle(x) for x in angles], dtype=float)
+        values = self.space.values
+        t = np.asarray((self.response1, self.response2)[party - 1]._fn(a, values), dtype=float)
+        if t.shape != (a.size, values.size, 3):
+            raise ValidationError(
+                f"response for party {party} must have shape (k, n, 3) = "
+                f"{(a.size, values.size, 3)}, got {t.shape}")
         return _check_tables(t, party, angles) if validate else t
 
     def triples(self, party: int, angle: float) -> np.ndarray:

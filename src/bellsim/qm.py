@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BOUND_TOL, SettingsQuad, chsh_sum, optimal_quad
-from .model import ValidationError, _check_instance, _check_real
+from .bounds import BOUND_TOL, SettingsQuad, chsh_sum
+from .model import ValidationError, _check_instance, _check_integer, _check_real
 
 __all__ = [
     "QMModelParams",
@@ -38,7 +38,6 @@ __all__ = [
     "u_eff_cap",
     "u_eff_cap_holds",
     "qm_epsilon_identity",
-    "optimal_quad",
 ]
 
 
@@ -82,6 +81,8 @@ class QMModelParams:
 def joint_probability(params: QMModelParams, a: float, b: float,
                       r: int, q: int) -> float:
     """Probability of coincident outcomes (r, q) in {+1, -1}^2."""
+    _check_instance(params, QMModelParams, "params")
+    r, q = _check_integer(r, "r", -1), _check_integer(q, "q", -1)
     if r not in (1, -1) or q not in (1, -1):
         raise ValidationError(f"r and q must be +1 or -1, got {(r, q)}")
     # The pair law's cells are (equal-sign, opposite-sign).
@@ -90,11 +91,14 @@ def joint_probability(params: QMModelParams, a: float, b: float,
 
 def coincidence_probability(params: QMModelParams) -> float:
     """Total both-detected probability; independent of the analyzer angles."""
+    _check_instance(params, QMModelParams, "params")
     return params.eta12f12
 
 
 def correlation(params: QMModelParams, a: float, b: float) -> float:
     """Full-ensemble correlation eta1*eta2*f12*F*cos 2(a - b)."""
+    _check_instance(params, QMModelParams, "params")
+    a, b = _check_real(a, "a"), _check_real(b, "b")
     return params.eta12f12 * params.F * math.cos(2.0 * (a - b))
 
 
@@ -105,6 +109,8 @@ def effective_correlation(params: QMModelParams, a: float, b: float) -> float:
     here outright: the returned value is bitwise identical across any
     (eta, f) sweep at fixed F and angles.
     """
+    _check_instance(params, QMModelParams, "params")
+    a, b = _check_real(a, "a"), _check_real(b, "b")
     return params.F * math.cos(2.0 * (a - b))
 
 
@@ -120,15 +126,17 @@ def _pair_law(params: QMModelParams, a: float, b: float) -> tuple[tuple, tuple]:
 
 def chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Full-ensemble CHSH combination of the four correlations."""
+    _check_instance(params, QMModelParams, "params")
     _check_instance(quad, SettingsQuad, "quad")
-    return float(chsh_sum([correlation(params, x, y) for _, x, y, _ in quad.pairs()]))
+    return float(chsh_sum([correlation(params, x, y) for _, x, y in quad.pairs()]))
 
 
 def effective_chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:
     """Coincidence-normalized CHSH combination; equals 2*sqrt(2)*F at the
     pi/8-separation quad and never depends on eta or f."""
+    _check_instance(params, QMModelParams, "params")
     _check_instance(quad, SettingsQuad, "quad")
-    return float(chsh_sum([effective_correlation(params, x, y) for _, x, y, _ in quad.pairs()]))
+    return float(chsh_sum([effective_correlation(params, x, y) for _, x, y in quad.pairs()]))
 
 
 def violation_lhs(F: float, phi: float) -> float:
@@ -153,6 +161,7 @@ def qm_epsilon_identity(params: QMModelParams, u_eff: float) -> float:
     Equivalently, the full-sample CHSH value is eta1*eta2*f12 * u_eff,
     which stays within 2 whenever sqrt(2)*F*eta1*eta2*f12 <= 1.
     """
+    _check_instance(params, QMModelParams, "params")
     return (1.0 - params.eta12f12) * u_eff
 
 
@@ -164,10 +173,12 @@ def u_eff_cap(params: QMModelParams) -> float:
     i.e. while sqrt(2)*F*eta1*eta2*f12 <= 1; at realistic efficiencies
     the cap is far above 2*sqrt(2) and can never be saturated.
     """
+    _check_instance(params, QMModelParams, "params")
     return 2.0 / params.eta12f12
 
 
 def u_eff_cap_holds(params: QMModelParams) -> bool:
     """Whether the quantum prediction respects the 2/(eta^2 f12) cap,
     equivalently whether the full-sample CHSH value stays within 2."""
+    _check_instance(params, QMModelParams, "params")
     return math.sqrt(2.0) * params.F * params.eta12f12 <= 1.0 + BOUND_TOL

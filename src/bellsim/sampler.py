@@ -165,14 +165,6 @@ def _qm_block(detect: tuple[float, float], edges: np.ndarray,
                     dtype=np.int64)
 
 
-def _source_summary(source) -> dict:
-    if isinstance(source, QMModelParams):
-        return {"kind": "qm", **asdict(source)}
-    return {"kind": "slhv", "n_lambda": source.space.size,
-            **{k: v for k, v in source.meta.items()
-               if isinstance(v, (str, int, float, bool))}}
-
-
 def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
                    workers: int = 1) -> ExperimentResult:
     """Tally 3x3 outcome counts for each of the four setting pairs.
@@ -187,18 +179,21 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     n_tasks = 4 * n_blocks
     n_workers = _pool_size(workers, n_tasks)
 
-    pairs = plan.quad.pairs()
     if isinstance(source, SLHVModel):
         q = _QuadTables(source, plan.quad)
         edges1, edges2 = ([_outcome_edges(t) for t in ts] for ts in q.t[0])
         cdf = _lambda_cdf(source)
         # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
         kernels = [partial(_slhv_block, e1, e2, cdf) for e1 in edges1 for e2 in edges2]
+        summary = {"kind": "slhv", "n_lambda": source.space.size,
+                   **{k: v for k, v in source.meta.items()
+                      if isinstance(v, (str, int, float, bool))}}
     else:
         # Joint cells in order (+,+), (+,-), (-,+), (-,-).
-        laws = [_pair_law(source, a, b) for _label, a, b, _sign in pairs]
+        laws = [_pair_law(source, a, b) for _label, a, b in plan.quad.pairs()]
         kernels = [partial(_qm_block, detect, np.cumsum([same, diff, diff]))
                    for detect, (same, diff) in laws]
+        summary = {"kind": "qm", **asdict(source)}
 
     def block_counts(task: int) -> tuple[int, np.ndarray]:
         pair_index, block_index = divmod(task, n_blocks)
@@ -217,9 +212,8 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
                 counts[pair_index] += table
 
     records = tuple(CountsRecord(label=label, table=counts[i], emitted_total=n)
-                    for i, (label, _a, _b, _sign) in enumerate(pairs))
-    return ExperimentResult(records=records, plan=plan,
-                            source_summary=_source_summary(source))
+                    for i, label in enumerate(PAIR_LABELS))
+    return ExperimentResult(records=records, plan=plan, source_summary=summary)
 
 
 def write_counts_csv(records, path) -> None:

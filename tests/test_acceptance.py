@@ -183,7 +183,7 @@ def test_criterion_5_bookkeeping_identities():
         sp = qm.coincidence_probability(params)
         eps_total = 0.0
         u_eff = 0.0
-        for label, a, b, sign in QUAD.pairs():
+        for (_label, a, b), sign in zip(QUAD.pairs(), (1.0, -1.0, 1.0, 1.0)):
             e = qm.correlation(params, a, b)
             eps_total += sign * e * (1.0 - sp) / sp
             u_eff += sign * (e / sp)

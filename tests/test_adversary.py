@@ -32,7 +32,7 @@ from bellsim.bounds import (
     optimal_quad,
 )
 from bellsim.model import (
-    ResponseFunction,
+    SLHVModel,
     TheoremViolationError,
     ValidationError,
     uniform_lambda_grid,
@@ -218,13 +218,13 @@ class TestObjective:
         # One response call per party, the two together covering the quad's
         # four angles: each (party, angle) table is evaluated exactly once.
         calls = []
-        tables = ResponseFunction.tables
+        tables = SLHVModel.tables
 
-        def counted(self, angles, values):
-            calls.append((self.party, tuple(angles)))
-            return tables(self, angles, values)
+        def counted(self, party, angles, validate=True):
+            calls.append((party, tuple(angles)))
+            return tables(self, party, angles, validate)
 
-        monkeypatch.setattr(ResponseFunction, "tables", counted)
+        monkeypatch.setattr(SLHVModel, "tables", counted)
         fam = get_family("threshold-detection")
         assert objective(fam, [0.8, 0.8], QUAD) > 2.0
         assert sorted(calls) == [(1, QUAD.party1_angles()), (2, QUAD.party2_angles())]

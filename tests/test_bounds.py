@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
-    PAIR_SIGNS,
     EffectiveCorrelationMode,
     SettingsQuad,
     _breach,
@@ -53,6 +52,9 @@ from bellsim.random_models import (
 MODE1 = EffectiveCorrelationMode.SOLUTION1
 MODE2 = EffectiveCorrelationMode.SOLUTION2
 MODE3 = EffectiveCorrelationMode.SOLUTION3
+# The CHSH signs of E(a,b) - E(a,b') + E(a',b) + E(a',b'), written here
+# independently of bounds.chsh_sum, which the tests check against them.
+CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
 
 
 def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -121,7 +123,7 @@ class TestChshSum:
     def list_sum(row):
         """The reference: Python floats times their signs, summed left to
         right from the integer 0."""
-        return sum(sign * v for sign, v in zip(PAIR_SIGNS, row))
+        return sum(sign * v for sign, v in zip(CHSH_SIGNS, row))
 
     def test_array_path_matches_list_path_bytewise(self):
         # Every row of four from the pool: signed zeros, NaNs of both signs,
@@ -133,7 +135,7 @@ class TestChshSum:
         assert want.size == 10 ** 4 and np.any(want == 0.0) and np.any(np.isnan(want))
         with np.errstate(invalid="ignore"):  # inf - inf
             got = chsh_sum(rows)
-            signed = sum(sign * v for sign, v in zip(PAIR_SIGNS, np.moveaxis(rows, -1, 0)))
+            signed = sum(sign * v for sign, v in zip(CHSH_SIGNS, np.moveaxis(rows, -1, 0)))
             assert got.tobytes() == signed.tobytes()
             assert chsh_sum(rows.reshape(100, 100, 4)).tobytes() == got.tobytes()
             self.assert_same_bits(got, want)
@@ -270,7 +272,7 @@ class TestQuadTables:
                 for quad in (q, SettingsQuad(q.a, q.a, q.b, q.b_prime),
                              SettingsQuad(q.a, q.a, q.b, q.b)):
                     tables = _QuadTables(m, quad)
-                    for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
+                    for k, (_label, a, b) in enumerate(quad.pairs()):
                         t1, t2 = m.triples(1, a), m.triples(2, b)
                         assert np.array_equal(tables.t[0, 0, k // 2], t1)
                         assert np.array_equal(tables.t[0, 1, k % 2], t2)
@@ -379,7 +381,7 @@ class TestEffectiveChshValues:
         m = random_nondegenerate_model(np.random.default_rng(229), 8)
         quads = [random_quad(np.random.default_rng(k)) for k in range(5)]
         for party in (1, 2):
-            response = m._response(party)
+            response = (m.response1, m.response2)[party - 1]
             fn = response._fn
             response._fn = lambda a, v, fn=fn, party=party: calls.append((party, a.size)) \
                 or fn(a, v)
@@ -729,9 +731,9 @@ class TestSettingsQuad:
         assert 0 <= q.a_prime < math.pi
         assert q.b_prime == 0.0
 
-    def test_pair_order_and_signs(self):
-        q = optimal_quad()
-        labels = [p[0] for p in q.pairs()]
-        signs = [p[3] for p in q.pairs()]
-        assert labels == ["ab", "ab'", "a'b", "a'b'"]
-        assert signs == [1.0, -1.0, 1.0, 1.0]
+    def test_pair_order(self):
+        q = SettingsQuad(0.1, 0.2, 0.3, 0.4)
+        labels, angles1, angles2 = zip(*q.pairs())
+        assert labels == ("ab", "ab'", "a'b", "a'b'")
+        assert list(zip(angles1, angles2)) == [(q.a, q.b), (q.a, q.b_prime),
+                                               (q.a_prime, q.b), (q.a_prime, q.b_prime)]

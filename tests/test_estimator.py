@@ -190,7 +190,7 @@ class TestQmEpsilonIdentity:
             recs = []
             e1 = params.eta1 * params.f1
             e2 = params.eta2 * params.f2
-            for label, a, b, _s in quad.pairs():
+            for label, a, b in quad.pairs():
                 t = np.zeros((3, 3))
                 for i, r in enumerate((1, -1)):
                     for j, q in enumerate((1, -1)):
@@ -229,7 +229,7 @@ class TestExactCountConvergence:
                                      EffectiveCorrelationMode.SOLUTION1)
         n = 10**6
         recs = []
-        for label, a, b, _sign in quad.pairs():
+        for label, a, b in quad.pairs():
             t1 = model.triples(1, a)
             t2 = model.triples(2, b)
             probs = np.einsum("l,li,lj->ij", model.space.weights, t1, t2)

@@ -171,6 +171,20 @@ class TestResponse:
         with pytest.raises(ValidationError, match=f"response {name} must be callable"):
             build()
 
+    @pytest.mark.parametrize("call", [
+        lambda fn, m: ResponseFunction(True, fn),
+        lambda fn, m: ResponseFunction(1.0, fn),
+        lambda fn, m: ResponseFunction(3, fn),
+        lambda fn, m: m.tables(True, [0.0]),
+        lambda fn, m: m.tables(2.0, [0.0]),
+        lambda fn, m: m.triples(0, 0.0),
+    ], ids=["ctor-bool", "ctor-float", "ctor-3", "tables-bool", "tables-float", "triples-0"])
+    def test_party_must_be_one_or_two_as_int(self, call):
+        # A bool or a float is not coerced into a party number.
+        m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
+        with pytest.raises(ValidationError, match=r"^party must be (an integer|at most)"):
+            call(m.response1._fn, m)
+
     def test_normalization_property_over_random_models(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -279,7 +293,7 @@ class TestJointProb:
             m = random_nondegenerate_model(rng, 1)
             quad = SettingsQuad(0.3, 0.7, 1.1, 2.9)
             joints = _QuadTables(m, quad).joints[0]
-            for k, (_label, a, b, _sign) in enumerate(quad.pairs()):
+            for k, (_label, a, b) in enumerate(quad.pairs()):
                 assert np.array_equal(joints[k],
                                       np.outer(m.triples(1, a)[0], m.triples(2, b)[0]))
 

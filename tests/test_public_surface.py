@@ -3,8 +3,9 @@ a model answers only in (k, n, 3) tables, the validators have no
 worst-point scan, the breach check takes no report, every family is
 its batched ``response``, each premise is defined once, a search
 restart is one generator, each file format is spelled once, in modelio,
-and the QM source's law once, in qm.  A wrong-typed argument is rejected
-with a ValidationError at the entry its calls share."""
+the QM source's law once, in qm, and the CHSH signs once, in chsh_sum.
+A wrong-typed argument is rejected with a ValidationError at the entry
+its calls share."""
 
 import argparse
 import ast
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import bellsim
-from bellsim import adversary, bounds, cli, estimator, model, modelio, qm
+from bellsim import adversary, bounds, cli, estimator, model, modelio, qm, sampler
 from bellsim.model import ValidationError
 from bellsim.random_models import random_nondegenerate_model
 
@@ -232,21 +233,53 @@ def test_string_mode_rejected_by_type(call):
 
 
 WRONG_TYPES = {
-    "effective_chsh-quad": (lambda: bounds.effective_chsh(SLHV, ANGLES), "quad"),
-    "effective_chsh-model": (lambda: bounds.effective_chsh("m", QUAD), "model"),
-    "chsh_value": (lambda: bounds.chsh_value(SLHV, ANGLES), "quad"),
-    "pointwise_bound_check": (lambda: bounds.pointwise_bound_check(SLHV, ANGLES), "quad"),
-    "effective_chsh_values": (lambda: bounds.effective_chsh_values(SLHV, [ANGLES]), "quad"),
-    "objective": (lambda: adversary.objective(THRESHOLD, [0.0, 0.0], ANGLES), "quad"),
-    "qm.chsh_value": (lambda: qm.chsh_value(QM, ANGLES), "quad"),
-    "qm.effective_chsh_value": (lambda: qm.effective_chsh_value(QM, ANGLES), "quad"),
-    "analysis_report": (lambda: estimator.analysis_report("abcd"), "each counts record"),
+    "effective_chsh-quad": (lambda: bounds.effective_chsh(SLHV, ANGLES), "quad must be of type"),
+    "effective_chsh-model": (lambda: bounds.effective_chsh("m", QUAD), "model must be of type"),
+    "chsh_value": (lambda: bounds.chsh_value(SLHV, ANGLES), "quad must be of type"),
+    "pointwise_bound_check": (lambda: bounds.pointwise_bound_check(SLHV, ANGLES),
+                              "quad must be of type"),
+    "effective_chsh_values": (lambda: bounds.effective_chsh_values(SLHV, [ANGLES]),
+                              "quad must be of type"),
+    "objective": (lambda: adversary.objective(THRESHOLD, [0.0, 0.0], ANGLES),
+                  "quad must be of type"),
+    "qm.chsh_value": (lambda: qm.chsh_value(QM, ANGLES), "quad must be of type"),
+    "qm.effective_chsh_value": (lambda: qm.effective_chsh_value(QM, ANGLES),
+                                "quad must be of type"),
+    "analysis_report": (lambda: estimator.analysis_report("abcd"),
+                        "each counts record must be of type"),
     "epsilon_decomposition": (lambda: estimator.epsilon_decomposition("abcd"),
-                              "each counts record"),
+                              "each counts record must be of type"),
     "u_eff_from_counts": (lambda: estimator.u_eff_from_counts([1, 2, 3, 4]),
-                          "each counts record"),
-    "search": (lambda: adversary.search("x"), "config"),
-    "validate_solution1": (lambda: model.validate_solution1("m", [0], [0]), "model"),
+                          "each counts record must be of type"),
+    "search": (lambda: adversary.search("x"), "config must be of type"),
+    "validate_solution1": (lambda: model.validate_solution1("m", [0], [0]),
+                           "model must be of type"),
+    "analysis_report-int": (lambda: estimator.analysis_report(5),
+                            "counts records must be of type"),
+    "qm.effective_chsh_value-params": (lambda: qm.effective_chsh_value("p", QUAD),
+                                       "params must be of type"),
+    "qm.chsh_value-params": (lambda: qm.chsh_value("p", QUAD), "params must be of type"),
+    "qm.u_eff_cap": (lambda: qm.u_eff_cap("x"), "params must be of type"),
+    "qm.u_eff_cap_holds": (lambda: qm.u_eff_cap_holds("x"), "params must be of type"),
+    "qm.coincidence_probability": (lambda: qm.coincidence_probability("x"),
+                                   "params must be of type"),
+    "qm.qm_epsilon_identity": (lambda: qm.qm_epsilon_identity("x", 2.0),
+                               "params must be of type"),
+    "qm.correlation-params": (lambda: qm.correlation("x", 0.0, 0.0), "params must be of type"),
+    "qm.effective_correlation-params": (lambda: qm.effective_correlation("x", 0.0, 0.0),
+                                        "params must be of type"),
+    "qm.joint_probability-params": (lambda: qm.joint_probability("x", 0.0, 0.0, 1, 1),
+                                    "params must be of type"),
+    # Numbers are checked by value type: a real angle, an integer outcome.
+    "qm.joint_probability-angle": (lambda: qm.joint_probability(QM, "0", 0, 1, 1),
+                                   "a must be a real number"),
+    "qm.correlation-angle": (lambda: qm.correlation(QM, "a", 0), "a must be a real number"),
+    "qm.effective_correlation-angle": (lambda: qm.effective_correlation(QM, 0, None),
+                                       "b must be a real number"),
+    "qm.joint_probability-bool-r": (lambda: qm.joint_probability(QM, 0, 0, True, 1),
+                                    "r must be an integer"),
+    "qm.joint_probability-float-q": (lambda: qm.joint_probability(QM, 0, 0, 1, -1.0),
+                                     "q must be an integer"),
 }
 
 
@@ -254,6 +287,24 @@ WRONG_TYPES = {
 def test_wrong_type_rejected(call):
     # Each type is checked once, at the entry these calls share, before an
     # attribute lookup can fail on it.
-    fn, name = WRONG_TYPES[call]
-    with pytest.raises(ValidationError, match=f"^{name} must be of type"):
+    fn, message = WRONG_TYPES[call]
+    with pytest.raises(ValidationError, match=f"^{message}"):
         fn()
+
+
+def test_folded_layers_stay_folded():
+    # Each decision lives with the caller that makes it: SLHVModel.tables
+    # evaluates a response, run_experiment dispatches on the source once and
+    # builds its summary there, one cache holds the threshold breakpoints,
+    # and the CHSH signs are written only in chsh_sum.
+    assert not hasattr(model.ResponseFunction, "tables")
+    assert not hasattr(model.SLHVModel, "_response")
+    assert not hasattr(sampler, "_source_summary")
+    assert Path(sampler.__file__).read_text(encoding="utf-8").count("isinstance(source") == 1
+    assert not hasattr(adversary, "_abs_cos2d_breakpoints")
+    assert hasattr(adversary._threshold_breakpoints, "cache_info")
+    src = Path(bellsim.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "PAIR_SIGNS" not in path.read_text(encoding="utf-8"), path.name
+    assert all(len(pair) == 3 for pair in bounds.optimal_quad().pairs())
+    assert "optimal_quad" not in qm.__all__

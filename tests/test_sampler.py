@@ -265,7 +265,7 @@ class TestStatistics:
         exact_qm = {}
         eta1f1 = p.eta1 * p.f1
         eta2f2 = p.eta2 * p.f2
-        for label, a, b, _s in quad.pairs():
+        for label, a, b in quad.pairs():
             cell = np.zeros((3, 3))
             for i, r in enumerate((1, -1)):
                 for j, q in enumerate((1, -1)):
@@ -278,7 +278,7 @@ class TestStatistics:
         rng = np.random.default_rng(77)
         m = random_nondegenerate_model(rng, 8)
         exact_slhv = {}
-        for label, a, b, _s in quad.pairs():
+        for label, a, b in quad.pairs():
             t1 = m.triples(1, a)
             t2 = m.triples(2, b)
             exact_slhv[label] = np.einsum("l,li,lj->ij", m.space.weights, t1, t2)
