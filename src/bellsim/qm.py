@@ -160,9 +160,10 @@ def qm_epsilon_identity(params: QMModelParams, u_eff: float) -> float:
 
     Equivalently, the full-sample CHSH value is eta1*eta2*f12 * u_eff,
     which stays within 2 whenever sqrt(2)*F*eta1*eta2*f12 <= 1.
+    ``u_eff`` is a real number (``model._check_real``).
     """
     _check_instance(params, QMModelParams, "params")
-    return (1.0 - params.eta12f12) * u_eff
+    return (1.0 - params.eta12f12) * _check_real(u_eff, "u_eff")
 
 
 def u_eff_cap(params: QMModelParams) -> float:

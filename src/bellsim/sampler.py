@@ -3,11 +3,14 @@
 Reproducibility contract
 ------------------------
 Trials are generated in fixed-size blocks.  The random stream of block
-``j`` of setting pair ``i`` comes from a Philox counter-based bit
-generator keyed by ``SeedSequence(entropy=seed, spawn_key=(i, j))``, so
-the counts depend only on ``(seed, pair index, block index)`` and never
-on how blocks are scheduled across workers.  Within a block the draw
-order is fixed:
+``j`` of setting pair ``i`` comes from numpy's ``BIT_GENERATOR``
+(PCG64DXSM) seeded by ``SeedSequence(entropy=seed, spawn_key=(i, j))``,
+so the counts depend only on ``(seed, pair index, block index)`` and
+never on how blocks are scheduled across workers.  Every block's state
+comes from its own SeedSequence and no stream is advanced or jumped, so
+the generator needs independent seeding, not a counter.  The run
+sidecar names the generator from the same ``BIT_GENERATOR``.  Within a
+block the draw order is fixed:
 
 * SLHV source: one uniform per trial for the hidden variable (inverse
   CDF over the weights), then one for party 1's outcome, then one for
@@ -62,6 +65,7 @@ from .modelio import csv_text, write_json, write_text
 from .qm import QMModelParams, _pair_law
 
 __all__ = [
+    "BIT_GENERATOR",
     "BLOCK_SIZE",
     "ExperimentPlan",
     "ExperimentResult",
@@ -72,6 +76,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 1 << 16
+# The numpy.random class every block draws from, held by name: the sidecar
+# writes it, and looking the class up per block keeps ``import bellsim``
+# from importing numpy.random, which numpy loads lazily.
+BIT_GENERATOR = "PCG64DXSM"
 _MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
 
 
@@ -102,10 +110,12 @@ class ExperimentResult:
 
 
 def substream(seed: int, pair_index: int, block_index: int) -> np.random.Generator:
-    """The documented (seed, pair, block) -> bit stream derivation."""
+    """The documented (seed, pair, block) -> bit stream derivation: a
+    ``BIT_GENERATOR`` seeded by ``SeedSequence(entropy=seed,
+    spawn_key=(pair_index, block_index))``."""
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(int(pair_index), int(block_index)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(ss))
 
 
 def _lambda_cdf(model: SLHVModel) -> np.ndarray:
@@ -235,7 +245,7 @@ def write_run_sidecar(result: ExperimentResult, path) -> None:
         "seed": result.plan.seed,
         "source": result.source_summary,
         "rng": {
-            "bit_generator": "Philox",
+            "bit_generator": BIT_GENERATOR,
             "block_size": BLOCK_SIZE,
             "substream": "SeedSequence(entropy=seed, spawn_key=(pair_index, block_index))",
         },

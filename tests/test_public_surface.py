@@ -280,6 +280,10 @@ WRONG_TYPES = {
                                     "r must be an integer"),
     "qm.joint_probability-float-q": (lambda: qm.joint_probability(QM, 0, 0, 1, -1.0),
                                      "q must be an integer"),
+    "qm.qm_epsilon_identity-bool-u_eff": (lambda: qm.qm_epsilon_identity(QM, True),
+                                          "u_eff must be a real number"),
+    "qm.qm_epsilon_identity-str-u_eff": (lambda: qm.qm_epsilon_identity(QM, "x"),
+                                         "u_eff must be a real number"),
 }
 
 

@@ -188,6 +188,14 @@ class TestEffectiveChsh:
         assert type(qm.effective_chsh_value(p, quad)) is float
 
 
+class TestEpsilonIdentity:
+    def test_rejects_a_non_finite_u_eff(self):
+        params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="u_eff must be finite"):
+                qm.qm_epsilon_identity(params, bad)
+
+
 class TestUEffCap:
     def test_perfect(self):
         assert qm.u_eff_cap(QMModelParams(1, 1, 1, 1, 0.95)) == 2.0

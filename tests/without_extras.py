@@ -38,7 +38,10 @@ def loaded(*prefixes):
 
 
 def check_surface(out: Path) -> None:
-    """Each CLI command in process; each must exit 0."""
+    """Each CLI command in process; each must exit 0.  The QM ``simulate``
+    of ``tests/golden/qm_run.csv`` must also reproduce that file's bytes:
+    its kernel calls no BLAS and no numpy transcendental, so the committed
+    stream holds on every dispatch path and numpy release this runs on."""
     import bellsim  # noqa: F401
     from bellsim.cli import main
 
@@ -50,7 +53,9 @@ def check_surface(out: Path) -> None:
 
     # Only a search that forks imports multiprocessing, and none starts a
     # process pool or calls np.unique, whose first call imports numpy.ma.
-    assert not (mods := loaded("multiprocessing", "concurrent.futures.process")), mods
+    # numpy loads numpy.random lazily; importing bellsim must not pay for it.
+    assert not (mods := loaded("multiprocessing", "concurrent.futures.process",
+                               "numpy.random")), mods
     for workers in ("1", "2"):
         cli("adversary-search", "--family", "threshold-detection", "--seed", "1",
             "--restarts", "4", "--max-evals", "200", "--n-lambda", "90", "--workers", workers)
@@ -63,6 +68,12 @@ def check_surface(out: Path) -> None:
         "--seed", "7", "--workers", "2", "--out", out / "model_run.csv")
     cli("simulate", *qm, "--trials", "10000", "--seed", "42", "--workers", "2",
         "--out", out / "run.csv")
+    # The argv of qm_run.csv's manifest, at two workers.
+    cli("simulate", *qm, "--trials", "5000", "--seed", "314", "--workers", "2",
+        "--out", out / "qm_run.csv")
+    golden = REPO / "tests" / "golden" / "qm_run.csv"
+    assert (out / "qm_run.csv").read_bytes() == golden.read_bytes(), \
+        f"the QM stream no longer reproduces {golden.name}"
     cli("analyze", "--counts", out / "run.csv", "--out", out / "report.json")
     cli("analyze", "--counts", out / "run.csv", "--format", "csv")
     cli("qm-predict", *qm)
