@@ -1,7 +1,7 @@
 """Stochastic local-hidden-variable simulation and coincidence analysis
 for double-channel photonic Bell experiments with imperfect detection."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (  # noqa: F401
     OUTCOME_VALUES,

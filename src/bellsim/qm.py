@@ -8,8 +8,9 @@ The joint probability of detecting outcomes (r, q) at analyzer angles
 with per-photon detector efficiencies ``eta_k``, collimator/transmission
 factors ``f_k``, and source correlation strength ``F`` (about 0.95 for
 parametric down-conversion sources).  Analyzer losses are folded into
-eta*f; there is no separate analyzer-imperfection term.  The same law,
-spelled once in ``_pair_law``, is what the sampler draws QM trials from,
+eta*f; there is no separate analyzer-imperfection term.  The law of a
+whole pair, spelled once as the 3x3 ``joint_table``, is what
+``joint_probability`` reads and what the sampler draws QM trials from,
 and ``qm_epsilon_identity`` gives the eps it predicts.
 
 The coincidence-normalized correlation F*cos 2(a - b) carries no
@@ -23,11 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BOUND_TOL, SettingsQuad, chsh_sum
-from .model import ValidationError, _check_instance, _check_integer, _check_real
+from .model import (
+    OUTCOME_VALUES,
+    ValidationError,
+    _check_instance,
+    _check_integer,
+    _check_real,
+)
 
 __all__ = [
     "QMModelParams",
+    "joint_table",
     "joint_probability",
     "coincidence_probability",
     "correlation",
@@ -78,15 +88,35 @@ class QMModelParams:
         return self.eta1 * self.eta2 * self.f1 * self.f2
 
 
+def joint_table(params: QMModelParams, a: float, b: float) -> np.ndarray:
+    """The 3x3 joint-outcome law of one pair at (a, b), rows party 1's
+    outcome and columns party 2's in ``OUTCOME_VALUES`` order (+1, -1, 0).
+
+    Both detected: ``eta12f12 * (1 +- F cos 2(a - b))/4``, + for equal
+    signs.  One detected: ``eta_k f_k (1 - eta_j f_j)/2`` for each of its
+    signs.  Neither: the product of the two miss probabilities.  The two
+    photons are detected independently.
+    """
+    _check_instance(params, QMModelParams, "params")
+    fc = effective_correlation(params, a, b)
+    p1, p2 = params.eta1 * params.f1, params.eta2 * params.f2
+    same = params.eta12f12 * (0.25 * (1.0 + fc))
+    diff = params.eta12f12 * (0.25 * (1.0 - fc))
+    only1, only2 = p1 * (1.0 - p2) / 2, p2 * (1.0 - p1) / 2
+    return np.array([[same, diff, only1],
+                     [diff, same, only1],
+                     [only2, only2, (1.0 - p1) * (1.0 - p2)]])
+
+
 def joint_probability(params: QMModelParams, a: float, b: float,
                       r: int, q: int) -> float:
-    """Probability of coincident outcomes (r, q) in {+1, -1}^2."""
+    """Probability of coincident outcomes (r, q) in {+1, -1}^2, the
+    both-detected cell of ``joint_table``."""
     _check_instance(params, QMModelParams, "params")
     r, q = _check_integer(r, "r", -1), _check_integer(q, "q", -1)
     if r not in (1, -1) or q not in (1, -1):
         raise ValidationError(f"r and q must be +1 or -1, got {(r, q)}")
-    # The pair law's cells are (equal-sign, opposite-sign).
-    return params.eta12f12 * _pair_law(params, a, b)[1][r != q]
+    return float(joint_table(params, a, b)[OUTCOME_VALUES.index(r), OUTCOME_VALUES.index(q)])
 
 
 def coincidence_probability(params: QMModelParams) -> float:
@@ -112,16 +142,6 @@ def effective_correlation(params: QMModelParams, a: float, b: float) -> float:
     _check_instance(params, QMModelParams, "params")
     a, b = _check_real(a, "a"), _check_real(b, "b")
     return params.F * math.cos(2.0 * (a - b))
-
-
-def _pair_law(params: QMModelParams, a: float, b: float) -> tuple[tuple, tuple]:
-    """The law of one pair at (a, b): each photon's detection probability
-    eta_k*f_k (the two independent), and, given both detected, the
-    probability of each equal-sign cell and of each opposite-sign cell,
-    (1 +- F cos 2(a - b))/4.  The sampler draws every QM trial from it."""
-    fc = effective_correlation(params, a, b)
-    return ((params.eta1 * params.f1, params.eta2 * params.f2),
-            (0.25 * (1.0 + fc), 0.25 * (1.0 - fc)))
 
 
 def chsh_value(params: QMModelParams, quad: SettingsQuad) -> float:

@@ -9,33 +9,35 @@ so the counts depend only on ``(seed, pair index, block index)`` and
 never on how blocks are scheduled across workers.  Every block's state
 comes from its own SeedSequence and no stream is advanced or jumped, so
 the generator needs independent seeding, not a counter.  The run
-sidecar names the generator from the same ``BIT_GENERATOR``.  Within a
-block the draw order is fixed:
+sidecar names the generator from the same ``BIT_GENERATOR``.
 
-* SLHV source: one uniform per trial for the hidden variable (inverse
-  CDF over the weights), then one for party 1's outcome, then one for
-  party 2's.
-* QM source: one uniform per trial for each photon's detection
-  (probability ``eta_k * f_k``), then one resolving party 1's outcome
-  (or the joint outcome cell when both photons were detected), then one
-  resolving party 2's outcome when only photon 2 was detected.
+Each setting pair's law is its 3x3 joint-outcome table, formed once per
+run: ``qm.joint_table`` for the QM source, and for an SLHV model each
+cell ``sum_i w_i t1[i, r] t2[i, q]`` over the hidden points, one
+``math.fsum`` of the products ``w * t1 * t2`` per cell, from the response
+tables that ``bounds._QuadTables`` evaluates and validates.  fsum
+rounds each cell once, so a cell does not depend on the order of the
+hidden points, and no BLAS kernel, whose bits depend on the host's
+dispatch, is involved.  The nine cells are laid out row-major over
+``OUTCOME_VALUES`` x ``OUTCOME_VALUES``, that is (+, -, 0)^2, each
+clamped at 0 (a response table may hold a p- of -nu, which the
+validator tolerates), and summed cumulatively in that order into eight
+edges.  The top edge is guarded as an inverse CDF's is: every edge from
+the last cell of positive probability on is raised to at least 1.
 
-Each of these is one ``Generator.random(n)`` call with an integer size,
-in the order above; that draw order and those per-array calls are part
-of the contract.  Only ``Generator.random`` is used, keeping the mapping
-from bit stream to outcomes entirely in this module.
+A block of n trials makes exactly one draw, ``Generator.random(n)``
+with an integer size; that call is part of the contract, and only
+``Generator.random`` is used, keeping the mapping from bit stream to
+outcomes entirely in this module.  A trial lands in the first cell
+whose edge lies above its uniform: the block counts the uniforms below
+each of the eight edges, each cell takes the difference of two
+consecutive counts, and the neither-detected cell (0, 0) takes the
+remainder.  So a cell of probability 0 never gets a count, and since
+the counts are the sufficient statistics of the run, nothing else of
+the trials is kept.
 
-A block is tallied straight from its uniform arrays.  Each setting
-pair's kernel arguments are computed once per run, not per block: the
-SLHV kernel's cumulative outcome edges ``(p+, p+ + p-)`` come from the
-model's response tables, once per (party, angle), and the QM kernel's
-detection probabilities and joint-cell edges from ``qm._pair_law``.
-The QM kernel counts each 3x3 cell from boolean masks over the
-uniforms, with no per-trial index arrays; the SLHV kernel compares each
-trial's outcome uniforms with the edges at its hidden point.
-
-One path runs at every worker count: each setting pair's kernel is
-chosen once, and the blocks run on a thread pool of ``workers`` threads,
+One path runs at every worker count: each setting pair's edges are
+formed once, and the blocks run on a thread pool of ``workers`` threads,
 capped at the block count and the CPU count (``model._pool_size``), in chunks
 of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
 chunk are added into the pair totals as soon as the chunk finishes, so
@@ -45,9 +47,9 @@ exact in any order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from .model import (
     _pool_size,
 )
 from .modelio import csv_text, write_json, write_text
-from .qm import QMModelParams, _pair_law
+from .qm import QMModelParams, joint_table
 
 __all__ = [
     "BIT_GENERATOR",
@@ -118,61 +120,30 @@ def substream(seed: int, pair_index: int, block_index: int) -> np.random.Generat
     return np.random.Generator(getattr(np.random, BIT_GENERATOR)(ss))
 
 
-def _lambda_cdf(model: SLHVModel) -> np.ndarray:
-    cdf = np.cumsum(model.space.weights)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard the top bin against rounding
-    return cdf
+def _slhv_table(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The 3x3 joint table of one pair from the weights and each party's
+    (n, 3) response table: each cell one fsum of ``w * t1[:, r] * t2[:, q]``."""
+    terms = ((w[:, None] * t1)[:, :, None] * t2[:, None, :]).reshape(-1, 9)
+    return np.array([math.fsum(cell) for cell in terms.T.tolist()]).reshape(3, 3)
 
 
-def _outcome_edges(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative edges ``(p+, p+ + p-)`` of an (n, 3) response table."""
-    c0 = np.ascontiguousarray(table[:, 0])
-    return c0, c0 + table[:, 1]
+def _edges(table: np.ndarray) -> np.ndarray:
+    """The eight cumulative edges of a 3x3 joint table's cells, row-major,
+    each cell clamped at 0; the edges from the last positive cell on are
+    raised to at least 1, so no draw lands past it."""
+    cells = np.maximum(np.ravel(table), 0.0)
+    cdf = np.cumsum(cells)
+    cdf[np.flatnonzero(cells)[-1]:] = max(cdf[-1], 1.0)
+    return cdf[:8]
 
 
-def _categorical(edges: tuple[np.ndarray, np.ndarray], lam: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Outcome column index per trial from the edges at each trial's lambda."""
-    # A where chain, not a sum of comparisons: with a tolerated p- just
-    # below 0 the upper edge sits under the lower one and the forms differ.
-    return np.where(u < edges[0][lam], 0, np.where(u < edges[1][lam], 1, 2))
-
-
-def _slhv_block(e1: tuple[np.ndarray, np.ndarray], e2: tuple[np.ndarray, np.ndarray],
-                cdf: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """3x3 outcome counts for n trials; e1/e2 are each party's outcome edges."""
-    # _lambda_cdf makes cdf[-1] >= 1 > u, so no index reaches cdf.size.
-    lam = np.searchsorted(cdf, rng.random(n), side="right")
-    r_idx = _categorical(e1, lam, rng.random(n))
-    q_idx = _categorical(e2, lam, rng.random(n))
-    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
-    return counts.reshape(3, 3)
-
-
-def _qm_block(detect: tuple[float, float], edges: np.ndarray,
-              rng: np.random.Generator, n: int) -> np.ndarray:
-    """3x3 outcome counts for n trials; ``detect`` holds each photon's
-    detection probability and ``edges`` the cumulative joint cells."""
-    d1 = rng.random(n) < detect[0]
-    d2 = rng.random(n) < detect[1]
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-
-    # A both-detected trial lands in the cell of the first edge above u1.
-    both = d1 & d2
-    n_both = np.count_nonzero(both)
-    ge0, ge1, ge2 = (np.count_nonzero(both & (u1 >= e)) for e in edges)
-    only1 = d1 ^ both
-    n1 = np.count_nonzero(only1)
-    n1_minus = np.count_nonzero(only1 & (u1 >= 0.5))
-    only2 = d2 ^ both
-    n2 = np.count_nonzero(only2)
-    n2_minus = np.count_nonzero(only2 & (u2 >= 0.5))
-
-    return np.array([[n_both - ge0, ge0 - ge1, n1 - n1_minus],
-                     [ge1 - ge2, ge2, n1_minus],
-                     [n2 - n2_minus, n2_minus, n - n_both - n1 - n2]],
-                    dtype=np.int64)
+def _block(edges: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """3x3 outcome counts for n trials from one uniform each: a cell counts
+    the uniforms between its edge and the one before, and the last cell
+    takes the remainder."""
+    u = rng.random(n)
+    below = [np.count_nonzero(u < e) for e in edges.tolist()]
+    return np.diff(np.array([0, *below, n], dtype=np.int64)).reshape(3, 3)
 
 
 def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
@@ -191,25 +162,21 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
 
     if isinstance(source, SLHVModel):
         q = _QuadTables(source, plan.quad)
-        edges1, edges2 = ([_outcome_edges(t) for t in ts] for ts in q.t[0])
-        cdf = _lambda_cdf(source)
         # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
-        kernels = [partial(_slhv_block, e1, e2, cdf) for e1 in edges1 for e2 in edges2]
+        tables = [_slhv_table(q.w[0], t1, t2) for t1 in q.t[0, 0] for t2 in q.t[0, 1]]
         summary = {"kind": "slhv", "n_lambda": source.space.size,
                    **{k: v for k, v in source.meta.items()
                       if isinstance(v, (str, int, float, bool))}}
     else:
-        # Joint cells in order (+,+), (+,-), (-,+), (-,-).
-        laws = [_pair_law(source, a, b) for _label, a, b in plan.quad.pairs()]
-        kernels = [partial(_qm_block, detect, np.cumsum([same, diff, diff]))
-                   for detect, (same, diff) in laws]
+        tables = [joint_table(source, a, b) for _label, a, b in plan.quad.pairs()]
         summary = {"kind": "qm", **asdict(source)}
+    edges = [_edges(table) for table in tables]
 
     def block_counts(task: int) -> tuple[int, np.ndarray]:
         pair_index, block_index = divmod(task, n_blocks)
         size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
         rng = substream(plan.seed, pair_index, block_index)
-        return pair_index, kernels[pair_index](rng, size)
+        return pair_index, _block(edges[pair_index], rng, size)
 
     counts = np.zeros((4, 3, 3), dtype=np.int64)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:

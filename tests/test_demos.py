@@ -11,8 +11,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("0*.py"))
 # Other BLAS and numpy kernels change last bits (ROADMAP item 8), so under
-# them the launcher checks exit codes and, of the outputs, only the QM
-# simulate's bytes, which no BLAS or numpy transcendental touches.
+# them the launcher checks exit codes and, of the outputs, only the sampled
+# bytes of the QM and threshold-model simulates, which no BLAS touches.
 DISPATCH = {"default": {}, "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
             "numpy-below-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL X86_V4"}}
 

@@ -184,10 +184,9 @@ def test_unread_record_fields_removed():
 
 
 def test_one_qm_law():
-    # The QM source's law (each photon's detection probability and the
-    # joint cells) and its predicted eps live in qm alone: the sampler and
-    # the estimator compute no cosine and read no QM parameter.  chsh_sum
-    # has one path, the float array.
+    # The QM source's law (its 3x3 joint table) and its predicted eps live
+    # in qm alone: the sampler and the estimator compute no cosine and read
+    # no QM parameter.  chsh_sum has one path, the float array.
     src = Path(bellsim.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
@@ -206,6 +205,7 @@ def test_one_qm_law():
     assert definitions == ["qm.py"]
     assert bellsim.qm_epsilon_identity is qm.qm_epsilon_identity
     assert not hasattr(estimator, "qm_epsilon_identity")
+    assert not hasattr(qm, "_pair_law")
     chsh_sum = next(node for node in ast.walk(trees["bounds.py"])
                     if isinstance(node, ast.FunctionDef) and node.name == "chsh_sum")
     assert not any(isinstance(node, ast.Name) and node.id == "isinstance"
@@ -270,6 +270,8 @@ WRONG_TYPES = {
                                         "params must be of type"),
     "qm.joint_probability-params": (lambda: qm.joint_probability("x", 0.0, 0.0, 1, 1),
                                     "params must be of type"),
+    "qm.joint_table-params": (lambda: qm.joint_table("x", 0.0, 0.0), "params must be of type"),
+    "qm.joint_table-angle": (lambda: qm.joint_table(QM, 0.0, "0"), "b must be a real number"),
     # Numbers are checked by value type: a real angle, an integer outcome.
     "qm.joint_probability-angle": (lambda: qm.joint_probability(QM, "0", 0, 1, 1),
                                    "a must be a real number"),
@@ -300,10 +302,13 @@ def test_folded_layers_stay_folded():
     # Each decision lives with the caller that makes it: SLHVModel.tables
     # evaluates a response, run_experiment dispatches on the source once and
     # builds its summary there, one cache holds the threshold breakpoints,
-    # and the CHSH signs are written only in chsh_sum.
+    # the CHSH signs are written only in chsh_sum, and one block kernel
+    # samples every source from its pairs' joint tables.
     assert not hasattr(model.ResponseFunction, "tables")
     assert not hasattr(model.SLHVModel, "_response")
     assert not hasattr(sampler, "_source_summary")
+    for name in ("_qm_block", "_slhv_block", "_lambda_cdf", "_outcome_edges", "_categorical"):
+        assert not hasattr(sampler, name), name
     assert Path(sampler.__file__).read_text(encoding="utf-8").count("isinstance(source") == 1
     assert not hasattr(adversary, "_abs_cos2d_breakpoints")
     assert hasattr(adversary._threshold_breakpoints, "cache_info")

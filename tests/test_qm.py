@@ -94,6 +94,75 @@ class TestJointProbability:
         assert checked == 480
 
 
+class TestJointTable:
+    """``joint_table`` against the law derived in sympy from its physical
+    premises: each photon detected independently with probability
+    eta_k f_k; both detected, the outcomes (r, q) with probability
+    (1 + r q F cos 2(a - b))/4; one detected, its outcome is that law's
+    marginal.  Rational parameters make every cell exact but the cosine."""
+
+    EPS = 2.0 ** -52
+
+    @staticmethod
+    def sympy_law():
+        sympy = pytest.importorskip("sympy")
+        eta1, eta2, f1, f2, F, c = sympy.symbols("eta1 eta2 f1 f2 F c")
+        d1, d2 = eta1 * f1, eta2 * f2
+        both = {(r, q): (1 + r * q * F * c) / 4 for r in (1, -1) for q in (1, -1)}
+        law = {}
+        for r in (1, -1, 0):
+            for q in (1, -1, 0):
+                if r and q:
+                    law[r, q] = d1 * d2 * both[r, q]
+                elif r:
+                    law[r, q] = d1 * (1 - d2) * sum(both[r, s] for s in (1, -1))
+                elif q:
+                    law[r, q] = (1 - d1) * d2 * sum(both[s, q] for s in (1, -1))
+                else:
+                    law[r, q] = (1 - d1) * (1 - d2)
+        assert sympy.simplify(sum(law.values()) - 1) == 0
+        return sympy, (eta1, eta2, f1, f2, F, c), law
+
+    def test_cells_match_the_sympy_law(self):
+        sympy, symbols, law = self.sympy_law()
+        R = sympy.Rational
+        params = [(R(3, 4), R(1, 2), R(9, 10), R(4, 5), R(19, 20)),
+                  (R(1), R(1), R(1), R(1), R(1)),
+                  (R(1, 10), R(7, 8), R(1, 4), R(1), R(0)),
+                  (R(1, 1000), R(1, 3), R(2, 3), R(5, 7), R(1, 2))]
+        turns = [0, R(1, 16), R(1, 12), R(1, 8), R(3, 16), R(1, 4), R(3, 8), R(1, 2)]
+        checked = 0
+        for values in params:
+            p = QMModelParams(*(float(v) for v in values))
+            for turn in turns:
+                theta = turn * sympy.pi
+                table = qm.joint_table(p, float(theta), 0.0)
+                assert table.shape == (3, 3) and table.dtype == np.float64
+                subs = dict(zip(symbols, (*values, sympy.cos(2 * theta))))
+                for i, r in enumerate((1, -1, 0)):
+                    for j, q in enumerate((1, -1, 0)):
+                        exact = law[r, q].subs(subs)
+                        err = abs(table[i, j] - sympy.N(exact, 40))
+                        # Three rounded products, a rounded cosine and one
+                        # rounded sum: a few units in the last place of 1.
+                        assert err <= 4 * self.EPS, (values, turn, r, q, err)
+                        checked += 1
+        assert checked == 4 * 8 * 9
+
+    def test_detected_cells_are_joint_probability_and_sum_is_one(self):
+        rng = np.random.default_rng(36)
+        for k in range(200):
+            eta1, eta2, f1, f2 = (1.0,) * 4 if k % 5 == 0 else rng.uniform(0.01, 1.0, 4)
+            p = QMModelParams(eta1, eta2, f1, f2, (0.0, 1.0, rng.random())[k % 3])
+            a, b = rng.uniform(-math.pi, math.pi, 2)
+            table = qm.joint_table(p, a, b)
+            for i, r in enumerate((1, -1)):
+                for j, q in enumerate((1, -1)):
+                    assert table[i, j].hex() == qm.joint_probability(p, a, b, r, q).hex()
+            assert (table >= 0.0).all()
+            assert abs(math.fsum(table.ravel().tolist()) - 1.0) <= 4 * self.EPS, (k, table)
+
+
 class TestCorrelation:
     def test_perfect_aligned(self):
         p = QMModelParams(1, 1, 1, 1, 1)

@@ -2,15 +2,18 @@
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bellsim.bounds import optimal_quad
+from bellsim.bounds import SettingsQuad, _QuadTables, optimal_quad
 from bellsim import sampler
 from bellsim.model import (
     HiddenVariableSpace,
@@ -18,7 +21,8 @@ from bellsim.model import (
     SLHVModel,
     ValidationError,
 )
-from bellsim.qm import QMModelParams, _pair_law
+from bellsim.modelio import load_model
+from bellsim.qm import QMModelParams
 from bellsim import qm
 from bellsim.random_models import random_nondegenerate_model
 from bellsim.random_models import (
@@ -28,10 +32,9 @@ from bellsim.random_models import (
 from bellsim.sampler import (
     BLOCK_SIZE,
     ExperimentPlan,
-    _lambda_cdf,
-    _outcome_edges,
-    _qm_block,
-    _slhv_block,
+    _block,
+    _edges,
+    _slhv_table,
     run_experiment,
     substream,
     write_run_sidecar,
@@ -307,118 +310,198 @@ class TestStatistics:
         assert failures / checks <= 0.001, (failures, checks)
 
 
-# Reference kernels: the block bodies as they were before blocks were
-# tallied straight from the uniforms, kept verbatim as the bit-for-bit
-# specification of the draw-to-outcome mapping.
-
-def _categorical_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome column index per trial from per-trial (3,) probability rows."""
-    c0 = tables[:, 0]
-    c1 = c0 + tables[:, 1]
-    return np.where(u < c0, 0, np.where(u < c1, 1, 2))
+MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
+TWO53 = 1 << 53
 
 
-def _reference_slhv_block(t1: np.ndarray, t2: np.ndarray, cdf: np.ndarray,
-                          rng: np.random.Generator, n: int) -> np.ndarray:
-    """3x3 outcome counts for n trials; t1/t2 are the per-point triples."""
-    lam = np.searchsorted(cdf, rng.random(n), side="right")
-    np.clip(lam, 0, cdf.size - 1, out=lam)
-    r_idx = _categorical_rows(t1[lam], rng.random(n))
-    q_idx = _categorical_rows(t2[lam], rng.random(n))
-    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
-    return counts.reshape(3, 3)
+def pair_tables(source, quad):
+    """The four pairs' joint tables, in PAIR_LABELS order, from the same
+    calls run_experiment makes."""
+    if isinstance(source, QMModelParams):
+        return [qm.joint_table(source, a, b) for _label, a, b in quad.pairs()]
+    q = _QuadTables(source, quad)
+    return [_slhv_table(q.w[0], t1, t2) for t1 in q.t[0, 0] for t2 in q.t[0, 1]]
 
 
-def _reference_qm_block(params: QMModelParams, a: float, b: float,
-                        rng: np.random.Generator, n: int) -> np.ndarray:
-    d1 = rng.random(n) < params.eta1 * params.f1
-    d2 = rng.random(n) < params.eta2 * params.f2
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-
-    fc = params.F * np.cos(2.0 * (a - b))
-    p_same = 0.25 * (1.0 + fc)   # (+,+) and (-,-) given both detected
-    p_diff = 0.25 * (1.0 - fc)
-    # Joint cells in order (+,+), (+,-), (-,+), (-,-).
-    edges = np.cumsum([p_same, p_diff, p_diff])
-
-    r_idx = np.full(n, 2, dtype=np.intp)
-    q_idx = np.full(n, 2, dtype=np.intp)
-
-    both = d1 & d2
-    cell = np.searchsorted(edges, u1[both], side="right")
-    r_idx[both] = cell // 2
-    q_idx[both] = cell % 2
-
-    only1 = d1 & ~d2
-    r_idx[only1] = (u1[only1] >= 0.5).astype(np.intp)
-    only2 = d2 & ~d1
-    q_idx[only2] = (u2[only2] >= 0.5).astype(np.intp)
-
-    counts = np.bincount(r_idx * 3 + q_idx, minlength=9)
-    return counts.reshape(3, 3)
+def exact_joints(source, quad):
+    """The four pairs' joint tables in exact arithmetic from the float
+    inputs: the weights and response tables, or the QM parameters and the
+    double cos 2(a - b)."""
+    if isinstance(source, QMModelParams):
+        d1 = Fraction(source.eta1) * Fraction(source.f1)
+        d2 = Fraction(source.eta2) * Fraction(source.f2)
+        joints = []
+        for _label, a, b in quad.pairs():
+            fc = Fraction(source.F) * Fraction(math.cos(2.0 * (a - b)))
+            same, diff = d1 * d2 * (1 + fc) / 4, d1 * d2 * (1 - fc) / 4
+            only1, only2 = d1 * (1 - d2) / 2, d2 * (1 - d1) / 2
+            joints.append([same, diff, only1, diff, same, only1,
+                           only2, only2, (1 - d1) * (1 - d2)])
+        return joints
+    q = _QuadTables(source, quad)
+    w = [Fraction(x) for x in q.w[0].tolist()]
+    joints = []
+    for t1 in q.t[0, 0]:
+        for t2 in q.t[0, 1]:
+            rows = [([Fraction(x) for x in r1], [Fraction(x) for x in r2])
+                    for r1, r2 in zip(t1.tolist(), t2.tolist())]
+            joints.append([sum(wi * r1[r] * r2[c] for wi, (r1, r2) in zip(w, rows))
+                           for r in range(3) for c in range(3)])
+    return joints
 
 
-class TestFrozenReference:
-    """The block kernels give the reference kernels' tables, bit for bit."""
+class TestRealisedLaw:
+    """The law the block kernel realises, computed exactly.
 
-    SIZES = (1, 2, 17, 40_000, 65_536)
+    ``Generator.random`` returns k / 2**53 with k uniform on [0, 2**53),
+    so ``u < e`` holds for exactly ceil(e * 2**53) of the 2**53 values,
+    clamped to [0, 2**53].  Each cell's realised probability is then the
+    difference of two consecutive such integers over 2**53.  It lies
+    within 2**-49 of the exact joint of the float inputs: each term
+    rounds at most twice and each cell once (fsum, or the QM products),
+    the running sum rounds each of the eight edges once, ceil moves an
+    edge by less than 2**-53, and the exact joint of float weights and
+    rows misses 1 by a few 2**-53, which the remainder cell absorbs.
+    Measured, the largest gap is about 2 * 2**-53.
+    """
+
+    BOUND = Fraction(1, 1 << 49)
 
     @staticmethod
-    def assert_same(got, want, case):
-        assert got.dtype == np.int64 and got.shape == (3, 3), case
-        assert want.dtype == np.int64, case
-        assert (got == want).all(), (case, got, want)
+    def realised(edges):
+        ks = [min(max(math.ceil(Fraction(e) * TWO53), 0), TWO53) for e in edges.tolist()]
+        ks = [0, *ks, TWO53]
+        return [Fraction(hi - lo, TWO53) for lo, hi in zip(ks, ks[1:])]
 
-    def test_qm_block_matches_reference(self):
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            n = self.SIZES[seed % len(self.SIZES)]
-            if seed % 6 == 0:
-                eta1 = eta2 = f1 = f2 = 1.0
-            else:
-                eta1, eta2, f1, f2 = rng.uniform(0.01, 1.0, size=4)
-            F = (0.0, 1.0, rng.random())[seed % 3]
-            a = rng.random() * math.pi
-            # b == a with F = 1 ties the middle edges (p_diff = 0); a
-            # right-angle separation ties the first edge to 0.
-            b = (a, a + math.pi / 4, a + math.pi / 2, rng.random() * math.pi)[seed % 4]
-            params = QMModelParams(eta1, eta2, f1, f2, F)
-            case = (seed, n, params, a, b)
-            detect, (same, diff) = _pair_law(params, a, b)
-            got = _qm_block(detect, np.cumsum([same, diff, diff]),
-                            substream(seed, seed % 4, seed % 3), n)
-            self.assert_same(got, _reference_qm_block(params, a, b,
-                                                      substream(seed, seed % 4, seed % 3), n),
-                             case)
+    def assert_realised(self, source, quad):
+        for table, exact in zip(pair_tables(source, quad), exact_joints(source, quad)):
+            got = self.realised(_edges(table))
+            assert sum(got) == 1
+            worst = max(abs(g - x) for g, x in zip(got, exact))
+            assert worst <= self.BOUND, (source, float(worst))
 
-    def test_slhv_block_matches_reference(self):
-        builders = (random_nondegenerate_model, random_angle_independent_model,
-                    random_lambda_independent_model)
-        models = [builders[k % 3](np.random.default_rng(1000 + k), int(n_lambda))
-                  for k, n_lambda in enumerate(np.linspace(1, 64, 12).astype(int))]
-        # A zero p- column (tied edges), and a p- just below 0 that the
-        # validator tolerates, which puts the upper edge under the lower one.
-        models.append(constant_model((0.6, 0.0, 0.4), (0.25, 0.0, 0.75)))
-        t_neg = np.array([[0.5, -5e-13, 0.5 + 5e-13], [0.3, 0.2, 0.5]])
-        models.append(SLHVModel(HiddenVariableSpace([0.5, 0.5]),
-                                ResponseFunction(1, angle_blind(t_neg)),
-                                ResponseFunction(2, angle_blind(t_neg))))
-        cases = 0
-        for m_index, model in enumerate(models):
-            cdf = _lambda_cdf(model)
-            for k in range(18):
-                seed = 100 * m_index + k
-                rng = np.random.default_rng(seed)
-                n = self.SIZES[k % len(self.SIZES)]
-                a, b = rng.random(2) * math.pi
-                t1, t2 = model.triples(1, a), model.triples(2, b)
-                got = _slhv_block(_outcome_edges(t1), _outcome_edges(t2), cdf,
-                                  substream(seed, k % 4, 0), n)
-                want = _reference_slhv_block(t1, t2, cdf, substream(seed, k % 4, 0), n)
-                self.assert_same(got, want, (m_index, seed, n))
-                cases += 1
-        assert cases >= 250
+    @pytest.mark.parametrize("params", [(0.75, 0.75, 0.9, 0.9, 0.95), (1, 1, 1, 1, 1),
+                                        (1, 1, 1, 1, 0.9), (0.1, 0.3, 0.25, 1, 0.0),
+                                        (1e-3, 0.6, 0.5, 0.8, 1.0)], ids=str)
+    def test_qm(self, params):
+        p = QMModelParams(*params)
+        for quad in (optimal_quad(), SettingsQuad(0.3, 0.3 + math.pi / 4, 0.3, 1.9)):
+            self.assert_realised(p, quad)
+
+    @pytest.mark.parametrize("builder", [random_nondegenerate_model,
+                                         random_angle_independent_model,
+                                         random_lambda_independent_model])
+    def test_generator_models(self, builder):
+        rng = np.random.default_rng(3600)
+        for n_lambda in (1, 2, 7, 40, 64):
+            self.assert_realised(builder(rng, n_lambda), optimal_quad())
+
+    @pytest.mark.parametrize("name", ["solution1_tabulated", "threshold_adversary"])
+    def test_demo_models(self, name):
+        self.assert_realised(load_model(MODELS / f"{name}.json"), optimal_quad())
+
+
+class StubGenerator:
+    """Hands out the given draws, in order, and records each call's size."""
+
+    def __init__(self, draws, calls):
+        self.draws, self.calls = draws, calls
+
+    def random(self, size):
+        self.calls.append(size)
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def reference_cells(table, u):
+    """The cell of a draw u by the documented rule, in plain Python: the
+    cells clamped at 0 and summed row-major, the edges from the last
+    positive cell on raised to at least 1, and u in the first cell whose
+    edge lies above it."""
+    cells = [max(c, 0.0) for c in table.ravel().tolist()]
+    edges = list(itertools.accumulate(cells))
+    last = max(k for k, c in enumerate(cells) if c > 0.0)
+    edges[last:] = [max(edges[-1], 1.0)] * (9 - last)
+    return next(k for k, e in enumerate(edges) if u < e)
+
+
+class TestEdgeDraws:
+    """Draws that land on every edge of every pair, one ulp below each,
+    and at 0.0 and 1 - 2**-53, run through run_experiment with a stub
+    generator in place of each block's stream: each lands in the cell the
+    documented rule names, each block draws once, and a cell of
+    probability 0 never gets a count."""
+
+    @staticmethod
+    def run(source, quad, monkeypatch):
+        tables = pair_tables(source, quad)
+        draws = {0.0, 1.0 - 2.0 ** -53}
+        for table in tables:
+            for e in _edges(table).tolist():
+                draws.update(x for x in (e, math.nextafter(e, 0.0)) if 0.0 <= x < 1.0)
+        draws = np.array(sorted(draws))
+        calls = []
+        monkeypatch.setattr(sampler, "substream",
+                            lambda *key: StubGenerator(draws, calls))
+        result = run_experiment(source, ExperimentPlan(quad, draws.size, seed=0))
+        assert calls == [draws.size] * 4
+        for table, rec in zip(tables, result.records):
+            want = np.bincount([reference_cells(table, u) for u in draws.tolist()],
+                               minlength=9).reshape(3, 3)
+            assert (rec.table == want).all(), (table, rec.table, want)
+            assert (rec.table[table <= 0.0] == 0).all()
+            assert (np.diff(_edges(table)) >= 0.0).all()
+        return tables, [rec.table for rec in result.records]
+
+    def test_tied_edges(self, monkeypatch):
+        # F = 1 with b = a leaves the opposite-sign cells empty.
+        quad = SettingsQuad(0.4, 0.4 + math.pi / 4, 0.4, 0.4 + math.pi / 8)
+        tables, counts = self.run(QMModelParams(0.8, 0.7, 0.9, 0.95, 1.0), quad, monkeypatch)
+        assert tables[0][0, 1] == tables[0][1, 0] == 0.0
+        assert counts[0][0, 1] == counts[0][1, 0] == 0
+
+    def test_perfect_detection_never_lands_in_no_detection(self, monkeypatch):
+        # Weights 5e-13 short of 1, which the space tolerates, leave the
+        # top edge below 1 - 2**-53 unless it is raised.
+        t = np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+        short = SLHVModel(HiddenVariableSpace([0.5, 0.5 - 5e-13]),
+                          ResponseFunction(1, angle_blind(t)), ResponseFunction(2, angle_blind(t)))
+        for source in (QMModelParams(1, 1, 1, 1, 0.95), QMModelParams(1, 1, 1, 1, 1.0), short):
+            tables, counts = self.run(source, optimal_quad(), monkeypatch)
+            for table, count in zip(tables, counts):
+                assert table[2].sum() == table[:, 2].sum() == 0.0
+                assert count[2].sum() == count[:, 2].sum() == 0
+                assert count[:2, :2].sum() == count.sum()
+
+    def test_tolerated_negative_p_minus(self, monkeypatch):
+        # Party 1's p- of -5e-13 at the point where party 2 can click +
+        # makes the (-, +) cell negative, which the validator tolerates.
+        t1 = np.array([[0.5, -5e-13, 0.5 + 5e-13], [0.3, 0.2, 0.5]])
+        t2 = np.array([[0.4, 0.3, 0.3], [0.0, 0.0, 1.0]])
+        model = SLHVModel(HiddenVariableSpace([0.5, 0.5]),
+                          ResponseFunction(1, angle_blind(t1)),
+                          ResponseFunction(2, angle_blind(t2)))
+        tables, counts = self.run(model, optimal_quad(), monkeypatch)
+        for table, count in zip(tables, counts):
+            assert table[1, 0] < 0.0 and count[1, 0] == 0
+
+    def test_zero_column_and_generator_models(self, monkeypatch):
+        self.run(constant_model((0.6, 0.0, 0.4), (0.25, 0.0, 0.75)), optimal_quad(),
+                 monkeypatch)
+        rng = np.random.default_rng(36)
+        for builder in (random_nondegenerate_model, random_angle_independent_model,
+                        random_lambda_independent_model):
+            self.run(builder(rng, 9), optimal_quad(), monkeypatch)
+
+    def test_block_draws_once(self):
+        calls = []
+        draws = np.linspace(0.0, 1.0 - 2.0 ** -53, 101)
+        table = qm.joint_table(QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9), 0.1, 0.5)
+        counts = _block(_edges(table), StubGenerator(draws, calls), draws.size)
+        assert calls == [draws.size]
+        assert counts.dtype == np.int64 and counts.shape == (3, 3)
+        want = np.bincount([reference_cells(table, u) for u in draws.tolist()], minlength=9)
+        assert (counts.ravel() == want).all()
 
 
 def test_substream_bits_pinned(tmp_path):

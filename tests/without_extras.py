@@ -39,9 +39,13 @@ def loaded(*prefixes):
 
 def check_surface(out: Path) -> None:
     """Each CLI command in process; each must exit 0.  The QM ``simulate``
-    of ``tests/golden/qm_run.csv`` must also reproduce that file's bytes:
-    its kernel calls no BLAS and no numpy transcendental, so the committed
-    stream holds on every dispatch path and numpy release this runs on."""
+    of ``tests/golden/qm_run.csv`` and the threshold-model ``simulate`` of
+    ``tests/golden/threshold_run.csv`` must also reproduce those files'
+    bytes at two workers: each pair's joint table comes from ``math.cos``
+    (QM) or one ``math.fsum`` per cell (SLHV), and the block kernel only
+    compares uniforms with its edges, with no BLAS and no numpy
+    transcendental, so the committed streams hold on every dispatch path
+    and numpy release this runs on."""
     import bellsim  # noqa: F401
     from bellsim.cli import main
 
@@ -64,16 +68,18 @@ def check_surface(out: Path) -> None:
         for mode in ("solution1", "solution2", "solution3"):
             cli("verify-bounds", "-vv", "--model", model, "--mode", mode)
     qm = ("--eta", "0.75", "--f", "0.9", "--F", "0.95")
-    cli("simulate", "--model", MODELS / "threshold_adversary.json", "--trials", "20000",
-        "--seed", "7", "--workers", "2", "--out", out / "model_run.csv")
     cli("simulate", *qm, "--trials", "10000", "--seed", "42", "--workers", "2",
         "--out", out / "run.csv")
-    # The argv of qm_run.csv's manifest, at two workers.
+    # The argv of qm_run.csv's manifest and of threshold_run.csv's test, at
+    # two workers.
     cli("simulate", *qm, "--trials", "5000", "--seed", "314", "--workers", "2",
         "--out", out / "qm_run.csv")
-    golden = REPO / "tests" / "golden" / "qm_run.csv"
-    assert (out / "qm_run.csv").read_bytes() == golden.read_bytes(), \
-        f"the QM stream no longer reproduces {golden.name}"
+    cli("simulate", "--model", MODELS / "threshold_adversary.json", "--trials", "200000",
+        "--seed", "7", "--workers", "2", "--out", out / "threshold_run.csv")
+    for name in ("qm_run.csv", "threshold_run.csv"):
+        golden = REPO / "tests" / "golden" / name
+        assert (out / name).read_bytes() == golden.read_bytes(), \
+            f"the sampled stream no longer reproduces {golden.name}"
     cli("analyze", "--counts", out / "run.csv", "--out", out / "report.json")
     cli("analyze", "--counts", out / "run.csv", "--format", "csv")
     cli("qm-predict", *qm)
