@@ -72,7 +72,7 @@ class TestJointProbability:
                     assert qm.joint_probability(p, sep, 0.0, r, q) >= -1e-15
 
     def test_bits_pinned_to_closed_form(self):
-        # The probability is eta12f12 times the pair law's cell; scaling by
+        # The probability is eta12f12 times (1 +- F cos)/4; scaling by
         # 0.25 is exact, so it keeps the bits of the closed form
         # 0.25 * eta12f12 * (1 + r*q*F*cos 2(a - b)).
         rng = np.random.default_rng(7)

@@ -41,11 +41,12 @@ def check_surface(out: Path) -> None:
     """Each CLI command in process; each must exit 0.  The QM ``simulate``
     of ``tests/golden/qm_run.csv`` and the threshold-model ``simulate`` of
     ``tests/golden/threshold_run.csv`` must also reproduce those files'
-    bytes at two workers: each pair's joint table comes from ``math.cos``
-    (QM) or one ``math.fsum`` per cell (SLHV), and the block kernel only
-    compares uniforms with its edges, with no BLAS and no numpy
-    transcendental, so the committed streams hold on every dispatch path
-    and numpy release this runs on."""
+    bytes at two workers.  The block kernel only compares uniforms with
+    the cumulative cells of each pair's joint table, and no BLAS forms
+    them: ``math.cos`` gives the QM cells, and one ``math.fsum`` per cell
+    sums the threshold model's products of 0/1 response tables, so the
+    committed streams hold on every dispatch path and numpy release this
+    runs on."""
     import bellsim  # noqa: F401
     from bellsim.cli import main
 
