@@ -4,10 +4,13 @@ Everything here is a finite weighted sum over the hidden-variable
 points; no sampling.  A quad evaluates each party's two response
 tables in one call and forms the both-detected cells of the four setting
 pairs' 3x3 joint-outcome tables ``t1^T . diag(w) . t2`` in one stacked
-product.  The tables carry a leading batch axis (``_QuadTables``): a
-batch holds several sources at one quad (the adversary search's points)
-or one model at several quads (``effective_chsh_values``), and a single
-model is a batch of one.
+BLAS product (``_QuadTables.detected``), which the search and the
+reports read.  The full 3x3 tables (``_QuadTables.joints``), which the
+sampler draws from, round each cell once by ``math.fsum``; the two
+agree within a tested rounding budget.  The tables carry a leading
+batch axis (``_QuadTables``): a batch holds several sources at one quad
+(the adversary search's points) or one model at several quads
+(``effective_chsh_values``), and a single model is a batch of one.
 Every per-pair value is then a (B, 4) array in PAIR_LABELS order:
 ``signed_sum`` gives E, ``coincidence_sum`` the coincidence probability
 (the estimator applies both to count tables), and each mode its E_eff,
@@ -236,9 +239,12 @@ class _QuadTables:
     each formed on first use: ``e`` and ``coin`` read only the
     both-detected block ``detected`` of the four joint tables, and
     ``e_eff(mode)`` reads those (solution1), ``e`` and ``detection``
-    (solution2) or ``t`` alone (solution3).  ``joints``, the full 3x3
-    tables, hold the same four cells bit for bit (``tests/test_bounds.py``
-    checks it) beside the non-detection cells; no per-pair value reads them.
+    (solution2) or ``t`` alone (solution3).  ``detected`` is one BLAS
+    product, which the search and the reports read.  ``joints``, the full
+    3x3 tables, round each cell once by ``math.fsum``; the sampler draws
+    from them, and no per-pair value reads them.  The two agree within
+    the rounding budget of a length-n dot product, gamma_(n+2) times
+    sum(w |t1| |t2|) (``tests/test_bounds.py`` checks it).
     """
 
     def __init__(self, model: SLHVModel, *quads: SettingsQuad, validate: bool = True):
@@ -265,30 +271,32 @@ class _QuadTables:
     def __len__(self) -> int:
         return len(self.t)
 
-    def _joint_block(self, outcomes: slice) -> np.ndarray:
-        """The ``outcomes`` x ``outcomes`` block of the four joint tables
-        t1^T . diag(w) . t2 in one matmul, (B, 2, 1, o, n) @ (B, 1, 2, n, o),
+    @cached_property
+    def joints(self) -> np.ndarray:
+        """The (B, 4, 3, 3) joint-outcome tables: each cell is one
+        ``math.fsum`` of the per-point products ``(w * t1[:, r]) * t2[:, q]``,
+        so it is rounded once and does not depend on the order of the
+        hidden points."""
+        w = np.broadcast_to(self.w, (len(self.t), self.w.shape[-1]))
+        # A generator, so one pair's (n, 9) products are held at a time.
+        pairs = (((wb[:, None] * t1)[:, :, None] * t2[:, None]).reshape(-1, 9)
+                 for wb, (t1s, t2s) in zip(w, self.t) for t1 in t1s for t2 in t2s)
+        return np.array([[math.fsum(cell) for cell in terms.T.tolist()]
+                         for terms in pairs]).reshape(-1, 4, 3, 3)
+
+    @cached_property
+    def detected(self) -> np.ndarray:
+        """The (B, 4, 2, 2) both-detected cells of the four joint tables
+        t1^T . diag(w) . t2 in one matmul, (B, 2, 1, 2, n) @ (B, 1, 2, n, 2),
         with t1 and t2 the parties' tables.  The weights, repeated over the
-        three outcomes, scale t1 in its own (n, 3) layout, and the block's
+        three outcomes, scale t1 in its own (n, 3) layout, and the detected
         columns are sliced from that."""
         b, _, k, n, _ = self.t.shape
         scaled = (self.t[:, 0].reshape(b, k, 3 * n)
                   * np.repeat(self.w, 3, axis=-1)[:, None]).reshape(b, k, n, 3)
-        block = (scaled[..., outcomes].transpose(0, 1, 3, 2)[:, :, None]
-                 @ self.t[:, 1, None, ..., outcomes])
-        return block.reshape(b, 4, *block.shape[-2:])
-
-    @cached_property
-    def joints(self) -> np.ndarray:
-        """The (B, 4, 3, 3) joint-outcome tables."""
-        return self._joint_block(slice(None))
-
-    @cached_property
-    def detected(self) -> np.ndarray:
-        """The (B, 4, 2, 2) both-detected cells of ``joints``, from a product
-        over the two detected columns alone: each cell is the same dot
-        product over the same scaled rows as in ``joints``."""
-        return self._joint_block(slice(2))
+        block = (scaled[..., :2].transpose(0, 1, 3, 2)[:, :, None]
+                 @ self.t[:, 1, None, ..., :2])
+        return block.reshape(b, 4, 2, 2)
 
     @cached_property
     def detection(self) -> np.ndarray:

@@ -12,13 +12,13 @@ the generator needs independent seeding, not a counter.  The run
 sidecar names the generator from the same ``BIT_GENERATOR``.
 
 Each setting pair's law is its 3x3 joint-outcome table, formed once per
-run: ``qm.joint_table`` for the QM source, and for an SLHV model each
-cell ``sum_i w_i t1[i, r] t2[i, q]`` over the hidden points, one
-``math.fsum`` of the products ``w * t1 * t2`` per cell, from the response
-tables that ``bounds._QuadTables`` evaluates and validates.  fsum
-rounds each cell once, so a cell does not depend on the order of the
-hidden points, and no BLAS kernel, whose bits depend on the host's
-dispatch, is involved.  The nine cells are laid out row-major over
+run: ``qm.joint_table`` for the QM source, and for an SLHV model
+``bounds._QuadTables.joints``, whose cells ``sum_i w_i t1[i, r] t2[i, q]``
+over the hidden points are each one ``math.fsum`` of the products
+``(w * t1) * t2`` of the validated response tables.  fsum rounds each
+cell once, so a cell does not depend on the order of the hidden points,
+and no BLAS kernel, whose bits depend on the host's dispatch, is
+involved.  The nine cells are laid out row-major over
 ``OUTCOME_VALUES`` x ``OUTCOME_VALUES``, that is (+, -, 0)^2, each
 clamped at 0 (a response table may hold a p- of -nu, which the
 validator tolerates), and summed cumulatively in that order into eight
@@ -37,17 +37,17 @@ the counts are the sufficient statistics of the run, nothing else of
 the trials is kept.
 
 One path runs at every worker count: each setting pair's edges are
-formed once, and the blocks run on a thread pool of ``workers`` threads,
-capped at the block count and the CPU count (``model._pool_size``), in chunks
-of at most ``_MAX_IN_FLIGHT``.  The integer count tables of a
-chunk are added into the pair totals as soon as the chunk finishes, so
-memory does not grow with the number of trials, and integer sums are
-exact in any order.
+formed once, and the blocks run on ``n`` threads, ``workers`` capped at
+the block count and the CPU count (``model._pool_size``).  Each thread
+counts a fixed share, the rule ``adversary`` applies to restarts: the
+blocks are numbered pair by pair, and thread i counts blocks i, i + n,
+i + 2n, ... into its own (4, 3, 3) int64 table.  The n tables are
+summed, so memory is O(workers), and integer sums are exact in any
+order.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -82,7 +82,6 @@ BLOCK_SIZE = 1 << 16
 # writes it, and looking the class up per block keeps ``import bellsim``
 # from importing numpy.random, which numpy loads lazily.
 BIT_GENERATOR = "PCG64DXSM"
-_MAX_IN_FLIGHT = 1024  # blocks handed to the pool at once
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,6 @@ def substream(seed: int, pair_index: int, block_index: int) -> np.random.Generat
     return np.random.Generator(getattr(np.random, BIT_GENERATOR)(ss))
 
 
-def _slhv_table(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """The 3x3 joint table of one pair from the weights and each party's
-    (n, 3) response table: each cell one fsum of ``w * t1[:, r] * t2[:, q]``."""
-    terms = ((w[:, None] * t1)[:, :, None] * t2[:, None, :]).reshape(-1, 9)
-    return np.array([math.fsum(cell) for cell in terms.T.tolist()]).reshape(3, 3)
-
-
 def _edges(table: np.ndarray) -> np.ndarray:
     """The eight cumulative edges of a 3x3 joint table's cells, row-major,
     each cell clamped at 0; the edges from the last positive cell on are
@@ -161,9 +153,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     n_workers = _pool_size(workers, n_tasks)
 
     if isinstance(source, SLHVModel):
-        q = _QuadTables(source, plan.quad)
-        # PAIR_LABELS order is the (a, a') x (b, b') grid, row by row.
-        tables = [_slhv_table(q.w[0], t1, t2) for t1 in q.t[0, 0] for t2 in q.t[0, 1]]
+        tables = _QuadTables(source, plan.quad).joints[0]
         summary = {"kind": "slhv", "n_lambda": source.space.size,
                    **{k: v for k, v in source.meta.items()
                       if isinstance(v, (str, int, float, bool))}}
@@ -172,21 +162,18 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
         summary = {"kind": "qm", **asdict(source)}
     edges = [_edges(table) for table in tables]
 
-    def block_counts(task: int) -> tuple[int, np.ndarray]:
-        pair_index, block_index = divmod(task, n_blocks)
-        size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
-        rng = substream(plan.seed, pair_index, block_index)
-        return pair_index, _block(edges[pair_index], rng, size)
+    def share_counts(share: range) -> np.ndarray:
+        counts = np.zeros((4, 3, 3), dtype=np.int64)
+        for task in share:
+            pair_index, block_index = divmod(task, n_blocks)
+            size = min(BLOCK_SIZE, n - block_index * BLOCK_SIZE)
+            rng = substream(plan.seed, pair_index, block_index)
+            counts[pair_index] += _block(edges[pair_index], rng, size)
+        return counts
 
-    counts = np.zeros((4, 3, 3), dtype=np.int64)
+    shares = [range(i, n_tasks, n_workers) for i in range(n_workers)]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for start in range(0, n_tasks, _MAX_IN_FLIGHT):
-            chunk = range(start, min(start + _MAX_IN_FLIGHT, n_tasks))
-            # The chunk's tables are held until it is done: freeing each one
-            # as it arrives lets malloc trim a worker's heap after every
-            # block, and the next block faults its pages back in.
-            for pair_index, table in list(pool.map(block_counts, chunk)):
-                counts[pair_index] += table
+        counts = sum(pool.map(share_counts, shares))
 
     records = tuple(CountsRecord(label=label, table=counts[i], emitted_total=n)
                     for i, label in enumerate(PAIR_LABELS))

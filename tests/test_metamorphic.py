@@ -22,7 +22,7 @@ from bellsim.random_models import (
     random_lambda_independent_model,
     random_nondegenerate_model,
 )
-from bellsim.sampler import BLOCK_SIZE, ExperimentPlan, _slhv_table, run_experiment
+from bellsim.sampler import BLOCK_SIZE, ExperimentPlan, run_experiment
 
 QUAD = optimal_quad()
 # The quad's angles in degrees, as a tabulated document keys them.
@@ -48,8 +48,7 @@ def tables_of(model):
 def run_bytes(model, seed):
     """The sampler's four joint tables, and the counts of a seeded run of
     two blocks per pair, the second one short."""
-    q = _QuadTables(model, QUAD)
-    joints = np.stack([_slhv_table(q.w[0], t1, t2) for t1 in q.t[0, 0] for t2 in q.t[0, 1]])
+    joints = _QuadTables(model, QUAD).joints[0]
     plan = ExperimentPlan(QUAD, BLOCK_SIZE + 12_345, seed=seed)
     return joints.tobytes() + b"".join(rec.table.tobytes()
                                        for rec in run_experiment(model, plan).records)

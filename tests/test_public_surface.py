@@ -302,13 +302,17 @@ def test_folded_layers_stay_folded():
     # Each decision lives with the caller that makes it: SLHVModel.tables
     # evaluates a response, run_experiment dispatches on the source once and
     # builds its summary there, one cache holds the threshold breakpoints,
-    # the CHSH signs are written only in chsh_sum, and one block kernel
-    # samples every source from its pairs' joint tables.
+    # the CHSH signs are written only in chsh_sum, one block kernel samples
+    # every source from its pairs' joint tables, an SLHV model's joint
+    # tables come only from _QuadTables.joints, and the blocks run in
+    # fixed per-thread shares.
     assert not hasattr(model.ResponseFunction, "tables")
     assert not hasattr(model.SLHVModel, "_response")
     assert not hasattr(sampler, "_source_summary")
-    for name in ("_qm_block", "_slhv_block", "_lambda_cdf", "_outcome_edges", "_categorical"):
+    for name in ("_qm_block", "_slhv_block", "_lambda_cdf", "_outcome_edges", "_categorical",
+                 "_slhv_table", "_MAX_IN_FLIGHT"):
         assert not hasattr(sampler, name), name
+    assert not hasattr(bounds._QuadTables, "_joint_block")
     assert Path(sampler.__file__).read_text(encoding="utf-8").count("isinstance(source") == 1
     assert not hasattr(adversary, "_abs_cos2d_breakpoints")
     assert hasattr(adversary._threshold_breakpoints, "cache_info")

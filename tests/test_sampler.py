@@ -34,7 +34,6 @@ from bellsim.sampler import (
     ExperimentPlan,
     _block,
     _edges,
-    _slhv_table,
     run_experiment,
     substream,
     write_run_sidecar,
@@ -156,19 +155,18 @@ class TestDeterminism:
             for t1, t8 in zip(tables[1], tables[workers]):
                 assert (t1 == t8).all()
 
-    def test_in_flight_bound_does_not_change_counts(self, monkeypatch):
-        # Two blocks per pair make eight blocks, so a bound of 3 leaves
-        # a short last chunk.
+    def test_uneven_shares_do_not_change_counts(self, monkeypatch):
+        # Two blocks per pair make eight blocks, so three threads count
+        # shares of 3, 3 and 2 blocks, each a mix of pairs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=BLOCK_SIZE + 5, seed=6)
         sources = (QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9),
                    random_nondegenerate_model(np.random.default_rng(4), 8))
         for source in sources:
             want = [r.table for r in run_experiment(source, plan).records]
-            with monkeypatch.context() as m:
-                m.setattr(sampler, "_MAX_IN_FLIGHT", 3)
-                for workers in (1, 2):
-                    got = [r.table for r in run_experiment(source, plan, workers).records]
-                    assert all((g == w).all() for g, w in zip(got, want))
+            for workers in (2, 3):
+                got = [r.table for r in run_experiment(source, plan, workers).records]
+                assert all((g == w).all() for g, w in zip(got, want))
 
     def test_different_seeds_differ(self):
         params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
@@ -319,8 +317,7 @@ def pair_tables(source, quad):
     calls run_experiment makes."""
     if isinstance(source, QMModelParams):
         return [qm.joint_table(source, a, b) for _label, a, b in quad.pairs()]
-    q = _QuadTables(source, quad)
-    return [_slhv_table(q.w[0], t1, t2) for t1 in q.t[0, 0] for t2 in q.t[0, 1]]
+    return list(_QuadTables(source, quad).joints[0])
 
 
 def exact_joints(source, quad):

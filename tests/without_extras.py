@@ -41,12 +41,13 @@ def check_surface(out: Path) -> None:
     """Each CLI command in process; each must exit 0.  The QM ``simulate``
     of ``tests/golden/qm_run.csv`` and the threshold-model ``simulate`` of
     ``tests/golden/threshold_run.csv`` must also reproduce those files'
-    bytes at two workers.  The block kernel only compares uniforms with
-    the cumulative cells of each pair's joint table, and no BLAS forms
-    them: ``math.cos`` gives the QM cells, and one ``math.fsum`` per cell
-    sums the threshold model's products of 0/1 response tables, so the
-    committed streams hold on every dispatch path and numpy release this
-    runs on."""
+    bytes at two and three workers; the threshold run's 16 blocks split
+    unevenly over three threads on a host with three or more CPUs.  The
+    block kernel only compares uniforms with the cumulative cells of each
+    pair's joint table, and no BLAS forms them: ``math.cos`` gives the QM
+    cells, and one ``math.fsum`` per cell sums the threshold model's
+    products of 0/1 response tables, so the committed streams hold on
+    every dispatch path and numpy release this runs on."""
     import bellsim  # noqa: F401
     from bellsim.cli import main
 
@@ -72,15 +73,16 @@ def check_surface(out: Path) -> None:
     cli("simulate", *qm, "--trials", "10000", "--seed", "42", "--workers", "2",
         "--out", out / "run.csv")
     # The argv of qm_run.csv's manifest and of threshold_run.csv's test, at
-    # two workers.
-    cli("simulate", *qm, "--trials", "5000", "--seed", "314", "--workers", "2",
-        "--out", out / "qm_run.csv")
-    cli("simulate", "--model", MODELS / "threshold_adversary.json", "--trials", "200000",
-        "--seed", "7", "--workers", "2", "--out", out / "threshold_run.csv")
-    for name in ("qm_run.csv", "threshold_run.csv"):
-        golden = REPO / "tests" / "golden" / name
-        assert (out / name).read_bytes() == golden.read_bytes(), \
-            f"the sampled stream no longer reproduces {golden.name}"
+    # two and three workers.
+    for workers in ("2", "3"):
+        cli("simulate", *qm, "--trials", "5000", "--seed", "314", "--workers", workers,
+            "--out", out / "qm_run.csv")
+        cli("simulate", "--model", MODELS / "threshold_adversary.json", "--trials", "200000",
+            "--seed", "7", "--workers", workers, "--out", out / "threshold_run.csv")
+        for name in ("qm_run.csv", "threshold_run.csv"):
+            golden = REPO / "tests" / "golden" / name
+            assert (out / name).read_bytes() == golden.read_bytes(), \
+                f"the sampled stream at {workers} workers no longer reproduces {golden.name}"
     cli("analyze", "--counts", out / "run.csv", "--out", out / "report.json")
     cli("analyze", "--counts", out / "run.csv", "--format", "csv")
     cli("qm-predict", *qm)
