@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -620,6 +621,7 @@ def effective_chsh_values(model: SLHVModel, quads: Sequence[SettingsQuad],
     quads are the batch axis of one ``_QuadTables``, so each party's
     response is called once over all 2q of its angles.  A degenerate pair
     at any quad raises, naming the first."""
+    _check_instance(quads, Iterable, "quads")
     return _u_eff(_QuadTables(model, *quads, validate=validate), mode)
 
 

@@ -204,6 +204,9 @@ class HiddenVariableSpace:
     values: np.ndarray
 
     def __init__(self, weights: Iterable[float], values: Iterable[float] | None = None):
+        _check_instance(weights, Iterable, "weights")
+        if values is not None:
+            _check_instance(values, Iterable, "values")
         w = np.array([_check_real(x, "hidden-variable weight") for x in weights])
         if w.size == 0:
             raise ValidationError("hidden-variable space needs at least one point")
@@ -333,6 +336,7 @@ class SLHVModel:
         """Outcome probability tables at k angles, each reduced to [0, pi)
         first, in one response call: shape (k, n, 3), columns (+1, -1, 0)."""
         party = _check_integer(party, "party", 1, 2)
+        _check_instance(angles, Iterable, "angles")
         a = np.array([canonical_angle(x) for x in angles], dtype=float)
         values = self.space.values
         t = np.asarray((self.response1, self.response2)[party - 1]._fn(a, values), dtype=float)
@@ -374,6 +378,8 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
     """Each party's (k, n) non-detection rows at its canonical angles, from
     one response call per party, and those angles."""
     _check_instance(model, SLHVModel, "model")
+    _check_instance(angles1, Iterable, "angles1")
+    _check_instance(angles2, Iterable, "angles2")
     angles = tuple([canonical_angle(a) for a in angs] for angs in (angles1, angles2))
     if not all(angles):
         raise ValidationError("angle lists must be non-empty")

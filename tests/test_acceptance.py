@@ -42,6 +42,7 @@ from bellsim.random_models import (
     random_quad,
 )
 from bellsim.sampler import ExperimentPlan, run_experiment
+import reference
 
 SQRT2 = math.sqrt(2.0)
 QUAD = optimal_quad()
@@ -181,12 +182,9 @@ def test_criterion_5_bookkeeping_identities():
     for eta, f12 in itertools.product(ETA_GRID, F12_GRID):
         params = QMModelParams(eta, eta, f12, 1.0, F_FIXED)
         sp = qm.coincidence_probability(params)
-        eps_total = 0.0
-        u_eff = 0.0
-        for (_label, a, b), sign in zip(QUAD.pairs(), (1.0, -1.0, 1.0, 1.0)):
-            e = qm.correlation(params, a, b)
-            eps_total += sign * e * (1.0 - sp) / sp
-            u_eff += sign * (e / sp)
+        e = [qm.correlation(params, a, b) for _label, a, b in QUAD.pairs()]
+        eps_total = reference.chsh([x * (1.0 - sp) / sp for x in e])
+        u_eff = reference.chsh([x / sp for x in e])
         worst_formula = max(worst_formula,
                             abs(eps_total - qm_epsilon_identity(params, u_eff)))
     ok &= worst_formula <= 1e-12

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.bounds import (
+    PAIR_LABELS,
     EffectiveCorrelationMode,
     SettingsQuad,
     _breach,
@@ -48,18 +49,11 @@ from bellsim.random_models import (
     random_nondegenerate_model,
     random_quad,
 )
+import reference
 
 MODE1 = EffectiveCorrelationMode.SOLUTION1
 MODE2 = EffectiveCorrelationMode.SOLUTION2
 MODE3 = EffectiveCorrelationMode.SOLUTION3
-# The CHSH signs of E(a,b) - E(a,b') + E(a',b) + E(a',b'), written here
-# independently of bounds.chsh_sum, which the tests check against them.
-CHSH_SIGNS = (1.0, -1.0, 1.0, 1.0)
-
-
-def _joint(w: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """The 3x3 joint-outcome table t1^T . diag(w) . t2 of one setting pair."""
-    return (t1 * w[:, None]).T @ t2
 
 
 def tabulated_model(weights, triples1, triples2):
@@ -119,24 +113,18 @@ class TestChshSum:
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
-    @staticmethod
-    def list_sum(row):
-        """The reference: Python floats times their signs, summed left to
-        right from the integer 0."""
-        return sum(sign * v for sign, v in zip(CHSH_SIGNS, row))
-
     def test_array_path_matches_list_path_bytewise(self):
         # Every row of four from the pool: signed zeros, NaNs of both signs,
         # infinities and sums that cancel to zero, as (4,), (B, 4) and
-        # (B, k, 4), and as lists.  The (B, 4) sums also equal, NaN bits
-        # included, the signed sum of the four columns in numpy's own loops.
+        # (B, k, 4), and as lists.  The (B, 4) sums also equal the signed
+        # sum of the four columns in numpy's own loops, a NaN as a NaN: the
+        # sign of a NaN they make depends on numpy's SIMD dispatch.
         rows = np.array(list(itertools.product(self.VALUES, repeat=4)))
-        want = np.array([self.list_sum(row) for row in rows.tolist()])
+        want = np.array([reference.chsh(row) for row in rows.tolist()])
         assert want.size == 10 ** 4 and np.any(want == 0.0) and np.any(np.isnan(want))
         with np.errstate(invalid="ignore"):  # inf - inf
             got = chsh_sum(rows)
-            signed = sum(sign * v for sign, v in zip(CHSH_SIGNS, np.moveaxis(rows, -1, 0)))
-            assert got.tobytes() == signed.tobytes()
+            self.assert_same_bits(got, reference.chsh(np.moveaxis(rows, -1, 0)))
             assert chsh_sum(rows.reshape(100, 100, 4)).tobytes() == got.tobytes()
             self.assert_same_bits(got, want)
             self.assert_same_bits([chsh_sum(row) for row in rows], want)
@@ -269,7 +257,7 @@ class TestQuadTables:
 
     def test_stacked_joints_match_per_pair_products_bitwise(self):
         # _QuadTables forms the both-detected cells of all four joint tables
-        # in one stacked matmul; _joint is the per-pair reference, and they
+        # in one stacked matmul; reference.joint is the per-pair form, and they
         # must agree to the bit.
         rng = np.random.default_rng(107)
         generators = (random_angle_independent_model, random_lambda_independent_model,
@@ -286,7 +274,7 @@ class TestQuadTables:
                         assert np.array_equal(tables.t[0, 0, k // 2], t1)
                         assert np.array_equal(tables.t[0, 1, k % 2], t2)
                         assert np.array_equal(tables.detected[0, k],
-                                              _joint(m.space.weights, t1, t2)[:2, :2])
+                                              reference.joint(m.space.weights, t1, t2)[:2, :2])
 
 
 class TestBatchAxis:
@@ -456,25 +444,6 @@ class TestEvaluationForms:
         assert dead  # the masked path runs too
 
 
-def _per_point_reference(model, a, b):
-    """E, coincidence probability and E_eff per mode at one setting pair,
-    summed in pure Python over the hidden points, from the rows of one
-    ``triples`` call per party: local average p+ - p-, detection
-    probability p+ + p- and detected-subset average (p+ - p-) / (p+ + p-)."""
-    e = coin = det1 = det2 = subset = 0.0
-    rows = zip(model.space.weights.tolist(), model.triples(1, a).tolist(),
-               model.triples(2, b).tolist())
-    for w, (p1, m1, _), (p2, m2, _) in rows:
-        x, y = p1 - m1, p2 - m2
-        al, be = p1 + m1, p2 + m2
-        e += w * x * y
-        coin += w * al * be
-        det1 += w * al
-        det2 += w * be
-        subset += w * (x / al) * (y / be)
-    return e, coin, {MODE1: e / coin, MODE2: e / (det1 * det2), MODE3: subset}
-
-
 class TestPerPointReference:
     def test_report_matches_scalar_sums(self):
         # A second evaluation of every per-pair value that shares no code
@@ -486,19 +455,16 @@ class TestPerPointReference:
             for gen in generators:
                 for _ in range(4):
                     m, quad = gen(rng, n), random_quad(rng)
-                    pairs = (("ab", quad.a, quad.b), ("ab'", quad.a, quad.b_prime),
-                             ("a'b", quad.a_prime, quad.b),
-                             ("a'b'", quad.a_prime, quad.b_prime))
-                    ref = {label: _per_point_reference(m, a, b) for label, a, b in pairs}
+                    ref = reference.per_pair(m, quad)
                     for mode in (MODE1, MODE2, MODE3):
                         rep = effective_chsh(m, quad, mode)
-                        for label, (e, coin, e_eff) in ref.items():
-                            assert rep.e[label] == pytest.approx(e, abs=1e-12)
-                            assert rep.coincidence[label] == pytest.approx(coin, abs=1e-12)
-                            assert rep.e_eff[label] == pytest.approx(e_eff[mode], abs=1e-12)
-                        u_eff = sum(sign * ref[label][2][mode] for label, sign in
-                                    (("ab", 1), ("ab'", -1), ("a'b", 1), ("a'b'", 1)))
-                        assert rep.u_eff == pytest.approx(u_eff, abs=1e-12)
+                        for got, want in ((rep.e, ref.e), (rep.coincidence, ref.coin),
+                                          (rep.e_eff, ref.e_eff[mode.value])):
+                            assert [got[label] for label in PAIR_LABELS] == pytest.approx(
+                                want.tolist(), abs=1e-12)
+                        assert rep.u == pytest.approx(reference.chsh(ref.e), abs=1e-12)
+                        assert rep.u_eff == pytest.approx(
+                            reference.chsh(ref.e_eff[mode.value]), abs=1e-12)
 
 
 class TestCoincidenceProbability:

@@ -36,8 +36,10 @@ from bellsim.model import (
     TheoremViolationError,
 )
 from bellsim.modelio import model_from_dict
+import reference
 
 QUAD = optimal_quad()
+ANGLES = QUAD.party1_angles(), QUAD.party2_angles()
 NU = NORMALIZATION_TOL
 PLUS, MINUS = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
 
@@ -52,7 +54,7 @@ def _tabulated(weights, rows1, rows2) -> dict:
 def _as_document(model: SLHVModel) -> dict:
     """``model`` tabulated at the quad's four angles."""
     tables = [model.tables(party, angles).tolist()
-              for party, angles in ((1, QUAD.party1_angles()), (2, QUAD.party2_angles()))]
+              for party, angles in enumerate(ANGLES, start=1)]
     return _tabulated(model.space.weights.tolist(), *tables)
 
 
@@ -217,13 +219,6 @@ def test_u_and_m_trip_wires_reach_verify_bounds(bound, monkeypatch, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: |U| = ")
 
 
-def _premise_deviation(p0, mode) -> float:
-    """The validator's deviation, from each party's (2, n) p0 rows: the
-    range over the angles (solution1) or over the points (solution2)."""
-    axis = 0 if mode == "solution1" else 1
-    return max(float(np.max(np.ptp(rows, axis=axis))) for rows in p0)
-
-
 @st.composite
 def near_premise_models(draw, mode):
     """1-8 point models whose ``mode`` premise holds up to a deviation in
@@ -245,38 +240,33 @@ def near_premise_models(draw, mode):
     t = np.stack([detect * share, detect * (1.0 - share), 1.0 - detect], axis=-1)
     t += rng.uniform(-0.3, 0.3, size=t.shape) * NU
     responses = [ResponseFunction.from_table(party, dict(zip(angles, t[party - 1])))
-                 for party, angles in ((1, QUAD.party1_angles()), (2, QUAD.party2_angles()))]
-    return SLHVModel(HiddenVariableSpace(w), *responses), t, w
+                 for party, angles in enumerate(ANGLES, start=1)]
+    return SLHVModel(HiddenVariableSpace(w), *responses), t
 
 
 @pytest.mark.parametrize("mode", ["solution1", "solution2"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_caps_hold_near_the_premise(mode, data):
-    model, t, w = data.draw(near_premise_models(mode))
-    # Every value and cap from the raw tables, sharing no code with bounds.
-    t1, t2 = t
-    x, y = t1[..., 0] - t1[..., 1], t2[..., 0] - t2[..., 1]
-    a, b = t1[..., 0] + t1[..., 1], t2[..., 0] + t2[..., 1]
-    e = np.einsum("i,ji,li->jl", w, x, y).ravel()
-    coin = np.einsum("i,ji,li->jl", w, a, b).ravel()
-    signs = np.array([1.0, -1.0, 1.0, 1.0])
-    dev = _premise_deviation((t1[..., 2], t2[..., 2]), mode)
+    model, t = data.draw(near_premise_models(mode))
+    # Every value and cap from the tests' reference, sharing no code with bounds.
+    ref = reference.per_pair(model, QUAD)
+    dev = reference.premise_report(mode, model, *ANGLES).max_deviation
     assert 0.0 < dev <= VALIDATOR_TOL
     delta = dev + 5 * NU
-    u_total, m = float(signs @ e), 2.0 * coin[0]
+    u_total, m = reference.chsh(ref.e), 2.0 * ref.coin[0]
     assert abs(u_total) <= 2.0 * (1.0 + 4.0 * NU) ** 2 + BOUND_TOL
+    u_eff = reference.chsh(ref.e_eff[mode])
     if mode == "solution1":
-        u_eff = float(signs @ (e / coin))
-        cap = 2.0 + 6.0 * (2 * delta + delta**2) / coin.min()
+        cap = 2.0 + 6.0 * (2 * delta + delta**2) / ref.coin.min()
         assert abs(u_total) <= m + 2.0 * (2 * delta + delta**2) + BOUND_TOL
-        u = x[0] * (y[0] - y[1]) + x[1] * (y[0] + y[1])
-        pointwise = 2.0 * a[0] * b[0] + 2.0 * (delta * (a[0] + b[0]) + delta**2)
+        (x, x_), (y, y_) = t[..., 0] - t[..., 1]
+        (a, _), (b, _) = t[..., 0] + t[..., 1]
+        u = x * (y - y_) + x_ * (y + y_)
+        pointwise = 2.0 * a * b + 2.0 * (delta * (a + b) + delta**2)
         assert np.all(np.abs(u) <= pointwise + BOUND_TOL)
     else:
-        d1, d2 = 1.0 - t1[..., 2] @ w, 1.0 - t2[..., 2] @ w
-        u_eff = float(signs @ (e / np.outer(d1, d2).ravel()))
-        cap = 2.0 * (1 + delta / d1.min()) * (1 + delta / d2.min())
+        cap = 2.0 * (1 + delta / ref.d1.min()) * (1 + delta / ref.d2.min())
     assert abs(u_eff) <= cap + BOUND_TOL
 
     # And bellsim's own trip-wires stay quiet.  1 - sum(w p0) cancels at

@@ -22,6 +22,7 @@ from bellsim.model import NoDataError, ValidationError
 from bellsim.qm import QMModelParams, qm_epsilon_identity
 from bellsim import qm
 from bellsim.sampler import ExperimentPlan, run_experiment, write_counts_csv
+import reference
 
 
 def record(label, pp, pm, mp, mm, p0=0, z0p=0, z0m=0, p0p=0, p0m=0, zz=0):
@@ -228,13 +229,8 @@ class TestExactCountConvergence:
         exact = effective_chsh_value(model, quad,
                                      EffectiveCorrelationMode.SOLUTION1)
         n = 10**6
-        recs = []
-        for label, a, b in quad.pairs():
-            t1 = model.triples(1, a)
-            t2 = model.triples(2, b)
-            probs = np.einsum("l,li,lj->ij", model.space.weights, t1, t2)
-            counts = np.rint(probs * n).astype(np.int64)
-            recs.append(CountsRecord(label=label, table=counts))
+        recs = [CountsRecord(label=label, table=np.rint(probs * n).astype(np.int64))
+                for label, probs in zip(PAIR_LABELS, reference.joints(model, quad))]
         u_eff, stderr = u_eff_from_counts(recs)
         assert abs(u_eff - exact) <= 4 * max(stderr, 4 / n)
 

@@ -18,8 +18,6 @@ from bellsim.bounds import (
 )
 from bellsim.adversary import get_family
 from bellsim.model import (
-    VALIDATOR_TOL,
-    AssumptionReport,
     DegenerateModelError,
     HiddenVariableSpace,
     ResponseFunction,
@@ -38,6 +36,7 @@ from bellsim.random_models import (
     random_lambda_independent_model,
     random_nondegenerate_model,
 )
+import reference
 
 
 def constant_model(triple1, triple2, n=4, weights=None):
@@ -436,57 +435,6 @@ class TestWorstPoint:
         assert rep.worst == (1, 0, (self.at(30), self.at(30)))
 
 
-# Reference reports: the validators as they were when each one scanned
-# every angle (pair) of a party in a Python loop through score callbacks,
-# kept verbatim as the specification of the reports' verdicts, deviations
-# and implied values.
-
-def _reference_worst_point(p0, angles, pairwise, score):
-    worst_dev, worst = 0.0, None
-    for party, (rows, angs) in enumerate(zip(p0, angles), start=1):
-        n = len(angs)
-        pairs = ([(i, j) for i in range(n) for j in range(i + 1, n)] if pairwise
-                 else [(i, i) for i in range(n)])
-        for i, j in pairs:
-            dev, k = score(rows[i], rows[j])
-            if dev > worst_dev:
-                worst_dev, worst = float(dev), (party, int(k), (angs[i], angs[j]))
-    return worst_dev, worst
-
-
-def _reference_peak(v):
-    k = int(np.argmax(v))
-    return v[k], k
-
-
-def _reference_solution1_report(p0, angles):
-    dev, worst = _reference_worst_point(p0, angles, True,
-                                        lambda p, q: _reference_peak(np.abs(p - q)))
-    passed = dev <= VALIDATOR_TOL
-    return AssumptionReport(passed=passed, max_deviation=dev, tol=VALIDATOR_TOL,
-                            worst=None if passed else worst)
-
-
-def _reference_solution2_report(p0, angles, weights):
-    dev, worst = _reference_worst_point(p0, angles, False,
-                                        lambda p, _: (p.max() - p.min(), np.argmax(p)))
-    if dev > VALIDATOR_TOL:
-        return AssumptionReport(passed=False, max_deviation=dev, tol=VALIDATOR_TOL,
-                                worst=worst)
-    implied = {party: {a: float(np.sum(weights * p)) for a, p in zip(angs, rows)}
-               for party, (rows, angs) in enumerate(zip(p0, angles), start=1)}
-    return AssumptionReport(passed=True, max_deviation=dev, tol=VALIDATOR_TOL,
-                            implied_p0=implied)
-
-
-def _reference_solution3_report(p0, angles):
-    worst_p0, worst = _reference_worst_point(p0, angles, False,
-                                             lambda p, _: _reference_peak(p))
-    passed = worst_p0 < 1.0
-    return AssumptionReport(passed=passed, max_deviation=worst_p0, tol=1.0,
-                            worst=None if passed else worst)
-
-
 _TIE_P0 = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -541,18 +489,15 @@ def _report_cases(k_choices, seed):
 
 
 class TestReferenceReports:
-    """The array reductions give the reference reports."""
+    """The array reductions give ``reference.premise_report``'s reports,
+    those of the validators' former loop over each party's angle pairs."""
 
     @staticmethod
     def reports(model, angles1, angles2):
         p0, angles = _nondetect_rows(model, angles1, angles2)
-        w = model.space.weights
-        return ((_premise_report("solution1", p0, angles, w),
-                 _reference_solution1_report(p0, angles)),
-                (_premise_report("solution2", p0, angles, w),
-                 _reference_solution2_report(p0, angles, w)),
-                (_premise_report("solution3", p0, angles, w),
-                 _reference_solution3_report(p0, angles)))
+        return [(_premise_report(regime, p0, angles, model.space.weights),
+                 reference.premise_report(regime, model, angles1, angles2))
+                for regime in ("solution1", "solution2", "solution3")]
 
     @staticmethod
     def fields(rep, worst=True):
@@ -600,8 +545,7 @@ class TestReferenceReports:
         rep = validate_solution1(m, angles1, [0.0])
         assert not rep.passed and rep.max_deviation == 1.0
         assert rep.worst == (1, 0, (angles1[0], angles1[2]))
-        p0, angles = _nondetect_rows(m, angles1, [0.0])
-        assert _reference_solution1_report(p0, angles).worst == (
+        assert reference.premise_report("solution1", m, angles1, [0.0]).worst == (
             1, 1, (angles1[0], angles1[1]))
 
 

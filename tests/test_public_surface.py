@@ -5,7 +5,7 @@ its batched ``response``, each premise is defined once, a search
 restart is one generator, each file format is spelled once, in modelio,
 the QM source's law once, in qm, and the CHSH signs once, in chsh_sum.
 A wrong-typed argument is rejected with a ValidationError at the entry
-its calls share."""
+its calls share, and the tests' one reference imports nothing it checks."""
 
 import argparse
 import ast
@@ -212,6 +212,22 @@ def test_one_qm_law():
                    for node in ast.walk(chsh_sum))
 
 
+def test_reference_is_independent():
+    # tests/reference.py, the tests' one second computation, imports none
+    # of the modules it checks: from bellsim only model's record type and
+    # tolerance constants, and no test-only dependency.
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    names = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules |= {module for module, _ in names}
+    assert {m for m in modules if m.split(".")[0] == "bellsim"} == {"bellsim.model"}
+    assert {name for module, name in names if module == "bellsim.model"} <= {
+        "AssumptionReport", "NORMALIZATION_TOL", "VALIDATOR_TOL"}
+    assert not {m.split(".")[0] for m in modules} & {"scipy", "sympy", "hypothesis"}
+
+
 SLHV = random_nondegenerate_model(np.random.default_rng(0), 4)
 QUAD = bounds.optimal_quad()
 THRESHOLD = adversary.get_family("threshold-detection")
@@ -254,6 +270,20 @@ WRONG_TYPES = {
     "search": (lambda: adversary.search("x"), "config must be of type"),
     "validate_solution1": (lambda: model.validate_solution1("m", [0], [0]),
                            "model must be of type"),
+    # A bare value where a sequence belongs: a quad, an angle or a number.
+    "effective_chsh_values-bare-quad": (lambda: bounds.effective_chsh_values(SLHV, QUAD),
+                                        "quads must be of type Iterable"),
+    "validate_solution1-angles": (lambda: model.validate_solution1(SLHV, 0.5, [0]),
+                                  "angles1 must be of type Iterable"),
+    "validate_solution2-angles": (lambda: model.validate_solution2(SLHV, [0], 0.5),
+                                  "angles2 must be of type Iterable"),
+    "tables-angles": (lambda: SLHV.tables(1, 0.3), "angles must be of type Iterable"),
+    "HiddenVariableSpace-None": (lambda: model.HiddenVariableSpace(None),
+                                 "weights must be of type Iterable"),
+    "HiddenVariableSpace-int": (lambda: model.HiddenVariableSpace(5),
+                                "weights must be of type Iterable"),
+    "HiddenVariableSpace-values": (lambda: model.HiddenVariableSpace([1.0], 5),
+                                   "values must be of type Iterable"),
     "analysis_report-int": (lambda: estimator.analysis_report(5),
                             "counts records must be of type"),
     "qm.effective_chsh_value-params": (lambda: qm.effective_chsh_value("p", QUAD),

@@ -10,6 +10,7 @@ from bellsim import qm
 from bellsim.bounds import SettingsQuad, optimal_quad
 from bellsim.model import ValidationError
 from bellsim.qm import QMModelParams
+import reference
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,11 +96,12 @@ class TestJointProbability:
 
 
 class TestJointTable:
-    """``joint_table`` against the law derived in sympy from its physical
-    premises: each photon detected independently with probability
-    eta_k f_k; both detected, the outcomes (r, q) with probability
-    (1 + r q F cos 2(a - b))/4; one detected, its outcome is that law's
-    marginal.  Rational parameters make every cell exact but the cosine."""
+    """``joint_table``, and the tests' ``reference.qm_joint``, against the
+    law derived in sympy from its physical premises: each photon detected
+    independently with probability eta_k f_k; both detected, the outcomes
+    (r, q) with probability (1 + r q F cos 2(a - b))/4; one detected, its
+    outcome is that law's marginal.  Rational parameters make every cell
+    exact but the cosine."""
 
     EPS = 2.0 ** -52
 
@@ -138,14 +140,16 @@ class TestJointTable:
                 theta = turn * sympy.pi
                 table = qm.joint_table(p, float(theta), 0.0)
                 assert table.shape == (3, 3) and table.dtype == np.float64
+                ref = reference.qm_joint(p, float(theta), 0.0)
                 subs = dict(zip(symbols, (*values, sympy.cos(2 * theta))))
                 for i, r in enumerate((1, -1, 0)):
                     for j, q in enumerate((1, -1, 0)):
-                        exact = law[r, q].subs(subs)
-                        err = abs(table[i, j] - sympy.N(exact, 40))
-                        # Three rounded products, a rounded cosine and one
+                        exact = sympy.N(law[r, q].subs(subs), 40)
+                        # A few rounded products, a rounded cosine and one
                         # rounded sum: a few units in the last place of 1.
-                        assert err <= 4 * self.EPS, (values, turn, r, q, err)
+                        for got in (table, ref):
+                            err = abs(got[i, j] - exact)
+                            assert err <= 4 * self.EPS, (values, turn, r, q, err)
                         checked += 1
         assert checked == 4 * 8 * 9
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bellsim.bounds import SettingsQuad, _QuadTables, optimal_quad
+from bellsim.bounds import PAIR_LABELS, SettingsQuad, _QuadTables, optimal_quad
 from bellsim import sampler
 from bellsim.model import (
     HiddenVariableSpace,
@@ -38,6 +38,7 @@ from bellsim.sampler import (
     substream,
     write_run_sidecar,
 )
+import reference
 
 # SHA-256 of substream(seed, pair, block).random(16) over seeds 0, 314 and
 # 2**63 - 1, pairs 0-3 and blocks 0, 1 and 10**6, in that nesting order.
@@ -250,15 +251,13 @@ class TestStatistics:
     def test_qm_joint_frequencies_match(self):
         p = QMModelParams(1, 1, 1, 1, 1.0)
         n = 10**6
-        a, b = 0.0, math.pi / 8
         quad = optimal_quad()  # pair "ab" has separation pi/8
         res = run_experiment(p, ExperimentPlan(quad, n, seed=9))
         rec = res.records[0]
+        exact = reference.qm_joint(p, quad.a, quad.b)
         for r in (0, 1):
             for q in (0, 1):
-                pr = qm.joint_probability(p, quad.a, quad.b,
-                                          1 if r == 0 else -1,
-                                          1 if q == 0 else -1)
+                pr = exact[r, q]
                 sigma = math.sqrt(n * pr * (1 - pr))
                 assert abs(rec.table[r, q] - n * pr) <= 4 * sigma
 
@@ -270,31 +269,14 @@ class TestStatistics:
         n = 10**5
 
         p = QMModelParams(0.75, 0.75, 0.9, 1.0, 0.95)
-        exact_qm = {}
-        eta1f1 = p.eta1 * p.f1
-        eta2f2 = p.eta2 * p.f2
-        for label, a, b in quad.pairs():
-            cell = np.zeros((3, 3))
-            for i, r in enumerate((1, -1)):
-                for j, q in enumerate((1, -1)):
-                    cell[i, j] = qm.joint_probability(p, a, b, r, q)
-            cell[0, 2] = cell[1, 2] = eta1f1 * (1 - eta2f2) / 2
-            cell[2, 0] = cell[2, 1] = (1 - eta1f1) * eta2f2 / 2
-            cell[2, 2] = (1 - eta1f1) * (1 - eta2f2)
-            exact_qm[label] = cell
-
-        rng = np.random.default_rng(77)
-        m = random_nondegenerate_model(rng, 8)
-        exact_slhv = {}
-        for label, a, b in quad.pairs():
-            t1 = m.triples(1, a)
-            t2 = m.triples(2, b)
-            exact_slhv[label] = np.einsum("l,li,lj->ij", m.space.weights, t1, t2)
+        m = random_nondegenerate_model(np.random.default_rng(77), 8)
+        cases = [(source, dict(zip(PAIR_LABELS, reference.joints(source, quad))))
+                 for source in (p, m)]
 
         failures = 0
         checks = 0
         for seed in range(100):
-            for source, exact in ((p, exact_qm), (m, exact_slhv)):
+            for source, exact in cases:
                 res = run_experiment(source, ExperimentPlan(quad, n, seed=seed))
                 for rec in res.records:
                     probs = exact[rec.label]
@@ -318,33 +300,6 @@ def pair_tables(source, quad):
     if isinstance(source, QMModelParams):
         return [qm.joint_table(source, a, b) for _label, a, b in quad.pairs()]
     return list(_QuadTables(source, quad).joints[0])
-
-
-def exact_joints(source, quad):
-    """The four pairs' joint tables in exact arithmetic from the float
-    inputs: the weights and response tables, or the QM parameters and the
-    double cos 2(a - b)."""
-    if isinstance(source, QMModelParams):
-        d1 = Fraction(source.eta1) * Fraction(source.f1)
-        d2 = Fraction(source.eta2) * Fraction(source.f2)
-        joints = []
-        for _label, a, b in quad.pairs():
-            fc = Fraction(source.F) * Fraction(math.cos(2.0 * (a - b)))
-            same, diff = d1 * d2 * (1 + fc) / 4, d1 * d2 * (1 - fc) / 4
-            only1, only2 = d1 * (1 - d2) / 2, d2 * (1 - d1) / 2
-            joints.append([same, diff, only1, diff, same, only1,
-                           only2, only2, (1 - d1) * (1 - d2)])
-        return joints
-    q = _QuadTables(source, quad)
-    w = [Fraction(x) for x in q.w[0].tolist()]
-    joints = []
-    for t1 in q.t[0, 0]:
-        for t2 in q.t[0, 1]:
-            rows = [([Fraction(x) for x in r1], [Fraction(x) for x in r2])
-                    for r1, r2 in zip(t1.tolist(), t2.tolist())]
-            joints.append([sum(wi * r1[r] * r2[c] for wi, (r1, r2) in zip(w, rows))
-                           for r in range(3) for c in range(3)])
-    return joints
 
 
 class TestRealisedLaw:
@@ -371,10 +326,11 @@ class TestRealisedLaw:
         return [Fraction(hi - lo, TWO53) for lo, hi in zip(ks, ks[1:])]
 
     def assert_realised(self, source, quad):
-        for table, exact in zip(pair_tables(source, quad), exact_joints(source, quad)):
+        for table, exact in zip(pair_tables(source, quad),
+                                reference.joints(source, quad, Fraction)):
             got = self.realised(_edges(table))
             assert sum(got) == 1
-            worst = max(abs(g - x) for g, x in zip(got, exact))
+            worst = max(abs(g - x) for g, x in zip(got, exact.ravel().tolist()))
             assert worst <= self.BOUND, (source, float(worst))
 
     @pytest.mark.parametrize("params", [(0.75, 0.75, 0.9, 0.9, 0.95), (1, 1, 1, 1, 1),
