@@ -5,7 +5,6 @@ __version__ = "0.3.0"
 
 from .model import (  # noqa: F401
     OUTCOME_VALUES,
-    AssumptionError,
     AssumptionReport,
     BellSimError,
     DegenerateModelError,
@@ -28,15 +27,11 @@ from .bounds import (  # noqa: F401
     VertexRow,
     chsh_combination,
     chsh_value,
-    coincidence_probability,
-    correlation,
     effective_chsh,
     effective_chsh_value,
     effective_chsh_values,
-    effective_correlation,
     enumerate_vertices,
     optimal_quad,
-    pointwise_bound_check,
 )
 from .qm import QMModelParams, qm_epsilon_identity, u_eff_cap, violation_lhs  # noqa: F401
 from .sampler import ExperimentPlan, ExperimentResult, run_experiment  # noqa: F401
@@ -48,4 +43,4 @@ from .estimator import (  # noqa: F401
     u_eff_from_counts,
 )
 from .adversary import FAMILIES, SearchConfig, SearchResult, search  # noqa: F401
-from .modelio import load_model, model_from_dict, save_model  # noqa: F401
+from .modelio import load_model, model_from_dict  # noqa: F401

@@ -197,12 +197,14 @@ class ParametricFamily:
         return model
 
 
-# A search instantiates thousands of models on one grid at one quad.  The
-# grid, the response terms that depend only on the angles and the grid, and
-# modulated-p0's Malus shares, which depend on them and the sharpness alone,
-# are computed once and shared read-only, so each evaluation runs only the
-# operations that depend on the other parameters.  The family responses
-# read the grid through this cache: ``lam`` is always the model's own grid.
+# A search evaluates every batch of points on one grid at one quad: each
+# ``_evaluate`` step reads the grid once, and the search instantiates one
+# model, at its optimum.  The grid, the response terms that depend only on
+# the angles and the grid, and modulated-p0's Malus shares, which depend on
+# them and the sharpness alone, are computed once and shared read-only, so
+# each evaluation runs only the operations that depend on the other
+# parameters.  The family responses read the grid through this cache:
+# ``lam`` is always the model's own grid.
 _grid = lru_cache(maxsize=8)(uniform_lambda_grid)
 
 

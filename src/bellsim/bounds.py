@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -53,7 +52,6 @@ import numpy as np
 
 from .model import (
     NORMALIZATION_TOL,
-    AssumptionError,
     AssumptionReport,
     DegenerateModelError,
     SLHVModel,
@@ -61,6 +59,7 @@ from .model import (
     ValidationError,
     _PREMISES,
     _check_instance,
+    _check_iterable,
     _check_real,
     _premise_report,
     canonical_angle,
@@ -77,13 +76,9 @@ __all__ = [
     "enumerate_vertices",
     "signed_sum",
     "coincidence_sum",
-    "correlation",
-    "coincidence_probability",
-    "pointwise_bound_check",
     "PointwiseBoundReport",
     "ChshValues",
     "chsh_value",
-    "effective_correlation",
     "effective_chsh_value",
     "effective_chsh_values",
     "InequalityReport",
@@ -499,16 +494,6 @@ def _breach(q: _QuadTables, bound: str | EffectiveCorrelationMode, excess) -> np
     return over & (excess > slack + BOUND_TOL).any(axis=1)
 
 
-def correlation(model: SLHVModel, a: float, b: float) -> float:
-    """Full-ensemble correlation: weighted sum of eps1(a) * eps2(b)."""
-    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).e[0, 0])
-
-
-def coincidence_probability(model: SLHVModel, a: float, b: float) -> float:
-    """Probability that both photons are detected: weighted sum of alpha*beta."""
-    return float(_QuadTables(model, SettingsQuad(a, a, b, b)).coin[0, 0])
-
-
 @dataclass(frozen=True)
 class PointwiseBoundReport:
     passed: bool
@@ -516,26 +501,11 @@ class PointwiseBoundReport:
     worst_lambda: int
 
 
-def pointwise_bound_check(model: SLHVModel, quad: SettingsQuad) -> PointwiseBoundReport:
-    """Verify |u| <= 2*alpha*beta at every hidden point.
-
-    Only meaningful when non-detection is angle-independent (then the
-    four per-party bounds collapse to a single alpha and beta per
-    point); refuses otherwise.  ``passed`` holds when no point exceeds
-    the cap that premise proves (see ``_slack``); ``max_slack`` is the
-    largest |u| - 2*alpha*beta.
-    """
-    q = _QuadTables(model, quad)
-    rep = _mode_report(q, EffectiveCorrelationMode.SOLUTION1)
-    if not rep.passed:
-        raise AssumptionError(
-            "pointwise bound requires angle-independent non-detection; "
-            f"validator failed with max deviation {rep.max_deviation:.3e}")
-    return _pointwise(q)
-
-
 def _pointwise(q: _QuadTables) -> PointwiseBoundReport:
-    """The pointwise check of a batch of one whose solution1 premise holds."""
+    """|u| <= 2*alpha*beta at every hidden point of a batch of one whose
+    solution1 premise holds (``effective_chsh`` checks it first).
+    ``passed`` holds when no point exceeds the cap that premise proves (see
+    ``_slack``); ``max_slack`` is the largest |u| - 2*alpha*beta."""
     (x, xp), (y, yp) = q.t[0, ..., 0] - q.t[0, ..., 1]
     alpha, beta = q.t[0, :, 0, :, 0] + q.t[0, :, 0, :, 1]
     excess = np.abs(chsh_combination(x, xp, y, yp)) - 2.0 * alpha * beta
@@ -579,29 +549,6 @@ def _chsh_values(q: _QuadTables) -> ChshValues:
     return ChshValues(u, m)
 
 
-def effective_correlation(model: SLHVModel, a: float, b: float,
-                          mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1
-                          ) -> float:
-    """Coincidence-normalized correlation for one setting pair.
-
-    Per-pair preconditions: a positive coincidence probability (mode
-    solution1), lambda-independent non-detection with both parties
-    detectable (solution2), or no dead hidden point (solution3).  A
-    degenerate denominator raises first; then a failing mode validator
-    raises AssumptionError (``effective_chsh`` reports such models).
-    """
-    q = _QuadTables(model, SettingsQuad(a, a, b, b))
-    value, dead = q.e_eff(mode)
-    if dead.any():
-        raise DegenerateModelError(q.degenerate(mode, dead))
-    rep = _mode_report(q, mode)
-    if not rep.passed:
-        raise AssumptionError(
-            f"validate_{mode.value} failed for mode {mode.value} "
-            f"(max deviation {rep.max_deviation:.3e})")
-    return float(value[0, 0])
-
-
 def effective_chsh_value(model: SLHVModel, quad: SettingsQuad,
                          mode: EffectiveCorrelationMode = EffectiveCorrelationMode.SOLUTION1,
                          validate: bool = True) -> float:
@@ -621,7 +568,7 @@ def effective_chsh_values(model: SLHVModel, quads: Sequence[SettingsQuad],
     quads are the batch axis of one ``_QuadTables``, so each party's
     response is called once over all 2q of its angles.  A degenerate pair
     at any quad raises, naming the first."""
-    _check_instance(quads, Iterable, "quads")
+    _check_iterable(quads, "quads")
     return _u_eff(_QuadTables(model, *quads, validate=validate), mode)
 
 

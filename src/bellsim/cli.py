@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     modes = [m.value for m in EffectiveCorrelationMode]
 
     def common(p, needs_out=False, formats=False):
-        p.add_argument("-v", "--verbose", action="count", default=0)
         if needs_out:
             p.add_argument("--out", required=True, help="output file path")
         else:
@@ -297,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--quad", default=_DEFAULT_QUAD)
     p.add_argument("--mode", default="solution1", choices=modes)
+    p.add_argument("-v", "--verbose", action="count", default=0)
     common(p)
     p.set_defaults(func=cmd_verify_bounds)
 

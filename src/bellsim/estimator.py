@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PAIR_LABELS, chsh_sum, coincidence_sum, signed_sum
 from .model import (_OUTCOME_INDEX, NoDataError, ValidationError, _check_instance,
-                    _check_integer, _parse_number)
+                    _check_integer, _check_iterable, _parse_number)
 
 __all__ = [
     "COUNTS_COLUMNS",
@@ -116,7 +115,7 @@ def e_eff_stderr(rec: CountsRecord) -> float:
 
 
 def _ordered(recs) -> list[CountsRecord]:
-    _check_instance(recs, Iterable, "counts records")
+    _check_iterable(recs, "counts records")
     recs = list(recs)
     for r in recs:
         _check_instance(r, CountsRecord, "each counts record")

@@ -61,7 +61,6 @@ __all__ = [
     "BellSimError",
     "ValidationError",
     "DegenerateModelError",
-    "AssumptionError",
     "TheoremViolationError",
     "NoDataError",
     "canonical_angle",
@@ -98,10 +97,6 @@ class ValidationError(BellSimError, ValueError):
 
 class DegenerateModelError(BellSimError):
     """A quantity is undefined because a detection probability vanishes."""
-
-
-class AssumptionError(BellSimError):
-    """A computation's assumption validator failed and strict mode is on."""
 
 
 class TheoremViolationError(BellSimError):
@@ -204,9 +199,9 @@ class HiddenVariableSpace:
     values: np.ndarray
 
     def __init__(self, weights: Iterable[float], values: Iterable[float] | None = None):
-        _check_instance(weights, Iterable, "weights")
+        _check_iterable(weights, "weights")
         if values is not None:
-            _check_instance(values, Iterable, "values")
+            _check_iterable(values, "values")
         w = np.array([_check_real(x, "hidden-variable weight") for x in weights])
         if w.size == 0:
             raise ValidationError("hidden-variable space needs at least one point")
@@ -247,13 +242,21 @@ def _check_instance(value, cls, name: str) -> None:
         raise ValidationError(f"{name} must be of type {names}, got {type(value).__name__}")
 
 
+def _check_iterable(value, name: str) -> None:
+    """``_check_instance(value, Iterable, name)`` that also rejects a 0-d
+    ndarray, whose class defines ``__iter__`` but which cannot be iterated."""
+    _check_instance(value, Iterable, name)
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        raise ValidationError(f"{name} must be of type Iterable, got a 0-d ndarray")
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
     count and the CPU count.  No output of this package depends on it."""
     return min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
 
 
-def uniform_lambda_grid(n: int = 360) -> HiddenVariableSpace:
+def uniform_lambda_grid(n: int) -> HiddenVariableSpace:
     """Equal-weight grid of n hidden angles covering [0, pi)."""
     n = _check_integer(n, "grid size", 1)
     values = np.arange(n) * (math.pi / n)
@@ -336,7 +339,7 @@ class SLHVModel:
         """Outcome probability tables at k angles, each reduced to [0, pi)
         first, in one response call: shape (k, n, 3), columns (+1, -1, 0)."""
         party = _check_integer(party, "party", 1, 2)
-        _check_instance(angles, Iterable, "angles")
+        _check_iterable(angles, "angles")
         a = np.array([canonical_angle(x) for x in angles], dtype=float)
         values = self.space.values
         t = np.asarray((self.response1, self.response2)[party - 1]._fn(a, values), dtype=float)
@@ -378,8 +381,8 @@ def _nondetect_rows(model: SLHVModel, angles1: Sequence[float],
     """Each party's (k, n) non-detection rows at its canonical angles, from
     one response call per party, and those angles."""
     _check_instance(model, SLHVModel, "model")
-    _check_instance(angles1, Iterable, "angles1")
-    _check_instance(angles2, Iterable, "angles2")
+    _check_iterable(angles1, "angles1")
+    _check_iterable(angles2, "angles2")
     angles = tuple([canonical_angle(a) for a in angs] for angs in (angles1, angles2))
     if not all(angles):
         raise ValidationError("angle lists must be non-empty")

@@ -59,7 +59,7 @@ from .model import (
 )
 
 __all__ = ["csv_text", "json_text", "load_model", "model_from_dict", "read_json",
-           "save_model", "write_json", "write_text"]
+           "write_json", "write_text"]
 
 
 def _table(rows, n: int, what: str) -> np.ndarray:
@@ -182,7 +182,3 @@ def write_json(path, obj) -> None:
 
 def load_model(path) -> SLHVModel:
     return model_from_dict(read_json(path, "model file"))
-
-
-def save_model(doc: dict, path) -> None:
-    write_json(path, doc)

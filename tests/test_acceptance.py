@@ -24,7 +24,6 @@ from bellsim import qm
 from bellsim.adversary import SearchConfig, get_family, search
 from bellsim.bounds import (
     EffectiveCorrelationMode,
-    chsh_value,
     effective_chsh_values,
     enumerate_vertices,
     optimal_quad,

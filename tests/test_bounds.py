@@ -22,20 +22,15 @@ from bellsim.bounds import (
     chsh_combination,
     chsh_sum,
     chsh_value,
-    coincidence_probability,
     coincidence_sum,
-    correlation,
     effective_chsh,
     effective_chsh_value,
     effective_chsh_values,
-    effective_correlation,
     enumerate_vertices,
     optimal_quad,
-    pointwise_bound_check,
     signed_sum,
 )
 from bellsim.model import (
-    AssumptionError,
     DegenerateModelError,
     HiddenVariableSpace,
     ResponseFunction,
@@ -80,6 +75,12 @@ def sign_model(theta1=0.0, theta2=0.0, n=720):
         return ResponseFunction(party, fn)
 
     return SLHVModel(space, resp(1, theta1), resp(2, theta2))
+
+
+def pair_report(m, a, b, mode=MODE1):
+    """The report at the quad (a, a, b, b): its "ab" entries are the
+    pair (a, b)'s E, coincidence probability and E_eff."""
+    return effective_chsh(m, SettingsQuad(a, a, b, b), mode)
 
 
 class TestChshCombination:
@@ -185,21 +186,21 @@ class TestCorrelation:
         m = tabulated_model([0.5, 0.5],
                             [(1, 0, 0), (0, 1, 0)],
                             [(0, 1, 0), (1, 0, 0)])
-        assert correlation(m, 0.4, 0.4) == -1.0
+        assert pair_report(m, 0.4, 0.4).e["ab"] == -1.0
 
     def test_two_point_weighted_sum(self):
         # eps1 = (0.8, 0.2), eps2 = (1, -1): E = 0.5*0.8 - 0.5*0.2 = 0.3
         m = tabulated_model([0.5, 0.5],
                             [(0.9, 0.1, 0), (0.6, 0.4, 0)],
                             [(1, 0, 0), (0, 1, 0)])
-        assert correlation(m, 0.0, 0.0) == pytest.approx(0.3, abs=1e-15)
+        assert pair_report(m, 0.0, 0.0).e["ab"] == pytest.approx(0.3, abs=1e-15)
 
     def test_magnitude_bounded_by_detection_product(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
             m = random_nondegenerate_model(rng, 8)
             a, b = rng.random(2) * math.pi
-            e = correlation(m, a, b)
+            e = pair_report(m, a, b).e["ab"]
             t1, t2 = m.triples(1, a), m.triples(2, b)
             cap = float(np.sum(m.space.weights *
                                (t1[:, 0] + t1[:, 1]) * (t2[:, 0] + t2[:, 1])))
@@ -470,18 +471,18 @@ class TestPerPointReference:
 class TestCoincidenceProbability:
     def test_perfect_model(self):
         m = tabulated_model([1.0], [(0.5, 0.5, 0)], [(0.5, 0.5, 0)])
-        assert coincidence_probability(m, 0.0, 1.0) == 1.0
+        assert pair_report(m, 0.0, 1.0).coincidence["ab"] == 1.0
 
     def test_constant_detection_levels(self):
         m = tabulated_model([1.0], [(0.3, 0.3, 0.4)], [(0.25, 0.25, 0.5)])
-        assert coincidence_probability(m, 0.2, 0.9) == pytest.approx(0.30, abs=1e-15)
+        assert pair_report(m, 0.2, 0.9).coincidence["ab"] == pytest.approx(0.30, abs=1e-15)
 
     def test_setting_independent_for_angle_independent_models(self):
         rng = np.random.default_rng(103)
         for _ in range(50):
             m = random_angle_independent_model(rng, 8)
             pairs = rng.random((5, 2)) * math.pi
-            vals = [coincidence_probability(m, a, b) for a, b in pairs]
+            vals = [pair_report(m, a, b).coincidence["ab"] for a, b in pairs]
             assert max(vals) - min(vals) <= 1e-12
 
 
@@ -490,18 +491,19 @@ class TestPointwiseBound:
         rng = np.random.default_rng(107)
         for _ in range(200):
             m = random_angle_independent_model(rng, 8)
-            rep = pointwise_bound_check(m, random_quad(rng))
-            assert rep.passed, rep
+            rep = effective_chsh(m, random_quad(rng)).pointwise
+            assert rep is not None and rep.passed, rep
 
     def test_saturated_by_deterministic_perfect_model(self):
-        rep = pointwise_bound_check(sign_model(), optimal_quad())
-        assert rep.passed
+        rep = effective_chsh(sign_model(), optimal_quad()).pointwise
+        assert rep is not None and rep.passed
         assert rep.max_slack <= 1e-12
 
     def test_refuses_angle_dependent_nondetection(self):
-        m = sign_model(theta1=0.6, theta2=0.6)
-        with pytest.raises(AssumptionError):
-            pointwise_bound_check(m, optimal_quad())
+        # The report leaves the check out when its solution1 premise fails.
+        rep = effective_chsh(sign_model(theta1=0.6, theta2=0.6), optimal_quad())
+        assert not rep.assumption_report.passed
+        assert rep.pointwise is None
 
 
 class TestChshValue:
@@ -544,17 +546,17 @@ class TestEffectiveCorrelation:
 
         m = SLHVModel(space, ResponseFunction(1, fn),
                       ResponseFunction(2, fn))
-        e = correlation(m, 0.3, 0.8)
+        e = pair_report(m, 0.3, 0.8).e["ab"]
         for mode in (MODE1, MODE2, MODE3):
-            assert effective_correlation(m, 0.3, 0.8, mode) == pytest.approx(
+            assert pair_report(m, 0.3, 0.8, mode).e_eff["ab"] == pytest.approx(
                 e, abs=1e-12)
 
     def test_modes_one_and_two_agree_under_constant_losses(self):
         m = tabulated_model([0.25, 0.75],
                             [(0.8 * 0.8, 0.8 * 0.2, 1 - 0.8), (0.8 * 0.3, 0.8 * 0.7, 0.2)],
                             [(0.6 * 0.9, 0.6 * 0.1, 0.4), (0.6 * 0.4, 0.6 * 0.6, 0.4)])
-        v1 = effective_correlation(m, 0.1, 0.2, MODE1)
-        v2 = effective_correlation(m, 0.1, 0.2, MODE2)
+        v1 = pair_report(m, 0.1, 0.2, MODE1).e_eff["ab"]
+        v2 = pair_report(m, 0.1, 0.2, MODE2).e_eff["ab"]
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_bounded_by_one_in_every_mode(self):
@@ -563,35 +565,33 @@ class TestEffectiveCorrelation:
             m = random_nondegenerate_model(rng, 8)
             a, b = rng.random(2) * math.pi
             for mode in (MODE1, MODE3):
-                assert abs(effective_correlation(m, a, b, mode)) <= 1.0 + 1e-12
+                assert abs(pair_report(m, a, b, mode).e_eff["ab"]) <= 1.0 + 1e-12
         for _ in range(100):
             m = random_lambda_independent_model(rng, 8)
             a, b = rng.random(2) * math.pi
-            assert abs(effective_correlation(m, a, b, MODE2)) <= 1.0 + 1e-12
+            assert abs(pair_report(m, a, b, MODE2).e_eff["ab"]) <= 1.0 + 1e-12
         # Entries down to -NORMALIZATION_TOL: the subset average reads 2e-12/2e-12.
         m = tabulated_model([1.0], [(2e-12, -1e-12, 1 - 1e-12)], [(1.0, 0.0, 0.0)])
-        assert effective_correlation(m, 0.0, 0.0, MODE3) == 1.0
+        assert pair_report(m, 0.0, 0.0, MODE3).e_eff["ab"] == 1.0
 
     def test_degenerate_coincidence_raises(self):
         m = tabulated_model([1.0], [(0, 0, 1)], [(0.5, 0.5, 0)])
         with pytest.raises(DegenerateModelError):
-            effective_correlation(m, 0.0, 0.0, MODE1)
+            effective_chsh_value(m, SettingsQuad(0.0, 0.0, 0.0, 0.0), MODE1)
 
     def test_dead_point_raises_in_subset_mode(self):
         m = tabulated_model([0.5, 0.5],
                             [(0.5, 0.5, 0), (0, 0, 1)],
                             [(0.5, 0.5, 0), (0.5, 0.5, 0)])
         with pytest.raises(DegenerateModelError):
-            effective_correlation(m, 0.0, 0.0, MODE3)
+            effective_chsh_value(m, SettingsQuad(0.0, 0.0, 0.0, 0.0), MODE3)
 
     def test_strict_mode_two_rejects_lambda_dependent_losses(self):
         m = tabulated_model([0.5, 0.5],
                             [(0.4, 0.4, 0.2), (0.35, 0.35, 0.3)],
                             [(0.5, 0.5, 0), (0.5, 0.5, 0)])
-        with pytest.raises(AssumptionError, match="validate_solution2"):
-            effective_correlation(m, 0.0, 0.0, MODE2)
-        # The full report still gives the violating model its value.
-        rep = effective_chsh(m, SettingsQuad(0.0, 0.0, 0.0, 0.0), MODE2)
+        # The report gives the violating model its value and flags it.
+        rep = pair_report(m, 0.0, 0.0, MODE2)
         assert math.isfinite(rep.e_eff["ab"])
         assert not rep.bound_guaranteed
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main
-from bellsim.modelio import json_text, load_model, model_from_dict, save_model, write_json
+from bellsim.modelio import json_text, load_model, model_from_dict, write_json
 from bellsim.model import ValidationError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -362,6 +362,9 @@ BAD_ARGV = {
     "sweep-negative-seed": lambda tmp: [
         *_SWEEP, "--seed", "-2", "--min-coincidences", "1", "--out", str(tmp / "s.csv")],
     "search-negative-seed": lambda tmp: [*_SEARCH, "--n-lambda", "36", "--seed", "-3"],
+    # Only verify-bounds reads -v; no other command takes it.
+    "simulate-v": lambda tmp: [
+        "simulate", *_QM_FLAGS, "--trials", "10", "-v", "--out", str(tmp / "run.csv")],
     **{f"sweep-min-coincidences-{v}": (lambda tmp, v=v: [
         *_SWEEP, "--min-coincidences", v, "--out", str(tmp / "s.csv")])
        for v in ("nan", "inf", "0", "-5")},
@@ -553,7 +556,7 @@ class TestExitCodeContract:
         # Unreachable for a correct core, so fake a breach report to pin
         # the wiring down.
         import bellsim.cli as cli
-        from bellsim.bounds import EffectiveCorrelationMode, effective_chsh
+        from bellsim.bounds import effective_chsh
 
         real = effective_chsh
 
@@ -606,8 +609,6 @@ class TestModelIo:
         path = tmp_path / "doc.json"
         write_json(path, doc)
         assert path.read_bytes() == want.encode("ascii")
-        save_model(doc, tmp_path / "model.json")
-        assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
 
     def test_family_reference_file(self, tmp_path):
         doc = {"schema_version": 1, "type": "family",
@@ -615,7 +616,7 @@ class TestModelIo:
                "parameters": {"theta1": 0.5, "theta2": 0.5},
                "n_lambda": 90}
         path = tmp_path / "fam.json"
-        save_model(doc, path)
+        write_json(path, doc)
         m = load_model(path)
         assert m.space.size == 90
         assert m.meta["family"] == "threshold-detection"

@@ -12,9 +12,8 @@ from bellsim.bounds import (
     EffectiveCorrelationMode,
     SettingsQuad,
     _QuadTables,
-    coincidence_probability,
-    correlation,
-    effective_correlation,
+    effective_chsh,
+    effective_chsh_value,
 )
 from bellsim.adversary import get_family
 from bellsim.model import (
@@ -201,19 +200,26 @@ class TestResponse:
 MODE3 = EffectiveCorrelationMode.SOLUTION3
 
 
+def pair_report(m, a, b, mode=EffectiveCorrelationMode.SOLUTION1):
+    """The report at the quad (a, a, b, b): its "ab" entries are the
+    pair (a, b)'s E, coincidence probability and E_eff."""
+    return effective_chsh(m, SettingsQuad(a, a, b, b), mode)
+
+
 class TestAverages:
     """The table-column conventions (alpha, local and effective local
     averages), read through the exact sums of bounds."""
 
     def test_symmetric_triple_has_zero_average(self):
         m = constant_model((0.5, 0.5, 0.0), (0.5, 0.5, 0.0))
-        assert correlation(m, 0.1, 0.1) == 0.0
+        assert pair_report(m, 0.1, 0.1).e["ab"] == 0.0
 
     def test_plain_average_example(self):
         # local average 0.6 and alpha 0.6 per party
         m = constant_model((0.6, 0.0, 0.4), (0.6, 0.0, 0.4))
-        assert correlation(m, 0.0, 0.0) == pytest.approx(0.36, abs=1e-15)
-        assert coincidence_probability(m, 0.0, 0.0) == pytest.approx(0.36, abs=1e-15)
+        rep = pair_report(m, 0.0, 0.0)
+        assert rep.e["ab"] == pytest.approx(0.36, abs=1e-15)
+        assert rep.coincidence["ab"] == pytest.approx(0.36, abs=1e-15)
 
     def test_triple_sum_example(self):
         m = constant_model((0.3, 0.2, 0.5), (0.3, 0.2, 0.5))
@@ -224,17 +230,17 @@ class TestAverages:
     def test_effective_average_example(self):
         # (0.3 - 0.1) / (0.3 + 0.1) = 0.5 per party
         m = constant_model((0.3, 0.1, 0.6), (0.3, 0.1, 0.6))
-        assert effective_correlation(m, 0.0, 0.0, MODE3) == pytest.approx(0.25, rel=1e-12)
+        assert pair_report(m, 0.0, 0.0, MODE3).e_eff["ab"] == pytest.approx(0.25, rel=1e-12)
 
     def test_effective_average_equals_plain_without_loss(self):
         m = constant_model((0.7, 0.3, 0.0), (0.7, 0.3, 0.0))
-        assert effective_correlation(m, 0.2, 0.2, MODE3) == pytest.approx(
-            correlation(m, 0.2, 0.2), abs=1e-15)
+        rep = pair_report(m, 0.2, 0.2, MODE3)
+        assert rep.e_eff["ab"] == pytest.approx(rep.e["ab"], abs=1e-15)
 
     def test_effective_average_undefined_at_dead_point(self):
         m = constant_model((0.0, 0.0, 1.0), (0.5, 0.5, 0.0))
         with pytest.raises(DegenerateModelError, match="party 1"):
-            effective_correlation(m, 0.0, 0.0, MODE3)
+            effective_chsh_value(m, SettingsQuad(0.0, 0.0, 0.0, 0.0), MODE3)
 
     def test_average_bounds_over_random_models(self):
         rng = np.random.default_rng(23)

@@ -60,6 +60,52 @@ def test_per_point_surface_removed():
     assert not hasattr(bounds, "_joint")
 
 
+def test_single_pair_and_strict_entries_removed():
+    # A model is answered by the effective_chsh report, the lean
+    # effective_chsh_value(s) and chsh_value alone: no entry builds a quad
+    # for one pair's value or raises for a failing premise, and model files
+    # are written by write_json.  qm keeps its closed-form pair functions.
+    removed = ("correlation", "coincidence_probability", "effective_correlation",
+               "pointwise_bound_check")
+    for name in removed:
+        assert not hasattr(bounds, name) and name not in bounds.__all__, name
+    for name in (*removed, "AssumptionError", "save_model"):
+        assert not hasattr(bellsim, name), name
+    assert not hasattr(model, "AssumptionError") and "AssumptionError" not in model.__all__
+    assert not hasattr(modelio, "save_model") and "save_model" not in modelio.__all__
+    for name in ("correlation", "coincidence_probability", "effective_correlation"):
+        assert callable(getattr(qm, name)), name
+    n = inspect.signature(model.uniform_lambda_grid).parameters["n"]
+    assert n.default is inspect.Parameter.empty
+
+
+def _imported_names(tree, lines):
+    """(line, name) of each name a module's imports bind, except those of
+    ``__future__`` imports and of import statements marked ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__" \
+                and "# noqa: F401" not in lines[node.lineno - 1]:
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    # Every name a module in src/, tests/ or demos/ imports is read there.
+    root = Path(__file__).parent.parent
+    paths = [*sorted((root / "src" / "bellsim").glob("*.py")),
+             *sorted((root / "tests").glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+    unused = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(root)}:{line} {name}"
+                   for line, name in _imported_names(tree, text.splitlines())
+                   if name not in read]
+    assert unused == []
+
+
 def test_validator_scan_removed():
     # The validators reduce each party's non-detection rows directly; the
     # angle-pair loop and its score callbacks are gone.
@@ -252,8 +298,6 @@ WRONG_TYPES = {
     "effective_chsh-quad": (lambda: bounds.effective_chsh(SLHV, ANGLES), "quad must be of type"),
     "effective_chsh-model": (lambda: bounds.effective_chsh("m", QUAD), "model must be of type"),
     "chsh_value": (lambda: bounds.chsh_value(SLHV, ANGLES), "quad must be of type"),
-    "pointwise_bound_check": (lambda: bounds.pointwise_bound_check(SLHV, ANGLES),
-                              "quad must be of type"),
     "effective_chsh_values": (lambda: bounds.effective_chsh_values(SLHV, [ANGLES]),
                               "quad must be of type"),
     "objective": (lambda: adversary.objective(THRESHOLD, [0.0, 0.0], ANGLES),
@@ -286,6 +330,25 @@ WRONG_TYPES = {
                                    "values must be of type Iterable"),
     "analysis_report-int": (lambda: estimator.analysis_report(5),
                             "counts records must be of type"),
+    # A 0-d array's class defines __iter__, but it cannot be iterated.
+    "HiddenVariableSpace-0d": (lambda: model.HiddenVariableSpace(np.array(1.0)),
+                               "weights must be of type Iterable"),
+    "HiddenVariableSpace-values-0d": (
+        lambda: model.HiddenVariableSpace([1.0], np.array(0.0)),
+        "values must be of type Iterable"),
+    "tables-angles-0d": (lambda: SLHV.tables(1, np.array(0.3)),
+                         "angles must be of type Iterable"),
+    "validate_solution1-angles-0d": (
+        lambda: model.validate_solution1(SLHV, np.array(0.1), [0.0]),
+        "angles1 must be of type Iterable"),
+    "validate_solution2-angles-0d": (
+        lambda: model.validate_solution2(SLHV, [0.0], np.array(0.1)),
+        "angles2 must be of type Iterable"),
+    "effective_chsh_values-0d": (
+        lambda: bounds.effective_chsh_values(SLHV, np.array(QUAD, dtype=object)),
+        "quads must be of type Iterable"),
+    "analysis_report-0d": (lambda: estimator.analysis_report(np.array(3)),
+                           "counts records must be of type Iterable"),
     "qm.effective_chsh_value-params": (lambda: qm.effective_chsh_value("p", QUAD),
                                        "params must be of type"),
     "qm.chsh_value-params": (lambda: qm.chsh_value("p", QUAD), "params must be of type"),
