@@ -66,7 +66,7 @@ from .model import (
     _check_instance,
     _check_integer,
     _check_real,
-    _pool_size,
+    _shares,
     uniform_lambda_grid,
 )
 
@@ -424,16 +424,14 @@ def objective(family: ParametricFamily, params, quad: SettingsQuad,
 
     A value above the cap its premise proves for the same tables (the
     check behind ``effective_chsh``'s ``theorem_breach``) raises
-    TheoremViolationError.  This is ``search``'s evaluation of a batch of
-    one (see ``_abs_u_eff``): a search evaluates its points in batches
-    instead, with bit-identical values, and checks every distinct model a
-    restart visits once, a live test of the bound against an active
-    adversary.
+    TheoremViolationError.  This is ``search``'s evaluation (``_evaluate``)
+    at one point: a search evaluates its points in batches instead, with
+    bit-identical values, and checks every distinct model a restart visits
+    once, a live test of the bound against an active adversary.
     """
-    model = family.instantiate(params, n_lambda=n_lambda)
-    q = _QuadTables(model, quad, validate=False)
-    point = np.array([[model.meta[name] for name in family.param_names]])
-    return float(_abs_u_eff(q, mode, family.name, point)[0])
+    config = SearchConfig(family=family, quad=quad, mode=mode, n_lambda=n_lambda)
+    point = list(family.point(params).values())
+    return _evaluate(config, [point], np.empty((1, 2, 2, config.n_lambda, 3)))[0]
 
 
 def _abs_u_eff(q: _QuadTables, mode: EffectiveCorrelationMode, family: str,
@@ -727,18 +725,17 @@ def _lockstep(config: SearchConfig, indices: Sequence[int]) -> dict[int, Restart
         values = dict(zip(points, _evaluate(config, list(points.values()), workspace)))
 
 
-def _run_restarts(config: SearchConfig, n_workers: int) -> list[RestartSummary]:
-    """Every restart's summary, in index order, from this process and
-    ``n_workers - 1`` forked children.
+def _run_restarts(config: SearchConfig, shares: list[range]) -> list[RestartSummary]:
+    """Every restart's summary, in index order, from this process and one
+    forked child per share past the first.
 
-    Process i runs the fixed share ``range(i, restarts, n_workers)`` in
-    lockstep (``_lockstep``); this process is process 0.  A child sends
+    Process i runs ``shares[i]`` (``model._shares``) in lockstep
+    (``_lockstep``); this process is process 0.  A child sends
     the summaries of its share, or the exception that stopped it, over its
     own pipe.  Children are forked, so they share ``config`` by memory and
     only summaries and exceptions are pickled.  An exception in any
     process reaches the caller, and no child outlives this call.
     """
-    shares = [range(i, config.restarts, n_workers) for i in range(n_workers)]
     children, readers = [], []
     try:
         for share in shares[1:]:
@@ -802,16 +799,18 @@ def search(config: SearchConfig, workers: int = 1) -> SearchResult:
     bound check of ``objective``; a point that repeats one (same memo
     key, see ``_memo_key``) counts as an evaluation and reuses its value.
 
-    The restarts run in this process beside ``n - 1`` forked worker
-    processes, ``n = min(workers, restarts, CPU count)``: process i runs
-    restarts i, i + n, i + 2n, ... (``_run_restarts``), and with
-    ``n = 1`` no process is started.  Each process runs its share in
-    lockstep and evaluates the new points of its restarts together, one
-    batch per step (``_lockstep``).  An exception raised in any process reaches
-    the caller, and no worker outlives the call.
+    The restarts are split into the fixed shares of ``model._shares``,
+    the rule ``sampler`` applies to blocks: this process runs share 0
+    beside ``n - 1`` forked worker processes, ``n = min(workers,
+    restarts, CPU count)``, and process i runs restarts i, i + n,
+    i + 2n, ... (``_run_restarts``), so one worker starts no process.
+    Each process runs its share in lockstep and evaluates the new points
+    of its restarts together, one batch per step (``_lockstep``).  An
+    exception raised in any process reaches the caller, and no worker
+    outlives the call.
     """
     _check_instance(config, SearchConfig, "config")
-    summaries = _run_restarts(config, _pool_size(workers, config.restarts))
+    summaries = _run_restarts(config, _shares(workers, config.restarts))
     fam = config.family
     best = max(summaries, key=lambda s: (s.best_value, -s.restart_index))
 

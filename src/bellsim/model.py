@@ -250,10 +250,14 @@ def _check_iterable(value, name: str) -> None:
         raise ValidationError(f"{name} must be of type Iterable, got a 0-d ndarray")
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    """Workers a pool gets for ``tasks`` tasks: at most ``workers``, the task
-    count and the CPU count.  No output of this package depends on it."""
-    return min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
+def _shares(workers: int, tasks: int) -> list[range]:
+    """The fixed shares of ``tasks`` tasks, numbered 0 to tasks - 1, among
+    ``n = min(workers, tasks, CPU count)`` workers: worker i takes tasks
+    i, i + n, i + 2n, ...  The caller runs share 0 itself, beside n - 1
+    helpers, so one worker starts none.  Shares differ in size by at most
+    one, and no output of this package depends on them."""
+    n = min(_check_integer(workers, "workers", 1), tasks, os.cpu_count() or 1)
+    return [range(i, tasks, n) for i in range(n)]
 
 
 def uniform_lambda_grid(n: int) -> HiddenVariableSpace:

@@ -37,13 +37,13 @@ the counts are the sufficient statistics of the run, nothing else of
 the trials is kept.
 
 One path runs at every worker count: each setting pair's edges are
-formed once, and the blocks run on ``n`` threads, ``workers`` capped at
-the block count and the CPU count (``model._pool_size``).  Each thread
-counts a fixed share, the rule ``adversary`` applies to restarts: the
-blocks are numbered pair by pair, and thread i counts blocks i, i + n,
-i + 2n, ... into its own (4, 3, 3) int64 table.  The n tables are
-summed, so memory is O(workers), and integer sums are exact in any
-order.
+formed once, and the blocks, numbered pair by pair, are split into the
+fixed shares of ``model._shares``, the rule ``adversary`` applies to
+restarts.  The calling thread counts share 0 beside n - 1 helper
+threads, ``n = min(workers, blocks, CPU count)``, so one worker starts
+no thread.  Each share is counted into its own (4, 3, 3) int64 table
+and the n tables are summed, so memory is O(workers), and integer sums
+are exact in any order.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .model import (
     ValidationError,
     _check_instance,
     _check_integer,
-    _pool_size,
+    _shares,
 )
 from .modelio import csv_text, write_json, write_text
 from .qm import QMModelParams, joint_table
@@ -149,8 +149,7 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
     _check_instance(plan, ExperimentPlan, "plan")
     n = plan.trials_per_pair
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    n_tasks = 4 * n_blocks
-    n_workers = _pool_size(workers, n_tasks)
+    shares = _shares(workers, 4 * n_blocks)
 
     if isinstance(source, SLHVModel):
         tables = _QuadTables(source, plan.quad).joints[0]
@@ -171,9 +170,10 @@ def run_experiment(source: SLHVModel | QMModelParams, plan: ExperimentPlan,
             counts[pair_index] += _block(edges[pair_index], rng, size)
         return counts
 
-    shares = [range(i, n_tasks, n_workers) for i in range(n_workers)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        counts = sum(pool.map(share_counts, shares))
+    # The pool starts a thread per submitted share, none for share 0.
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        helpers = pool.map(share_counts, shares[1:])
+        counts = share_counts(shares[0]) + sum(helpers)
 
     records = tuple(CountsRecord(label=label, table=counts[i], emitted_total=n)
                     for i, label in enumerate(PAIR_LABELS))

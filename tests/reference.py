@@ -1,6 +1,6 @@
 """The test suite's one independent second computation: joint-outcome
-tables, per-pair E, C, D and E_eff, the CHSH signed sum and the three
-premise reports.
+tables, the QM source's both-detected cell, per-pair E, C, D and E_eff,
+the CHSH signed sum and the three premise reports.
 
 It shares no code with what it checks.  A model is read only through
 ``SLHVModel.tables`` and ``space.weights``, a QM source only through its
@@ -55,6 +55,17 @@ def qm_joint(source, a, b, num=float):
     only1, only2 = d1 * (1 - d2) / 2, d2 * (1 - d1) / 2
     return np.array([[same, diff, only1], [diff, same, only1],
                      [only2, only2, (1 - d1) * (1 - d2)]])
+
+
+def qm_detected(source, a, b, r, q):
+    """The QM source's both-detected cell (r, q), r and q each +1 or -1, at
+    angles (a, b) with the rounding ``qm.joint_table`` uses: the float
+    0.25 * eta1 eta2 f1 f2 * (1 + r q F cos 2(a - b)), the product taken
+    left to right.  Scaling by 0.25 is exact, so this keeps the bits of
+    eta1 eta2 f1 f2 times (1 +- F cos)/4, which ``qm_joint``'s order
+    d1 d2 (1 +- F cos)/4 does not."""
+    eta1, eta2, f1, f2, F = (getattr(source, k) for k in ("eta1", "eta2", "f1", "f2", "F"))
+    return 0.25 * (eta1 * eta2 * f1 * f2) * (1.0 + r * q * F * math.cos(2.0 * (a - b)))
 
 
 def joints(source, quad, num=float):

@@ -32,7 +32,6 @@ from bellsim.bounds import (
     optimal_quad,
 )
 from bellsim.model import (
-    SLHVModel,
     TheoremViolationError,
     ValidationError,
     uniform_lambda_grid,
@@ -214,19 +213,17 @@ class TestObjective:
         for m in (mode.SOLUTION1, mode.SOLUTION3):
             assert objective(TWO_POINT, [0.05], QUAD, mode=m, n_lambda=2) <= 2.0 + 1e-9
 
-    def test_one_table_evaluation_per_point(self, monkeypatch):
+    def test_one_table_evaluation_per_point(self):
         # One response call per party, the two together covering the quad's
         # four angles: each (party, angle) table is evaluated exactly once.
         calls = []
-        tables = SLHVModel.tables
-
-        def counted(self, party, angles, validate=True):
-            calls.append((party, tuple(angles)))
-            return tables(self, party, angles, validate)
-
-        monkeypatch.setattr(SLHVModel, "tables", counted)
         fam = get_family("threshold-detection")
-        assert objective(fam, [0.8, 0.8], QUAD) > 2.0
+
+        def counted(params, party, angles, n_lambda, out):
+            calls.append((party, tuple(angles)))
+            fam.response(params, party, angles, n_lambda, out)
+
+        assert objective(dataclasses.replace(fam, response=counted), [0.8, 0.8], QUAD) > 2.0
         assert sorted(calls) == [(1, QUAD.party1_angles()), (2, QUAD.party2_angles())]
 
     def test_reproducible_from_parameters(self):

@@ -186,8 +186,9 @@ def test_one_file_format():
     # The JSON layout is modelio.json_text alone, the CSV layout
     # modelio.csv_text alone and the file encoding modelio.write_text alone;
     # a QM parameter set is spelled by its dataclass, the counts-CSV columns
-    # are estimator.COUNTS_COLUMNS alone, and the one pool-size rule lives in
-    # model beside the integer check it calls.
+    # are estimator.COUNTS_COLUMNS alone, and the one share rule of both
+    # worker pools, its range comprehension included, lives in model beside
+    # the integer check it calls.
     src = Path(bellsim.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
@@ -212,9 +213,12 @@ def test_one_file_format():
                if isinstance(node, ast.Constant) and isinstance(node.value, str)
                and (node.value == "pair_label" or "pair_label,r" in node.value)]
     assert columns == ["estimator.py"]
-    pool_sizes = [name for name, tree in trees.items() for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "_pool_size"]
-    assert pool_sizes == ["model.py"]
+    share_rules = [name for name, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_shares"
+                   or isinstance(node, ast.ListComp) and isinstance(node.elt, ast.Call)
+                   and getattr(node.elt.func, "id", None) == "range"]
+    assert share_rules == ["model.py", "model.py"]
+    assert not hasattr(model, "_pool_size")
     imports = {node.module for node in ast.walk(trees["adversary.py"])
                if isinstance(node, ast.ImportFrom)}
     assert "sampler" not in imports

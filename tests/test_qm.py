@@ -73,9 +73,8 @@ class TestJointProbability:
                     assert qm.joint_probability(p, sep, 0.0, r, q) >= -1e-15
 
     def test_bits_pinned_to_closed_form(self):
-        # The probability is eta12f12 times (1 +- F cos)/4; scaling by
-        # 0.25 is exact, so it keeps the bits of the closed form
-        # 0.25 * eta12f12 * (1 + r*q*F*cos 2(a - b)).
+        # The probability keeps the bits of the reference's closed form,
+        # 0.25 * eta1 eta2 f1 f2 * (1 + r q F cos 2(a - b)).
         rng = np.random.default_rng(7)
         checked = 0
         for k in range(60):
@@ -87,7 +86,7 @@ class TestJointProbability:
             for b in (a - sep, a + sep):
                 for r in (1, -1):
                     for q in (1, -1):
-                        want = 0.25 * p.eta12f12 * (1.0 + r * q * F * math.cos(2.0 * (a - b)))
+                        want = reference.qm_detected(p, a, b, r, q)
                         got = qm.joint_probability(p, a, b, r, q)
                         assert type(got) is float
                         assert got.hex() == want.hex(), (k, a, b, r, q)

@@ -1,14 +1,13 @@
 """Monte Carlo sampling: determinism, conservation, statistics."""
 
-import contextlib
 import hashlib
 import itertools
 import json
 import math
 import os
+import threading
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,18 +120,45 @@ class TestPlan:
         plan = ExperimentPlan(quad=optimal_quad(), trials_per_pair=10, seed=1)
         params = QMModelParams(0.8, 0.8, 0.9, 0.9, 0.95)
         expected = run_experiment(params, plan)
-        sizes = []
+        shares = []
+        split = sampler._shares
 
-        def inline_pool(max_workers, **_kw):
-            sizes.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
+        def recorded(workers, tasks):
+            shares.append(split(workers, tasks))
+            return shares[-1]
 
-        monkeypatch.setattr(sampler, "ThreadPoolExecutor", inline_pool)
+        monkeypatch.setattr(sampler, "_shares", recorded)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         result = run_experiment(params, plan, workers=10**6)
-        assert sizes == [3]
+        assert shares == [[range(0, 4, 3), range(1, 4, 3), range(2, 4, 3)]]
         for got, want in zip(result.records, expected.records):
             assert np.array_equal(got.table, want.table)
+
+
+class TestThreads:
+    """The calling thread counts share 0, so n workers start n - 1 threads."""
+
+    @pytest.mark.parametrize("trials", [1, BLOCK_SIZE + 5], ids=["4-blocks", "8-blocks"])
+    def test_caller_counts_share_zero(self, monkeypatch, trials):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        plan = ExperimentPlan(optimal_quad(), trials, seed=9)
+        for source in (QMModelParams(0.7, 0.8, 0.9, 0.6, 0.9),
+                       random_nondegenerate_model(np.random.default_rng(5), 8)):
+            started.clear()
+            want = run_experiment(source, plan, workers=1)
+            assert started == []
+            got = run_experiment(source, plan, workers=3)
+            assert len(started) == 2
+            assert [r.table.tobytes() for r in got.records] == [
+                r.table.tobytes() for r in want.records]
 
 
 class TestDeterminism:
